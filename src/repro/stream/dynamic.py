@@ -55,6 +55,13 @@ from .mutations import (
 __all__ = ["DynamicGraph", "Snapshot"]
 
 
+def _weights_at(edges: EdgeList, pos: np.ndarray) -> np.ndarray:
+    """Weights of the instances at ``pos``; unit weights on an unweighted graph."""
+    if edges.is_weighted:
+        return edges.weights[pos]
+    return np.ones(pos.size, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """A versioned, immutable view of a :class:`DynamicGraph`.
@@ -292,7 +299,7 @@ class DynamicGraph:
             )
         else:
             rem_src = rem_dst = removed_pos = np.empty(0, dtype=np.int64)
-        removed_w = edges.effective_weights()[removed_pos]
+        removed_w = _weights_at(edges, removed_pos)
 
         keep = np.ones(edges.n_edges, dtype=bool)
         keep[removed_pos] = False
@@ -307,7 +314,7 @@ class DynamicGraph:
                 edges.src[survivors], edges.dst[survivors], upd_src, upd_dst, n_before
             )
             upd_pos = survivors[upd_local]
-            upd_old_w = edges.effective_weights()[upd_pos]
+            upd_old_w = _weights_at(edges, upd_pos)
         else:
             upd_src = upd_dst = upd_pos = np.empty(0, dtype=np.int64)
             upd_new_w = upd_old_w = np.empty(0, dtype=np.float64)
@@ -341,20 +348,16 @@ class DynamicGraph:
 
         # --- build the next version's arrays (copy-on-write) ------------- #
         weighted = edges.is_weighted or add_weighted or upd_pos.size > 0
-        if removed_pos.size or upd_pos.size:
+        kept = keep if removed_pos.size else slice(None)
+        new_src = np.concatenate((edges.src[kept], add_src))
+        new_dst = np.concatenate((edges.dst[kept], add_dst))
+        new_w = None
+        if weighted:
             old_w = edges.effective_weights()
             if upd_pos.size:
-                old_w = old_w.copy()
+                old_w = old_w.copy()  # the old version keeps its weights
                 old_w[upd_pos] = upd_new_w
-            new_src = np.concatenate((edges.src[keep], add_src))
-            new_dst = np.concatenate((edges.dst[keep], add_dst))
-            new_w = np.concatenate((old_w[keep], add_w)) if weighted else None
-        else:
-            new_src = np.concatenate((edges.src, add_src))
-            new_dst = np.concatenate((edges.dst, add_dst))
-            new_w = (
-                np.concatenate((edges.effective_weights(), add_w)) if weighted else None
-            )
+            new_w = np.concatenate((old_w[kept], add_w))
 
         delta = MutationDelta(
             version=self.version + 1,

@@ -20,9 +20,9 @@ backend's compiled-plan path and replaces ``S`` wholesale.  Refreshes
 trigger on an update-count schedule (``refresh_every``), on cumulative
 churn (``churn_threshold``, the staleness accounting), when the mutation
 log no longer covers the versions missed, or on demand — and because
-append-only commits patch the cached :class:`~repro.core.plan.EmbedPlan`
-in place, a refresh after a string of appends pays no validation or
-index-compilation cost.
+append-only commits extend the cached :class:`~repro.core.plan.EmbedPlan`
+copy-on-write into the next version, a refresh after a string of appends
+pays no validation or index-compilation cost.
 """
 
 from __future__ import annotations
@@ -219,8 +219,8 @@ class IncrementalEmbedding:
         """Exact full re-embed of the current version (resets drift/churn).
 
         Runs through the backend's compiled-plan path — append-only commits
-        patched the cached plan in place, so this pays no validation or
-        index-building cost — or through a fresh chunked plan streaming the
+        extended the cached plan copy-on-write, so this pays no validation
+        or index-building cost — or through a fresh chunked plan streaming the
         attached store when the embedding was configured out-of-core.
         """
         graph = self._dynamic.graph
@@ -336,8 +336,12 @@ class IncrementalEmbedding:
             dw = np.concatenate([p[2] for p in parts])
             with trace("incremental.patch", delta_edges=patched, n_deltas=len(deltas)):
                 self._backend.patch_sums(self._S.reshape(-1), src, dst, dw, y_new, k)
-            # repro: ignore[hot-path-alloc] O(Δ) touched-row set, not O(E)
-            rows = np.unique(np.concatenate((src, dst)))
+            # Sorted touched rows through an n-byte bitmap: cheaper than
+            # sorting the 2Δ endpoints, and below the O(n) class_counts above.
+            touched = np.zeros(n_after, dtype=bool)
+            touched[src] = True
+            touched[dst] = True
+            rows = np.flatnonzero(touched)
         else:
             rows = np.empty(0, dtype=np.int64)
 

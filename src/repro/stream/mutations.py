@@ -69,7 +69,14 @@ def match_edge_instances(
     multigraph with a duplicated edge loses one copy per request, never both.
 
     Raises :class:`MissingEdgeError` when a requested pair does not exist or
-    its requested multiplicity exceeds the stored multiplicity.
+    its requested multiplicity exceeds the stored multiplicity, and
+    :class:`ValueError` when a requested endpoint lies outside
+    ``[0, n_vertices)`` (the stored edges must lie inside it too).
+
+    Cost: one streaming O(E) pass over the edges with O(1) work and 2 bytes
+    of scratch per edge, plus O(C log C + R log R) for the ``C`` candidate
+    edges that join a requested source to a requested destination and the
+    ``R`` requests.
     """
     if req_src.shape != req_dst.shape:
         raise ValueError("request src and dst must have the same length")
@@ -84,17 +91,21 @@ def match_edge_instances(
             f"{int(max(req_src.max(), req_dst.max()))}"
         )
     n = int(n_vertices)
-    ekey = src * n + dst
     rkey = req_src * n + req_dst
-    # Restrict to candidate edges (keys that appear in the request) before
-    # sorting: one O(E log R) membership scan instead of an O(E log E)
-    # argsort of the whole edge array — the difference between a commit
-    # costing ~Δ and a commit costing a full re-sort per batch.
-    req_keys = np.unique(rkey)
-    idx = np.searchsorted(req_keys, ekey)
-    idx[idx == req_keys.size] = 0
-    candidates = np.flatnonzero(req_keys[idx] == ekey)
-    ckey = ekey[candidates]
+    # Candidate edges are those whose source and destination were both
+    # requested: two n-byte bitmaps gathered in one streaming pass, with no
+    # per-edge key or search.  A candidate may still form a pair nobody
+    # asked for; such keys sort in among the rest but never fall inside a
+    # requested key's [lo, hi) run.
+    want_src = np.zeros(n, dtype=bool)
+    want_src[req_src] = True
+    want_dst = np.zeros(n, dtype=bool)
+    want_dst[req_dst] = True
+    hit = want_src[src]
+    hit &= want_dst[dst]
+    candidates = np.flatnonzero(hit)
+    del hit
+    ckey = src[candidates] * n + dst[candidates]
     order = np.argsort(ckey, kind="stable")  # stable: instances stay position-ordered
     sorted_keys = ckey[order]
     rorder = np.argsort(rkey, kind="stable")
@@ -168,10 +179,11 @@ class MutationDelta:
     def append_only(self) -> bool:
         """Whether the batch only appended edges over the existing vertex set.
 
-        Append-only batches are the fast path everywhere: cached
-        :class:`~repro.core.plan.EmbedPlan` objects are patched in place
-        instead of recompiled, and segmented on-disk stores gain one new
-        segment instead of a rewrite.
+        Append-only batches are the fast path everywhere: each cached
+        :class:`~repro.core.plan.EmbedPlan` is extended copy-on-write into
+        the next version's cache (the old plan stays untouched for its
+        snapshot readers) instead of recompiled, and segmented on-disk
+        stores gain one new segment instead of a rewrite.
         """
         return (
             self.n_removed == 0 and self.n_updated == 0 and self.n_new_vertices == 0

@@ -1,6 +1,8 @@
-"""DynamicGraph: staging, commit semantics, versioned snapshots, plan carry."""
+"""DynamicGraph: staging, commit semantics, instance matching, versioned snapshots, plan carry."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from repro.core import gee_unsupervised
 from repro.core.api import GraphEncoderEmbedding
 from repro.graph import EdgeList, Graph, erdos_renyi
 from repro.stream import DynamicGraph, MissingEdgeError
+from repro.stream.mutations import match_edge_instances
 
 
 def _multigraph():
@@ -84,6 +87,20 @@ class TestStagingAndCommit:
         # first instance by edge position carries weight 10.0
         assert delta.removed_weights.tolist() == [10.0]
 
+    def test_unweighted_removal_records_unit_weights(self, monkeypatch):
+        dyn = DynamicGraph(EdgeList(np.array([0, 1, 1, 2]), np.array([1, 2, 2, 0]), None, 3))
+
+        def no_full_weights(self):
+            raise AssertionError("an unweighted commit materialised E unit weights")
+
+        monkeypatch.setattr(EdgeList, "effective_weights", no_full_weights)
+        dyn.remove_edges([1], [2])
+        delta = dyn.commit()
+        assert delta.removed_weights.tolist() == [1.0]
+        edges = dyn.graph.edges
+        assert not edges.is_weighted
+        assert edges.src.tolist() == [0, 1, 2] and edges.dst.tolist() == [1, 2, 0]
+
 
 class TestMultigraphMultiplicity:
     """remove_edges must remove exactly the requested multiplicity."""
@@ -129,6 +146,95 @@ class TestMultigraphMultiplicity:
         edges = dyn.graph.edges
         pos = np.flatnonzero((edges.src == 1) & (edges.dst == 2))
         assert sorted(edges.weights[pos].tolist()) == [30.0, 99.0]
+
+
+def _oracle_match(src, dst, req_src, req_dst, n_vertices):
+    """Brute force: the r-th request for a pair takes the r-th position of that pair."""
+    if any(v < 0 or v >= n_vertices for v in (*req_src, *req_dst)):
+        raise ValueError("out of range")
+    taken = {}
+    out = []
+    for u, v in zip(req_src.tolist(), req_dst.tolist()):
+        r = taken.get((u, v), 0)
+        positions = np.flatnonzero((src == u) & (dst == v))
+        if r >= positions.size:
+            raise MissingEdgeError((u, v))
+        out.append(positions[r])
+        taken[(u, v)] = r + 1
+    return np.array(out, dtype=np.int64)
+
+
+class TestMatchEdgeInstances:
+    def test_fuzz_matches_oracle(self):
+        """Seeded fuzz of the matcher against :func:`_oracle_match`.
+
+        Small vertex sets give heavy duplication and self-loops; requests
+        drawn from stored instances reach the stored multiplicity, and the
+        cross product of their endpoints covers unrequested pairs (the
+        bitmap prefilter's false positives).  Some cases then ask for one
+        instance too many, or name an out-of-range vertex.
+        """
+        seen = {"matched": 0, "false_positive": 0, "missing": 0, "out_of_range": 0}
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 9))
+            e = int(rng.integers(0, 40))
+            src = rng.integers(0, n, size=e)
+            dst = np.where(rng.random(e) < 0.2, src, rng.integers(0, n, size=e))
+            picked = rng.permutation(e)[: int(rng.integers(0, e + 1))]
+            req_src, req_dst = src[picked], dst[picked]
+            mode = seed % 4
+            if mode == 2:  # one request beyond the stored multiplicity
+                u, v = rng.integers(0, n, size=2)
+                extra = int(np.sum((src == u) & (dst == v))) + 1
+                req_src = np.concatenate((req_src, np.full(extra, u)))
+                req_dst = np.concatenate((req_dst, np.full(extra, v)))
+            elif mode == 3:  # an endpoint outside [0, n)
+                bad = int(rng.choice([-1, n, n + 5]))
+                req_src = np.append(req_src, bad if rng.random() < 0.5 else 0)
+                req_dst = np.append(req_dst, 0 if req_src[-1] == bad else bad)
+            order = rng.permutation(req_src.size)
+            req_src, req_dst = req_src[order], req_dst[order]
+            try:
+                expected = _oracle_match(src, dst, req_src, req_dst, n)
+            except MissingEdgeError:
+                with pytest.raises(MissingEdgeError, match="multiplicity"):
+                    match_edge_instances(src, dst, req_src, req_dst, n)
+                seen["missing"] += 1
+                continue
+            except ValueError:
+                with pytest.raises(ValueError, match="must lie in") as err:
+                    match_edge_instances(src, dst, req_src, req_dst, n)
+                assert not isinstance(err.value, MissingEdgeError)
+                seen["out_of_range"] += 1
+                continue
+            got = match_edge_instances(src, dst, req_src, req_dst, n)
+            np.testing.assert_array_equal(got, expected, err_msg=f"seed {seed}")
+            seen["matched"] += 1
+            requested = set(zip(req_src.tolist(), req_dst.tolist()))
+            cross = np.isin(src, req_src) & np.isin(dst, req_dst)
+            if any((u, v) not in requested for u, v in zip(src[cross], dst[cross])):
+                seen["false_positive"] += 1
+        assert all(count >= 20 for count in seen.values()), seen
+
+    def test_peak_memory_has_no_per_edge_keys(self):
+        """The matcher's scratch stays far below one int64 per edge."""
+        rng = np.random.default_rng(0)
+        n, e, r = 100_000, 1_000_000, 1_000
+        src = rng.integers(0, n, size=e)
+        dst = rng.integers(0, n, size=e)
+        picked = rng.choice(e, size=r, replace=False)
+        req_src, req_dst = src[picked], dst[picked]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            positions = match_edge_instances(src, dst, req_src, req_dst, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(src[positions], req_src)
+        assert np.array_equal(dst[positions], req_dst)
+        assert peak / e < 8.0, f"{peak / e:.1f} B/edge"
 
 
 class TestSnapshotsAndLog:
