@@ -187,7 +187,6 @@ def accumulate_fused(
     y_idx: np.ndarray,
     *,
     fully_labelled: bool,
-    accumulate: bool = False,
 ) -> None:
     """Raw per-class sums of a :class:`~repro.core.plan.FusedLayout`, in place.
 
@@ -199,35 +198,44 @@ def accumulate_fused(
     on ``Y[v]``, the very column the contribution lands in.
 
     ``y_idx`` must already be cast to ``fused.index_dtype`` so the flat-index
-    arithmetic stays in the narrowed dtype.  Unknown labels are dropped by
-    compaction (sorted layout — the compacted flats stay monotone) or by
-    zero-weighting (blocked layout — compaction would break the bucket
-    boundaries).
+    arithmetic stays in the narrowed dtype.  A sorted layout is the row range
+    ``[0, n)`` of :func:`accumulate_fused_rows_sorted`, the kernel the
+    parallel and sharded workers run on their own ranges.  A blocked layout
+    drops unknown labels by zero-weighting (compaction would break its
+    bucket boundaries).
     """
+    if fused.layout == "sorted":
+        accumulate_fused_rows_sorted(
+            out_flat,
+            fused.owner_flat,
+            fused.partner,
+            fused.weights,
+            y_idx,
+            fused.n_classes,
+            fused.rows_per_block,
+            0,
+            fused.n_vertices,
+            fully_labelled=fully_labelled,
+        )
+        return
     if fused.n_incidences == 0:
-        if not accumulate:
-            out_flat.fill(0.0)
+        out_flat.fill(0.0)
         return
     yp = y_idx[fused.partner]
     w2 = fused.weights
     if fully_labelled:
         flat = fused.owner_flat + yp
         wts = w2
-        cuts = fused.edge_cuts
-    elif fused.layout == "sorted":
-        known = yp != UNKNOWN_LABEL
-        flat = fused.owner_flat[known] + yp[known]
-        wts = None if w2 is None else w2[known]
-        cuts = np.searchsorted(flat, fused.flat_cuts)
     else:
         known = yp != UNKNOWN_LABEL
         wts = known.astype(np.float64) if w2 is None else w2 * known
         flat = fused.owner_flat + np.maximum(yp, 0)
-        cuts = fused.edge_cuts
-    _block_scatter(out_flat, flat, wts, fused.flat_cuts, cuts, accumulate)
+    _block_scatter(
+        out_flat, flat, wts, fused.flat_cuts, fused.edge_cuts, accumulate=False
+    )
 
 
-@hot_path(reason="owner-computes fused kernel run by every parallel worker")
+@hot_path(reason="the sorted-layout kernel: serial, parallel and sharded row ranges")
 def accumulate_fused_rows_sorted(
     out_flat: np.ndarray,
     owner_flat: np.ndarray,
@@ -243,32 +251,43 @@ def accumulate_fused_rows_sorted(
 ) -> None:
     """Raw sums for rows ``row_lo:row_hi`` of a *sorted* fused layout.
 
-    The owner-computes variant behind the fused parallel path: the sorted
-    incidence arrays locate any row range with two binary searches, so each
-    worker processes exactly the incidences owned by its rows and writes
-    only its slice of ``out_flat`` — no atomics, no reduction.  Works on raw
-    arrays (shared-memory views included) rather than a
+    The one sorted kernel: the serial pass runs it over ``[0, n)``, the
+    parallel and sharded workers over their own row ranges.  The sorted
+    incidence arrays locate any row range with two binary searches, so a
+    call processes exactly the incidences owned by its rows and writes only
+    its slice of ``out_flat`` — no atomics, no reduction.  Every search key
+    is cast to the incidence dtype first: a wider key makes
+    ``np.searchsorted`` convert the whole searched array, which would cost
+    each range an O(2E) int64 copy instead of its own share.  Each output
+    slot sums its incidences in array order whatever the range and block
+    boundaries, so any split of ``[0, n)`` gives bitwise the same sums.
+    Works on raw arrays (shared-memory views included) rather than a
     :class:`FusedLayout` object.
     """
     k = int(n_classes)
     if row_hi <= row_lo:
         return
-    lo = int(np.searchsorted(owner_flat, row_lo * k))
-    hi = int(np.searchsorted(owner_flat, row_hi * k))
+    key = owner_flat.dtype.type
+    lo = int(np.searchsorted(owner_flat, key(row_lo * k)))
+    hi = int(np.searchsorted(owner_flat, key(row_hi * k)))
     row_bounds = np.arange(row_lo, row_hi, int(rows_per_block), dtype=np.int64)
     row_bounds = np.append(row_bounds, row_hi)
     flat_bounds = row_bounds * k
     of = owner_flat[lo:hi]
-    yp = y_idx[partner[lo:hi]]
+    flat = y_idx[partner[lo:hi]]
     w2 = None if weights is None else weights[lo:hi]
     if fully_labelled:
-        flat = of + yp
         wts = w2
     else:
-        known = yp != UNKNOWN_LABEL
-        flat = of[known] + yp[known]
+        known = flat != UNKNOWN_LABEL
+        flat = flat[known]
+        of = of[known]
         wts = None if w2 is None else w2[known]
-    cuts = np.searchsorted(flat, flat_bounds)
+    # ``flat`` is a fresh gather, so the owner components go in in place
+    # (saving an O(range) temporary); "safe" refuses a label dtype too
+    # narrow for the flat indices instead of wrapping them.
+    np.add(flat, of, out=flat, casting="safe")
+    cuts = np.searchsorted(flat, flat_bounds.astype(flat.dtype))
     _block_scatter(out_flat, flat, wts, flat_bounds, cuts, accumulate=False)
 
 

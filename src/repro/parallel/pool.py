@@ -273,6 +273,8 @@ class ForkWorkerPool:
         :class:`WorkerTaskError` carrying its label (shard index, chunk
         range, backend name) so the error identifies *which* piece of work
         failed, and the label lands on the worker's ``worker.task`` span.
+        The map waits for every task; when several fail, it raises the
+        failure with the lowest task id, whatever order they finished in.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -305,7 +307,7 @@ class ForkWorkerPool:
             self._task_queue.put((task_id, fn, args, trace_on, label))
         results: List[Any] = [None] * len(task_args)
         received = 0
-        failure: Optional[WorkerTaskError] = None
+        failures: Dict[int, str] = {}
         while received < len(task_args):
             try:
                 task_id, err, value, payload = self._result_queue.get(timeout=5.0)
@@ -320,23 +322,15 @@ class ForkWorkerPool:
                     )
                 continue
             _obs.absorb(payload)
-            if err is not None and failure is None:
-                label = labels[task_id] if labels else None
-                _obs.record_event(
-                    "worker.task_failed", task_id=task_id, label=label
-                )
-                failure = WorkerTaskError(task_id, label, err)
+            if err is not None:
+                failures[task_id] = err
             results[task_id] = value
             received += 1
-        if failure is not None:
-            raise failure
+        if failures:
+            # Report the lowest failed task id, so the error does not depend
+            # on which worker finished first.
+            task_id = min(failures)
+            label = labels[task_id] if labels else None
+            _obs.record_event("worker.task_failed", task_id=task_id, label=label)
+            raise WorkerTaskError(task_id, label, failures[task_id])
         return results
-
-    def run_on_all(
-        self,
-        fn: Callable[..., Any],
-        *args: Any,
-        labels: Optional[Sequence[str]] = None,
-    ) -> List[Any]:
-        """Run the same task once per worker (e.g. barrier-style setup)."""
-        return self.map(fn, [tuple(args)] * self.n_workers, labels=labels)

@@ -16,9 +16,9 @@ shards, each holding
   in a per-shard :class:`~repro.graph.facade.Graph` whose compiled
   :class:`~repro.core.plan.EmbedPlan` feeds the owner-computes segment-sum
   kernel directly;
-* a pinned worker affinity (``shard_id mod machine workers``), so repeated
-  embeds dispatch the same shards to the same workers in the same order —
-  deterministic results and warm per-worker caches;
+* a pinned worker slot (``shard_id mod machine workers``), so repeated
+  embeds group the same shards into the same slot's task in the same
+  order — deterministic results;
 * optionally, its own :class:`~repro.stream.segments.SegmentedEdgeStore`
   segment set (:meth:`ShardedGraph.persist`), so each shard can stream its
   incidences from disk for out-of-core execution.
@@ -103,9 +103,9 @@ class ShardSpec:
     """Immutable identity of one owner-range shard.
 
     ``worker_affinity`` pins the shard to a worker slot: at embed time the
-    shard runs on worker ``worker_affinity mod n_workers``, so the shard →
-    worker assignment is deterministic, stable across calls, and balanced
-    for any pool size.
+    shard runs in the task of slot ``worker_affinity mod n_workers``, so the
+    shard → slot assignment is deterministic, stable across calls, and
+    balanced for any pool size.
     """
 
     shard_id: int
@@ -241,35 +241,33 @@ def _attached_view(handle) -> np.ndarray:
     return entry[0]
 
 
-def _shard_worker_init(worker_id: int) -> dict:
-    return {"worker_id": worker_id}
-
-
 def _shard_embed_task(
-    context: dict,
+    _context: dict,
+    slot: int,
     handles: dict,
     shard_meta: tuple,
     n_classes: int,
     fully_labelled: bool,
     n_workers: int,
 ) -> None:
-    """Pooled embed task: accumulate this worker's pinned shards.
+    """Pooled embed task: accumulate the shards pinned to worker ``slot``.
 
-    Every worker receives the identical arguments (``run_on_all``) and
-    selects its shards by affinity: shard ``i`` runs on worker
-    ``affinity mod n_workers``, in shard-id order.  Each worker owns one
-    full-shape partial row of the shared ``partials`` buffer; rows of
-    different shards are disjoint, so block-assignment within one partial
-    never clobbers, and the parent tree-reduces the per-worker partials.
+    The parent submits one task per logical slot ``0..n_workers-1``; the
+    slot travels in the task arguments, so whichever process picks a task
+    up fills that slot's partial.  A task selects its shards by affinity:
+    shard ``i`` belongs to slot ``affinity mod n_workers`` and runs in
+    shard-id order.  Each slot owns one full-shape partial row of the
+    shared ``partials`` buffer; rows of different shards are disjoint, so
+    block-assignment within one partial never clobbers, and the parent
+    tree-reduces the per-slot partials.
     """
-    worker_id = context["worker_id"]
     y = _attached_view(handles["labels"])
-    out = _attached_view(handles["partials"])[worker_id]
+    out = _attached_view(handles["partials"])[slot]
     out.fill(0.0)
     k = int(n_classes)
     rows_per_block = _rows_per_block(k)
     for shard_id, row_lo, row_hi, affinity in shard_meta:
-        if affinity % n_workers != worker_id or row_hi <= row_lo:
+        if affinity % n_workers != slot or row_hi <= row_lo:
             continue
         try:
             with trace(
@@ -296,7 +294,7 @@ def _shard_embed_task(
         except BaseException as exc:
             raise RuntimeError(
                 f"shard {shard_id} (rows [{row_lo}, {row_hi}), backend=sharded) "
-                f"failed on worker {worker_id}: {exc}"
+                f"failed on worker slot {slot}: {exc}"
             ) from exc
 
 
@@ -634,17 +632,13 @@ class ShardedGraph:
         with trace(
             "shard.dispatch", n_shards=self.n_shards, n_workers=workers
         ):
-            pool.run_on_all(
+            pool.map(
                 _shard_embed_task,
-                handles,
-                meta,
-                k,
-                fully,
-                workers,
+                [(slot, handles, meta, k, fully, workers) for slot in range(workers)],
                 labels=[
-                    f"backend=sharded worker={i} "
-                    f"shards={[s.spec.shard_id for s in self._shards if s.spec.worker_affinity % workers == i]}"
-                    for i in range(workers)
+                    f"backend=sharded slot={slot} "
+                    f"shards={[s.spec.shard_id for s in self._shards if s.spec.worker_affinity % workers == slot]}"
+                    for slot in range(workers)
                 ],
             )
         return tree_reduce([partials[i] for i in range(workers)]).reshape(-1)
@@ -764,7 +758,7 @@ class ShardedGraph:
             self._pool.close()
             self._pool = None
         if self._pool is None:
-            self._pool = ForkWorkerPool(workers, initializer=_shard_worker_init)
+            self._pool = ForkWorkerPool(workers)
         return self._pool
 
     def _ensure_incidence_shm(self) -> SharedArraySet:

@@ -5,8 +5,10 @@ hoist the per-edge projection scale into a per-column rescale), so every
 ``supports_layout`` backend × layout combination must reproduce the
 unpermuted pure-Python reference on the conformance-matrix edge cases to
 1e-12.  The suite also pins the int32 index-narrowing boundary at
-``n*K = 2^31`` and the plan-buffer reuse property (no fresh ``(n*K,)``
-output temporary on the layout plan path — the satellite bugfix).
+``n*K = 2^31``, the plan-buffer reuse property (no fresh ``(n*K,)``
+output temporary on the layout plan path), and the sorted row-range
+kernel: bitwise split invariance, and per-range allocation proportional
+to the range.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 
 from repro.backends import backend_capabilities, get_backend, list_backends
 from repro.core import gee_python
+from repro.core.gee_vectorized import accumulate_fused_rows_sorted, class_rescale
 from repro.core.plan import (
     LAYOUTS,
     ChunkedPlan,
@@ -27,6 +30,7 @@ from repro.core.plan import (
 )
 from repro.graph import Graph
 from repro.graph.edgelist import EdgeList
+from repro.parallel import fork_available
 
 ATOL = 1e-12
 K = 5
@@ -286,3 +290,139 @@ class TestPlanBufferReuse:
         np.testing.assert_allclose(
             kept.embedding, gee_python(edges, y, K).embedding, atol=ATOL
         )
+
+
+class TestRowRangeKernel:
+    """The one sorted kernel: the serial pass runs it over ``[0, n)``, the
+    parallel and sharded workers over their own row ranges.  Every output
+    slot sums its incidences in array order, so any split of the rows gives
+    bitwise the sums of a single call."""
+
+    ROWS_PER_BLOCK = 16
+
+    @staticmethod
+    def _splits(n, parts, rows_per_block):
+        """``parts`` row ranges covering ``[0, n)``, no inner cut block-aligned."""
+        cuts = [0]
+        for i in range(1, parts):
+            cut = i * n // parts
+            cuts.append(cut + 1 if cut % rows_per_block == 0 else cut)
+        cuts.append(n)
+        return cuts
+
+    @pytest.mark.skipif(not fork_available(), reason="fork not available")
+    @pytest.mark.parametrize("labelled", ["full", "partial"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("dtype", ["int32", "int64"])
+    def test_split_invariance(self, dtype, weighted, labelled):
+        rng = np.random.default_rng(11)
+        n, e = 500, 4000
+        w = rng.uniform(0.1, 4.0, e) if weighted else None
+        edges = EdgeList(rng.integers(0, n, e), rng.integers(0, n, e), w, n)
+        y = _labels(n, rng, labelled)
+        plan = Graph.coerce(edges).plan(K, layout="sorted")
+        fused = compile_fused_layout(
+            plan.src,
+            plan.dst,
+            None if plan.unit_weights else plan.weights,
+            n,
+            K,
+            "sorted",
+            block_bytes=self.ROWS_PER_BLOCK * K * 8,
+            **({"int32_limit": 1} if dtype == "int64" else {}),
+        )
+        assert np.dtype(fused.index_dtype).name == dtype
+        assert fused.rows_per_block == self.ROWS_PER_BLOCK
+        plan._fused = fused
+        y_idx = y.astype(fused.index_dtype)
+
+        def run(cuts):
+            out = np.full(n * K, np.nan)
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                accumulate_fused_rows_sorted(
+                    out,
+                    fused.owner_flat,
+                    fused.partner,
+                    fused.weights,
+                    y_idx,
+                    K,
+                    fused.rows_per_block,
+                    lo,
+                    hi,
+                    fully_labelled=labelled == "full",
+                )
+            return out
+
+        whole = run([0, n])
+        assert np.isfinite(whole).all()  # every row written, none skipped
+        for parts in (1, 2, 3, 7):
+            cuts = self._splits(n, parts, self.ROWS_PER_BLOCK)
+            assert all(c % self.ROWS_PER_BLOCK for c in cuts[1:-1])
+            np.testing.assert_array_equal(run(cuts), whole)
+
+        Z = whole.reshape(n, K)
+        class_rescale(Z, y, K)
+        np.testing.assert_allclose(Z, gee_python(edges, y, K).embedding, atol=ATOL)
+        serial = get_backend("vectorized").embed_with_plan(plan, y)
+        np.testing.assert_array_equal(serial.embedding, Z)
+        parallel = get_backend("parallel", n_workers=2).embed_with_plan(plan, y)
+        assert parallel.n_workers == 2
+        np.testing.assert_array_equal(parallel.embedding, Z)
+
+    def test_labels_narrower_than_layout_refused(self):
+        """Flat indices are summed into the gathered labels' dtype, so int32
+        labels against an int64 layout must raise rather than wrap."""
+        edges, y = _case("weighted", "full")
+        plan = Graph.coerce(edges).plan(K, layout="sorted")
+        wide = compile_fused_layout(
+            plan.src, plan.dst, plan.weights, plan.n_vertices, K, "sorted", int32_limit=1
+        )
+        out = np.zeros(plan.n_vertices * K)
+        with pytest.raises(TypeError):
+            accumulate_fused_rows_sorted(
+                out,
+                wide.owner_flat,
+                wide.partner,
+                wide.weights,
+                y.astype(np.int32),
+                K,
+                wide.rows_per_block,
+                0,
+                plan.n_vertices,
+                fully_labelled=True,
+            )
+
+    @pytest.mark.parametrize("labelled", ["full", "partial"])
+    def test_range_call_allocates_only_for_its_rows(self, labelled):
+        """A call over one eighth of the rows allocates for those rows only.
+
+        An int64 search key against the int32 incidence array makes
+        ``np.searchsorted`` convert the whole array: 8 B per layout
+        incidence.  Reading only the range's own incidences stays far
+        below that.
+        """
+        rng = np.random.default_rng(5)
+        n, e = 200_000, 1_000_000
+        fused = compile_fused_layout(
+            rng.integers(0, n, e), rng.integers(0, n, e), None, n, K, "sorted"
+        )
+        assert fused.index_dtype is np.int32
+        assert fused.n_incidences == 2 * e
+        y_idx = _labels(n, rng, labelled).astype(fused.index_dtype)
+        out = np.zeros(n * K)
+        tracemalloc.start()
+        accumulate_fused_rows_sorted(
+            out,
+            fused.owner_flat,
+            fused.partner,
+            fused.weights,
+            y_idx,
+            K,
+            fused.rows_per_block,
+            0,
+            n // 8,
+            fully_labelled=labelled == "full",
+        )
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 3 * fused.n_incidences

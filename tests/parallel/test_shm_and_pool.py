@@ -193,10 +193,6 @@ class TestForkWorkerPool:
         with pytest.raises(RuntimeError):
             pool.map(_double, [(1,)])
 
-    def test_run_on_all(self):
-        with ForkWorkerPool(1) as pool:
-            assert pool.run_on_all(_double, 3) == [6]
-
     def test_effective_worker_count(self):
         assert effective_worker_count(1) == 1
         assert effective_worker_count(None) >= 1

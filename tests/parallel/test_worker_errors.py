@@ -10,6 +10,8 @@ and left stale results in the queue, corrupting the next ``map``.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,12 @@ def _fail_on_two(context, x):
     return x * 2
 
 
+def _fail_task_zero_last(context, x):
+    if x == 0:
+        time.sleep(0.2)
+    raise ValueError(f"task payload {x} rejected")
+
+
 @fork_only
 def test_forked_failure_raises_worker_task_error_with_context():
     with ForkWorkerPool(2) as pool:
@@ -59,6 +67,18 @@ def test_forked_failure_raises_worker_task_error_with_context():
     message = str(err)
     assert "worker task 1" in message and "backend=parallel rows[1:2]" in message
     assert isinstance(err, RuntimeError)  # the historical contract
+
+
+@fork_only
+def test_forked_failures_report_the_lowest_task_id():
+    """Task 1 fails first, task 0 later: the error names task 0 anyway."""
+    with ForkWorkerPool(2) as pool:
+        with pytest.raises(WorkerTaskError) as exc_info:
+            pool.map(_fail_task_zero_last, [(0,), (1,)], labels=["shard 0", "shard 1"])
+    err = exc_info.value
+    assert err.task_id == 0
+    assert err.label == "shard 0"
+    assert "task payload 0 rejected" in err.worker_traceback
 
 
 @fork_only
