@@ -207,10 +207,8 @@ def bench_environment() -> Dict:
     """The library/toolchain fingerprint embedded in every ``BENCH_*.json``.
 
     Per-edge numbers are only comparable between runs that executed the
-    same code paths: a numpy upgrade changes the scatter kernels, numba
-    appearing (or vanishing) swaps the native tier between JIT and shadow
-    execution, and a different CPU count changes what ``backend="auto"``
-    even considers.  ``check_regression.py`` prints a warning — never a
+    same code paths: a numpy upgrade changes the scatter kernels, and a
+    different CPU count changes what ``backend="auto"`` even considers.  ``check_regression.py`` prints a warning — never a
     failure — when baseline and current disagree on any of these.
     """
     import shutil
@@ -223,11 +221,6 @@ def bench_environment() -> Dict:
         scipy_version = scipy.__version__
     except ImportError:  # pragma: no cover - scipy is a baked-in dep
         scipy_version = None
-    from repro.native.availability import (
-        native_available,
-        native_status,
-        numba_version,
-    )
 
     compiler = next(
         (name for name in ("cc", "gcc", "clang") if shutil.which(name)), None
@@ -235,9 +228,6 @@ def bench_environment() -> Dict:
     return {
         "numpy": numpy.__version__,
         "scipy": scipy_version,
-        "numba": numba_version(),
-        "native_tier": native_available(),
-        "native_status": native_status(),
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "compiler": compiler,

@@ -1,9 +1,9 @@
 """Sharded execution: strong scaling over shard counts, plus out-of-core.
 
 :class:`~repro.shard.ShardedGraph` partitions the owner-sorted incidence
-into degree-balanced contiguous owner ranges, runs the fused segment-sum
-kernel per shard, and combines the per-shard raw class sums with the
-pairwise tree reduction.  This benchmark measures
+into degree-balanced contiguous owner ranges and runs the fused segment-sum
+kernel per shard, each shard writing its own rows of one class-sum buffer.
+This benchmark measures
 
 * **strong scaling over shard counts** — ``n_shards`` ∈ {1, 2, 4, 8} on
   the Friendster stand-in, with a ``parallel@1`` reference row so the

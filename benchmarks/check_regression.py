@@ -108,8 +108,8 @@ def _check_speedup(current: dict, spec: str, min_speedup: float) -> int:
 
 #: Environment keys whose baseline/current disagreement gets a warning.
 #: Deliberately excludes ``platform`` (kernel build strings differ between
-#: otherwise-identical CI runners) and ``native_status`` (free text).
-_ENV_COMPARED_KEYS = ("numpy", "scipy", "numba", "native_tier", "cpu_count")
+#: otherwise-identical CI runners).
+_ENV_COMPARED_KEYS = ("numpy", "scipy", "cpu_count")
 
 
 def _warn_environment_mismatch(baseline: dict, current: dict) -> None:
@@ -118,7 +118,7 @@ def _warn_environment_mismatch(baseline: dict, current: dict) -> None:
     Warnings only — the per-edge gate is a deliberately loose trip-wire and
     must keep working across container upgrades; the point is that a
     regression report names the library delta that may explain it instead
-    of letting a numpy/numba change masquerade as a code regression.
+    of letting a numpy change masquerade as a code regression.
     Files predating the ``environment`` block compare as empty (one note,
     no per-key spam).
     """

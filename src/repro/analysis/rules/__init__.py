@@ -12,7 +12,6 @@ from . import (  # noqa: F401
     dtype,
     forksafety,
     hotpath,
-    native_parity,
     obs,
     shm_lifecycle,
 )
@@ -23,7 +22,6 @@ from .contracts import CapabilityContractRule, check_capability_contract
 from .dtype import IndexDtypeRule
 from .forksafety import ForkSafetyRule
 from .hotpath import HotPathAllocationRule
-from .native_parity import NativeParityRule
 from .obs import ObsSpanHygieneRule
 from .shm_lifecycle import ShmLifecycleRule
 
@@ -35,7 +33,6 @@ __all__ = [
     "IndexDtypeRule",
     "ForkSafetyRule",
     "HotPathAllocationRule",
-    "NativeParityRule",
     "ObsSpanHygieneRule",
     "ShmLifecycleRule",
 ]

@@ -19,12 +19,6 @@ Deliberate exceptions (per-worker private partials, O(Δ) delta arrays that
 merely *look* edge-sized) carry ``# repro: ignore[hot-path-alloc]`` with a
 one-line justification.
 
-JIT-compiled kernels (``@hot_path`` stacked on ``@numba.njit``) are exempt
-from the loop check: their per-edge loops compile to machine code — the
-loop *is* the optimization there, not the interpreted regime this rule
-polices.  The allocation check still applies (a ``np.zeros`` inside a
-jitted body is a real per-call allocation either way).
-
 ``np.add.at`` is banned repo-wide by the separate ``no-add-at`` rule.
 """
 
@@ -103,21 +97,9 @@ class HotPathAllocationRule(Rule):
                 continue
             yield from self._check_function(module, fn)
 
-    @staticmethod
-    def _is_jitted(fn) -> bool:
-        """Whether the function is numba-compiled (``@njit``/``@jit``/``@prange``-style).
-
-        Jitted loop nests run at machine speed; the interpreted-loop check
-        must not fire inside them (the allocation check still does).
-        """
-        return any(decorator_matches(fn, name) for name in ("njit", "jit"))
-
     def _check_function(self, module, fn) -> Iterator[Finding]:
-        jitted = self._is_jitted(fn)
         for node in ast.walk(fn):
             if isinstance(node, (ast.For, ast.AsyncFor)):
-                if jitted:
-                    continue
                 if self._loop_is_edge_sized(node.iter):
                     yield self.finding(
                         module.rel_path,

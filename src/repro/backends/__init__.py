@@ -31,12 +31,6 @@ from . import gee as _gee_backends  # noqa: F401  (import for side effects)
 from ..shard import backend as _shard_backend  # noqa: F401  (registration)
 from ..shard.backend import ShardedGEEBackend
 from .auto import AutoGEEBackend
-
-# The native (numba-JIT) backend registers only where the tier is available;
-# the class itself always imports (it degrades through the shadow kernels).
-from ..native.backend import NativeGEEBackend, register_native_backend
-
-register_native_backend()
 from .gee import (
     LigraProcessesGEEBackend,
     LigraSerialGEEBackend,
@@ -66,5 +60,4 @@ __all__ = [
     "LigraProcessesGEEBackend",
     "ProcessParallelGEEBackend",
     "ShardedGEEBackend",
-    "NativeGEEBackend",
 ]

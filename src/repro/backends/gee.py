@@ -113,9 +113,8 @@ class VectorizedGEEBackend(GEEBackend):
             # precompiled full-length index components defeat that, so
             # re-plan the graph chunked (cached per chunk size) and stream.
             # A requested layout carries over (chunked plans stream sorted
-            # incidence blocks; the in-memory "blocked" bucketing has no
-            # chunked counterpart and falls back to sorted).
-            layout = None if plan.layout == "none" else "sorted"
+            # incidence blocks).
+            layout = None if plan.layout == "none" else plan.layout
             chunked = plan.graph.plan(
                 plan.n_classes, chunk_edges=self.chunk_edges, layout=layout
             )

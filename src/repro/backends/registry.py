@@ -81,15 +81,15 @@ class BackendCapabilities:
         without it reject patch requests instead of silently re-embedding.
     supports_layout:
         Whether the backend executes the locality-optimized fused kernels
-        of plans compiled with ``graph.plan(K, layout="sorted"|"blocked")``
+        of plans compiled with ``graph.plan(K, layout="sorted")``
         (see :class:`~repro.core.plan.FusedLayout`).  Backends without the
         capability still accept layout plans but run their classic
         arrival-order kernels over the plan's unpermuted edge arrays.
     supports_sharding:
         Whether the backend executes over owner-range shards
-        (:class:`repro.shard.ShardedGraph`): per-shard raw class sums
-        combined by tree reduction, with an ``n_shards`` construction
-        option selecting the partition width.
+        (:class:`repro.shard.ShardedGraph`): each shard writes the raw
+        class sums of its own rows into one shared output, with an
+        ``n_shards`` construction option selecting the partition width.
     description:
         One-line human-readable summary shown by discovery helpers.
     """
@@ -454,16 +454,6 @@ def resolve_backend_name(name: str) -> str:
         return name
     if name in _ALIASES:
         return _ALIASES[name]
-    if name == "native":
-        # The native backend registers conditionally: absent numba (or
-        # REPRO_DISABLE_NATIVE) means absent from the registry, and the
-        # error should say why instead of listing it as merely unknown.
-        from ..native.availability import native_status
-
-        raise ValueError(
-            f"backend 'native' is not available: {native_status()}; "
-            f"registered backends: {list_backends()}"
-        )
     raise ValueError(
         f"unknown backend {name!r}; registered backends: {list_backends()} "
         f"(aliases: {sorted(_ALIASES)})"

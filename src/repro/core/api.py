@@ -123,12 +123,12 @@ class GraphEncoderEmbedding:
     layout:
         Memory layout for the compiled embed plan: ``None`` (the default —
         layout-preserving, byte-identical to historical behaviour),
-        ``"sorted"`` / ``"blocked"`` (locality-optimized fused kernels on
+        ``"sorted"`` (the locality-optimized fused kernel on
         ``supports_layout`` backends), or ``"auto"`` (the calibrated cost
         model picks; see :mod:`repro.tune`).  With ``method="auto"``, the
         default ``None`` leaves the layout to the cost model, while an
-        explicit ``"sorted"``/``"blocked"`` pins it (auto then picks only
-        among backends executing that layout).
+        explicit ``"sorted"`` pins it (auto then picks only among backends
+        executing that layout).
     **backend_options:
         Extra options forwarded to the backend constructor (for example
         ``chunk_edges`` for ``"vectorized"`` or ``atomic`` for the Ligra
@@ -234,7 +234,7 @@ class GraphEncoderEmbedding:
                     "laplacian=True is not supported with a ChunkedEdgeSource: "
                     "the reweighting needs a degree pass over the whole graph"
                 )
-            if self.layout in ("sorted", "blocked"):
+            if self.layout not in (None, "none", "auto"):
                 raise ValueError(
                     f"layout={self.layout!r} is not available for a standalone "
                     "ChunkedEdgeSource (it streams in stored order and may be "

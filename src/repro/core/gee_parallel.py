@@ -845,7 +845,7 @@ def _gee_parallel_fused(
     *,
     n_workers: Optional[int] = None,
 ) -> EmbeddingResult:
-    """Owner-computes parallel GEE over a plan's *sorted* fused layout.
+    """Owner-computes parallel GEE over a plan's sorted fused layout.
 
     Same owner-computes guarantees as the classic path (every row
     single-writer, deterministic, no atomics), but the workers read the
@@ -856,7 +856,7 @@ def _gee_parallel_fused(
     travels per call; the incidence arrays ship through shared memory once
     per plan.
     """
-    from .gee_vectorized import accumulate_fused, class_rescale
+    from .gee_vectorized import accumulate_fused_rows_sorted, class_rescale
 
     y = plan.validate_labels(labels)
     k = plan.n_classes
@@ -885,7 +885,18 @@ def _gee_parallel_fused(
     if requested == 1 or not fork_available() or plan.n_edges == 0:
         t_edge = time.perf_counter()
         Z = plan.output_matrix()
-        accumulate_fused(Z.reshape(-1), fused, y_idx, fully_labelled=fully)
+        accumulate_fused_rows_sorted(
+            Z.reshape(-1),
+            fused.owner_flat,
+            fused.partner,
+            fused.weights,
+            y_idx,
+            k,
+            fused.rows_per_block,
+            0,
+            n,
+            fully_labelled=fully,
+        )
         class_rescale(Z, y, k)
         workers = 1
     else:
@@ -932,7 +943,7 @@ def _gee_parallel_fused(
         method="gee-parallel",
         n_workers=workers,
         buffer_view=True,
-        layout=fused.layout,
+        layout=plan.layout,
     )
 
 
@@ -951,31 +962,11 @@ def gee_parallel_with_plan(
     partition once per count).  The returned embedding is a view of the
     plan's reused output buffer.
 
-    Layout plans route to the fused segment-sum kernels: ``"sorted"``
-    supports the full owner-computes worker partition
-    (:func:`_gee_parallel_fused`); ``"blocked"`` buckets cannot be split by
-    row range, so it runs the serial fused kernel in-process.
+    Sorted-layout plans route to the fused segment-sum kernel over the
+    owner-computes worker partition (:func:`_gee_parallel_fused`).
     """
     if plan.layout == "sorted":
         return _gee_parallel_fused(plan, labels, n_workers=n_workers)
-    if plan.layout == "blocked":
-        # Blocked buckets keep arrival order inside each block, so they
-        # cannot be split into single-writer row ranges; the kernel is
-        # inherently serial.  An explicit multi-worker request is therefore
-        # unsatisfiable and raises (same contract as every other
-        # impossible explicit n_workers), instead of silently degrading.
-        if n_workers is not None and int(n_workers) > 1:
-            raise RuntimeError(
-                f"gee_parallel: n_workers={int(n_workers)} requested but a "
-                'layout="blocked" plan runs the serial fused kernel (its '
-                "buckets cannot be row-partitioned); use layout=\"sorted\" "
-                "for the parallel fused path, or drop n_workers"
-            )
-        from .gee_vectorized import gee_fused_with_plan
-
-        result = gee_fused_with_plan(plan, labels)
-        result.method = "gee-parallel"
-        return result
     y = plan.validate_labels(labels)
     k = plan.n_classes
     n = plan.n_vertices

@@ -37,7 +37,6 @@ __all__ = [
     "gee_fused_with_plan",
     "accumulate_edges_vectorized",
     "accumulate_chunked_plan",
-    "accumulate_fused",
     "accumulate_fused_rows_sorted",
     "class_rescale",
     "patch_sums_vectorized",
@@ -180,61 +179,6 @@ def _block_scatter(
             out_flat[base:top] = block
 
 
-@hot_path(reason="locality-optimized fused edge pass")
-def accumulate_fused(
-    out_flat: np.ndarray,
-    fused,
-    y_idx: np.ndarray,
-    *,
-    fully_labelled: bool,
-) -> None:
-    """Raw per-class sums of a :class:`~repro.core.plan.FusedLayout`, in place.
-
-    One pass over the ``2E`` permuted incidences: gather ``Y[partner]``, add
-    it to the precompiled ``owner*K`` flat components and run the block-local
-    segment sums (:func:`_block_scatter`).  The per-edge projection scale is
-    *not* applied here — the caller rescales columns once afterwards
-    (:func:`class_rescale`), which is exact because ``scale[v]`` depends only
-    on ``Y[v]``, the very column the contribution lands in.
-
-    ``y_idx`` must already be cast to ``fused.index_dtype`` so the flat-index
-    arithmetic stays in the narrowed dtype.  A sorted layout is the row range
-    ``[0, n)`` of :func:`accumulate_fused_rows_sorted`, the kernel the
-    parallel and sharded workers run on their own ranges.  A blocked layout
-    drops unknown labels by zero-weighting (compaction would break its
-    bucket boundaries).
-    """
-    if fused.layout == "sorted":
-        accumulate_fused_rows_sorted(
-            out_flat,
-            fused.owner_flat,
-            fused.partner,
-            fused.weights,
-            y_idx,
-            fused.n_classes,
-            fused.rows_per_block,
-            0,
-            fused.n_vertices,
-            fully_labelled=fully_labelled,
-        )
-        return
-    if fused.n_incidences == 0:
-        out_flat.fill(0.0)
-        return
-    yp = y_idx[fused.partner]
-    w2 = fused.weights
-    if fully_labelled:
-        flat = fused.owner_flat + yp
-        wts = w2
-    else:
-        known = yp != UNKNOWN_LABEL
-        wts = known.astype(np.float64) if w2 is None else w2 * known
-        flat = fused.owner_flat + np.maximum(yp, 0)
-    _block_scatter(
-        out_flat, flat, wts, fused.flat_cuts, fused.edge_cuts, accumulate=False
-    )
-
-
 @hot_path(reason="the sorted-layout kernel: serial, parallel and sharded row ranges")
 def accumulate_fused_rows_sorted(
     out_flat: np.ndarray,
@@ -249,10 +193,17 @@ def accumulate_fused_rows_sorted(
     *,
     fully_labelled: bool,
 ) -> None:
-    """Raw sums for rows ``row_lo:row_hi`` of a *sorted* fused layout.
+    """Raw sums for rows ``row_lo:row_hi`` of a sorted fused layout.
 
-    The one sorted kernel: the serial pass runs it over ``[0, n)``, the
-    parallel and sharded workers over their own row ranges.  The sorted
+    The one fused kernel: the serial pass runs it over ``[0, n)``, the
+    parallel and sharded workers over their own row ranges.  It gathers
+    ``Y[partner]``, adds it to the precompiled ``owner*K`` flat components
+    and runs the block-local segment sums (:func:`_block_scatter`).  The
+    per-edge projection scale is *not* applied here — the caller rescales
+    columns once afterwards (:func:`class_rescale`), which is exact because
+    ``scale[v]`` depends only on ``Y[v]``, the very column the contribution
+    lands in.  ``y_idx`` must already be cast to the layout's index dtype
+    so the flat-index arithmetic stays in the narrowed dtype.  The sorted
     incidence arrays locate any row range with two binary searches, so a
     call processes exactly the incidences owned by its rows and writes only
     its slice of ``out_flat`` — no atomics, no reduction.  Every search key
@@ -309,7 +260,7 @@ def gee_fused_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
     """Vectorised GEE through a plan's locality-optimized fused layout.
 
     The layout-plan counterpart of :func:`gee_vectorized_with_plan`
-    (dispatched when ``plan.layout != "none"``): the scatter runs the
+    (dispatched when ``plan.layout == "sorted"``): the scatter runs the
     block-local segment-sum kernel over the compiled incidence arrays and
     writes straight into the plan's reused output buffer — per call the
     only temporaries are the O(2E) gathered/compacted index and weight
@@ -327,7 +278,18 @@ def gee_fused_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
     t1 = time.perf_counter()
 
     Z = plan.output_matrix()
-    accumulate_fused(Z.reshape(-1), fused, y_idx, fully_labelled=fully)
+    accumulate_fused_rows_sorted(
+        Z.reshape(-1),
+        fused.owner_flat,
+        fused.partner,
+        fused.weights,
+        y_idx,
+        k,
+        fused.rows_per_block,
+        0,
+        plan.n_vertices,
+        fully_labelled=fully,
+    )
     class_rescale(Z, y, k)
     t2 = time.perf_counter()
 
@@ -340,7 +302,7 @@ def gee_fused_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
         method="gee-vectorized",
         n_workers=1,
         buffer_view=True,
-        layout=fused.layout,
+        layout=plan.layout,
     )
 
 
@@ -562,9 +524,9 @@ def gee_vectorized_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
     valid until the next plan-based call on the same plan (see
     :meth:`EmbeddingResult.detached`).
 
-    Plans compiled with a locality-optimized layout
-    (``graph.plan(K, layout="sorted"|"blocked")``) dispatch to the fused
-    segment-sum kernel (:func:`gee_fused_with_plan`) instead.
+    Plans compiled with the locality-optimized layout
+    (``graph.plan(K, layout="sorted")``) dispatch to the fused segment-sum
+    kernel (:func:`gee_fused_with_plan`) instead.
     """
     if plan.layout != "none":
         return gee_fused_with_plan(plan, labels)

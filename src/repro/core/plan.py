@@ -57,9 +57,9 @@ _FINGERPRINT_SAMPLES = 32
 
 #: The memory layouts a plan can compile its edge arrays into.  ``"none"``
 #: preserves arrival order (the historical, layout-preserving default);
-#: ``"sorted"`` and ``"blocked"`` permute for scatter locality (see
-#: :class:`FusedLayout`); ``"auto"`` lets the calibrated cost model pick.
-LAYOUTS = ("none", "sorted", "blocked")
+#: ``"sorted"`` permutes for scatter locality (see :class:`FusedLayout`);
+#: ``"auto"`` lets the calibrated cost model pick.
+LAYOUTS = ("none", "sorted")
 
 #: Flat scatter indices narrow to int32 below this ``n * K`` bound — the
 #: index arrays are the dominant per-edge read traffic of the fused kernel,
@@ -94,15 +94,10 @@ class FusedLayout:
     targets are effectively random in arrival order.  The fused layout
     rewrites the pass as **one** array of ``2E`` incidences
     ``(owner, partner, w)`` (each edge appears twice, once per endpoint as
-    owner), permuted at compile time so scatter targets are cache-local:
-
-    * ``layout="sorted"`` — incidences fully sorted by owner row; flat
-      targets are monotone across rows, so the scatter walks the output
-      sequentially (and within one row touches at most ``K`` adjacent
-      slots);
-    * ``layout="blocked"`` — incidences bucketed by *blocks* of owner rows
-      sized so each block's output slice fits L2; arrival order is kept
-      within a block (a cheaper stable partition instead of a full sort).
+    owner), sorted by owner row at compile time (stable, so arrival order
+    is kept within a row).  Flat targets are then monotone across rows, so
+    the scatter walks the output sequentially (and within one row touches
+    at most ``K`` adjacent slots), one L2-sized block of rows at a time.
 
     The per-edge scale is also hoisted: ``scale[v]`` depends only on
     ``Y[v]`` — the very class column the contribution lands in — so the
@@ -112,14 +107,14 @@ class FusedLayout:
     ``n*K < 2^31`` (:func:`choose_index_dtype`), halving index bandwidth.
 
     All artifacts are label-independent; per call only the ``Y`` gather,
-    the (masked) flat-index add and the block-local ``np.bincount``s run.
+    the (masked) flat-index add and the block-local ``np.bincount``s run
+    (:func:`~repro.core.gee_vectorized.accumulate_fused_rows_sorted`).
     The permutation reorders commutative additions only, so results match
     the arrival-order kernels up to floating-point summation order.
     """
 
     __slots__ = (
         "__weakref__",
-        "layout",
         "n_vertices",
         "n_classes",
         "n_incidences",
@@ -128,14 +123,10 @@ class FusedLayout:
         "owner_flat",
         "partner",
         "weights",
-        "row_cuts",
-        "flat_cuts",
-        "edge_cuts",
     )
 
     def __init__(
         self,
-        layout: str,
         n_vertices: int,
         n_classes: int,
         rows_per_block: int,
@@ -143,14 +134,11 @@ class FusedLayout:
         owner_flat: np.ndarray,
         partner: np.ndarray,
         weights: Optional[np.ndarray],
-        row_cuts: np.ndarray,
-        flat_cuts: np.ndarray,
-        edge_cuts: np.ndarray,
     ) -> None:
-        self.layout = layout
         self.n_vertices = int(n_vertices)
         self.n_classes = int(n_classes)
         self.n_incidences = int(owner_flat.size)
+        #: Rows per L2-sized scatter block.
         self.rows_per_block = int(rows_per_block)
         self.index_dtype = index_dtype
         #: ``owner * K`` per incidence, permuted (int32/int64 per dtype).
@@ -160,12 +148,6 @@ class FusedLayout:
         #: Permuted weights, or ``None`` for unit-weight graphs (the
         #: block-local ``bincount`` then runs weightless, which is faster).
         self.weights = weights
-        #: Row-block boundaries (``B+1`` vertex ids, first 0, last n).
-        self.row_cuts = row_cuts
-        #: ``row_cuts * K`` — the same boundaries in flat-index space.
-        self.flat_cuts = flat_cuts
-        #: Incidence positions of each block's slice (``B+1`` entries).
-        self.edge_cuts = edge_cuts
 
     @property
     def nbytes(self) -> int:
@@ -173,11 +155,11 @@ class FusedLayout:
         total = self.owner_flat.nbytes + self.partner.nbytes
         if self.weights is not None:
             total += self.weights.nbytes
-        return total + self.row_cuts.nbytes + self.edge_cuts.nbytes
+        return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"FusedLayout(layout={self.layout!r}, n={self.n_vertices}, "
+            f"FusedLayout(n={self.n_vertices}, "
             f"incidences={self.n_incidences}, K={self.n_classes}, "
             f"dtype={np.dtype(self.index_dtype).name})"
         )
@@ -189,19 +171,15 @@ def compile_fused_layout(
     weights: Optional[np.ndarray],
     n_vertices: int,
     n_classes: int,
-    layout: str,
     *,
     int32_limit: int = _INT32_LIMIT,
     block_bytes: int = _LAYOUT_BLOCK_BYTES,
 ) -> FusedLayout:
-    """Compile the fused incidence arrays for one ``(graph, K)`` pair.
+    """Compile the owner-sorted fused incidence arrays for one ``(graph, K)``.
 
     ``weights=None`` marks a unit-weight graph (no weight array is stored
-    and the scatter runs weightless).  See :class:`FusedLayout` for what
-    the two layouts mean; ``layout`` must be ``"sorted"`` or ``"blocked"``.
+    and the scatter runs weightless).  See :class:`FusedLayout`.
     """
-    if layout not in ("sorted", "blocked"):
-        raise ValueError(f'layout must be "sorted" or "blocked", got {layout!r}')
     n = int(n_vertices)
     k = int(n_classes)
     idx_dtype = choose_index_dtype(n, k, limit=int32_limit)
@@ -209,38 +187,11 @@ def compile_fused_layout(
 
     owner = np.concatenate((src, dst))
     partner = np.concatenate((dst, src))
-    row_cuts = np.arange(0, n, rows_per_block, dtype=np.int64)
-    row_cuts = np.append(row_cuts, n)
-
-    if layout == "sorted":
-        order = np.argsort(owner, kind="stable")
-        owner_sorted = owner[order]
-        edge_cuts = np.searchsorted(owner_sorted, row_cuts).astype(np.int64)
-    else:
-        block_id = owner // rows_per_block
-        order = np.argsort(block_id, kind="stable")
-        owner_sorted = owner[order]
-        n_blocks = row_cuts.size - 1
-        per_block = np.bincount(block_id, minlength=n_blocks)
-        edge_cuts = np.concatenate(([0], np.cumsum(per_block))).astype(np.int64)
-
-    owner_flat = (owner_sorted * k).astype(idx_dtype)
+    order = np.argsort(owner, kind="stable")
+    owner_flat = (owner[order] * k).astype(idx_dtype)
     partner_p = partner[order].astype(idx_dtype)
     weights_p = None if weights is None else np.concatenate((weights, weights))[order]
-    flat_cuts = row_cuts * k
-    return FusedLayout(
-        layout,
-        n,
-        k,
-        rows_per_block,
-        idx_dtype,
-        owner_flat,
-        partner_p,
-        weights_p,
-        row_cuts,
-        flat_cuts,
-        edge_cuts,
-    )
+    return FusedLayout(n, k, rows_per_block, idx_dtype, owner_flat, partner_p, weights_p)
 
 
 def sorted_incidence(
@@ -404,8 +355,8 @@ class EmbedPlan:
         self.n_vertices = int(graph.n_vertices)
         self.n_edges = int(graph.n_edges)
         #: Compiled memory layout: ``"none"`` preserves arrival order;
-        #: ``"sorted"`` / ``"blocked"`` compile a :class:`FusedLayout` on
-        #: first access of :attr:`fused`.
+        #: ``"sorted"`` compiles a :class:`FusedLayout` on first access of
+        #: :attr:`fused`.
         self.layout = layout
 
         self.fingerprint = (
@@ -478,7 +429,7 @@ class EmbedPlan:
         return self._dst_flat
 
     # ------------------------------------------------------------------ #
-    # Locality-optimized layout (sorted / blocked incidence arrays)
+    # Locality-optimized layout (owner-sorted incidence arrays)
     # ------------------------------------------------------------------ #
     @property
     def unit_weights(self) -> bool:
@@ -493,12 +444,12 @@ class EmbedPlan:
 
         Built on first access from the validated edge arrays and cached for
         the plan's lifetime — the layout permutation, flat-index narrowing
-        and block boundaries are all label-independent.
+        and block size are all label-independent.
         """
         if self.layout == "none":
             raise ValueError(
                 'this plan was compiled layout-preserving (layout="none"); '
-                'request graph.plan(K, layout="sorted"|"blocked") for the '
+                'request graph.plan(K, layout="sorted") for the '
                 "locality-optimized arrays"
             )
         if self._fused is None:
@@ -508,7 +459,6 @@ class EmbedPlan:
                 None if self.unit_weights else self.weights,
                 self.n_vertices,
                 self.n_classes,
-                self.layout,
             )
         return self._fused
 
@@ -721,11 +671,8 @@ class ChunkedPlan:
         k = int(n_classes)
         if k <= 0:
             raise ValueError("n_classes must be positive")
-        if layout not in ("none", "sorted"):
-            raise ValueError(
-                'chunked plans support layout="none" or "sorted" (blocked '
-                f"bucketing needs the whole edge set in memory), got {layout!r}"
-            )
+        if layout not in LAYOUTS:
+            raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
         self.source = source
         self.graph = graph
         self.n_classes = k

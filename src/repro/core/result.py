@@ -59,8 +59,8 @@ class EmbeddingResult:
         #: for everything else).
         self.buffer_view = buffer_view
         #: Memory layout the edge pass executed with (``"none"`` = arrival
-        #: order; ``"sorted"``/``"blocked"`` = the locality-optimized fused
-        #: kernels) — observability for benchmarks and the auto backend.
+        #: order; ``"sorted"`` = the locality-optimized fused kernel) —
+        #: observability for benchmarks and the auto backend.
         self.layout = layout
         #: The :class:`~repro.tune.ExecutionChoice` behind a
         #: ``backend="auto"`` run (``None`` for explicitly-picked backends).

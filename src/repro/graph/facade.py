@@ -319,8 +319,8 @@ class Graph:
 
         ``layout`` selects the plan's memory layout: ``None``/``"none"``
         (the default — arrival order preserved, byte-identical to the
-        historical behaviour), ``"sorted"`` / ``"blocked"`` (the
-        locality-optimized fused incidence layouts, see
+        historical behaviour), ``"sorted"`` (the locality-optimized fused
+        incidence layout, see
         :class:`~repro.core.plan.FusedLayout`; results equal the default
         layout up to floating-point summation order), or ``"auto"`` (the
         calibrated cost model picks — see :mod:`repro.tune`).  Each layout
@@ -335,12 +335,7 @@ class Graph:
         elif layout == "auto":
             from ..tune import auto_layout
 
-            layout = auto_layout(
-                self.n_vertices,
-                self.n_edges,
-                k,
-                chunked=chunk_edges is not None or memory_budget_bytes is not None,
-            )
+            layout = auto_layout(self.n_vertices, self.n_edges, k)
         elif layout not in LAYOUTS:
             raise ValueError(
                 f'layout must be one of {LAYOUTS + ("auto",)}, got {layout!r}'
@@ -371,12 +366,6 @@ class Graph:
         if chunked:
             from .io import ChunkedEdgeSource
 
-            if layout == "blocked":
-                raise ValueError(
-                    'chunked plans support layout="sorted" (or the default '
-                    '"none"); the blocked bucketing needs the whole edge set '
-                    "in memory"
-                )
             # Resolve the block length for the cache key WITHOUT building
             # the source: on a hit the (potentially O(E log E)) incidence
             # sort must never run.

@@ -277,32 +277,6 @@ def probe_candidates(
         predicted,
         f"n_shards={n_shards}",
     )
-
-    from ..native.availability import native_available
-
-    if native_available():
-        # The JIT tier drifts for its own reasons (a numba upgrade, a
-        # thread-pool change), so probe it whenever it is importable.
-        config = "native:sorted"
-        predicted = model.predict(config, n, e, k)
-        detail = ""
-        if predicted == float("inf"):
-            # Not calibrated with the tier present: derive from the serial
-            # sorted terms (the native kernel is at least as fast, so a
-            # healthy ratio stays <= 1 and real drift still stands out).
-            coeff = model.coefficients["vectorized:sorted"]
-            predicted = (
-                coeff["fixed_s"] + coeff["per_edge_s"] * e + coeff["per_cell_s"] * n * k
-            )
-            detail = "prediction derived (native not calibrated)"
-        backend = get_backend("native")
-        plan = graph.plan(k, layout="sorted")
-        measured(
-            config,
-            lambda b=backend, p=plan: b.embed_with_plan(p, labels),
-            predicted,
-            detail,
-        )
     return rows
 
 

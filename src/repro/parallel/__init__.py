@@ -1,4 +1,4 @@
-"""Shared-memory process parallelism substrate (pools, partitioning, reductions)."""
+"""Shared-memory process parallelism substrate (pools and partitioning)."""
 
 from .partition import (
     balanced_edge_ranges_by_vertex,
@@ -12,7 +12,6 @@ from .pool import (
     fork_available,
     resolve_worker_count,
 )
-from .reduction import inplace_accumulate, sum_reduce, tree_reduce
 from .scheduling import SchedulePolicy, make_schedule
 from .shm import SharedArrayHandle, SharedArraySet, attach, attach_many
 
@@ -25,9 +24,6 @@ __all__ = [
     "effective_worker_count",
     "resolve_worker_count",
     "fork_available",
-    "sum_reduce",
-    "tree_reduce",
-    "inplace_accumulate",
     "SchedulePolicy",
     "make_schedule",
     "SharedArrayHandle",

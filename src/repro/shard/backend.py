@@ -33,13 +33,13 @@ __all__ = ["ShardedGEEBackend"]
         supports_layout=True,
         supports_sharding=True,
         description=(
-            "owner-range sharded fused edge pass; per-shard raw class sums "
-            "combined by pairwise tree reduction (n_shards option)"
+            "owner-range sharded fused edge pass; each shard writes the raw "
+            "class sums of its own rows into one output (n_shards option)"
         ),
     ),
 )
 class ShardedGEEBackend(GEEBackend):
-    """Owner-range sharded execution with tree-reduced class sums.
+    """Owner-range sharded execution into one shared class-sum buffer.
 
     Options
     -------

@@ -1,8 +1,8 @@
-"""Owner-range sharded execution with tree-reduced class sums.
+"""Owner-range sharded execution into one shared class-sum buffer.
 
 The fused owner-sorted incidence layout (PR 5) makes contiguous owner
-ranges *independent up to the per-class-sum reduction*: every incidence
-``(owner, partner, w)`` contributes only to row ``owner`` of the raw sums
+ranges *independent*: every incidence ``(owner, partner, w)`` contributes
+only to row ``owner`` of the raw sums
 ``S[u, c] = Σ w over incidences with Y[partner] = c``, and the incidence
 array is sorted by owner — so slicing it at any row boundaries partitions
 the work into shards whose partial sums occupy disjoint rows.  This is the
@@ -23,13 +23,14 @@ shards, each holding
   segment set (:meth:`ShardedGraph.persist`), so each shard can stream its
   incidences from disk for out-of-core execution.
 
-Per-shard (serial) or per-worker (pooled) raw partial sums are combined by
-the existing pairwise tree reduction (:func:`repro.parallel.tree_reduce`)
-and rescaled once by ``diag(1/n_c)``.  Because ``np.bincount`` sums each
-output slot in input-traversal order and shard slices preserve the global
-incidence order, the sharded raw sums are bitwise identical to the
-single-pool fused pass for any shard count; the tree reduction only adds
-exact zeros from non-owned rows.
+Every shard writes the raw sums of its own rows into one ``n×K`` buffer (a
+plain array on the serial path, one shared-memory array on the pooled
+path), which is then rescaled once by ``diag(1/n_c)``.  Shard rows are
+disjoint and the segment-sum kernel assigns every slot of its rows, so no
+per-shard partial and no reduction is needed.  Because ``np.bincount``
+sums each output slot in input-traversal order and shard slices preserve
+the global incidence order, the sharded raw sums are bitwise identical to
+the single-pool fused pass for any shard count.
 
 Exactly like :func:`~repro.core.gee_parallel.gee_parallel`, explicit
 worker requests are honoured or rejected loudly, and the pooled path
@@ -64,7 +65,6 @@ from ..parallel import (
     effective_worker_count,
     fork_available,
     resolve_worker_count,
-    tree_reduce,
 )
 
 __all__ = ["Shard", "ShardSpec", "ShardedGraph", "patch_sums_sharded"]
@@ -72,25 +72,6 @@ __all__ = ["Shard", "ShardSpec", "ShardedGraph", "patch_sums_sharded"]
 #: Minimum routed incidences before the shard patch fans out to threads
 #: (below this the dispatch overhead dwarfs the scatter work).
 _PATCH_THREAD_THRESHOLD = 4096
-
-#: Accepted values of the ``kernel`` execution selector: ``"numpy"`` is the
-#: vectorized owner-computes kernel (the default, bitwise-pinned against the
-#: single-pool fused pass), ``"native"`` the JIT tier via
-#: :func:`repro.native.dispatch.get_kernel` (which itself shadows to NumPy
-#: when numba is absent), ``"shadow"`` the native tier's pure-NumPy shadows
-#: pinned explicitly (the equivalence-test hook).
-_KERNELS = ("numpy", "native", "shadow")
-
-#: Dummy weights for unit-weight shards on the native path (the JIT
-#: kernels take no ``None``).
-_EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
-
-
-def _check_kernel(kernel: str) -> str:
-    if kernel not in _KERNELS:
-        raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
-    return kernel
-
 
 def _rows_per_block(n_classes: int) -> int:
     """Rows per L2-sized block for the segment-sum kernel (same budget as
@@ -132,11 +113,6 @@ class Shard:
     def __init__(self, spec: ShardSpec, incidence_graph) -> None:
         self.spec = spec
         self.graph = incidence_graph
-        #: Per-K cache of shard-local ``owner*K`` flat components (global
-        #: ``plan.src_flat`` rebased to the shard's row window) — compiled
-        #: once so the native path stays free of per-call O(incidence)
-        #: temporaries, like every other plan artifact.
-        self._local_flat: Dict[int, np.ndarray] = {}
 
     @property
     def n_incidences(self) -> int:
@@ -146,20 +122,6 @@ class Shard:
         """The shard's compiled per-K embed plan (facade-cached)."""
         return self.graph.plan(int(n_classes))
 
-    def local_flat(self, n_classes: int) -> np.ndarray:
-        """Shard-local flat owner components: ``(owner - row_lo) * K`` sorted.
-
-        Indexes the shard's own ``[row_lo*K, row_hi*K)`` slice of the output,
-        so shard kernels write disjoint memory — the native thread path and
-        the shadow ``scatter_add`` both stay race-free.
-        """
-        k = int(n_classes)
-        cached = self._local_flat.get(k)
-        if cached is None:
-            cached = self.plan(k).src_flat - self.spec.row_lo * k
-            self._local_flat[k] = cached
-        return cached
-
     def accumulate_into(
         self,
         out_flat: np.ndarray,
@@ -167,41 +129,19 @@ class Shard:
         n_classes: int,
         *,
         fully_labelled: bool,
-        kernel: str = "numpy",
     ) -> None:
         """Raw class sums of this shard's rows, written into ``out_flat``.
 
-        ``out_flat`` is full ``(n*K,)`` shape; only the slots of rows
-        ``[row_lo, row_hi)`` are written (block-assigned for ``"numpy"``,
-        accumulated into the zeroed window on the native path), so partials
-        of different shards compose by plain addition.
-
-        ``kernel`` selects the execution tier (see :data:`_KERNELS`): the
-        native tier runs the one-sided JIT segment accumulate over the
-        shard's own output slice with shard-local flat indices — a shard's
-        half-edge graph must **not** be recompiled into a fused layout
-        (that would re-double the incidences), so the existing shard plan
-        arrays feed the kernel directly.
+        ``out_flat`` is full ``(n*K,)`` shape; every slot of rows
+        ``[row_lo, row_hi)`` is assigned and no other slot is touched, so
+        all shards write into one buffer.  A shard's half-edge graph must
+        **not** be recompiled into a fused layout (that would re-double the
+        incidences), so the shard plan arrays feed the kernel directly.
         """
         spec = self.spec
         if spec.row_hi <= spec.row_lo:
             return
         plan = self.plan(n_classes)
-        if kernel != "numpy":
-            from ..native.dispatch import get_kernel
-
-            seg = get_kernel("segment_accumulate", force_shadow=kernel == "shadow")
-            k = int(n_classes)
-            weights = None if plan.unit_weights else plan.weights
-            seg(
-                out_flat[spec.row_lo * k : spec.row_hi * k],
-                self.local_flat(k),
-                plan.dst,
-                _EMPTY_WEIGHTS if weights is None else weights,
-                weights is not None,
-                y,
-            )
-            return
         accumulate_fused_rows_sorted(
             out_flat,
             plan.src_flat,
@@ -254,16 +194,15 @@ def _shard_embed_task(
 
     The parent submits one task per logical slot ``0..n_workers-1``; the
     slot travels in the task arguments, so whichever process picks a task
-    up fills that slot's partial.  A task selects its shards by affinity:
+    up runs that slot's shards.  A task selects its shards by affinity:
     shard ``i`` belongs to slot ``affinity mod n_workers`` and runs in
-    shard-id order.  Each slot owns one full-shape partial row of the
-    shared ``partials`` buffer; rows of different shards are disjoint, so
-    block-assignment within one partial never clobbers, and the parent
-    tree-reduces the per-slot partials.
+    shard-id order.  Every task writes into the one shared ``out`` buffer:
+    rows of different shards are disjoint and each shard assigns every slot
+    of its rows, so tasks never clobber each other and nothing is zeroed
+    or reduced.
     """
     y = _attached_view(handles["labels"])
-    out = _attached_view(handles["partials"])[slot]
-    out.fill(0.0)
+    out = _attached_view(handles["out"])
     k = int(n_classes)
     rows_per_block = _rows_per_block(k)
     for shard_id, row_lo, row_hi, affinity in shard_meta:
@@ -306,25 +245,16 @@ def _patch_shard_rows(
     partner_labels: np.ndarray,
     delta_w: np.ndarray,
     n_classes: int,
-    kernel: str = "numpy",
 ) -> None:
     """Apply one shard's routed one-sided patches to its own row slice.
 
     Operates on the ``[row_lo*K, row_hi*K)`` slice with shard-local flat
     indices, so concurrent shard patches touch disjoint memory — the dense
-    ``bincount`` path of :func:`scatter_add` (and the native
-    ``flat_scatter_add`` loop) stays thread-safe.
+    ``bincount`` path of :func:`scatter_add` stays thread-safe.
     """
     k = int(n_classes)
     view = S_flat[row_lo * k : row_hi * k]
     flat = (owner - row_lo) * k + partner_labels
-    if kernel != "numpy":
-        from ..native.dispatch import get_kernel
-
-        get_kernel("flat_scatter_add", force_shadow=kernel == "shadow")(
-            view, flat, np.ascontiguousarray(delta_w, dtype=np.float64)
-        )
-        return
     scatter_add(view, flat, delta_w)
 
 
@@ -339,7 +269,6 @@ def patch_sums_sharded(
     row_cuts: Optional[np.ndarray] = None,
     n_shards: Optional[int] = None,
     n_workers: Optional[int] = None,
-    kernel: str = "numpy",
 ) -> None:
     """Shard-routed O(Δ) patch of flat raw per-class sums, in place.
 
@@ -353,10 +282,8 @@ def patch_sums_sharded(
     ``row_cuts`` are a :class:`ShardedGraph`'s real owner-range boundaries
     when called through one; standalone calls (the backend's incremental
     protocol has no graph in scope) use even row cuts — routing is a
-    performance choice, never a correctness one.  ``kernel`` selects the
-    per-shard scatter tier (see :data:`_KERNELS`).
+    performance choice, never a correctness one.
     """
-    _check_kernel(kernel)
     k = int(n_classes)
     if src.size == 0 or S_flat.size == 0:
         return
@@ -389,11 +316,11 @@ def patch_sums_sharded(
     workers = effective_worker_count(n_workers)
     if len(tasks) <= 1 or workers <= 1 or owner.size < _PATCH_THREAD_THRESHOLD:
         for row_lo, row_hi, o, p, w in tasks:
-            _patch_shard_rows(S_flat, row_lo, row_hi, o, p, w, k, kernel)
+            _patch_shard_rows(S_flat, row_lo, row_hi, o, p, w, k)
         return
     with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
         futures = [
-            ex.submit(_patch_shard_rows, S_flat, row_lo, row_hi, o, p, w, k, kernel)
+            ex.submit(_patch_shard_rows, S_flat, row_lo, row_hi, o, p, w, k)
             for row_lo, row_hi, o, p, w in tasks
         ]
         for fut in futures:
@@ -414,7 +341,7 @@ class ShardedGraph:
 
     Lifecycle: the pooled path lazily creates a private
     :class:`~repro.parallel.ForkWorkerPool` and shared-memory segments for
-    the incidence slices and per-worker partials; :meth:`close` (or use as
+    the incidence slices and the shared output; :meth:`close` (or use as
     a context manager) releases them.  A closed sharded graph can still
     run the serial path.
     """
@@ -458,7 +385,7 @@ class ShardedGraph:
             self._shards.append(Shard(spec, Graph.coerce(shard_edges)))
         self._pool: Optional[ForkWorkerPool] = None
         self._incidence_shm: Optional[SharedArraySet] = None
-        self._workspaces: Dict[Tuple[int, int], Tuple[SharedArraySet, np.ndarray, np.ndarray]] = {}
+        self._workspaces: Dict[int, Tuple[SharedArraySet, np.ndarray, np.ndarray]] = {}
         self._persist_root: Optional[Path] = None
         self._closed = False
 
@@ -491,30 +418,20 @@ class ShardedGraph:
         n_classes: Optional[int] = None,
         *,
         n_workers: Optional[int] = None,
-        kernel: str = "numpy",
     ) -> EmbeddingResult:
-        """GEE over the shards; per-shard sums combined by tree reduction.
+        """GEE over the shards, all writing into one class-sum buffer.
 
         ``n_workers=None`` auto-sizes (never more workers than shards or
         CPUs); an explicit positive request is honoured up to the shard
-        count and — on the default ``"numpy"`` kernel — requires ``fork``
-        when above one, exactly like
+        count and requires ``fork`` when above one, exactly like
         :func:`~repro.core.gee_parallel.gee_parallel`.
-
-        ``kernel`` selects the per-shard execution tier (see
-        :data:`_KERNELS`).  The native tier needs no fork pool: its
-        ``nogil`` kernels run shard-parallel on *threads* into one shared
-        output buffer (shards own disjoint row slices), and each shard is
-        processed start-to-finish by one task in fixed order, so the result
-        stays deterministic for any worker count.
         """
-        _check_kernel(kernel)
         y, k = validate_labels(labels, self.n_vertices, n_classes)
         t0 = time.perf_counter()
         fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
         explicit = n_workers is not None and int(n_workers) > 0
         requested = resolve_worker_count(n_workers)
-        if kernel == "numpy" and explicit and requested > 1 and not fork_available():
+        if explicit and requested > 1 and not fork_available():
             raise RuntimeError(
                 f"ShardedGraph: n_workers={requested} requested but the 'fork' "
                 "start method is unavailable on this platform; pass n_workers=1 "
@@ -524,9 +441,7 @@ class ShardedGraph:
         if not explicit:
             workers = min(workers, effective_worker_count(None))
         t1 = time.perf_counter()
-        if kernel != "numpy":
-            S_flat = self._raw_sums_native(y, k, fully, workers, kernel)
-        elif workers <= 1 or not fork_available() or self.n_edges == 0:
+        if workers <= 1 or not fork_available() or self.n_edges == 0:
             S_flat = self._raw_sums_serial(y, k, fully)
             workers = 1
         else:
@@ -534,39 +449,34 @@ class ShardedGraph:
         Z = S_flat.reshape(self.n_vertices, k)
         class_rescale(Z, y, k)
         t2 = time.perf_counter()
-        method = f"gee-sharded[{self.n_shards}]"
-        if kernel != "numpy":
-            method = f"gee-sharded-{kernel}[{self.n_shards}]"
         return EmbeddingResult(
             embedding=Z,
             projection_builder=lambda: projection_from_scales(
                 y, projection_scales(y, k), k
             ),
             timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
-            method=method,
+            method=f"gee-sharded[{self.n_shards}]",
             n_workers=workers,
             layout="sorted",
         )
 
     def raw_sums(self, labels: np.ndarray, n_classes: int) -> np.ndarray:
-        """Tree-reduced raw per-class sums ``S`` (serial path), shape (n, K)."""
+        """Raw per-class sums ``S`` (serial path), shape (n, K)."""
         y, k = validate_labels(labels, self.n_vertices, int(n_classes))
         fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
         return self._raw_sums_serial(y, k, fully).reshape(self.n_vertices, k)
 
     def _raw_sums_serial(self, y: np.ndarray, k: int, fully: bool) -> np.ndarray:
-        nk = self.n_vertices * k
-        partials = []
+        S_flat = np.zeros(self.n_vertices * k, dtype=np.float64)
         for shard in self._shards:
             spec = shard.spec
-            part = np.zeros(nk, dtype=np.float64)
             try:
                 with trace(
                     "shard.accumulate",
                     shard=spec.shard_id,
                     rows=spec.row_hi - spec.row_lo,
                 ):
-                    shard.accumulate_into(part, y, k, fully_labelled=fully)
+                    shard.accumulate_into(S_flat, y, k, fully_labelled=fully)
             except BaseException as exc:
                 # Same failure context the pooled task attaches, so callers
                 # see one shape of error regardless of execution path.
@@ -574,57 +484,15 @@ class ShardedGraph:
                     f"shard {spec.shard_id} (rows [{spec.row_lo}, {spec.row_hi}), "
                     f"backend=sharded) failed: {exc}"
                 ) from exc
-            partials.append(part)
-        return tree_reduce(partials).reshape(-1)
-
-    def _raw_sums_native(
-        self, y: np.ndarray, k: int, fully: bool, workers: int, kernel: str
-    ) -> np.ndarray:
-        """Native-tier raw sums: shard-parallel threads, one shared buffer.
-
-        Every shard accumulates into its own disjoint ``[row_lo*K,
-        row_hi*K)`` window (see :meth:`Shard.accumulate_into`), so no
-        per-shard partials and no tree reduction are needed — the native
-        kernels release the GIL, so threads genuinely overlap where numba
-        is present, and degrade to a serial sweep over the shadows where it
-        is not.  Deterministic: one task per shard, fixed in-shard order.
-        """
-        S_flat = np.zeros(self.n_vertices * k, dtype=np.float64)
-
-        def run(shard: Shard) -> None:
-            spec = shard.spec
-            try:
-                with trace(
-                    "shard.accumulate",
-                    shard=spec.shard_id,
-                    rows=spec.row_hi - spec.row_lo,
-                ):
-                    shard.accumulate_into(
-                        S_flat, y, k, fully_labelled=fully, kernel=kernel
-                    )
-            except BaseException as exc:
-                raise RuntimeError(
-                    f"shard {spec.shard_id} (rows [{spec.row_lo}, {spec.row_hi}), "
-                    f"backend=native) failed: {exc}"
-                ) from exc
-
-        active = [s for s in self._shards if s.spec.row_hi > s.spec.row_lo]
-        if workers <= 1 or len(active) <= 1:
-            for shard in active:
-                run(shard)
-            return S_flat
-        with ThreadPoolExecutor(max_workers=min(workers, len(active))) as ex:
-            for future in [ex.submit(run, shard) for shard in active]:
-                future.result()
         return S_flat
 
     def _raw_sums_pooled(self, y: np.ndarray, k: int, fully: bool, workers: int) -> np.ndarray:
         pool = self._ensure_pool(workers)
         incidence = self._ensure_incidence_shm()
-        _, labels_view, partials = self._ensure_workspace(k, workers)
+        shm, labels_view, out = self._ensure_workspace(k)
         labels_view[:] = y
         handles = incidence.handles()
-        handles.update(self._workspaces[(k, workers)][0].handles())
+        handles.update(shm.handles())
         meta = tuple(
             (s.spec.shard_id, s.spec.row_lo, s.spec.row_hi, s.spec.worker_affinity)
             for s in self._shards
@@ -641,7 +509,9 @@ class ShardedGraph:
                     for slot in range(workers)
                 ],
             )
-        return tree_reduce([partials[i] for i in range(workers)]).reshape(-1)
+        # The shared buffer is overwritten by the next pooled embed, so the
+        # result owns a copy.
+        return out.copy()
 
     # ------------------------------------------------------------------ #
     # Incremental patches
@@ -656,7 +526,6 @@ class ShardedGraph:
         n_classes: int,
         *,
         n_workers: Optional[int] = None,
-        kernel: str = "numpy",
     ) -> None:
         """Route a signed edge delta to owning shards (O(Δ), in place)."""
         patch_sums_sharded(
@@ -668,7 +537,6 @@ class ShardedGraph:
             n_classes,
             row_cuts=self.row_cuts,
             n_workers=n_workers,
-            kernel=kernel,
         )
 
     # ------------------------------------------------------------------ #
@@ -700,7 +568,7 @@ class ShardedGraph:
         root=None,
         chunk_edges: Optional[int] = None,
     ) -> EmbeddingResult:
-        """Stream each shard's segment store chunk-wise; tree-reduce the sums.
+        """Stream each shard's segment store chunk-wise into one sum buffer.
 
         Bounded memory on the edge side: per chunk only O(chunk) incidence
         temporaries are materialised (the stores stay memory-mapped).  The
@@ -717,10 +585,8 @@ class ShardedGraph:
             )
         y, k = validate_labels(labels, self.n_vertices, n_classes)
         t0 = time.perf_counter()
-        nk = self.n_vertices * k
-        partials = []
+        S = np.zeros(self.n_vertices * k, dtype=np.float64)
         for shard in self._shards:
-            part = np.zeros(nk, dtype=np.float64)
             store = SegmentedEdgeStore.open(root / f"shard-{shard.spec.shard_id:05d}")
             source = store.source(chunk_edges=chunk_edges)
             with trace(
@@ -731,9 +597,7 @@ class ShardedGraph:
                 for owner, partner, w in source.iter_chunks():
                     yp = y[partner]
                     known = yp != UNKNOWN_LABEL
-                    scatter_add(part, owner[known] * k + yp[known], w[known])
-            partials.append(part)
-        S = tree_reduce(partials)
+                    scatter_add(S, owner[known] * k + yp[known], w[known])
         Z = S.reshape(self.n_vertices, k)
         class_rescale(Z, y, k)
         t1 = time.perf_counter()
@@ -778,21 +642,18 @@ class ShardedGraph:
             self._incidence_shm = shm
         return self._incidence_shm
 
-    def _ensure_workspace(self, k: int, workers: int):
-        key = (k, workers)
-        ws = self._workspaces.get(key)
+    def _ensure_workspace(self, k: int):
+        ws = self._workspaces.get(k)
         if ws is None:
             shm = SharedArraySet()
             try:
                 labels_view = shm.empty("labels", (self.n_vertices,), np.int64)
-                partials = shm.zeros(
-                    "partials", (workers, self.n_vertices * k), np.float64
-                )
+                out = shm.zeros("out", (self.n_vertices * k,), np.float64)
             except BaseException:
                 shm.close()
                 raise
-            ws = (shm, labels_view, partials)
-            self._workspaces[key] = ws
+            ws = (shm, labels_view, out)
+            self._workspaces[k] = ws
         return ws
 
     def close(self) -> None:

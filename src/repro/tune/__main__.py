@@ -7,7 +7,7 @@ CI caches the artifact between runs.
 
 ``python -m repro.tune --show`` prints the persisted calibration without
 measuring anything: where the cache lives, whether it is fresh or stale
-(and why), the native-tier status, the coefficient table, and the
+(and why), the coefficient table, and the
 :class:`~repro.tune.ExecutionChoice` the model makes at representative
 ``(n, E, K)`` points.
 """
@@ -50,8 +50,6 @@ def _print_coefficients(coefficients) -> None:
 
 
 def _show() -> int:
-    from ..native import native_available, native_status
-
     path = tune_cache_path()
     data = load_calibration()
     print(f"calibration cache: {path}")
@@ -67,10 +65,6 @@ def _show() -> int:
             f"cpu_count {data.get('cpu_count', '?')}, "
             f"parallel_workers {data.get('parallel_workers', 0)}"
         )
-    print(
-        f"native tier: {'available' if native_available() else 'unavailable'} "
-        f"({native_status()})"
-    )
     model = get_cost_model()
     print(f"model source: {model.source}")
     print("coefficients:")

@@ -3,7 +3,7 @@
 The adaptive engine (``backend="auto"``, ``layout="auto"``) needs to know
 what *this* machine pays for the competing execution strategies: the random
 scatter of the arrival-order kernel, the near-sequential segment-sum scatter
-of the sorted/blocked layouts, the scipy CSR matmul, the interpreted loop,
+of the sorted layout, the scipy CSR matmul, the interpreted loop,
 and the fork-pool dispatch.  Rather than measuring abstract primitives and
 hoping they compose, :func:`calibrate` times the **actual plan-path
 kernels** on small synthetic Erdős–Rényi graphs at three ``(n, E)`` design
@@ -46,7 +46,7 @@ __all__ = [
 
 #: Bumped whenever the coefficient model or the measured configuration set
 #: changes shape; caches written under another schema are stale.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Embedding dimensionality used for the calibration runs (coefficients are
 #: per *cell*, so the fit transfers to other K).
@@ -72,7 +72,6 @@ DESIGN_POINTS: Tuple[Tuple[int, int], ...] = (
 SERIAL_CONFIGS: Tuple[Tuple[str, str], ...] = (
     ("vectorized", "none"),
     ("vectorized", "sorted"),
-    ("vectorized", "blocked"),
     ("sparse", "none"),
 )
 
@@ -170,10 +169,9 @@ def calibrate(
         coefficients[f"{backend_name}:{layout}"] = _fit_coefficients(samples)
 
     # The sharded path, measured at one shard: with s=1 the shard cost
-    # formula collapses to exactly ``fixed + per_edge·E + per_cell·nK``
-    # (no reduction levels), so this fit anchors the model and
-    # ``CostModel._shard_cost`` extrapolates the per-shard fixed cost and
-    # the tree-reduction term to higher shard counts.
+    # formula collapses to exactly ``fixed + per_edge·E + per_cell·nK``, so
+    # this fit anchors the model and ``CostModel._shard_cost`` extrapolates
+    # the per-shard fixed cost and the edge split to higher shard counts.
     samples = []
     for graph, labels in cases:
         sharded = graph.shard(1)
@@ -183,27 +181,6 @@ def calibrate(
         )
         samples.append((graph.n_vertices, graph.n_edges, best))
     coefficients["sharded:sorted"] = _fit_coefficients(samples)
-
-    # The native JIT tier, where importable: both fused layouts through the
-    # real backend (compile cost is warmed away; the fit sees only the
-    # steady-state kernel).  Absent numba the rows are simply not recorded,
-    # and the payload's "native" flag makes the cache stale if the tier
-    # later appears (or disappears) on this machine.
-    from ..native.availability import native_available, numba_version
-
-    if native_available():
-        backend = get_backend("native")
-        for layout in ("sorted", "blocked"):
-            samples = []
-            for graph, labels in cases:
-                plan = graph.plan(K_CAL, layout=layout)
-                backend.embed_with_plan(plan, labels)  # warm: JIT + caches
-                best = _best_seconds(
-                    lambda b=backend, p=plan, y=labels: b.embed_with_plan(p, y),
-                    repeats,
-                )
-                samples.append((graph.n_vertices, graph.n_edges, best))
-            coefficients[f"native:{layout}"] = _fit_coefficients(samples)
 
     # The interpreted loop: one point pins its (huge) per-edge cost.
     graph, labels = cases[0]
@@ -245,8 +222,6 @@ def calibrate(
         "k_cal": K_CAL,
         "repeats": repeats,
         "parallel_workers": parallel_workers,
-        "native": native_available(),
-        "numba": numba_version(),
         "coefficients": coefficients,
     }
 
@@ -293,14 +268,6 @@ def calibration_staleness(data: Dict) -> Optional[str]:
             f"calibrated on {data.get('cpu_count')} CPUs, running on "
             f"{os.cpu_count()}"
         )
-    from ..native.availability import native_available
-
-    if bool(data.get("native")) != native_available():
-        # Installing (or disabling) numba changes the candidate set and its
-        # measured rankings; remeasure rather than trust half a picture.
-        was = "with" if data.get("native") else "without"
-        now = "with" if native_available() else "without"
-        return f"calibrated {was} the native tier, running {now} it"
     if not isinstance(data.get("coefficients"), dict) or not data["coefficients"]:
         return "no coefficients recorded"
     return None

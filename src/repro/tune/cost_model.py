@@ -44,7 +44,7 @@ __all__ = [
 #: stable across commodity x86.  A real per-machine calibration
 #: (``python -m repro.tune``) always supersedes these.
 DEFAULT_CALIBRATION: Dict = {
-    "schema": 1,
+    "schema": 2,
     "cpu_count": None,
     "parallel_workers": 0,
     "coefficients": {
@@ -57,11 +57,6 @@ DEFAULT_CALIBRATION: Dict = {
             "fixed_s": 1.5e-05,
             "per_edge_s": 1.1e-08,
             "per_cell_s": 1.6e-09,
-        },
-        "vectorized:blocked": {
-            "fixed_s": 1.5e-05,
-            "per_edge_s": 1.25e-08,
-            "per_cell_s": 1.5e-09,
         },
         "sparse:none": {
             "fixed_s": 2.0e-05,
@@ -76,47 +71,23 @@ DEFAULT_CALIBRATION: Dict = {
         # Per-shard cost of the owner-range sharded engine: fixed_s is paid
         # once per shard (plan dispatch), per_edge_s is the fused
         # segment-sum scatter (matches vectorized:sorted), per_cell_s
-        # covers one output pass plus the tree-reduction levels (the
-        # shard-count model in choose() multiplies it by 1 + ceil(log2 s)).
+        # covers one output pass (_shard_cost adds the pooled path's
+        # copy-out and pool dispatch).
         "sharded:sorted": {
             "fixed_s": 5.0e-05,
             "per_edge_s": 1.1e-08,
             "per_cell_s": 2.0e-09,
         },
-        # The numba-JIT tier: one fused loop nest with no O(E) temporaries,
-        # so the per-edge stream runs well below the vectorized floor
-        # (ratios from the reference container with numba present; a
-        # per-machine calibration measures the real numbers).  These rows
-        # are only ever *candidates* where the tier is importable —
-        # _candidates() checks availability, so on numba-less machines the
-        # coefficients are inert.
-        "native:sorted": {
-            "fixed_s": 2.0e-05,
-            "per_edge_s": 4.0e-09,
-            "per_cell_s": 1.0e-09,
-        },
-        "native:blocked": {
-            "fixed_s": 2.0e-05,
-            "per_edge_s": 4.5e-09,
-            "per_cell_s": 1.0e-09,
-        },
     },
 }
 
 #: Configurations eligible for the chunked (out-of-core) path.
-_CHUNK_CAPABLE = ("vectorized:sorted", "vectorized:none", "sparse:none", "native:sorted")
+_CHUNK_CAPABLE = ("vectorized:sorted", "vectorized:none", "sparse:none")
 
 #: The interpreted loop is only ever competitive on toy graphs; beyond this
 #: edge count its candidacy is suppressed so a miscalibrated fixed term can
 #: never select it at scale.
 _PYTHON_MAX_EDGES = 50_000
-
-
-def _native_candidate_ok() -> bool:
-    """Whether ``native:*`` rows may compete (the JIT tier is importable)."""
-    from ..native.availability import native_available
-
-    return native_available()
 
 
 @dataclass(frozen=True)
@@ -229,15 +200,11 @@ class CostModel:
             if backend == "parallel":
                 if chunked or n_workers_available < 2 or self.parallel_workers < 2:
                     continue
-            if backend == "sharded" and chunked:
+            if backend == "sharded" and (chunked or self.parallel_workers < 2):
                 # The sharded backend rejects pre-chunked plans; its own
                 # out-of-core path goes through ShardedGraph explicitly.
-                continue
-            if backend == "native" and not _native_candidate_ok():
-                # The JIT tier registers conditionally; a model carrying
-                # native coefficients (defaults, or a calibration from a
-                # numba-equipped twin) must never choose a backend this
-                # process cannot construct.
+                # Its gain is the pooled run, whose dispatch cost is known
+                # only once the pool is calibrated (as for parallel).
                 continue
             names.append(config)
         return tuple(names)
@@ -282,9 +249,11 @@ class CostModel:
         shard_counts: Dict[str, int] = {}
         for config in self._candidates(e, workers, chunked, fixed_layout):
             if config.startswith("sharded:"):
-                predictions[config], shard_counts[config] = self._shard_cost(
-                    config, n, e, k, workers
-                )
+                cost, shards = self._shard_cost(config, n, e, k, workers)
+                # One shard is the serial sorted kernel plus a fresh output,
+                # never faster than vectorized:sorted.
+                if shards > 1:
+                    predictions[config], shard_counts[config] = cost, shards
                 continue
             cost = self.predict(config, n, e, k)
             if config.startswith("parallel:") and workers < self.parallel_workers:
@@ -310,10 +279,6 @@ class CostModel:
         elif backend == "sharded":
             n_shards = shard_counts.get(best, 1)
             n_workers = min(workers, n_shards) if min(workers, n_shards) > 1 else None
-        elif backend == "native":
-            # The prange kernel sizes its own thread pool; pass the cap
-            # only when there is actual parallelism to use.
-            n_workers = workers if workers > 1 else None
         return ExecutionChoice(
             backend=backend,
             layout=layout,
@@ -330,40 +295,43 @@ class CostModel:
     ) -> Tuple[float, int]:
         """Best predicted cost and shard count for the sharded engine.
 
-        The shard-count axis: ``fixed_s`` is paid once per shard,
-        the edge pass splits across ``min(s, workers)`` workers, and the
-        output term grows with the tree-reduction depth (``ceil(log2 s)``
-        pairwise combines over full-shape partials).  Shard counts are
-        swept over powers of two up to the worker count — beyond that,
-        extra shards only add dispatch and reduction cost.
+        The shard-count axis: ``fixed_s`` is paid once per shard, the edge
+        pass splits across ``min(s, workers)`` workers, and the output term
+        is one pass over the shared output.  More than one shard runs on the
+        fork pool, which adds one output pass for the copy-out and the pool
+        dispatch — the calibration measures the sharded engine at one shard
+        only, so the dispatch is the fixed term of ``parallel:sorted``, the
+        other pooled kernel (zero when the pool was not calibrated).  Shard
+        counts are swept over powers of two up to the worker count — beyond
+        that, extra shards only add dispatch cost.
         """
         coeff = self.coefficients[config]
+        dispatch_s = self.coefficients.get("parallel:sorted", {}).get("fixed_s", 0.0)
         best_s, best_cost = 1, float("inf")
         s = 1
         while s <= max(1, workers):
-            levels = (s - 1).bit_length()  # == ceil(log2(s)) for s >= 1
+            pooled = s > 1
             cost = (
                 coeff["fixed_s"] * s
+                + (dispatch_s if pooled else 0.0)
                 + coeff["per_edge_s"] * e / min(s, max(1, workers))
-                + coeff["per_cell_s"] * n * k * (1 + levels)
+                + coeff["per_cell_s"] * n * k * (2 if pooled else 1)
             )
             if cost < best_cost:
                 best_s, best_cost = s, cost
             s *= 2
         return best_cost, best_s
 
-    def choose_layout(
-        self, n_vertices: int, n_edges: int, n_classes: int, *, chunked: bool = False
-    ) -> str:
+    def choose_layout(self, n_vertices: int, n_edges: int, n_classes: int) -> str:
         """The best *layout* for the single-core vectorized kernel.
 
         What ``graph.plan(K, layout="auto")`` resolves through: the layout
-        decision alone, independent of the backend choice (chunked plans
-        only support ``"none"``/``"sorted"``).
+        decision alone, independent of the backend choice.
         """
-        layouts = ("none", "sorted") if chunked else ("none", "sorted", "blocked")
+        from ..core.plan import LAYOUTS
+
         best, best_cost = "none", float("inf")
-        for layout in layouts:
+        for layout in LAYOUTS:
             cost = self.predict(f"vectorized:{layout}", n_vertices, n_edges, n_classes)
             if cost < best_cost:
                 best, best_cost = layout, cost
@@ -435,10 +403,6 @@ def reset_cost_model(*, rearm_warning: bool = False) -> None:
         _WARNED = False
 
 
-def auto_layout(
-    n_vertices: int, n_edges: int, n_classes: int, *, chunked: bool = False
-) -> str:
+def auto_layout(n_vertices: int, n_edges: int, n_classes: int) -> str:
     """Resolve ``layout="auto"`` for one ``(n, E, K)`` through the model."""
-    return get_cost_model().choose_layout(
-        n_vertices, n_edges, n_classes, chunked=chunked
-    )
+    return get_cost_model().choose_layout(n_vertices, n_edges, n_classes)

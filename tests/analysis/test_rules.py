@@ -99,6 +99,50 @@ def test_hot_path_alloc_ignores_unmarked_and_block_sized(tmp_path):
     assert findings == []
 
 
+@pytest.mark.parametrize(
+    "decorator",
+    ["@jit(nopython=True, parallel=True)", "@numba.jit(cache=True)", "@jit"],
+)
+def test_hot_path_alloc_has_no_jit_exemption(tmp_path, decorator):
+    """Edge-sized loops are flagged whatever decorates the kernel: no
+    compiled tier runs here, so every loop body is interpreted."""
+    findings = run_rule(
+        tmp_path,
+        "hot-path-alloc",
+        f"""
+        import numpy as np
+        from repro.analysis.annotations import hot_path
+
+        @hot_path
+        {decorator}
+        def kernel(out, src, dst, weights):
+            for i in range(len(src)):
+                out[dst[i]] += weights[i]
+        """,
+    )
+    assert [f.line for f in findings] == [7]
+    assert "Python-level loop" in findings[0].message
+
+
+def test_hot_path_alloc_flags_output_sized_scratch_in_decorated_kernel(tmp_path):
+    findings = run_rule(
+        tmp_path,
+        "hot-path-alloc",
+        """
+        import numpy as np
+        from repro.analysis.annotations import hot_path
+
+        @hot_path
+        @jit(cache=True)
+        def kernel(src, dst, n_classes):
+            scratch = np.zeros(len(src) * n_classes)
+            return scratch
+        """,
+    )
+    assert [f.line for f in findings] == [7]
+    assert "reused buffers" in findings[0].message
+
+
 def test_hot_path_alloc_suppression(tmp_path):
     findings = run_rule(
         tmp_path,

@@ -237,6 +237,52 @@ def test_incremental_capability_honoured(backend_name):
             backend.patch_sums(S, *args)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "backend_name",
+    sorted(n for n in list_backends() if backend_capabilities(n).supports_incremental),
+)
+def test_signed_patch_stream_matches_dense_sums(backend_name, seed):
+    """Batches of signed deltas (inserts, weight bumps, deletions, self
+    loops, unlabelled endpoints) compose to the dense per-class sums."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    labels = rng.integers(-1, K, size=n).astype(np.int64)
+    backend = get_backend(backend_name)
+    S_flat = np.zeros(n * K)
+    expected = np.zeros((n, K))
+    for _ in range(12):
+        batch = int(rng.integers(1, 9))
+        src = rng.integers(0, n, size=batch).astype(np.int64)
+        dst = rng.integers(0, n, size=batch).astype(np.int64)
+        delta = rng.uniform(-1.5, 2.0, size=batch)
+        backend.patch_sums(S_flat, src, dst, delta, labels, K)
+        for u, v, w in zip(src, dst, delta):
+            if labels[v] >= 0:
+                expected[u, labels[v]] += w
+            if labels[u] >= 0:
+                expected[v, labels[u]] += w
+        np.testing.assert_allclose(S_flat.reshape(n, K), expected, atol=ATOL, rtol=0)
+
+
+@pytest.mark.parametrize(
+    "backend_name",
+    sorted(n for n in list_backends() if backend_capabilities(n).supports_incremental),
+)
+def test_empty_patch_is_a_no_op(backend_name):
+    S_flat = np.arange(4 * K, dtype=np.float64)
+    before = S_flat.copy()
+    get_backend(backend_name).patch_sums(
+        S_flat,
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0),
+        np.array([0, 1, -1, 2]),
+        K,
+    )
+    np.testing.assert_array_equal(S_flat, before)
+
+
 # --------------------------------------------------------------------------- #
 # Regression: duplicate-edge removal must not double-subtract
 # --------------------------------------------------------------------------- #

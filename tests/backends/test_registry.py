@@ -1,5 +1,10 @@
 """Tests for the unified execution-backend registry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -66,6 +71,57 @@ class TestRegistryContents:
             @register_backend("python")
             class Shadow(GEEBackend):  # pragma: no cover - never instantiated
                 pass
+
+
+class TestNoCompiledTier:
+    """Every backend runs on NumPy alone; no name points at a JIT tier."""
+
+    @pytest.mark.parametrize("entry", ["get_backend", "capabilities", "estimator"])
+    def test_native_is_not_a_backend(self, seeded_graph, entry):
+        from repro import GraphEncoderEmbedding
+
+        graph, y = seeded_graph
+        assert "native" not in list_backends()
+        calls = {
+            "get_backend": lambda: get_backend("native"),
+            "capabilities": lambda: backend_capabilities("native"),
+            "estimator": lambda: GraphEncoderEmbedding(4, method="native").fit(graph, y),
+        }
+        with pytest.raises(ValueError, match="'native'"):
+            calls[entry]()
+
+    def test_package_imports_and_fits_without_numba(self):
+        """With ``numba`` unimportable, every module imports and a fit runs."""
+        import repro
+
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "import numpy as np\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'numba':\n"
+            "            raise ImportError('numba is blocked')\n"
+            "sys.meta_path.insert(0, Block())\n"
+            "import repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    if not info.name.endswith('__main__'):\n"
+            "        importlib.import_module(info.name)\n"
+            "from repro import GraphEncoderEmbedding\n"
+            "from repro.graph import erdos_renyi\n"
+            "edges = erdos_renyi(60, 240, seed=1)\n"
+            "model = GraphEncoderEmbedding(3).fit(edges, np.arange(60) % 3)\n"
+            "assert model.embedding_.shape == (60, 3)\n"
+            "assert 'numba' not in sys.modules\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConstructionValidation:

@@ -36,7 +36,6 @@ def seeded_tune_cache(tmp_path_factory):
     passes) makes the tier-1 run warning-free and hermetic.  Session scope
     rules out ``monkeypatch``, so the env var is saved/restored by hand.
     """
-    from repro.native import native_available
     from repro.tune import reset_cost_model, save_calibration
     from repro.tune.calibration import SCHEMA_VERSION
     from repro.tune.cost_model import DEFAULT_CALIBRATION
@@ -47,7 +46,6 @@ def seeded_tune_cache(tmp_path_factory):
         **DEFAULT_CALIBRATION,
         "schema": SCHEMA_VERSION,
         "cpu_count": os.cpu_count(),
-        "native": native_available(),
         "coefficients": {
             config: dict(coeff)
             for config, coeff in DEFAULT_CALIBRATION["coefficients"].items()

@@ -1,7 +1,7 @@
 """Locality-optimized layouts: permutation invariance, narrowing, memory.
 
-The fused sorted/blocked layouts only *reorder commutative additions* (and
-hoist the per-edge projection scale into a per-column rescale), so every
+The fused sorted layout only *reorders commutative additions* (and
+hoists the per-edge projection scale into a per-column rescale), so every
 ``supports_layout`` backend × layout combination must reproduce the
 unpermuted pure-Python reference on the conformance-matrix edge cases to
 1e-12.  The suite also pins the int32 index-narrowing boundary at
@@ -18,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro import GraphEncoderEmbedding
 from repro.backends import backend_capabilities, get_backend, list_backends
 from repro.core import gee_python
 from repro.core.gee_vectorized import accumulate_fused_rows_sorted, class_rescale
@@ -89,7 +90,7 @@ class TestPermutationInvariance:
     """All supports_layout backends × layouts × structural edge cases."""
 
     @pytest.mark.parametrize("backend_name", LAYOUT_BACKENDS)
-    @pytest.mark.parametrize("layout", PERMUTING_LAYOUTS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("labelled", ["partial", "full"])
     def test_matches_unpermuted_reference(self, backend_name, layout, case, labelled):
@@ -98,10 +99,7 @@ class TestPermutationInvariance:
         graph = Graph.coerce(edges)
         plan = graph.plan(K, layout=layout)
         caps = backend_capabilities(backend_name)
-        # The blocked kernel is inherently serial (buckets cannot be split
-        # into single-writer row ranges), so an explicit worker count is
-        # only legal for the sorted layout.
-        workers = 2 if caps.supports_n_workers and layout == "sorted" else None
+        workers = 2 if caps.supports_n_workers else None
         backend = get_backend(backend_name, n_workers=workers)
         result = backend.embed_with_plan(plan, y)
         np.testing.assert_allclose(result.embedding, reference, atol=ATOL)
@@ -111,12 +109,6 @@ class TestPermutationInvariance:
             assert result.layout == "sorted"
         else:
             assert result.layout in (layout, "none")  # auto may re-choose
-
-    def test_parallel_blocked_rejects_explicit_workers(self):
-        edges, y = _case("weighted", "partial")
-        plan = Graph.coerce(edges).plan(K, layout="blocked")
-        with pytest.raises(RuntimeError, match="blocked"):
-            get_backend("parallel", n_workers=2).embed_with_plan(plan, y)
 
     @pytest.mark.parametrize("chunk_edges", [1, 17, 10_000])
     def test_chunked_sorted_incidence(self, chunk_edges):
@@ -169,23 +161,19 @@ class TestPlanLayoutCaching:
         g = Graph.coerce(edges)
         base = g.plan(K)
         sorted_plan = g.plan(K, layout="sorted")
-        blocked_plan = g.plan(K, layout="blocked")
-        assert base is not sorted_plan is not blocked_plan
+        assert base is not sorted_plan
         assert g.plan(K, layout="sorted") is sorted_plan
         assert sorted_plan.layout == "sorted"
-        assert blocked_plan.layout == "blocked"
 
-    def test_unknown_layout_rejected(self):
-        edges, _ = _case("unweighted", "partial")
+    @pytest.mark.parametrize("layout", ["zorted", "blocked"])
+    def test_unknown_layout_rejected(self, layout):
+        edges, y = _case("unweighted", "partial")
         g = Graph.coerce(edges)
         with pytest.raises(ValueError, match="layout"):
-            g.plan(K, layout="zorted")
-
-    def test_chunked_blocked_rejected(self):
-        edges, _ = _case("unweighted", "partial")
-        g = Graph.coerce(edges)
-        with pytest.raises(ValueError, match="chunked plans support"):
-            g.plan(K, chunk_edges=16, layout="blocked")
+            g.plan(K, layout=layout)
+        accepted = r"layout must be one of \('none', 'sorted', 'auto'\)"
+        with pytest.raises(ValueError, match=accepted):
+            GraphEncoderEmbedding(K, layout=layout).fit(edges, y)
 
     def test_fused_on_none_plan_raises(self):
         edges, _ = _case("unweighted", "partial")
@@ -234,7 +222,6 @@ class TestIndexNarrowing:
             plan.weights,
             plan.n_vertices,
             K,
-            layout,
             int32_limit=1,  # every graph is now "too big" for int32
         )
         assert wide.index_dtype is np.int64
@@ -245,6 +232,33 @@ class TestIndexNarrowing:
             np.sort(narrow.owner_flat.astype(np.int64)),
             np.sort(wide.owner_flat),
         )
+
+    @pytest.mark.skipif(not fork_available(), reason="fork not available")
+    @pytest.mark.parametrize("backend_name", ["vectorized", "parallel"])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("labelled", ["partial", "full"])
+    def test_int64_layout_is_bitwise_the_int32_layout(self, backend_name, case, labelled):
+        """Both index widths hold the same stable owner order, so the serial
+        pass and the worker passes sum every slot in the same order."""
+        edges, y = _case(case, labelled)
+        workers = 2 if backend_name == "parallel" else None
+        backend = get_backend(backend_name, n_workers=workers)
+        narrow_plan = Graph.coerce(edges).plan(K, layout="sorted")
+        assert narrow_plan.fused.index_dtype is np.int32
+        narrow = backend.embed_with_plan(narrow_plan, y).detached().embedding
+        wide_plan = Graph.coerce(edges).plan(K, layout="sorted")
+        wide_plan._fused = compile_fused_layout(
+            wide_plan.src,
+            wide_plan.dst,
+            None if wide_plan.unit_weights else wide_plan.weights,
+            wide_plan.n_vertices,
+            K,
+            int32_limit=1,
+        )
+        assert wide_plan.fused.index_dtype is np.int64
+        wide = backend.embed_with_plan(wide_plan, y).embedding
+        assert np.array_equal(wide, narrow)
+        np.testing.assert_allclose(wide, gee_python(edges, y, K).embedding, atol=ATOL)
 
 
 class TestPlanBufferReuse:
@@ -327,7 +341,6 @@ class TestRowRangeKernel:
             None if plan.unit_weights else plan.weights,
             n,
             K,
-            "sorted",
             block_bytes=self.ROWS_PER_BLOCK * K * 8,
             **({"int32_limit": 1} if dtype == "int64" else {}),
         )
@@ -375,7 +388,7 @@ class TestRowRangeKernel:
         edges, y = _case("weighted", "full")
         plan = Graph.coerce(edges).plan(K, layout="sorted")
         wide = compile_fused_layout(
-            plan.src, plan.dst, plan.weights, plan.n_vertices, K, "sorted", int32_limit=1
+            plan.src, plan.dst, plan.weights, plan.n_vertices, K, int32_limit=1
         )
         out = np.zeros(plan.n_vertices * K)
         with pytest.raises(TypeError):
@@ -404,7 +417,7 @@ class TestRowRangeKernel:
         rng = np.random.default_rng(5)
         n, e = 200_000, 1_000_000
         fused = compile_fused_layout(
-            rng.integers(0, n, e), rng.integers(0, n, e), None, n, K, "sorted"
+            rng.integers(0, n, e), rng.integers(0, n, e), None, n, K
         )
         assert fused.index_dtype is np.int32
         assert fused.n_incidences == 2 * e

@@ -1,4 +1,4 @@
-"""Tests for the shared-memory arrays, reductions and the fork worker pool."""
+"""Tests for the shared-memory arrays and the fork worker pool."""
 
 import gc
 import weakref
@@ -13,10 +13,7 @@ from repro.parallel import (
     attach_many,
     effective_worker_count,
     fork_available,
-    inplace_accumulate,
     resolve_worker_count,
-    sum_reduce,
-    tree_reduce,
 )
 
 
@@ -114,39 +111,6 @@ class TestSharedArraySet:
 
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
-
-
-class TestReductions:
-    def test_sum_reduce(self):
-        parts = [np.full((2, 2), i, dtype=float) for i in range(4)]
-        np.testing.assert_allclose(sum_reduce(parts), np.full((2, 2), 6.0))
-
-    def test_tree_reduce_matches_sum(self):
-        rng = np.random.default_rng(0)
-        parts = [rng.standard_normal((3, 5)) for _ in range(7)]
-        np.testing.assert_allclose(tree_reduce(parts), sum_reduce(parts), atol=1e-12)
-
-    def test_tree_reduce_single(self):
-        a = np.ones(3)
-        out = tree_reduce([a])
-        np.testing.assert_allclose(out, a)
-        out[0] = 5.0
-        assert a[0] == 1.0  # must be a copy
-
-    def test_inplace_accumulate(self):
-        target = np.zeros(3)
-        inplace_accumulate(target, [np.ones(3), np.ones(3)])
-        np.testing.assert_allclose(target, 2.0)
-
-    def test_empty_reduction_rejected(self):
-        with pytest.raises(ValueError):
-            sum_reduce([])
-        with pytest.raises(ValueError):
-            tree_reduce([])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            sum_reduce([np.zeros(2), np.zeros(3)])
 
 
 def _double(context, x):

@@ -1,6 +1,7 @@
 """ShardedGraph: exactness, structure invariants, lifecycle, out-of-core."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ class TestExactness:
         Z = Graph.coerce(edges).shard(n_shards).embed(y, 3).embedding
         np.testing.assert_allclose(Z, ref, atol=ATOL)
 
-    @pytest.mark.parametrize("layout", ["none", "sorted", "blocked"])
+    @pytest.mark.parametrize("layout", ["none", "sorted"])
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_matches_every_plan_layout(self, random_graph, layout, n_shards):
         y = random_partial_labels(random_graph.n_vertices, 4, 0.5, seed=2)
@@ -79,8 +80,39 @@ class TestExactness:
             pooled_res = sg.embed(y, 4, n_workers=2)
             np.testing.assert_allclose(pooled_res.embedding, serial, atol=ATOL)
 
+    @pytest.mark.parametrize("labelled", [1.0, 0.5], ids=["full", "half"])
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
+    def test_bitwise_equal_to_single_pool_pass(self, n_shards, labelled):
+        """Serial and pooled shards reproduce the sorted single-pool pass
+        bit for bit, and a pooled result survives the next pooled embed."""
+        k = 50  # several L2 row blocks per shard
+        edges = erdos_renyi(3000, 30_000, seed=21, weighted=True)
+        y = random_partial_labels(edges.n_vertices, k, labelled, seed=4)
+        plan = Graph.coerce(edges).plan(k, layout="sorted")
+        ref = get_backend("vectorized").embed_with_plan(plan, y).detached().embedding
+        with ShardedGraph(edges, n_shards) as sg:
+            serial = sg.embed(y, k, n_workers=1).embedding
+            pooled = sg.embed(y, k, n_workers=2).embedding
+            sg.embed(np.roll(y, 1), k, n_workers=2)
+            assert np.array_equal(serial, ref)
+            assert np.array_equal(pooled, ref)
+
+    def test_serial_embed_keeps_one_output_buffer(self):
+        """Shards write disjoint rows of one buffer: a warm serial embed
+        allocates one output plus per-shard temporaries, not one per shard."""
+        n, k = 20_000, 50
+        edges = erdos_renyi(n, 200_000, seed=5)
+        y = random_partial_labels(n, k, 1.0, seed=5)
+        sg = ShardedGraph(edges, 4)
+        sg.embed(y, k, n_workers=1)  # warm: per-shard plans
+        tracemalloc.start()
+        sg.embed(y, k, n_workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1.5 * n * k * 8
+
     def test_repeated_embeds_are_identical(self, skewed_graph):
-        """Pinned affinities + fixed reduction order: no run-to-run jitter."""
+        """Pinned affinities + fixed in-shard order: no run-to-run jitter."""
         y = random_partial_labels(skewed_graph.n_vertices, 6, 0.4, seed=3)
         with ShardedGraph(skewed_graph, 5) as sg:
             first = sg.embed(y, 6).embedding.copy()
@@ -232,6 +264,71 @@ class TestIncrementalPatches:
             np.array([0, 1, 2]), 4, n_shards=2,
         )
         assert np.all(S == 1.0)
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 7])
+    def test_patch_stream_matches_dense_reference(self, n_shards):
+        """Signed inserts, weight bumps and deletions compose exactly."""
+        rng = np.random.default_rng(n_shards)
+        n, k = 26, 4
+        labels = rng.integers(-1, k, size=n).astype(np.int64)
+        S_flat = np.zeros(n * k)
+        expected = np.zeros((n, k))
+        for _ in range(6):
+            batch = rng.integers(1, 12)
+            src = rng.integers(0, n, size=batch).astype(np.int64)
+            dst = rng.integers(0, n, size=batch).astype(np.int64)
+            delta = rng.uniform(-1.0, 1.5, size=batch)
+            patch_sums_sharded(S_flat, src, dst, delta, labels, k, n_shards=n_shards)
+            for u, v, w in zip(src, dst, delta):
+                if labels[v] >= 0:
+                    expected[u, labels[v]] += w
+                if labels[u] >= 0:
+                    expected[v, labels[u]] += w
+            np.testing.assert_allclose(
+                S_flat.reshape(n, k), expected, atol=ATOL, rtol=0
+            )
+
+    def test_graph_patch_equals_even_cut_patch(self, skewed_graph):
+        """Routing by the graph's degree-balanced cuts or by even cuts is a
+        performance choice only: both give the same sums."""
+        n, k = skewed_graph.n_vertices, 4
+        y = random_partial_labels(n, k, 0.6, seed=8)
+        sharded = Graph.coerce(skewed_graph).shard(3)
+        rng = np.random.default_rng(9)
+        src = rng.integers(0, n, size=40).astype(np.int64)
+        dst = rng.integers(0, n, size=40).astype(np.int64)
+        delta = rng.uniform(-0.5, 1.0, size=40)
+        via_graph = np.zeros(n * k)
+        via_even = np.zeros(n * k)
+        sharded.patch_sums(via_graph, src, dst, delta, y, k)
+        patch_sums_sharded(via_even, src, dst, delta, y, k, n_shards=3)
+        np.testing.assert_allclose(via_graph, via_even, atol=ATOL, rtol=0)
+
+
+class TestOneKernel:
+    """Every shard runs the one NumPy row-range kernel; no entry point
+    takes a kernel selector."""
+
+    @pytest.mark.parametrize(
+        "entry", ["embed", "patch_sums", "patch_sums_sharded", "accumulate_into"]
+    )
+    def test_kernel_keyword_is_refused(self, entry, tiny_edges):
+        y = np.array([0, 1, -1, 1, 0])
+        k = 2
+        S = np.zeros(tiny_edges.n_vertices * k)
+        sg = Graph.coerce(tiny_edges).shard(2)
+        one = (np.array([0]), np.array([1]), np.array([1.0]), y, k)
+        calls = {
+            "embed": lambda: sg.embed(y, k, kernel="numpy"),
+            "patch_sums": lambda: sg.patch_sums(S, *one, kernel="numpy"),
+            "patch_sums_sharded": lambda: patch_sums_sharded(S, *one, kernel="numpy"),
+            "accumulate_into": lambda: sg.shards[0].accumulate_into(
+                S, y, k, fully_labelled=False, kernel="numpy"
+            ),
+        }
+        with pytest.raises(TypeError, match="kernel"):
+            calls[entry]()
+        assert np.all(S == 0.0)
 
 
 class TestOutOfCore:

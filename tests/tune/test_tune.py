@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro import tune
-from repro.backends import backend_capabilities, get_backend
+from repro.backends import backend_capabilities, get_backend, list_backends
 from repro.core import gee_python
+from repro.core.plan import LAYOUTS
 from repro.graph import Graph, planted_partition
 from repro.labels import mask_labels
 from repro.tune import (
@@ -23,7 +24,8 @@ from repro.tune import (
     save_calibration,
     tune_cache_path,
 )
-from repro.tune.calibration import SCHEMA_VERSION
+from repro.tune.calibration import SCHEMA_VERSION, SERIAL_CONFIGS
+from repro.tune.cost_model import DEFAULT_CALIBRATION
 
 
 @pytest.fixture
@@ -45,7 +47,6 @@ def _synthetic_payload(**overrides):
         "coefficients": {
             "vectorized:none": {"fixed_s": 1e-5, "per_edge_s": 3e-8, "per_cell_s": 2e-9},
             "vectorized:sorted": {"fixed_s": 1e-5, "per_edge_s": 1e-8, "per_cell_s": 2e-9},
-            "vectorized:blocked": {"fixed_s": 1e-5, "per_edge_s": 2e-8, "per_cell_s": 2e-9},
             "sparse:none": {"fixed_s": 2e-5, "per_edge_s": 5e-8, "per_cell_s": 2e-8},
             "python:none": {"fixed_s": 0.0, "per_edge_s": 1e-6, "per_cell_s": 0.0},
         },
@@ -101,6 +102,23 @@ class TestCacheLifecycle:
         assert model.source == "default"
         assert any("stale" in str(w.message) for w in rec)
 
+        # A schema-1 cache can name configurations that no longer exist.
+        # Loaded as current, its cheapest row would hand layout="auto" a
+        # layout that plan compilation refuses.
+        legacy = _synthetic_payload(schema=1)
+        legacy["coefficients"]["vectorized:blocked"] = {
+            "fixed_s": 0.0, "per_edge_s": 1e-12, "per_cell_s": 0.0,
+        }
+        save_calibration(legacy)
+        reset_cost_model()
+        assert calibration_staleness(load_calibration()) is not None
+        edges, _ = planted_partition(120, 3, 0.1, 0.01, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            plan = Graph.coerce(edges).plan(3, layout="auto")
+        assert get_cost_model().source == "default"
+        assert plan.layout != "blocked"
+
     def test_fresh_cache_is_used(self, tune_dir):
         save_calibration(_synthetic_payload())
         model = get_cost_model()
@@ -152,8 +170,7 @@ class TestCalibration:
         for attempt in range(3):
             data = tune.calibrate(repeats=5, include_parallel=False)
             assert data["schema"] == SCHEMA_VERSION
-            for config in ("vectorized:none", "vectorized:sorted",
-                           "vectorized:blocked", "sparse:none",
+            for config in ("vectorized:none", "vectorized:sorted", "sparse:none",
                            "sharded:sorted", "python:none"):
                 coeff = data["coefficients"][config]
                 assert coeff["per_edge_s"] >= 0 and coeff["fixed_s"] >= 0
@@ -221,11 +238,75 @@ class TestCostModel:
         model = self._model()
         assert model.choose_layout(10_000, 100_000, 32) == "sorted"
         # With a tiny graph the fixed terms tie; any declared layout is fine.
-        assert model.choose_layout(5, 4, 2) in ("none", "sorted", "blocked")
+        assert model.choose_layout(5, 4, 2) in ("none", "sorted")
 
     def test_choice_to_dict_is_jsonable(self):
         choice = self._model().choose(1000, 5000, 8)
         json.dumps(choice.to_dict())
+
+
+#: (n, E, K) from toy graphs up to the friendster-sized Table I row.
+SHAPES = [
+    (64, 256, 2),
+    (2_048, 8_192, 8),
+    (65_536, 1_048_576, 16),
+    (1_000_000, 10_000_000, 50),
+    (65_608_366, 1_806_067_135, 50),
+]
+
+
+class TestConfigurationSet:
+    """The model names only configurations that run: a registered backend
+    and a layout that plan compilation accepts."""
+
+    @pytest.mark.parametrize("config", sorted(DEFAULT_CALIBRATION["coefficients"]))
+    def test_default_rows_name_runnable_configs(self, config):
+        backend, _, layout = config.partition(":")
+        assert backend in list_backends()
+        assert layout in LAYOUTS
+        if layout != "none":
+            assert backend_capabilities(backend).supports_layout
+
+    def test_serial_configs_have_default_rows(self):
+        for backend, layout in SERIAL_CONFIGS:
+            assert f"{backend}:{layout}" in DEFAULT_CALIBRATION["coefficients"]
+
+    @pytest.mark.parametrize("mode", ["serial", "pooled", "chunked"])
+    @pytest.mark.parametrize("n,e,k", SHAPES)
+    def test_default_choice_is_runnable(self, n, e, k, mode):
+        model = CostModel.from_calibration(DEFAULT_CALIBRATION, source="default")
+        choice = model.choose(
+            n,
+            e,
+            k,
+            n_workers_available=1 if mode == "serial" else 8,
+            chunked=mode == "chunked",
+            chunk_edges=4096 if mode == "chunked" else None,
+        )
+        assert choice.backend in list_backends()
+        assert choice.layout in LAYOUTS
+        if mode == "chunked":
+            assert backend_capabilities(choice.backend).supports_chunked
+        options = {"n_shards": choice.n_shards} if choice.n_shards else {}
+        get_backend(choice.backend, **options)
+
+    @pytest.mark.parametrize(
+        "removed", ["vectorized:blocked", "native:sorted", "native:blocked"]
+    )
+    def test_schema1_row_of_a_removed_config_is_never_chosen(self, tune_dir, removed):
+        legacy = _synthetic_payload(schema=1)
+        legacy["coefficients"][removed] = {
+            "fixed_s": 0.0, "per_edge_s": 1e-12, "per_cell_s": 0.0,
+        }
+        save_calibration(legacy)
+        assert calibration_staleness(load_calibration()) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = get_cost_model()
+        assert model.source == "default"
+        choice = model.choose(100_000, 1_000_000, 50)
+        assert choice.config != removed
+        assert choice.layout in LAYOUTS
 
 
 class TestAutoBackend:
@@ -295,77 +376,7 @@ class TestAutoBackend:
         save_calibration(_synthetic_payload())
         edges, _ = seeded
         plan = Graph.coerce(edges).plan(4, layout="auto")
-        assert plan.layout in ("none", "sorted", "blocked")
-
-
-class TestNativeTierIntegration:
-    """The JIT tier's hooks into the cost model, staleness and the CLI."""
-
-    def _native_payload(self, **overrides):
-        payload = _synthetic_payload()
-        payload["coefficients"]["native:sorted"] = {
-            "fixed_s": 1e-5, "per_edge_s": 3e-9, "per_cell_s": 1e-9,
-        }
-        payload["coefficients"]["native:blocked"] = {
-            "fixed_s": 1e-5, "per_edge_s": 4e-9, "per_cell_s": 1e-9,
-        }
-        payload.update(overrides)
-        return payload
-
-    def test_native_presence_flip_is_stale(self, tune_dir):
-        from repro.native import native_available
-
-        matching = _synthetic_payload(native=native_available())
-        assert calibration_staleness(matching) is None
-        flipped = _synthetic_payload(native=not native_available())
-        reason = calibration_staleness(flipped)
-        assert reason is not None and "native tier" in reason
-
-    def test_legacy_payload_without_native_key(self, tune_dir):
-        """Pre-native cache files count as calibrated without the tier."""
-        from repro.native import native_available
-
-        reason = calibration_staleness(_synthetic_payload())
-        if native_available():
-            assert reason is not None and "native tier" in reason
-        else:
-            assert reason is None
-
-    def test_candidates_exclude_native_when_unavailable(self, monkeypatch):
-        from repro.native import availability
-
-        monkeypatch.setattr(
-            availability, "_PROBE", (False, "forced absent by test", None)
-        )
-        model = CostModel.from_calibration(self._native_payload())
-        choice = model.choose(1 << 16, 1 << 20, 50, n_workers_available=8)
-        assert all(not c.startswith("native") for c in choice.predictions)
-        assert choice.backend != "native"
-
-    def test_native_competes_when_available(self, monkeypatch):
-        from repro.native import availability
-
-        monkeypatch.setattr(
-            availability, "_PROBE", (True, "forced by test", "0.0-test")
-        )
-        model = CostModel.from_calibration(self._native_payload())
-        choice = model.choose(1 << 16, 1 << 20, 50, n_workers_available=8)
-        # The synthetic native coefficients undercut every other config by
-        # construction, so the choice must land on the JIT tier with the
-        # worker cap passed through for its prange pool.
-        assert choice.backend == "native" and choice.layout == "sorted"
-        assert choice.n_workers == 8
-
-    def test_native_single_worker_leaves_threads_default(self, monkeypatch):
-        from repro.native import availability
-
-        monkeypatch.setattr(
-            availability, "_PROBE", (True, "forced by test", "0.0-test")
-        )
-        model = CostModel.from_calibration(self._native_payload())
-        choice = model.choose(1 << 16, 1 << 20, 50, n_workers_available=1)
-        assert choice.backend == "native"
-        assert choice.n_workers is None
+        assert plan.layout in ("none", "sorted")
 
 
 class TestShowCLI:
@@ -378,7 +389,6 @@ class TestShowCLI:
         out = capsys.readouterr().out
         assert "calibration cache:" in out
         assert "[fresh]" in out
-        assert "native tier:" in out
         assert "vectorized:sorted" in out
         assert "choices at representative (n, E, K) points:" in out
         assert "predicted" in out  # the per-point ExecutionChoice rows
