@@ -20,7 +20,7 @@ ligra-vectorized   engine, flat NumPy slabs (alias: ``ligra``)   GEE-Ligra S
 ligra-threads      engine, degree-balanced threads + atomics     —
 ligra-processes    engine, forked workers + reduction            GEE-Ligra P
                    (alias: ``ligra-parallel``)
-parallel           owner-computes rows over shared memory        GEE-Ligra P
+parallel           owner-computes rows over the sorted incidence GEE-Ligra P
 ================== ============================================= ===========
 
 Every backend also implements the compiled-plan path
@@ -249,12 +249,18 @@ class LigraProcessesGEEBackend(_LigraGEEBackend):
 class ProcessParallelGEEBackend(GEEBackend):
     """The strong-scaling kernel: owner-computes rows, shared-memory output.
 
-    Deterministic despite being parallel — every embedding row is computed
-    start-to-finish by exactly one worker in a fixed traversal order.  The
-    chunked (out-of-core) path trades that row partition for per-worker
-    chunk slabs with private partials and one reduction, keeping the
-    bounded-memory guarantee on the edge side; it too is deterministic
-    (fixed slab assignment, fixed reduction order).
+    Every plan runs the sorted fused layout (a ``layout="none"`` plan
+    through its graph's cached sorted plan), one degree-balanced row range
+    per worker on the one owner-range executor
+    (:func:`~repro.core.gee_parallel.run_owner_ranges`).  Deterministic
+    despite being parallel — every embedding row is computed start-to-finish
+    by exactly one worker in a fixed traversal order, so any worker count
+    gives bitwise the serial sorted pass.  ``embed`` returns a fresh array;
+    ``embed_with_plan`` views the plan's reused output buffer.  The chunked
+    (out-of-core) path trades that row partition for per-worker chunk slabs
+    with private partials and one reduction, keeping the bounded-memory
+    guarantee on the edge side; it too is deterministic (fixed slab
+    assignment, fixed reduction order).
     """
 
     def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):

@@ -190,9 +190,15 @@ class GEEBackend:
             raise ValueError(
                 f"backend {type(self).name!r} does not support weighted graphs"
             )
-        return self._run_observed(
-            "embed", lambda: self._embed(g, labels, n_classes), n_edges=g.n_edges
-        )
+        try:
+            return self._run_observed(
+                "embed", lambda: self._embed(g, labels, n_classes), n_edges=g.n_edges
+            )
+        finally:
+            if g is not graph:
+                # The facade is private to this call: release what the
+                # backend cached on it (a pooled plan's shared memory) now.
+                g.drop_plans()
 
     __call__ = embed
 

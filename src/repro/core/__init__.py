@@ -1,6 +1,6 @@
 """GEE core: the paper's contribution (four implementations + variants)."""
 
-from .api import METHODS, GraphEncoderEmbedding
+from .api import GraphEncoderEmbedding
 from .gee_ligra import UpdateEmbedding, gee_ligra, gee_ligra_with_plan
 from .gee_parallel import gee_parallel, gee_parallel_chunked, gee_parallel_with_plan
 from .gee_python import gee_python, gee_python_with_plan
@@ -33,7 +33,6 @@ from .validation import (
 
 __all__ = [
     "GraphEncoderEmbedding",
-    "METHODS",
     "EmbeddingResult",
     "EmbedPlan",
     "ChunkedPlan",

@@ -25,9 +25,6 @@ scenarios the batch algorithm doesn't cover:
   embedding after streaming the whole edge set equals a full-batch ``fit``
   up to floating-point summation order.
 
-The legacy ``METHODS`` mapping is kept as a deprecation shim; new code
-should use :func:`repro.backends.get_backend` / ``list_backends``.
-
 Examples
 --------
 >>> from repro.graph import planted_partition
@@ -42,17 +39,13 @@ Examples
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from ..backends import GEEBackend, get_backend, list_backends, resolve_backend_name
 from ..graph.facade import Graph, GraphLike, as_edgelist
-from .gee_ligra import gee_ligra
-from .gee_parallel import gee_parallel
-from .gee_python import gee_python
-from .gee_vectorized import accumulate_edges_vectorized, gee_vectorized
+from .gee_vectorized import accumulate_edges_vectorized
 from .refinement import gee_unsupervised
 from .result import EmbeddingResult
 from .validation import (
@@ -63,39 +56,7 @@ from .validation import (
 )
 from .projection import projection_from_scales, projection_scales
 
-__all__ = ["GraphEncoderEmbedding", "METHODS"]
-
-
-class _DeprecatedMethods(dict):
-    """Legacy ``METHODS`` mapping, kept so old call sites keep working.
-
-    Indexing emits a :class:`DeprecationWarning` pointing at the backend
-    registry, which is the supported extension point.
-    """
-
-    def __getitem__(self, key):
-        warnings.warn(
-            "repro.core.api.METHODS is deprecated; use "
-            "repro.backends.get_backend(name) / list_backends() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return super().__getitem__(key)
-
-
-#: Deprecated mapping from legacy method name to a functional implementation.
-#: Kept for backward compatibility only — the estimator resolves methods
-#: through :mod:`repro.backends` and never consults this mapping.
-METHODS: Dict[str, Callable[..., EmbeddingResult]] = _DeprecatedMethods(
-    {
-        "python": gee_python,
-        "vectorized": gee_vectorized,
-        "ligra": gee_ligra,
-        "ligra-serial": lambda e, y, k=None, **kw: gee_ligra(e, y, k, backend="serial", **kw),
-        "ligra-parallel": lambda e, y, k=None, **kw: gee_ligra(e, y, k, backend="processes", **kw),
-        "parallel": gee_parallel,
-    }
-)
+__all__ = ["GraphEncoderEmbedding"]
 
 
 class GraphEncoderEmbedding:
@@ -122,7 +83,8 @@ class GraphEncoderEmbedding:
         rows returned by :meth:`transform`).
     layout:
         Memory layout for the compiled embed plan: ``None`` (the default —
-        layout-preserving, byte-identical to historical behaviour),
+        layout-preserving; ``parallel`` still runs the sorted kernel, which
+        matches its earlier arrival-order output to 1e-10, not bitwise),
         ``"sorted"`` (the locality-optimized fused kernel on
         ``supports_layout`` backends), or ``"auto"`` (the calibrated cost
         model picks; see :mod:`repro.tune`).  With ``method="auto"``, the

@@ -12,30 +12,37 @@ Parallelisation strategy
 Ligra's ``edgeMapDense`` iterates over *destination* vertices and their
 in-edges, which makes every embedding row single-writer; the atomics only
 guard the much rarer source-row updates.  The kernel here takes that idea
-to its limit with an **owner-computes row partition**:
+to its limit with an **owner-computes row partition** over the plan's
+owner-sorted incidence (:class:`~repro.core.plan.FusedLayout`, where every
+edge appears twice, once per endpoint as owner):
 
 * the embedding rows (vertices) are split into ``p`` ranges balanced by
   total (in + out) degree;
-* worker ``j`` computes *all* contributions that land in its row range —
-  the out-edge contributions ``Z[u, Y[v]]`` for its ``u`` range (read from
-  the CSR out-adjacency) and the in-edge contributions ``Z[v, Y[u]]`` for
-  its ``v`` range (read from the CSC in-adjacency);
-* each worker writes its block of the shared-memory ``Z`` directly.
+* worker ``j`` finds the incidences its rows own with two binary searches,
+  runs the block-local segment sums
+  (:func:`~repro.core.gee_vectorized.accumulate_fused_rows_sorted`) into
+  its rows of the shared-memory ``Z`` and rescales those rows by
+  ``diag(1/n_c)``.
 
 No two workers ever write the same row, so there are no atomics, no locks
 and no reduction — the CPython substitute for Ligra's lock-free writeAdd
 that preserves the edge-parallel structure (every edge is still visited
 exactly twice, once per endpoint) while sidestepping the GIL entirely.
+Each output slot sums its incidences in array order whatever the split,
+so every worker count reproduces the serial sorted pass bit for bit.
+:func:`run_owner_ranges` is the one executor of such row ranges: the
+``parallel`` backend hands it one range per worker, and
+:class:`~repro.shard.ShardedGraph` hands it its shards.
 
 Worker management mirrors how Ligra treats its thread pool: the workers are
 a long-lived resource created once per session (``fork`` is two orders of
 magnitude more expensive than dispatching a task to an already-forked
 worker in this environment), and each embedding call only dispatches row
 ranges to them.  All inputs and the output travel through named POSIX
-shared memory; the shared copy of the adjacency is cached between calls on
-the same graph, so repeated runs (benchmark repeats, worker sweeps) pay the
-one-time copy only once — the analogue of Ligra having loaded the graph
-before the timed region starts.
+shared memory; the incidence arrays are shipped once per plan, so
+repeated runs (benchmark repeats, worker sweeps) send only the label
+vector and the ``1/n_c`` column scales — the analogue of Ligra having
+loaded the graph before the timed region starts.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from __future__ import annotations
 import atexit
 import time
 import weakref
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,16 +70,25 @@ from ..parallel.shm import SharedArrayHandle, SharedArraySet, attach_many
 from .gee_vectorized import scatter_add
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
-from .validation import UNKNOWN_LABEL, validate_edges, validate_labels
+from .validation import (
+    UNKNOWN_LABEL,
+    class_counts,
+    inverse_class_counts,
+    validate_edges,
+    validate_labels,
+)
 
 __all__ = [
     "gee_parallel",
     "gee_parallel_with_plan",
     "gee_parallel_chunked",
-    "owner_rows_accumulate",
     "patch_sums_parallel",
+    "run_owner_ranges",
     "shutdown_workers",
 ]
+
+#: One owner range: rows ``[row_lo, row_hi)`` and the label its failure names.
+OwnerRange = Tuple[int, int, str]
 
 
 @hot_path(reason="parallel O(Δ) incremental patch kernel")
@@ -133,73 +149,12 @@ def patch_sums_parallel(
     scatter_add(S_flat, flat, contrib)
 
 
-@hot_path(reason="owner-computes row kernel run by every forked worker")
-def owner_rows_accumulate(
-    row_lo: int,
-    row_hi: int,
-    out_indptr: np.ndarray,
-    out_indices: np.ndarray,
-    out_weights: np.ndarray,
-    in_indptr: np.ndarray,
-    in_indices: np.ndarray,
-    in_weights: np.ndarray,
-    labels: np.ndarray,
-    scales: np.ndarray,
-    n_classes: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Compute the embedding rows ``row_lo:row_hi`` from scratch.
-
-    Combines the out-edge contributions (``Z[u, Y[v]] += scale[v]·w`` for
-    ``u`` in the row range) and the in-edge contributions
-    (``Z[v, Y[u]] += scale[u]·w`` for ``v`` in the row range) of every edge
-    incident to the range.  Returns the dense ``(row_hi-row_lo, K)`` block.
-    ``out`` may supply a reusable flat ``(n_rows*K,)`` buffer (zeroed here).
-    """
-    n_rows = row_hi - row_lo
-    if out is None:
-        # repro: ignore[hot-path-alloc] per-worker private row block; callers pass out= to reuse it
-        block = np.zeros(n_rows * n_classes, dtype=np.float64)
-    else:
-        block = out
-        block.fill(0.0)
-    if n_rows <= 0:
-        return block.reshape(0, n_classes)
-
-    # Out-edges of the owned rows: source row gets the destination's class.
-    lo, hi = int(out_indptr[row_lo]), int(out_indptr[row_hi])
-    if hi > lo:
-        dst = out_indices[lo:hi]
-        w = out_weights[lo:hi]
-        deg = np.diff(out_indptr[row_lo : row_hi + 1])
-        src_local = np.repeat(np.arange(n_rows, dtype=np.int64), deg)
-        y_dst = labels[dst]
-        known = y_dst != UNKNOWN_LABEL
-        if np.any(known):
-            flat = src_local[known] * n_classes + y_dst[known]
-            scatter_add(block, flat, scales[dst[known]] * w[known])
-
-    # In-edges of the owned rows: destination row gets the source's class.
-    lo, hi = int(in_indptr[row_lo]), int(in_indptr[row_hi])
-    if hi > lo:
-        src = in_indices[lo:hi]
-        w = in_weights[lo:hi]
-        deg = np.diff(in_indptr[row_lo : row_hi + 1])
-        dst_local = np.repeat(np.arange(n_rows, dtype=np.int64), deg)
-        y_src = labels[src]
-        known = y_src != UNKNOWN_LABEL
-        if np.any(known):
-            flat = dst_local[known] * n_classes + y_src[known]
-            scatter_add(block, flat, scales[src[known]] * w[known])
-    return block.reshape(n_rows, n_classes)
-
-
 #: Worker-process cache of shared-memory attachments, keyed by segment name.
-#: Re-mapping (and therefore re-faulting) hundreds of megabytes of adjacency
-#: on every task would dominate the runtime in this sandbox, so each worker
-#: attaches a given segment once and keeps the mapping warm; the cache is
-#: LRU-bounded so segments of evicted plans/graphs (whose parent-side
-#: finalizers already unlinked them) don't pin O(E) pages per plan forever.
+#: Re-mapping (and therefore re-faulting) hundreds of megabytes of incidence
+#: on every task would dominate the runtime, so each worker attaches a
+#: given segment once and keeps the mapping warm; the cache is LRU-bounded
+#: so segments of evicted plans (whose parent-side finalizers already
+#: unlinked them) don't pin O(E) pages per plan forever.
 _WORKER_ATTACHMENTS: Dict[str, tuple] = {}
 
 #: Mappings kept per worker.  Generous relative to one call's segment count
@@ -235,37 +190,8 @@ def _attach_cached(handles: Dict[str, SharedArrayHandle]) -> Dict[str, np.ndarra
     return views
 
 
-def _pool_task(
-    _context: dict,
-    handles: Dict[str, SharedArrayHandle],
-    row_lo: int,
-    row_hi: int,
-    n_classes: int,
-) -> None:
-    """Worker task: fill the owned row block of the shared embedding.
-
-    Runs inside a long-lived pool worker; all arrays are reached through the
-    shared-memory handles, so the task payload is a few hundred bytes.
-    """
-    views = _attach_cached(handles)
-    block = owner_rows_accumulate(
-        row_lo,
-        row_hi,
-        views["out_indptr"],
-        views["out_indices"],
-        views["out_weights"],
-        views["in_indptr"],
-        views["in_indices"],
-        views["in_weights"],
-        views["labels"],
-        views["scales"],
-        n_classes,
-    )
-    views["Z"][row_lo:row_hi, :] = block
-
-
 # --------------------------------------------------------------------------- #
-# Long-lived worker pool and shared-graph cache
+# Long-lived worker pool, shared fused layouts and workspace
 # --------------------------------------------------------------------------- #
 _POOL: Optional[ForkWorkerPool] = None
 
@@ -288,7 +214,7 @@ def _get_pool(n_workers: Optional[int] = None) -> ForkWorkerPool:
 
 
 def shutdown_workers() -> None:
-    """Terminate the session's GEE worker pool and drop the graph cache.
+    """Terminate the session's GEE worker pool and its shared memory.
 
     Mostly useful in tests and at interpreter shutdown; a subsequent
     :func:`gee_parallel` call transparently recreates the pool.
@@ -297,9 +223,6 @@ def shutdown_workers() -> None:
     if _POOL is not None:
         _POOL.close()
         _POOL = None
-    for entry in list(_GRAPH_CACHE.values()):
-        entry.close()
-    _GRAPH_CACHE.clear()
     for entry in list(_FUSED_CACHE.values()):
         entry.close()
     _FUSED_CACHE.clear()
@@ -309,42 +232,6 @@ def shutdown_workers() -> None:
 
 
 atexit.register(shutdown_workers)
-
-
-class _SharedGraph:
-    """Shared-memory copy of one graph's adjacency arrays."""
-
-    def __init__(self, csr: CSRGraph) -> None:
-        with trace("shm.ship", what="graph", n_edges=csr.n_edges):
-            self.shm = SharedArraySet()
-            self.shm.share("out_indptr", csr.indptr)
-            self.shm.share("out_indices", csr.indices)
-            self.shm.share("out_weights", csr.weights)
-            self.shm.share("in_indptr", csr.in_indptr)
-            self.shm.share("in_indices", csr.in_indices)
-            self.shm.share("in_weights", csr.in_weights)
-            self.handles = self.shm.handles()
-
-    def close(self) -> None:
-        self.shm.close()
-
-
-#: Cache of shared-memory graphs keyed by the id() of the CSRGraph; entries
-#: are dropped automatically when the CSRGraph is garbage collected.
-_GRAPH_CACHE: Dict[int, _SharedGraph] = {}
-
-
-def evict_shared_graph(csr: CSRGraph) -> None:
-    """Drop the shared-memory copy of ``csr``'s adjacency, if one exists.
-
-    Needed when a long-lived CSR is mutated in place
-    (``Graph.invalidate_cache`` calls this): the cache is keyed by object
-    identity, so without eviction the fork workers would keep reading the
-    pre-mutation shared copy.
-    """
-    stale = _GRAPH_CACHE.pop(id(csr), None)
-    if stale is not None:
-        stale.close()
 
 
 class _SharedFused:
@@ -386,61 +273,20 @@ def _shared_fused_for(fused) -> _SharedFused:
     return entry
 
 
-def _fused_pool_task(
-    _context: dict,
-    handles: Dict[str, SharedArrayHandle],
-    row_lo: int,
-    row_hi: int,
-    n_classes: int,
-    rows_per_block: int,
-    fully_labelled: bool,
-) -> None:
-    """Worker task for the fused (sorted-layout) path: fill owned rows.
-
-    Locates its row range in the shared sorted incidence arrays with two
-    binary searches, runs the block-local segment sums into its slice of
-    the shared ``Z``, and applies the per-column ``1/n_c`` rescale (written
-    once by the parent into the shared ``inv`` vector) to its own rows — no
-    two tasks ever write the same row, and the O(nK) rescale multiply runs
-    inside the row partition instead of serially in the parent.
-    """
-    from .gee_vectorized import accumulate_fused_rows_sorted
-
-    views = _attach_cached(handles)
-    labels = views["labels"]
-    owner_flat = views["f_owner_flat"]
-    y_idx = labels.astype(owner_flat.dtype, copy=False)
-    Z = views["Z"]
-    accumulate_fused_rows_sorted(
-        Z.reshape(-1),
-        owner_flat,
-        views["f_partner"],
-        views.get("f_weights"),
-        y_idx,
-        n_classes,
-        rows_per_block,
-        row_lo,
-        row_hi,
-        fully_labelled=fully_labelled,
-    )
-    Z[row_lo:row_hi] *= views["inv"][None, :]
-
-
 class _Workspace:
-    """Reusable per-call shared buffers (labels, scales, embedding output).
+    """Reusable per-call shared buffers (labels, column scales, embedding).
 
     Reusing the same named segments across calls lets the pool workers keep
-    their mappings warm (see ``_WORKER_ATTACHMENTS``); only the small label
-    and scale vectors are rewritten per call.
+    their mappings warm (see ``_WORKER_ATTACHMENTS``); only the label and
+    column-scale vectors are rewritten per call.
     """
 
     def __init__(self, n: int, k: int) -> None:
         self.n, self.k = n, k
         self.shm = SharedArraySet()
         self.labels = self.shm.empty("labels", (n,), np.int64)
-        self.scales = self.shm.empty("scales", (n,), np.float64)
-        #: Per-column ``1/n_c`` rescale vector for the fused path (written
-        #: once per call by the parent; workers multiply their row slices).
+        #: Per-column ``1/n_c`` rescale vector (written once per call by
+        #: the parent; each task multiplies its own rows).
         self.inv = self.shm.empty("inv", (k,), np.float64)
         self.Z = self.shm.empty("Z", (n, k), np.float64)
         self.handles = self.shm.handles()
@@ -461,43 +307,194 @@ def _workspace_for(n: int, k: int) -> _Workspace:
     return _WORKSPACE
 
 
-def _shared_graph_for(csr: CSRGraph) -> _SharedGraph:
-    key = id(csr)
-    cached = _GRAPH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    entry = _SharedGraph(csr)
-    _GRAPH_CACHE[key] = entry
+# --------------------------------------------------------------------------- #
+# The owner-range executor
+# --------------------------------------------------------------------------- #
+def _accumulate_ranges(
+    Z: np.ndarray,
+    owner_flat: np.ndarray,
+    partner: np.ndarray,
+    weights: Optional[np.ndarray],
+    y_idx: np.ndarray,
+    inv: np.ndarray,
+    rows_per_block: int,
+    ranges: Sequence[OwnerRange],
+    fully_labelled: bool,
+) -> None:
+    """Fill the rows of each ``(row_lo, row_hi, label)`` range and rescale them.
 
-    def _evict(_ref, key=key) -> None:
-        stale = _GRAPH_CACHE.pop(key, None)
-        if stale is not None:
-            stale.close()
+    The one loop of the executor, run in-process and by every pool task.
+    The sorted kernel assigns every slot of a range's rows, so ``Z`` (a
+    C-contiguous ``(n, K)`` array) needs no zeroing; each range's rows are
+    then multiplied by the column scales ``inv``.  A failing range raises a
+    :class:`RuntimeError` naming its label.
+    """
+    # Looked up per call: this is the one place the executor reaches the
+    # kernel, in the parent and in every forked worker.
+    from .gee_vectorized import accumulate_fused_rows_sorted
 
-    weakref.finalize(csr, _evict, None)
-    return entry
+    k = Z.shape[1]
+    Z_flat = Z.reshape(-1)
+    for row_lo, row_hi, label in ranges:
+        try:
+            accumulate_fused_rows_sorted(
+                Z_flat,
+                owner_flat,
+                partner,
+                weights,
+                y_idx,
+                k,
+                rows_per_block,
+                row_lo,
+                row_hi,
+                fully_labelled=fully_labelled,
+            )
+            Z[row_lo:row_hi] *= inv[None, :]
+        except Exception as exc:
+            raise RuntimeError(f"{label} failed: {exc}") from exc
 
 
-def balanced_ranges_from_work(work: np.ndarray, n_parts: int) -> list:
-    """Split ``len(work)`` rows into ranges with near-equal total work."""
-    n = work.size
-    cum = np.concatenate([[0], np.cumsum(work)])
-    total = cum[-1]
-    if total == 0:
-        return block_ranges(n, n_parts)
-    targets = np.linspace(0, total, n_parts + 1)
-    cuts = np.searchsorted(cum, targets, side="left")
-    cuts[0], cuts[-1] = 0, n
-    cuts = np.maximum.accumulate(np.clip(cuts, 0, n))
-    return [(int(cuts[i]), int(cuts[i + 1])) for i in range(n_parts)]
+def _owner_ranges_task(
+    _context: dict,
+    handles: Dict[str, SharedArrayHandle],
+    ranges: Tuple[OwnerRange, ...],
+    rows_per_block: int,
+    fully_labelled: bool,
+) -> None:
+    """Pool task: run one task's ranges over the shared layout and workspace.
+
+    All arrays are reached through the shared-memory handles, so the task
+    payload is a few hundred bytes.
+    """
+    views = _attach_cached(handles)
+    owner_flat = views["f_owner_flat"]
+    _accumulate_ranges(
+        views["Z"],
+        owner_flat,
+        views["f_partner"],
+        views.get("f_weights"),
+        views["labels"].astype(owner_flat.dtype, copy=False),
+        views["inv"],
+        rows_per_block,
+        ranges,
+        fully_labelled,
+    )
 
 
-def _balanced_row_ranges(
-    out_indptr: np.ndarray, in_indptr: np.ndarray, n_parts: int
-) -> list:
-    """Split vertices into ranges with near-equal total (in+out) edge work."""
-    work = out_indptr[1:] - out_indptr[:-1] + in_indptr[1:] - in_indptr[:-1]
-    return balanced_ranges_from_work(work, n_parts)
+def run_owner_ranges(
+    fused,
+    y: np.ndarray,
+    inv: np.ndarray,
+    tasks: Sequence[Sequence[OwnerRange]],
+    out: np.ndarray,
+    *,
+    backend: str,
+) -> None:
+    """Write rows of ``out`` from a sorted fused layout, task by task.
+
+    The one owner-range executor behind ``parallel`` and ``sharded``.
+    ``tasks`` is a list of tasks, each a sequence of
+    ``(row_lo, row_hi, label)`` ranges; together the ranges must cover
+    ``[0, n)`` exactly once.  Every slot of a range's rows is assigned
+    (``out`` need not be zeroed) and rescaled by the column scales ``inv``.
+    A single task runs in this process; several run as one pool task each
+    on the session pool, over the plan's shared fused layout and the shared
+    workspace, and the result is copied into ``out``.  So a caller bounds
+    concurrency by its task count, whatever the pool size.  A failing range
+    raises an error naming its label, in-process or from a worker.
+    """
+    fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
+    if len(tasks) == 1:
+        _accumulate_ranges(
+            out,
+            fused.owner_flat,
+            fused.partner,
+            fused.weights,
+            y.astype(fused.index_dtype, copy=False),
+            inv,
+            fused.rows_per_block,
+            tasks[0],
+            fully,
+        )
+        return
+    shared_fused = _shared_fused_for(fused)
+    pool = _get_pool(len(tasks))
+    workspace = _workspace_for(*out.shape)
+    workspace.labels[:] = y
+    workspace.inv[:] = inv
+    handles = dict(shared_fused.handles)
+    handles.update(workspace.handles)
+    with trace("parallel.dispatch", backend=backend, n_tasks=len(tasks)):
+        pool.map(
+            _owner_ranges_task,
+            [(handles, tuple(task), fused.rows_per_block, fully) for task in tasks],
+            labels=[", ".join(label for _, _, label in task) for task in tasks],
+        )
+    np.copyto(out, workspace.Z)
+
+
+def _requested_workers(n_workers: Optional[int]) -> int:
+    """Resolve a worker request: honoured exactly, or an error."""
+    explicit = n_workers is not None and int(n_workers) > 0
+    requested = resolve_worker_count(n_workers)
+    if explicit and requested > 1 and not fork_available():
+        raise RuntimeError(
+            f"gee_parallel: n_workers={requested} requested but the 'fork' start "
+            "method is unavailable on this platform; pass n_workers=1 (or None "
+            "for the automatic fallback)"
+        )
+    return requested
+
+
+def _gee_parallel_sorted(
+    plan, labels: np.ndarray, n_workers: Optional[int], *, owned: bool
+) -> EmbeddingResult:
+    """``parallel`` on ``plan``: one degree-balanced owner range per worker.
+
+    Runs the sorted fused layout; a ``layout="none"`` plan uses its graph's
+    cached sorted plan.  ``owned=False`` writes the reused output buffer of
+    ``plan`` (the result views it); ``owned=True`` writes a fresh array.
+    """
+    y = plan.validate_labels(labels)
+    k = plan.n_classes
+    timings: Dict[str, float] = {}
+    t_pre = time.perf_counter()
+    if plan.layout != "sorted":
+        plan_sorted = plan.graph.plan(k, layout="sorted")
+    else:
+        plan_sorted = plan
+    fused = plan_sorted.fused  # compiled once, cached on the plan
+    timings["preprocess"] = time.perf_counter() - t_pre
+    requested = _requested_workers(n_workers)
+
+    t0 = time.perf_counter()
+    inv = inverse_class_counts(class_counts(y, k))
+    t1 = time.perf_counter()
+    timings["projection"] = t1 - t0
+
+    workers = requested if fork_available() and plan.n_edges > 0 else 1
+    tasks = [
+        ((row_lo, row_hi, f"backend=parallel rows[{row_lo}:{row_hi}]"),)
+        for row_lo, row_hi in plan_sorted.fused_row_ranges(workers)
+    ]
+    n = plan.n_vertices
+    Z = np.empty((n, k), dtype=np.float64) if owned else plan.output_matrix()
+    run_owner_ranges(fused, y, inv, tasks, Z, backend="parallel")
+    t2 = time.perf_counter()
+    timings["edge_pass"] = t2 - t1
+    timings["total"] = t2 - t0
+
+    return EmbeddingResult(
+        embedding=Z,
+        projection_builder=lambda: projection_from_scales(
+            y, projection_scales(y, k), k
+        ),
+        timings=timings,
+        method="gee-parallel",
+        n_workers=workers,
+        buffer_view=not owned,
+        layout="sorted",
+    )
 
 
 def gee_parallel(
@@ -514,10 +511,10 @@ def gee_parallel(
     edges:
         The graph as a :class:`~repro.graph.facade.Graph`, an
         :class:`EdgeList`, a prebuilt :class:`CSRGraph`, or any other
-        graph-like input (coerced through :meth:`Graph.coerce`).  Adjacency
-        construction (the equivalent of Ligra loading its graph) is reported
-        separately under the ``"preprocess"`` timing and is not part of the
-        embedding time; passing a ``Graph`` reuses its cached CSR views.
+        graph-like input.  Compiling the sorted incidence (the equivalent
+        of Ligra loading its graph) is reported separately under the
+        ``"preprocess"`` timing and is not part of the embedding time;
+        passing a ``Graph`` reuses its cached sorted plan.
     labels, n_classes:
         As in :func:`repro.core.gee_python.gee_python`.
     n_workers:
@@ -527,126 +524,25 @@ def gee_parallel(
         — it is never silently clamped or degraded; an impossible request
         (absurd oversubscription, or >1 workers on a platform without
         ``fork``) raises instead.
+
+    The returned embedding is a fresh array owned by the result.
     """
-    timings: Dict[str, float] = {}
     t_pre = time.perf_counter()
-    if isinstance(edges, Graph):
-        csr = edges.csr
-    elif isinstance(edges, CSRGraph):
-        csr = edges
-    else:
-        edges = validate_edges(edges)
-        csr = edges.to_csr()
-    n = csr.n_vertices
-    # Force construction of the in-adjacency before timing the edge pass.
-    in_indptr = csr.in_indptr
-    in_indices = csr.in_indices
-    in_weights = csr.in_weights
-    timings["preprocess"] = time.perf_counter() - t_pre
-
-    y, k = validate_labels(labels, n, n_classes)
-    explicit = n_workers is not None and int(n_workers) > 0
-    requested = resolve_worker_count(n_workers)
-    if explicit and requested > 1 and not fork_available():
-        raise RuntimeError(
-            f"gee_parallel: n_workers={requested} requested but the 'fork' start "
-            "method is unavailable on this platform; pass n_workers=1 (or None "
-            "for the automatic fallback)"
-        )
-
-    t0 = time.perf_counter()
-    # Algorithm 2 lines 3-6, in the compact per-vertex form: the scales are
-    # O(n) to build and the dense W follows with one vectorised assignment.
-    scales = projection_scales(y, k)
-    W = projection_from_scales(y, scales, k)
-    t1 = time.perf_counter()
-    timings["projection"] = t1 - t0
-
-    if requested == 1 or not fork_available() or csr.n_edges == 0 or n == 0:
-        Z = owner_rows_accumulate(
-            0,
-            n,
-            csr.indptr,
-            csr.indices,
-            csr.weights,
-            in_indptr,
-            in_indices,
-            in_weights,
-            y,
-            scales,
-            k,
-        )
-        t2 = time.perf_counter()
-        timings["edge_pass"] = t2 - t1
-        timings["total"] = t2 - t0
-        return EmbeddingResult(
-            embedding=Z, projection=W, timings=timings, method="gee-parallel", n_workers=1
-        )
-
-    ranges = _balanced_row_ranges(csr.indptr, in_indptr, requested)
-    # Shared-memory plumbing: the adjacency copy is cached per graph (graph
-    # loading, reported as preprocess); labels/scales/Z are per call.
-    t_share = time.perf_counter()
-    shared_graph = _shared_graph_for(csr)
-    pool = _get_pool(requested)
-    timings["preprocess"] += time.perf_counter() - t_share
-
-    workspace, handles = _prepare_workspace(csr, shared_graph, y, scales, k)
-
-    t_edge = time.perf_counter()
-    Z = _run_ranges(pool, handles, ranges, k, workspace, out=None)
-    t2 = time.perf_counter()
-    timings["edge_pass"] = t2 - t_edge
-    timings["total"] = t2 - t0
-
-    return EmbeddingResult(
-        embedding=Z, projection=W, timings=timings, method="gee-parallel", n_workers=requested
-    )
-
-
-def _prepare_workspace(
-    csr: CSRGraph,
-    shared_graph: "_SharedGraph",
-    y: np.ndarray,
-    scales: np.ndarray,
-    k: int,
-):
-    """Stage one call's inputs in shared memory (outside the timed region).
-
-    Only the label and scale vectors are rewritten per call — the adjacency
-    arrays were shipped once when the shared graph was first cached.
-    Returns ``(workspace, handles)`` for :func:`_run_ranges`.
-    """
-    workspace = _workspace_for(csr.n_vertices, k)
-    workspace.labels[:] = y
-    workspace.scales[:] = scales
-    handles = dict(shared_graph.handles)
-    handles.update(workspace.handles)
-    return workspace, handles
-
-
-def _run_ranges(
-    pool: ForkWorkerPool,
-    handles: Dict[str, SharedArrayHandle],
-    ranges: list,
-    k: int,
-    workspace: "_Workspace",
-    out: Optional[np.ndarray],
-) -> np.ndarray:
-    """The timed edge pass: dispatch row ranges and collect ``Z``."""
-    with trace("parallel.dispatch", backend="parallel", n_tasks=len(ranges)):
-        pool.map(
-            _pool_task,
-            [(handles, row_lo, row_hi, k) for row_lo, row_hi in ranges],
-            labels=[
-                f"backend=parallel rows[{row_lo}:{row_hi}]"
-                for row_lo, row_hi in ranges
-            ],
-        )
-    if out is None:
-        return np.array(workspace.Z, dtype=np.float64, copy=True)
-    np.copyto(out, workspace.Z)
-    return out
+    graph = edges if isinstance(edges, Graph) else Graph(validate_edges(edges))
+    try:
+        y, k = validate_labels(labels, graph.n_vertices, n_classes)
+        plan = graph.plan(k, layout="sorted")
+        plan.fused  # compile the sorted incidence inside "preprocess"
+        preprocess = time.perf_counter() - t_pre
+        result = _gee_parallel_sorted(plan, y, n_workers, owned=True)
+    finally:
+        if graph is not edges:
+            # A private facade and its plans reference each other: drop
+            # them now, or the plan's shared-memory layout outlives the
+            # call until the cyclic GC runs.
+            graph.drop_plans()
+    result.timings["preprocess"] += preprocess
+    return result
 
 
 def _chunked_pool_task(
@@ -737,15 +633,7 @@ def gee_parallel_chunked(
     k = plan.n_classes
     n = plan.n_vertices
     timings: Dict[str, float] = {}
-
-    explicit = n_workers is not None and int(n_workers) > 0
-    requested = resolve_worker_count(n_workers)
-    if explicit and requested > 1 and not fork_available():
-        raise RuntimeError(
-            f"gee_parallel: n_workers={requested} requested but the 'fork' start "
-            "method is unavailable on this platform; pass n_workers=1 (or None "
-            "for the automatic fallback)"
-        )
+    requested = _requested_workers(n_workers)
 
     t0 = time.perf_counter()
     scales = projection_scales(y, k)
@@ -839,114 +727,6 @@ def gee_parallel_chunked(
     )
 
 
-def _gee_parallel_fused(
-    plan,
-    labels: np.ndarray,
-    *,
-    n_workers: Optional[int] = None,
-) -> EmbeddingResult:
-    """Owner-computes parallel GEE over a plan's sorted fused layout.
-
-    Same owner-computes guarantees as the classic path (every row
-    single-writer, deterministic, no atomics), but the workers read the
-    plan's sorted incidence arrays instead of CSR/CSC adjacency: each
-    locates its degree-balanced row range with two binary searches and runs
-    the block-local segment-sum kernel into its slice of the shared output,
-    then rescales its own rows by ``diag(1/n_c)``.  Only the label vector
-    travels per call; the incidence arrays ship through shared memory once
-    per plan.
-    """
-    from .gee_vectorized import accumulate_fused_rows_sorted, class_rescale
-
-    y = plan.validate_labels(labels)
-    k = plan.n_classes
-    n = plan.n_vertices
-    timings: Dict[str, float] = {}
-
-    t_pre = time.perf_counter()
-    fused = plan.fused  # compiled once, cached on the plan
-    timings["preprocess"] = time.perf_counter() - t_pre
-
-    explicit = n_workers is not None and int(n_workers) > 0
-    requested = resolve_worker_count(n_workers)
-    if explicit and requested > 1 and not fork_available():
-        raise RuntimeError(
-            f"gee_parallel: n_workers={requested} requested but the 'fork' start "
-            "method is unavailable on this platform; pass n_workers=1 (or None "
-            "for the automatic fallback)"
-        )
-
-    t0 = time.perf_counter()
-    fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
-    y_idx = y.astype(fused.index_dtype, copy=False)
-    t1 = time.perf_counter()
-    timings["projection"] = t1 - t0
-
-    if requested == 1 or not fork_available() or plan.n_edges == 0:
-        t_edge = time.perf_counter()
-        Z = plan.output_matrix()
-        accumulate_fused_rows_sorted(
-            Z.reshape(-1),
-            fused.owner_flat,
-            fused.partner,
-            fused.weights,
-            y_idx,
-            k,
-            fused.rows_per_block,
-            0,
-            n,
-            fully_labelled=fully,
-        )
-        class_rescale(Z, y, k)
-        workers = 1
-    else:
-        from .validation import class_counts, inverse_class_counts
-
-        ranges = plan.fused_row_ranges(requested)
-        t_share = time.perf_counter()
-        shared_fused = _shared_fused_for(fused)
-        pool = _get_pool(requested)
-        workspace = _workspace_for(n, k)
-        workspace.labels[:] = y
-        workspace.inv[:] = inverse_class_counts(class_counts(y, k))
-        handles = dict(shared_fused.handles)
-        handles.update(workspace.handles)
-        timings["preprocess"] += time.perf_counter() - t_share
-        t_edge = time.perf_counter()
-        with trace(
-            "parallel.dispatch", backend="parallel-fused", n_tasks=len(ranges)
-        ):
-            pool.map(
-                _fused_pool_task,
-                [
-                    (handles, row_lo, row_hi, k, fused.rows_per_block, fully)
-                    for row_lo, row_hi in ranges
-                ],
-                labels=[
-                    f"backend=parallel-fused rows[{row_lo}:{row_hi}]"
-                    for row_lo, row_hi in ranges
-                ],
-            )
-        Z = plan.output_matrix()
-        np.copyto(Z, workspace.Z)
-        workers = requested
-    t2 = time.perf_counter()
-    timings["edge_pass"] = t2 - t_edge
-    timings["total"] = t2 - t0
-
-    return EmbeddingResult(
-        embedding=Z,
-        projection_builder=lambda: projection_from_scales(
-            y, projection_scales(y, k), k
-        ),
-        timings=timings,
-        method="gee-parallel",
-        n_workers=workers,
-        buffer_view=True,
-        layout=plan.layout,
-    )
-
-
 def gee_parallel_with_plan(
     plan,
     labels: np.ndarray,
@@ -955,85 +735,12 @@ def gee_parallel_with_plan(
 ) -> EmbeddingResult:
     """Process-parallel GEE on a compiled :class:`~repro.core.plan.EmbedPlan`.
 
-    The plan's CSR/CSC views were forced at compilation and its
-    shared-memory copy is cached after the first call, so per call only the
-    label and scale vectors travel to the worker pool; the degree-balanced
-    row partition is cached on the plan per worker count (worker sweeps
-    partition once per count).  The returned embedding is a view of the
-    plan's reused output buffer.
-
-    Sorted-layout plans route to the fused segment-sum kernel over the
-    owner-computes worker partition (:func:`_gee_parallel_fused`).
+    Runs the owner-range executor over the plan's sorted fused layout; a
+    ``layout="none"`` plan uses its graph's cached sorted plan, and the
+    result reports ``layout == "sorted"`` either way.  The incidence
+    arrays ship to the pool once per plan and the degree-balanced row
+    partition is cached on the plan per worker count, so per call only the
+    label vector and the column scales travel.  The returned embedding is a
+    view of ``plan``'s reused output buffer.
     """
-    if plan.layout == "sorted":
-        return _gee_parallel_fused(plan, labels, n_workers=n_workers)
-    y = plan.validate_labels(labels)
-    k = plan.n_classes
-    n = plan.n_vertices
-    timings: Dict[str, float] = {}
-
-    # Materialise the plan's adjacency views (cached after the first call)
-    # before any timed region starts — same treatment as classic
-    # gee_parallel's "preprocess" phase.
-    t_pre = time.perf_counter()
-    csr = plan.csr
-    in_indptr = csr.in_indptr
-    timings["preprocess"] = time.perf_counter() - t_pre
-
-    explicit = n_workers is not None and int(n_workers) > 0
-    requested = resolve_worker_count(n_workers)
-    if explicit and requested > 1 and not fork_available():
-        raise RuntimeError(
-            f"gee_parallel: n_workers={requested} requested but the 'fork' start "
-            "method is unavailable on this platform; pass n_workers=1 (or None "
-            "for the automatic fallback)"
-        )
-
-    t0 = time.perf_counter()
-    scales = projection_scales(y, k)
-    t1 = time.perf_counter()
-    timings["projection"] = t1 - t0
-
-    if requested == 1 or not fork_available() or csr.n_edges == 0 or n == 0:
-        t_edge = time.perf_counter()
-        Z = owner_rows_accumulate(
-            0,
-            n,
-            csr.indptr,
-            csr.indices,
-            csr.weights,
-            in_indptr,
-            csr.in_indices,
-            csr.in_weights,
-            y,
-            scales,
-            k,
-            out=plan.zeroed_output(),
-        )
-        workers = 1
-    else:
-        ranges = plan.row_ranges(requested)
-        t_share = time.perf_counter()
-        shared_graph = _shared_graph_for(csr)
-        pool = _get_pool(requested)
-        timings["preprocess"] += time.perf_counter() - t_share
-        workspace, handles = _prepare_workspace(csr, shared_graph, y, scales, k)
-        t_edge = time.perf_counter()
-        Z = _run_ranges(pool, handles, ranges, k, workspace, out=plan.output_matrix())
-        workers = requested
-    t2 = time.perf_counter()
-    timings["edge_pass"] = t2 - t_edge
-    # Same semantics as classic gee_parallel: total spans projection start
-    # to edge-pass end, including the per-call O(n) label/scale staging
-    # (after the first call the shared graph and row ranges are cache hits,
-    # so the extra span over projection+edge_pass is the staging cost).
-    timings["total"] = t2 - t0
-
-    return EmbeddingResult(
-        embedding=Z,
-        projection_builder=lambda: projection_from_scales(y, scales, k),
-        timings=timings,
-        method="gee-parallel",
-        n_workers=workers,
-        buffer_view=True,
-    )
+    return _gee_parallel_sorted(plan, labels, n_workers, owned=False)

@@ -316,11 +316,12 @@ class EmbedPlan:
       never expand them;
     * the flat-index components ``src*K`` and ``dst*K`` the vectorised
       scatter kernels otherwise recompute per call;
+    * the owner-sorted :class:`FusedLayout` (``layout="sorted"`` plans);
+    * the total-degree vector and the per-worker-count row partitions of
+      the owner-range executor;
     * the CSR out-adjacency and CSC (reverse) in-adjacency views;
-    * unweighted out-/in-degree vectors (the degree scales used by row
-      partitioning);
     * the reusable flat ``(n*K,)`` output buffer;
-    * the scipy adjacency pair and the per-worker-count row partitions.
+    * the scipy adjacency pair.
 
     Do not construct directly — use :meth:`repro.graph.facade.Graph.plan`,
     which caches one plan per ``K`` and handles invalidation.
@@ -374,8 +375,6 @@ class EmbedPlan:
         self._total_degrees: Optional[np.ndarray] = None
         self._fused_row_ranges: Dict[int, List[Tuple[int, int]]] = {}
         self._Z_flat: Optional[np.ndarray] = None
-        self._in_degrees: Optional[np.ndarray] = None
-        self._row_ranges: Dict[int, List[Tuple[int, int]]] = {}
         self._scipy_adj = None
         self._scipy_adj_T = None
         #: Resource-free Ligra engines cached per engine-backend name (the
@@ -466,9 +465,9 @@ class EmbedPlan:
     def total_degrees(self) -> np.ndarray:
         """Unweighted total (in + out) degree per vertex, from the edge arrays.
 
-        Used by the fused parallel path's degree-balanced row partition —
-        unlike :attr:`in_degrees`/:attr:`out_degrees` it never forces the
-        CSR/CSC views, so layout plans stay adjacency-free.
+        The work per row of the owner-range executor (a self loop counts
+        twice, as it owns two incidences); it never forces the CSR/CSC
+        views, so layout plans stay adjacency-free.
         """
         if self._total_degrees is None:
             n = self.n_vertices
@@ -478,18 +477,27 @@ class EmbedPlan:
         return self._total_degrees
 
     def fused_row_ranges(self, n_parts: int) -> List[Tuple[int, int]]:
-        """Degree-balanced row ranges for the fused parallel path, cached."""
+        """Degree-balanced owner row ranges, one per part, cached per count.
+
+        The partition the ``parallel`` backend hands its workers: it
+        depends only on the degree profile, so a worker sweep over one plan
+        cuts each count once.  One part is the whole row range, which needs
+        no degree count.
+        """
         n_parts = int(n_parts)
         cached = self._fused_row_ranges.get(n_parts)
         if cached is None:
-            from .gee_parallel import balanced_ranges_from_work
+            if n_parts == 1:
+                cached = [(0, self.n_vertices)]
+            else:
+                from ..parallel.partition import balanced_ranges_from_work
 
-            cached = balanced_ranges_from_work(self.total_degrees, n_parts)
+                cached = balanced_ranges_from_work(self.total_degrees, n_parts)
             self._fused_row_ranges[n_parts] = cached
         return cached
 
     # ------------------------------------------------------------------ #
-    # Adjacency and degree views (cached on the shared Graph / CSRGraph)
+    # Adjacency views (cached on the shared Graph / CSRGraph)
     # ------------------------------------------------------------------ #
     @property
     def csr(self):
@@ -497,22 +505,10 @@ class EmbedPlan:
 
         Accessing :attr:`~repro.graph.csr.CSRGraph.in_indptr` on it builds
         the CSC (in-adjacency) triple, which the CSRGraph then caches — so
-        the parallel/Ligra/delta consumers pay that build at most once per
-        graph, and edge-array-only backends never pay it.
+        the Ligra/delta consumers pay that build at most once per graph,
+        and edge-array-only backends never pay it.
         """
         return self.graph.csr
-
-    @property
-    def out_degrees(self) -> np.ndarray:
-        """Unweighted out-degree of every vertex (cached on the graph)."""
-        return self.graph.out_degrees
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        """Unweighted in-degree of every vertex (cached)."""
-        if self._in_degrees is None:
-            self._in_degrees = self.csr.in_degrees()
-        return self._in_degrees
 
     # ------------------------------------------------------------------ #
     # Per-call helpers
@@ -544,22 +540,6 @@ class EmbedPlan:
             # repro: ignore[hot-path-alloc] lazy one-time buffer; every later call reuses it
             self._Z_flat = np.zeros(self.n_vertices * self.n_classes, dtype=np.float64)
         return self._Z_flat.reshape(self.n_vertices, self.n_classes)
-
-    def row_ranges(self, n_parts: int) -> List[Tuple[int, int]]:
-        """Degree-balanced owner-computes row ranges, cached per part count.
-
-        Used by the process-parallel backend: the partition depends only on
-        the degree profile, so a worker sweep over one plan computes each
-        partition once.
-        """
-        n_parts = int(n_parts)
-        cached = self._row_ranges.get(n_parts)
-        if cached is None:
-            from .gee_parallel import _balanced_row_ranges
-
-            cached = _balanced_row_ranges(self.csr.indptr, self.csr.in_indptr, n_parts)
-            self._row_ranges[n_parts] = cached
-        return cached
 
     # ------------------------------------------------------------------ #
     # Copy-on-write extension (append-only graph mutations)

@@ -318,14 +318,15 @@ class Graph:
         once (the fingerprints are not comparable across modes).
 
         ``layout`` selects the plan's memory layout: ``None``/``"none"``
-        (the default — arrival order preserved, byte-identical to the
-        historical behaviour), ``"sorted"`` (the locality-optimized fused
-        incidence layout, see
-        :class:`~repro.core.plan.FusedLayout`; results equal the default
-        layout up to floating-point summation order), or ``"auto"`` (the
-        calibrated cost model picks — see :mod:`repro.tune`).  Each layout
-        is a separate cached plan.  Chunked plans support ``"sorted"``
-        (streamed incidence blocks) for in-memory sources only.
+        (the default — arrival order preserved; ``parallel`` still runs
+        the sorted kernel on such a plan, through the graph's cached
+        sorted plan), ``"sorted"`` (the locality-optimized fused incidence
+        layout, see :class:`~repro.core.plan.FusedLayout`; results equal
+        the default layout up to floating-point summation order), or
+        ``"auto"`` (the calibrated cost model picks — see
+        :mod:`repro.tune`).  Each layout is a separate cached plan.
+        Chunked plans support ``"sorted"`` (streamed incidence blocks) for
+        in-memory sources only.
         """
         from ..core.plan import LAYOUTS, EmbedPlan
 
@@ -425,14 +426,12 @@ class Graph:
     def shard(self, n_shards: int):
         """The compiled :class:`~repro.shard.ShardedGraph` for ``n_shards``.
 
-        Like :meth:`plan`, the sharded view — the owner-sorted incidence
-        sliced into degree-balanced contiguous owner ranges, each with its
-        own per-shard embed plan and pinned worker affinity — is built on
-        first request and cached per shard count, so repeated
-        ``backend="sharded"`` embeds and shard-routed incremental patches
-        pay the sort-and-slice compilation once.  ``n_shards`` is clamped
-        to the vertex count; cached sharded views (and their worker pools
-        and shared-memory segments) are released by
+        Like :meth:`plan`, the sharded view — degree-balanced contiguous
+        owner row cuts, each shard with a pinned worker affinity — is built
+        on first request and cached per shard count.  Building it is one
+        degree count, with no sort: the shards run over this graph's
+        cached sorted plan.  ``n_shards`` is clamped to the vertex count;
+        cached sharded views are dropped (and closed) by
         :meth:`invalidate_cache`.
         """
         from ..shard import ShardedGraph
@@ -458,23 +457,15 @@ class Graph:
         if self._adopted_csr:
             # The adopted CSR is the source of truth: drop the derived
             # edge-list snapshot (it may predate a CSR mutation) and keep
-            # the CSR itself — but reset its internal in-adjacency cache
-            # and its shared-memory copy in the parallel kernel's cache,
-            # both of which a mutation also staled.
+            # the CSR itself — but reset its internal in-adjacency cache,
+            # which a mutation also staled.
             self._edges = None
             assert self._csr is not None
             self._csr._in_indptr = None
             self._csr._in_indices = None
             self._csr._in_weights = None
             self._csr._in_edge_pos = None
-            from ..core.gee_parallel import evict_shared_graph
-
-            evict_shared_graph(self._csr)
         else:
-            if self._csr is not None:
-                from ..core.gee_parallel import evict_shared_graph
-
-                evict_shared_graph(self._csr)
             self._csr = None
         self._reverse_csr = None
         self._laplacian = None
@@ -483,6 +474,17 @@ class Graph:
         self._weighted_degrees = None
         self._is_weighted = None
         self._view_fingerprint = None
+        self.drop_plans()
+
+    def drop_plans(self) -> None:
+        """Drop the compiled plans and sharded views cached on this graph.
+
+        They reference the graph back, so a graph about to be discarded
+        frees their arrays and shared memory at once instead of at the next
+        cyclic garbage collection.  Unlike :meth:`invalidate_cache` it keeps
+        every adjacency view, so an adopted ``CSRGraph`` keeps its cached
+        in-adjacency.
+        """
         self._plans.clear()
         for sharded in self._sharded.values():
             sharded.close()

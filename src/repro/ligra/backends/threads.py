@@ -24,7 +24,7 @@ from typing import List
 import numpy as np
 
 from ...graph.csr import CSRGraph
-from ...parallel.partition import balanced_edge_ranges_by_vertex
+from ...parallel.partition import balanced_ranges_from_work
 from ...parallel.pool import resolve_worker_count
 from ..edge_map import EdgeMapFunction
 from ..vertex_subset import VertexSubset
@@ -48,7 +48,7 @@ class ThreadBackend(DenseBackend):
         out_mask = np.zeros(n, dtype=bool)
         fmask = frontier.mask()
         full = len(frontier) == n
-        ranges = balanced_edge_ranges_by_vertex(graph.indptr, self.n_workers)
+        ranges = balanced_ranges_from_work(np.diff(graph.indptr), self.n_workers)
         indptr, indices, weights = graph.indptr, graph.indices, graph.weights
         errors: List[BaseException] = []
 

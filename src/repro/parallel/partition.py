@@ -3,9 +3,8 @@
 GEE-Ligra's parallel pass distributes the edge set over workers.  Ligra's
 ``edgeMapDense`` hands each vertex's adjacency list to one worker, which
 implicitly load-balances by vertex; when parallelising directly over a flat
-edge list the analogous choices are contiguous blocks, degree-balanced
-vertex ranges, or fine-grained dynamic chunks.  All three are implemented
-here and benchmarked in the ablation benches.
+edge list the analogous choices are contiguous blocks or degree-balanced
+vertex ranges.  Both are implemented here.
 """
 
 from __future__ import annotations
@@ -14,12 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-__all__ = [
-    "block_ranges",
-    "balanced_edge_ranges_by_vertex",
-    "chunk_ranges",
-    "interleaved_assignment",
-]
+__all__ = ["block_ranges", "balanced_ranges_from_work"]
 
 
 def block_ranges(n_items: int, n_parts: int) -> List[Tuple[int, int]]:
@@ -43,53 +37,26 @@ def block_ranges(n_items: int, n_parts: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def balanced_edge_ranges_by_vertex(
-    indptr: np.ndarray, n_parts: int
-) -> List[Tuple[int, int]]:
-    """Partition vertices into ranges with near-equal total edge counts.
+def balanced_ranges_from_work(work: np.ndarray, n_parts: int) -> List[Tuple[int, int]]:
+    """Split ``len(work)`` rows into ``n_parts`` ranges of near-equal total work.
 
-    Given a CSR ``indptr``, returns ``n_parts`` vertex ranges ``(v_lo, v_hi)``
-    such that each range owns roughly ``s / n_parts`` edges.  This is the
-    standard remedy for skewed social-network degree distributions, where
-    naive vertex blocks leave one worker holding all the hubs.
+    ``work[i]`` is the cost of row ``i`` — a vertex's degree for the
+    owner-computes executors, ``np.diff(indptr)`` for a CSR walk.  Each
+    range ``(lo, hi)`` owns roughly ``sum(work) / n_parts``: the standard
+    remedy for skewed social-network degree distributions, where naive
+    vertex blocks leave one worker holding all the hubs.  The ranges are
+    contiguous and cover every row; with no work at all they are even
+    blocks (:func:`block_ranges`).
     """
     if n_parts <= 0:
         raise ValueError("n_parts must be positive")
-    indptr = np.asarray(indptr, dtype=np.int64)
-    n = indptr.size - 1
-    total_edges = int(indptr[-1])
-    if n == 0:
-        return [(0, 0)] * n_parts
-    targets = np.linspace(0, total_edges, n_parts + 1)
-    # For each target edge offset find the first vertex whose prefix passes it.
-    cuts = np.searchsorted(indptr, targets, side="left")
-    cuts[0] = 0
-    cuts[-1] = n
-    cuts = np.clip(cuts, 0, n)
-    # Enforce monotonicity (possible ties with empty vertices).
-    cuts = np.maximum.accumulate(cuts)
+    n = work.size
+    cum = np.concatenate([[0], np.cumsum(work)])
+    total = cum[-1]
+    if total == 0:
+        return block_ranges(n, n_parts)
+    targets = np.linspace(0, total, n_parts + 1)
+    cuts = np.searchsorted(cum, targets, side="left")
+    cuts[0], cuts[-1] = 0, n
+    cuts = np.maximum.accumulate(np.clip(cuts, 0, n))
     return [(int(cuts[i]), int(cuts[i + 1])) for i in range(n_parts)]
-
-
-def chunk_ranges(n_items: int, chunk_size: int) -> List[Tuple[int, int]]:
-    """Split ``range(n_items)`` into fixed-size chunks (last may be short).
-
-    Used by the dynamic scheduler: many more chunks than workers so that
-    stragglers self-balance.
-    """
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    if n_items < 0:
-        raise ValueError("n_items must be non-negative")
-    return [(lo, min(lo + chunk_size, n_items)) for lo in range(0, n_items, chunk_size)]
-
-
-def interleaved_assignment(n_items: int, n_parts: int) -> List[np.ndarray]:
-    """Round-robin assignment of item indices to parts.
-
-    Cache-unfriendly but perfectly balanced for any monotone cost gradient;
-    included for the scheduling ablation.
-    """
-    if n_parts <= 0:
-        raise ValueError("n_parts must be positive")
-    return [np.arange(i, n_items, n_parts, dtype=np.int64) for i in range(n_parts)]

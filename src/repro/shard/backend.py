@@ -2,9 +2,10 @@
 
 A thin adapter from the :class:`~repro.backends.registry.GEEBackend`
 protocol onto :class:`~repro.shard.ShardedGraph`.  The facade caches
-sharded graphs per shard count (``Graph.shard``), so repeated embeds —
-backend sweeps, the refinement loop, incremental re-fits — pay the
-sort-and-slice compilation once, exactly like cached plans.
+sharded graphs per shard count (``Graph.shard``) and the sorted plan they
+run over per ``K``, so repeated embeds — backend sweeps, the refinement
+loop, incremental re-fits — pay the degree count and the sort once,
+exactly like cached plans.
 
 The backend deliberately does **not** accept chunked plans: sharding and
 chunking answer the same memory question at different layers, and the

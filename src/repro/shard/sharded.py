@@ -1,36 +1,33 @@
-"""Owner-range sharded execution into one shared class-sum buffer.
+"""Owner-range sharded execution into one class-sum buffer.
 
-The fused owner-sorted incidence layout (PR 5) makes contiguous owner
-ranges *independent*: every incidence ``(owner, partner, w)`` contributes
-only to row ``owner`` of the raw sums
+The fused owner-sorted incidence layout makes contiguous owner ranges
+*independent*: every incidence ``(owner, partner, w)`` contributes only to
+row ``owner`` of the raw sums
 ``S[u, c] = Σ w over incidences with Y[partner] = c``, and the incidence
-array is sorted by owner — so slicing it at any row boundaries partitions
-the work into shards whose partial sums occupy disjoint rows.  This is the
+array is sorted by owner — so cutting it at any row boundaries partitions
+the work into shards whose sums occupy disjoint rows.  This is the
 partitioned-aggregation shape of Ligra's vertex ranges and GraphChi's
 shards/intervals, applied to the GEE edge pass.
 
-:class:`ShardedGraph` compiles a graph into ``N`` contiguous owner-range
-shards, each holding
+:class:`ShardedGraph` is ``N`` degree-balanced contiguous owner row cuts
+over its graph's sorted plan (``graph.plan(K, layout="sorted")``), each
+shard with
 
-* its own contiguous slice of the owner-sorted incidence triple, wrapped
-  in a per-shard :class:`~repro.graph.facade.Graph` whose compiled
-  :class:`~repro.core.plan.EmbedPlan` feeds the owner-computes segment-sum
-  kernel directly;
-* a pinned worker slot (``shard_id mod machine workers``), so repeated
-  embeds group the same shards into the same slot's task in the same
+* a pinned worker slot (shard ``i`` runs in task ``i mod workers``), so
+  repeated embeds group the same shards into the same task in the same
   order — deterministic results;
 * optionally, its own :class:`~repro.stream.segments.SegmentedEdgeStore`
   segment set (:meth:`ShardedGraph.persist`), so each shard can stream its
   incidences from disk for out-of-core execution.
 
-Every shard writes the raw sums of its own rows into one ``n×K`` buffer (a
-plain array on the serial path, one shared-memory array on the pooled
-path), which is then rescaled once by ``diag(1/n_c)``.  Shard rows are
-disjoint and the segment-sum kernel assigns every slot of its rows, so no
-per-shard partial and no reduction is needed.  Because ``np.bincount``
-sums each output slot in input-traversal order and shard slices preserve
-the global incidence order, the sharded raw sums are bitwise identical to
-the single-pool fused pass for any shard count.
+The shards run on the one owner-range executor
+(:func:`~repro.core.gee_parallel.run_owner_ranges`) that also runs the
+``parallel`` backend: the same session pool, shared workspace and shared
+fused layout.  Every shard writes the rescaled rows of its own range of one
+``n×K`` output, so no per-shard partial and no reduction is needed.
+Because ``np.bincount`` sums each output slot in input-traversal order and
+row cuts preserve the global incidence order, the sharded result is
+bitwise identical to the single-pool sorted pass for any shard count.
 
 Exactly like :func:`~repro.core.gee_parallel.gee_parallel`, explicit
 worker requests are honoured or rejected loudly, and the pooled path
@@ -43,25 +40,26 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.gee_vectorized import (
-    accumulate_fused_rows_sorted,
-    class_rescale,
-    scatter_add,
-)
-from ..core.plan import _LAYOUT_BLOCK_BYTES, sorted_incidence
+from ..core.gee_parallel import run_owner_ranges
+from ..core.gee_vectorized import class_rescale, scatter_add
+from ..core.plan import sorted_incidence
 from ..core.projection import projection_from_scales, projection_scales
 from ..core.result import EmbeddingResult
-from ..core.validation import UNKNOWN_LABEL, validate_edges, validate_labels
+from ..core.validation import (
+    UNKNOWN_LABEL,
+    class_counts,
+    inverse_class_counts,
+    validate_edges,
+    validate_labels,
+)
 from ..graph.edgelist import EdgeList
 from ..obs import trace
 from ..parallel import (
-    ForkWorkerPool,
-    SharedArraySet,
-    attach,
+    balanced_ranges_from_work,
     effective_worker_count,
     fork_available,
     resolve_worker_count,
@@ -72,11 +70,6 @@ __all__ = ["Shard", "ShardSpec", "ShardedGraph", "patch_sums_sharded"]
 #: Minimum routed incidences before the shard patch fans out to threads
 #: (below this the dispatch overhead dwarfs the scatter work).
 _PATCH_THREAD_THRESHOLD = 4096
-
-def _rows_per_block(n_classes: int) -> int:
-    """Rows per L2-sized block for the segment-sum kernel (same budget as
-    :func:`~repro.core.plan.compile_fused_layout`)."""
-    return max(1, _LAYOUT_BLOCK_BYTES // (int(n_classes) * 8))
 
 
 @dataclass(frozen=True)
@@ -101,59 +94,18 @@ class ShardSpec:
 
 
 class Shard:
-    """One contiguous owner range with its own incidence slice and plans.
+    """One contiguous owner range of a :class:`ShardedGraph`.
 
-    The incidence slice is wrapped in a :class:`~repro.graph.facade.Graph`
-    over the half-edges ``owner → partner`` so each shard owns a real
-    compiled :class:`~repro.core.plan.EmbedPlan` (cached per K on the
-    facade): ``plan.src_flat`` *is* the sorted ``owner*K`` flat-index array
-    the owner-computes kernel consumes, and ``plan.dst`` the partner ids.
+    The shard holds no arrays: its incidences are the slice of the graph's
+    sorted incidence that rows ``[row_lo, row_hi)`` own.
     """
 
-    def __init__(self, spec: ShardSpec, incidence_graph) -> None:
+    def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
-        self.graph = incidence_graph
 
     @property
     def n_incidences(self) -> int:
         return self.spec.n_incidences
-
-    def plan(self, n_classes: int):
-        """The shard's compiled per-K embed plan (facade-cached)."""
-        return self.graph.plan(int(n_classes))
-
-    def accumulate_into(
-        self,
-        out_flat: np.ndarray,
-        y: np.ndarray,
-        n_classes: int,
-        *,
-        fully_labelled: bool,
-    ) -> None:
-        """Raw class sums of this shard's rows, written into ``out_flat``.
-
-        ``out_flat`` is full ``(n*K,)`` shape; every slot of rows
-        ``[row_lo, row_hi)`` is assigned and no other slot is touched, so
-        all shards write into one buffer.  A shard's half-edge graph must
-        **not** be recompiled into a fused layout (that would re-double the
-        incidences), so the shard plan arrays feed the kernel directly.
-        """
-        spec = self.spec
-        if spec.row_hi <= spec.row_lo:
-            return
-        plan = self.plan(n_classes)
-        accumulate_fused_rows_sorted(
-            out_flat,
-            plan.src_flat,
-            plan.dst,
-            None if plan.unit_weights else plan.weights,
-            y,
-            int(n_classes),
-            _rows_per_block(n_classes),
-            spec.row_lo,
-            spec.row_hi,
-            fully_labelled=fully_labelled,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self.spec
@@ -161,80 +113,6 @@ class Shard:
             f"Shard(id={s.shard_id}, rows=[{s.row_lo}, {s.row_hi}), "
             f"incidences={s.n_incidences}, affinity={s.worker_affinity})"
         )
-
-
-# --------------------------------------------------------------------------- #
-# Worker-side plumbing (module-level: shipped to forked workers)
-# --------------------------------------------------------------------------- #
-#: Worker-side attachment cache: shm segment name -> (view, SharedMemory).
-#: Mirrors the parallel kernel's per-worker cache — segments are attached
-#: once per worker process and stay mapped until the worker exits (the
-#: creating ShardedGraph owns and unlinks them).
-_WORKER_VIEWS: Dict[str, Tuple[np.ndarray, object]] = {}
-
-
-def _attached_view(handle) -> np.ndarray:
-    entry = _WORKER_VIEWS.get(handle.shm_name)
-    if entry is None:
-        entry = attach(handle)
-        _WORKER_VIEWS[handle.shm_name] = entry
-    return entry[0]
-
-
-def _shard_embed_task(
-    _context: dict,
-    slot: int,
-    handles: dict,
-    shard_meta: tuple,
-    n_classes: int,
-    fully_labelled: bool,
-    n_workers: int,
-) -> None:
-    """Pooled embed task: accumulate the shards pinned to worker ``slot``.
-
-    The parent submits one task per logical slot ``0..n_workers-1``; the
-    slot travels in the task arguments, so whichever process picks a task
-    up runs that slot's shards.  A task selects its shards by affinity:
-    shard ``i`` belongs to slot ``affinity mod n_workers`` and runs in
-    shard-id order.  Every task writes into the one shared ``out`` buffer:
-    rows of different shards are disjoint and each shard assigns every slot
-    of its rows, so tasks never clobber each other and nothing is zeroed
-    or reduced.
-    """
-    y = _attached_view(handles["labels"])
-    out = _attached_view(handles["out"])
-    k = int(n_classes)
-    rows_per_block = _rows_per_block(k)
-    for shard_id, row_lo, row_hi, affinity in shard_meta:
-        if affinity % n_workers != slot or row_hi <= row_lo:
-            continue
-        try:
-            with trace(
-                "shard.accumulate", shard=shard_id, rows=row_hi - row_lo
-            ):
-                owner = _attached_view(handles[f"owner{shard_id}"])
-                partner = _attached_view(handles[f"partner{shard_id}"])
-                weights_handle = handles.get(f"weights{shard_id}")
-                weights = (
-                    None if weights_handle is None else _attached_view(weights_handle)
-                )
-                accumulate_fused_rows_sorted(
-                    out,
-                    owner * k,
-                    partner,
-                    weights,
-                    y,
-                    k,
-                    rows_per_block,
-                    row_lo,
-                    row_hi,
-                    fully_labelled=fully_labelled,
-                )
-        except BaseException as exc:
-            raise RuntimeError(
-                f"shard {shard_id} (rows [{row_lo}, {row_hi}), backend=sharded) "
-                f"failed on worker slot {slot}: {exc}"
-            ) from exc
 
 
 def _patch_shard_rows(
@@ -301,6 +179,11 @@ def patch_sums_sharded(
     if row_cuts is None:
         shards = max(1, min(int(n_shards or effective_worker_count(None)), n))
         row_cuts = np.linspace(0, n, shards + 1).astype(np.int64)
+    else:
+        # Route over every row of S_flat: it may hold rows at or past the
+        # last cut (vertices added since the cuts were made), and the last
+        # shard owns them.
+        row_cuts = np.append(np.minimum(row_cuts[:-1], n), n)
     shard_of = np.searchsorted(row_cuts, owner, side="right") - 1
     order = np.argsort(shard_of, kind="stable")
     owner, yp, dw, shard_of = owner[order], yp[order], dw[order], shard_of[order]
@@ -331,19 +214,20 @@ def patch_sums_sharded(
 # The sharded graph
 # --------------------------------------------------------------------------- #
 class ShardedGraph:
-    """N contiguous owner-range shards over the owner-sorted incidence.
+    """N contiguous owner-range shards over a graph's sorted plan.
 
-    Construction sorts the ``2E`` incidences once, degree-balances the
-    requested shard count over the owner rows (empty ranges allowed — a
-    shard with no rows contributes exact zeros), and gives each shard a
-    contiguous copy of its slice.  ``n_shards`` is clamped to the vertex
+    Construction counts every vertex's total degree (one O(E) pass, no
+    sort and no copy of the incidence) and degree-balances the requested
+    shard count over the owner rows (empty ranges allowed — a shard with
+    no rows contributes nothing).  ``n_shards`` is clamped to the vertex
     count; requesting fewer than one shard raises.
 
-    Lifecycle: the pooled path lazily creates a private
-    :class:`~repro.parallel.ForkWorkerPool` and shared-memory segments for
-    the incidence slices and the shared output; :meth:`close` (or use as
-    a context manager) releases them.  A closed sharded graph can still
-    run the serial path.
+    Lifecycle: the shards run on the session pool and shared memory of
+    :mod:`repro.core.gee_parallel` (released by
+    :func:`~repro.core.gee_parallel.shutdown_workers`), so :meth:`close`
+    (or use as a context manager) releases nothing; it only marks the view
+    closed.  A closed sharded graph still runs serially and refuses the
+    pool.
     """
 
     def __init__(self, graph, n_shards: int) -> None:
@@ -358,34 +242,30 @@ class ShardedGraph:
         n = edges.n_vertices
         self.n_vertices = n
         self.n_edges = edges.n_edges
-        owner, partner, w = sorted_incidence(edges.src, edges.dst, edges.weights)
         self.n_shards = max(1, min(requested, n)) if n else 1
-        degrees = np.bincount(owner, minlength=n)
-        ranges = _balanced_ranges(degrees, self.n_shards)
+        degrees = np.bincount(edges.src, minlength=n) + np.bincount(
+            edges.dst, minlength=n
+        )
+        ranges = balanced_ranges_from_work(degrees, self.n_shards)
         #: Owner-range boundaries: shard ``i`` owns rows
         #: ``[row_cuts[i], row_cuts[i+1])``.
         self.row_cuts = np.array([lo for lo, _ in ranges] + [n], dtype=np.int64)
-        inc_cuts = np.searchsorted(owner, self.row_cuts)
-        self._shards: List[Shard] = []
-        for i, (row_lo, row_hi) in enumerate(ranges):
-            lo, hi = int(inc_cuts[i]), int(inc_cuts[i + 1])
-            shard_edges = EdgeList(
-                owner[lo:hi].copy(),
-                partner[lo:hi].copy(),
-                None if w is None else w[lo:hi].copy(),
-                n_vertices=n,
+        #: Incidence offsets of the cuts in the sorted incidence.
+        self._incidence_cuts = np.concatenate(([0], np.cumsum(degrees)))[self.row_cuts]
+        self._shards: List[Shard] = [
+            Shard(
+                ShardSpec(
+                    shard_id=i,
+                    row_lo=int(row_lo),
+                    row_hi=int(row_hi),
+                    n_incidences=int(
+                        self._incidence_cuts[i + 1] - self._incidence_cuts[i]
+                    ),
+                    worker_affinity=i,
+                )
             )
-            spec = ShardSpec(
-                shard_id=i,
-                row_lo=int(row_lo),
-                row_hi=int(row_hi),
-                n_incidences=hi - lo,
-                worker_affinity=i,
-            )
-            self._shards.append(Shard(spec, Graph.coerce(shard_edges)))
-        self._pool: Optional[ForkWorkerPool] = None
-        self._incidence_shm: Optional[SharedArraySet] = None
-        self._workspaces: Dict[int, Tuple[SharedArraySet, np.ndarray, np.ndarray]] = {}
+            for i, (row_lo, row_hi) in enumerate(ranges)
+        ]
         self._persist_root: Optional[Path] = None
         self._closed = False
 
@@ -412,6 +292,23 @@ class ShardedGraph:
     # ------------------------------------------------------------------ #
     # Embedding
     # ------------------------------------------------------------------ #
+    def _tasks(self, workers: int) -> List[Tuple[Tuple[int, int, str], ...]]:
+        """One executor task per worker slot: shard ``i`` runs in task
+        ``i mod workers``, the shards of a task in id order."""
+        specs = [shard.spec for shard in self._shards]
+        return [
+            tuple(
+                (
+                    s.row_lo,
+                    s.row_hi,
+                    f"shard {s.shard_id} (rows [{s.row_lo}, {s.row_hi}), backend=sharded)",
+                )
+                for s in specs
+                if s.worker_affinity % workers == slot
+            )
+            for slot in range(workers)
+        ]
+
     def embed(
         self,
         labels: np.ndarray,
@@ -419,16 +316,17 @@ class ShardedGraph:
         *,
         n_workers: Optional[int] = None,
     ) -> EmbeddingResult:
-        """GEE over the shards, all writing into one class-sum buffer.
+        """GEE over the shards, all writing one fresh output array.
 
         ``n_workers=None`` auto-sizes (never more workers than shards or
         CPUs); an explicit positive request is honoured up to the shard
         count and requires ``fork`` when above one, exactly like
-        :func:`~repro.core.gee_parallel.gee_parallel`.
+        :func:`~repro.core.gee_parallel.gee_parallel`.  The shards run in
+        at most that many pool tasks, so the request bounds concurrency
+        even when the session pool is larger.
         """
         y, k = validate_labels(labels, self.n_vertices, n_classes)
         t0 = time.perf_counter()
-        fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
         explicit = n_workers is not None and int(n_workers) > 0
         requested = resolve_worker_count(n_workers)
         if explicit and requested > 1 and not fork_available():
@@ -440,14 +338,15 @@ class ShardedGraph:
         workers = min(requested, self.n_shards)
         if not explicit:
             workers = min(workers, effective_worker_count(None))
-        t1 = time.perf_counter()
         if workers <= 1 or not fork_available() or self.n_edges == 0:
-            S_flat = self._raw_sums_serial(y, k, fully)
             workers = 1
-        else:
-            S_flat = self._raw_sums_pooled(y, k, fully, workers)
-        Z = S_flat.reshape(self.n_vertices, k)
-        class_rescale(Z, y, k)
+        elif self._closed:
+            raise RuntimeError("ShardedGraph is closed")
+        inv = inverse_class_counts(class_counts(y, k))
+        t1 = time.perf_counter()
+        fused = self.graph.plan(k, layout="sorted").fused
+        Z = np.empty((self.n_vertices, k), dtype=np.float64)
+        run_owner_ranges(fused, y, inv, self._tasks(workers), Z, backend="sharded")
         t2 = time.perf_counter()
         return EmbeddingResult(
             embedding=Z,
@@ -463,55 +362,11 @@ class ShardedGraph:
     def raw_sums(self, labels: np.ndarray, n_classes: int) -> np.ndarray:
         """Raw per-class sums ``S`` (serial path), shape (n, K)."""
         y, k = validate_labels(labels, self.n_vertices, int(n_classes))
-        fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
-        return self._raw_sums_serial(y, k, fully).reshape(self.n_vertices, k)
-
-    def _raw_sums_serial(self, y: np.ndarray, k: int, fully: bool) -> np.ndarray:
-        S_flat = np.zeros(self.n_vertices * k, dtype=np.float64)
-        for shard in self._shards:
-            spec = shard.spec
-            try:
-                with trace(
-                    "shard.accumulate",
-                    shard=spec.shard_id,
-                    rows=spec.row_hi - spec.row_lo,
-                ):
-                    shard.accumulate_into(S_flat, y, k, fully_labelled=fully)
-            except BaseException as exc:
-                # Same failure context the pooled task attaches, so callers
-                # see one shape of error regardless of execution path.
-                raise RuntimeError(
-                    f"shard {spec.shard_id} (rows [{spec.row_lo}, {spec.row_hi}), "
-                    f"backend=sharded) failed: {exc}"
-                ) from exc
-        return S_flat
-
-    def _raw_sums_pooled(self, y: np.ndarray, k: int, fully: bool, workers: int) -> np.ndarray:
-        pool = self._ensure_pool(workers)
-        incidence = self._ensure_incidence_shm()
-        shm, labels_view, out = self._ensure_workspace(k)
-        labels_view[:] = y
-        handles = incidence.handles()
-        handles.update(shm.handles())
-        meta = tuple(
-            (s.spec.shard_id, s.spec.row_lo, s.spec.row_hi, s.spec.worker_affinity)
-            for s in self._shards
-        )
-        with trace(
-            "shard.dispatch", n_shards=self.n_shards, n_workers=workers
-        ):
-            pool.map(
-                _shard_embed_task,
-                [(slot, handles, meta, k, fully, workers) for slot in range(workers)],
-                labels=[
-                    f"backend=sharded slot={slot} "
-                    f"shards={[s.spec.shard_id for s in self._shards if s.spec.worker_affinity % workers == slot]}"
-                    for slot in range(workers)
-                ],
-            )
-        # The shared buffer is overwritten by the next pooled embed, so the
-        # result owns a copy.
-        return out.copy()
+        fused = self.graph.plan(k, layout="sorted").fused
+        S = np.empty((self.n_vertices, k), dtype=np.float64)
+        # Column scales of one: the executor leaves the raw sums.
+        run_owner_ranges(fused, y, np.ones(k), self._tasks(1), S, backend="sharded")
+        return S
 
     # ------------------------------------------------------------------ #
     # Incremental patches
@@ -545,17 +400,31 @@ class ShardedGraph:
     def persist(self, root) -> List[Path]:
         """Write each shard's incidence slice to its own segment store.
 
-        Creates ``root/shard-00000/``, ``root/shard-00001/``, ... — one
-        :class:`~repro.stream.segments.SegmentedEdgeStore` per shard — and
+        Sorts the incidence once (:func:`~repro.core.plan.sorted_incidence`)
+        and creates ``root/shard-00000/``, ``root/shard-00001/``, ... — one
+        :class:`~repro.stream.segments.SegmentedEdgeStore` per shard,
+        holding the half-edges ``owner → partner`` its rows own — and
         remembers ``root`` for :meth:`embed_outofcore`.
         """
         from ..stream.segments import SegmentedEdgeStore
 
         root = Path(root)
+        edges = validate_edges(self.graph.edges)
+        owner, partner, w = sorted_incidence(edges.src, edges.dst, edges.weights)
+        cuts = self._incidence_cuts
         paths = []
-        for shard in self._shards:
+        for i, shard in enumerate(self._shards):
+            lo, hi = int(cuts[i]), int(cuts[i + 1])
             path = root / f"shard-{shard.spec.shard_id:05d}"
-            SegmentedEdgeStore.create(path, shard.graph.edges)
+            SegmentedEdgeStore.create(
+                path,
+                EdgeList(
+                    owner[lo:hi],
+                    partner[lo:hi],
+                    None if w is None else w[lo:hi],
+                    n_vertices=self.n_vertices,
+                ),
+            )
             paths.append(path)
         self._persist_root = root
         return paths
@@ -613,72 +482,18 @@ class ShardedGraph:
         )
 
     # ------------------------------------------------------------------ #
-    # Pool / shared-memory lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------ #
-    def _ensure_pool(self, workers: int) -> ForkWorkerPool:
-        if self._closed:
-            raise RuntimeError("ShardedGraph is closed")
-        if self._pool is not None and self._pool.n_workers != workers:
-            self._pool.close()
-            self._pool = None
-        if self._pool is None:
-            self._pool = ForkWorkerPool(workers)
-        return self._pool
-
-    def _ensure_incidence_shm(self) -> SharedArraySet:
-        if self._incidence_shm is None:
-            shm = SharedArraySet()
-            try:
-                for shard in self._shards:
-                    i = shard.spec.shard_id
-                    edges = shard.graph.edges
-                    shm.share(f"owner{i}", edges.src)
-                    shm.share(f"partner{i}", edges.dst)
-                    if edges.weights is not None:
-                        shm.share(f"weights{i}", edges.weights)
-            except BaseException:
-                shm.close()
-                raise
-            self._incidence_shm = shm
-        return self._incidence_shm
-
-    def _ensure_workspace(self, k: int):
-        ws = self._workspaces.get(k)
-        if ws is None:
-            shm = SharedArraySet()
-            try:
-                labels_view = shm.empty("labels", (self.n_vertices,), np.int64)
-                out = shm.zeros("out", (self.n_vertices * k,), np.float64)
-            except BaseException:
-                shm.close()
-                raise
-            ws = (shm, labels_view, out)
-            self._workspaces[k] = ws
-        return ws
-
     def close(self) -> None:
-        """Release the worker pool and every shared-memory segment."""
-        if self._closed:
-            return
+        """Mark the view closed: later embeds run serially only.
+
+        Holds no pool and no shared memory of its own, so nothing is
+        released here.
+        """
         self._closed = True
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        if self._incidence_shm is not None:
-            self._incidence_shm.close()
-            self._incidence_shm = None
-        for shm, _, _ in self._workspaces.values():
-            shm.close()
-        self._workspaces.clear()
 
     def __enter__(self) -> "ShardedGraph":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _balanced_ranges(degrees: np.ndarray, n_parts: int) -> List[Tuple[int, int]]:
-    from ..core.gee_parallel import balanced_ranges_from_work
-
-    return balanced_ranges_from_work(degrees, n_parts)

@@ -175,7 +175,7 @@ def calibrate(
     samples = []
     for graph, labels in cases:
         sharded = graph.shard(1)
-        sharded.embed(labels, K_CAL)  # warm: sort + slice + per-shard plan
+        sharded.embed(labels, K_CAL)  # warm: the sorted plan and its layout
         best = _best_seconds(
             lambda sg=sharded, y=labels: sg.embed(y, K_CAL), repeats
         )

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     GraphEncoderEmbedding,
-    METHODS,
     gee_laplacian,
     gee_python,
     gee_unsupervised,
@@ -78,16 +77,6 @@ class TestUnsupervisedRefinement:
 
 
 class TestGraphEncoderEmbeddingAPI:
-    def test_all_methods_registered(self):
-        assert set(METHODS) == {
-            "python",
-            "vectorized",
-            "ligra",
-            "ligra-serial",
-            "ligra-parallel",
-            "parallel",
-        }
-
     @pytest.mark.parametrize(
         "method,kwargs",
         [

@@ -103,12 +103,34 @@ class TestPermutationInvariance:
         backend = get_backend(backend_name, n_workers=workers)
         result = backend.embed_with_plan(plan, y)
         np.testing.assert_allclose(result.embedding, reference, atol=ATOL)
-        if caps.supports_sharding:
-            # Sharded execution re-slices its own owner-sorted incidence
+        if backend_name in ("parallel", "sharded"):
+            # The owner-range executor runs the graph's sorted plan
             # regardless of the plan's layout, and says so.
             assert result.layout == "sorted"
         else:
             assert result.layout in (layout, "none")  # auto may re-choose
+
+    @pytest.mark.skipif(not fork_available(), reason="fork not available")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("labelled", ["partial", "full"])
+    def test_parallel_on_default_plan_is_the_sorted_pass(self, workers, case, labelled):
+        """``parallel`` runs the sorted kernel on a layout-preserving plan
+        too: bitwise the serial sorted pass, for any worker count."""
+        edges, y = _case(case, labelled)
+        graph = Graph.coerce(edges)
+        sorted_pass = (
+            get_backend("vectorized")
+            .embed_with_plan(graph.plan(K, layout="sorted"), y)
+            .detached()
+            .embedding
+        )
+        plan = graph.plan(K)
+        assert plan.layout == "none"
+        result = get_backend("parallel", n_workers=workers).embed_with_plan(plan, y)
+        assert result.layout == "sorted"
+        assert result.n_workers == workers
+        assert np.array_equal(result.embedding, sorted_pass)
 
     @pytest.mark.parametrize("chunk_edges", [1, 17, 10_000])
     def test_chunked_sorted_incidence(self, chunk_edges):

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import gee_ligra, gee_parallel, gee_python
-from repro.core.gee_parallel import (
-    _balanced_row_ranges,
-    owner_rows_accumulate,
-    shutdown_workers,
-)
+from repro.core.gee_parallel import run_owner_ranges, shutdown_workers
 from repro.core.gee_vectorized import scatter_add
-from repro.core.projection import projection_scales
-from repro.graph import EdgeList, erdos_renyi, rmat
+from repro.core.validation import class_counts, inverse_class_counts
+from repro.graph import EdgeList, Graph, erdos_renyi, rmat
 from repro.labels import random_partial_labels
 
 
@@ -43,75 +39,49 @@ class TestScatterAdd:
 
 
 class TestOwnerRowsKernel:
+    """The one owner-range executor over the sorted incidence."""
+
+    @staticmethod
+    def _layout(edges, y, k):
+        fused = Graph.coerce(edges).plan(k, layout="sorted").fused
+        return fused, inverse_class_counts(class_counts(y, k))
+
     def test_blocks_tile_the_full_embedding(self):
         edges = rmat(7, edge_factor=6, seed=3)
-        csr = edges.to_csr()
-        y = random_partial_labels(csr.n_vertices, 6, 0.4, seed=1)
-        scales = projection_scales(y, 6)
-        full = owner_rows_accumulate(
-            0,
-            csr.n_vertices,
-            csr.indptr,
-            csr.indices,
-            csr.weights,
-            csr.in_indptr,
-            csr.in_indices,
-            csr.in_weights,
-            y,
-            scales,
-            6,
-        )
+        n = edges.n_vertices
+        y = random_partial_labels(n, 6, 0.4, seed=1)
+        fused, inv = self._layout(edges, y, 6)
         ref = gee_python(edges, y, 6).embedding
+        full = np.empty((n, 6))
+        run_owner_ranges(fused, y, inv, [((0, n, "all rows"),)], full, backend="parallel")
         np.testing.assert_allclose(full, ref, atol=1e-9)
-        # Arbitrary 3-way split must tile to the same matrix.
-        n = csr.n_vertices
+        # An arbitrary 3-way split must tile to the same matrix, bit for
+        # bit, in one in-process task and across pool tasks.
         cuts = [0, n // 3, 2 * n // 3, n]
-        tiled = np.vstack(
-            [
-                owner_rows_accumulate(
-                    cuts[i],
-                    cuts[i + 1],
-                    csr.indptr,
-                    csr.indices,
-                    csr.weights,
-                    csr.in_indptr,
-                    csr.in_indices,
-                    csr.in_weights,
-                    y,
-                    scales,
-                    6,
-                )
-                for i in range(3)
-            ]
-        )
-        np.testing.assert_allclose(tiled, ref, atol=1e-9)
+        ranges = tuple((cuts[i], cuts[i + 1], f"part {i}") for i in range(3))
+        for tasks in ([ranges], [ranges[:1], ranges[1:]]):
+            tiled = np.full((n, 6), np.nan)
+            run_owner_ranges(fused, y, inv, tasks, tiled, backend="parallel")
+            assert np.array_equal(tiled, full)
 
     def test_empty_row_range(self):
         edges = erdos_renyi(20, 50, seed=0)
-        csr = edges.to_csr()
         y = random_partial_labels(20, 3, 0.5, seed=0)
-        scales = projection_scales(y, 3)
-        block = owner_rows_accumulate(
-            5, 5, csr.indptr, csr.indices, csr.weights, csr.in_indptr, csr.in_indices,
-            csr.in_weights, y, scales, 3,
-        )
-        assert block.shape == (0, 3)
+        fused, inv = self._layout(edges, y, 3)
+        out = np.full((20, 3), 7.0)
+        run_owner_ranges(fused, y, inv, [((5, 5, "empty"),)], out, backend="parallel")
+        assert np.all(out == 7.0)  # no row owned, nothing written
 
     def test_balanced_row_ranges_cover_all_vertices(self):
-        csr = rmat(9, edge_factor=10, seed=5).to_csr()
-        ranges = _balanced_row_ranges(csr.indptr, csr.in_indptr, 7)
-        assert ranges[0][0] == 0 and ranges[-1][1] == csr.n_vertices
-        total_work = csr.n_edges * 2
-        works = [
-            int(
-                csr.indptr[hi]
-                - csr.indptr[lo]
-                + csr.in_indptr[hi]
-                - csr.in_indptr[lo]
-            )
-            for lo, hi in ranges
-        ]
-        assert sum(works) == total_work
+        edges = rmat(9, edge_factor=10, seed=5)
+        plan = Graph.coerce(edges).plan(4, layout="sorted")
+        ranges = plan.fused_row_ranges(7)
+        assert len(ranges) == 7
+        assert ranges[0][0] == 0 and ranges[-1][1] == plan.n_vertices
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        degrees = plan.total_degrees
+        works = [int(degrees[lo:hi].sum()) for lo, hi in ranges]
+        assert sum(works) == 2 * edges.n_edges
 
 
 class TestGeeParallelBehaviour:
@@ -179,10 +149,10 @@ class TestGeeParallelBehaviour:
 
     def test_repeated_calls_reuse_cached_graph(self):
         edges = erdos_renyi(80, 400, seed=4)
-        csr = edges.to_csr()
+        graph = Graph.coerce(edges)
         y = random_partial_labels(80, 4, 0.5, seed=4)
-        first = gee_parallel(csr, y, 4, n_workers=2)
-        second = gee_parallel(csr, y, 4, n_workers=2)
+        first = gee_parallel(graph, y, 4, n_workers=2)
+        second = gee_parallel(graph, y, 4, n_workers=2)
         np.testing.assert_allclose(first.embedding, second.embedding)
         # The cached path must not be slower by more than the noise floor
         # of a tiny run; mostly this asserts the second call still works.

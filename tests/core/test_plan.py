@@ -75,11 +75,11 @@ class TestPlanCaching:
         p = g.plan(5)
         np.testing.assert_array_equal(p.src_flat, p.src * 5)
         np.testing.assert_array_equal(p.dst_flat, p.dst * 5)
-        assert p.out_degrees.sum() == p.n_edges
-        assert p.in_degrees.sum() == p.n_edges
-        # Accessing in_degrees built (and cached) the CSC view; edge-array
-        # backends that never touch it never pay for it.
-        assert p.csr._in_indptr is not None
+        # Every edge is one unit of work at each endpoint.
+        assert p.total_degrees.sum() == 2 * p.n_edges
+        assert p.total_degrees is p.total_degrees  # cached
+        # The degree count reads the edge arrays only: no CSR/CSC view.
+        assert g._csr is None
 
     def test_plan_compile_is_lazy_about_adjacency(self, seeded):
         """One-shot vectorized fits must not pay for CSR/CSC builds."""
@@ -143,10 +143,11 @@ class TestPlanCaching:
     def test_row_ranges_cached_per_worker_count(self, seeded):
         edges, _ = seeded
         p = Graph.coerce(edges).plan(4)
-        r2 = p.row_ranges(2)
-        assert p.row_ranges(2) is r2
-        assert len(p.row_ranges(3)) == 3
+        r2 = p.fused_row_ranges(2)
+        assert p.fused_row_ranges(2) is r2
+        assert len(p.fused_row_ranges(3)) == 3
         assert r2[0][0] == 0 and r2[-1][1] == p.n_vertices
+        assert p.fused_row_ranges(1) == [(0, p.n_vertices)]
 
 
 class TestEmbedWithPlan:

@@ -1,4 +1,4 @@
-"""Unit and property tests for repro.parallel partitioning and scheduling."""
+"""Unit and property tests for repro.parallel partitioning."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import rmat
-from repro.parallel import (
-    SchedulePolicy,
-    balanced_edge_ranges_by_vertex,
-    block_ranges,
-    chunk_ranges,
-    interleaved_assignment,
-    make_schedule,
-)
+from repro.parallel import balanced_ranges_from_work, block_ranges
 
 
 class TestBlockRanges:
@@ -47,9 +40,12 @@ class TestBlockRanges:
 
 
 class TestBalancedEdgeRanges:
+    """The one degree-balanced cutter, fed CSR out-degrees as Ligra's
+    thread backend does."""
+
     def test_balances_skewed_degrees(self):
         g = rmat(10, edge_factor=8, seed=1).to_csr()
-        ranges = balanced_edge_ranges_by_vertex(g.indptr, 8)
+        ranges = balanced_ranges_from_work(np.diff(g.indptr), 8)
         edge_counts = [int(g.indptr[hi] - g.indptr[lo]) for lo, hi in ranges]
         assert sum(edge_counts) == g.n_edges
         # No part should carry more than ~3x its fair share plus one hub.
@@ -58,65 +54,16 @@ class TestBalancedEdgeRanges:
 
     def test_covers_all_vertices(self):
         g = rmat(8, edge_factor=4, seed=2).to_csr()
-        ranges = balanced_edge_ranges_by_vertex(g.indptr, 5)
+        ranges = balanced_ranges_from_work(np.diff(g.indptr), 5)
         assert ranges[0][0] == 0
         assert ranges[-1][1] == g.n_vertices
         for (a, b), (c, d) in zip(ranges, ranges[1:]):
             assert b == c
 
     def test_empty_graph(self):
-        ranges = balanced_edge_ranges_by_vertex(np.array([0]), 3)
+        ranges = balanced_ranges_from_work(np.diff(np.array([0])), 3)
         assert ranges == [(0, 0)] * 3
 
     def test_invalid_parts(self):
         with pytest.raises(ValueError):
-            balanced_edge_ranges_by_vertex(np.array([0, 1]), 0)
-
-
-class TestChunkAndInterleave:
-    def test_chunk_ranges_cover(self):
-        ranges = chunk_ranges(10, 4)
-        assert ranges == [(0, 4), (4, 8), (8, 10)]
-
-    def test_chunk_invalid(self):
-        with pytest.raises(ValueError):
-            chunk_ranges(10, 0)
-
-    def test_interleaved_assignment_partitions(self):
-        parts = interleaved_assignment(11, 3)
-        all_items = np.concatenate(parts)
-        assert sorted(all_items.tolist()) == list(range(11))
-        assert parts[0][0] == 0 and parts[1][0] == 1
-
-
-class TestSchedulePolicies:
-    def test_static(self):
-        sched = make_schedule(SchedulePolicy("static"), 100, 4)
-        assert len(sched) == 4
-
-    def test_dynamic_chunks(self):
-        sched = make_schedule(SchedulePolicy("dynamic", chunk_size=10), 95, 4)
-        assert len(sched) == 10
-        assert sched[-1] == (90, 95)
-
-    def test_guided_shrinks(self):
-        sched = make_schedule(SchedulePolicy("guided", min_chunk=8), 1000, 4)
-        sizes = [hi - lo for lo, hi in sched]
-        assert sizes[0] >= sizes[-1]
-        assert sum(sizes) == 1000
-
-    def test_degree_balanced_requires_indptr(self):
-        with pytest.raises(ValueError, match="indptr"):
-            make_schedule(SchedulePolicy("degree-balanced"), 10, 2)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            SchedulePolicy("random")
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            SchedulePolicy("dynamic", chunk_size=0)
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            make_schedule(SchedulePolicy("static"), 10, 0)
+            balanced_ranges_from_work(np.diff(np.array([0, 1])), 0)

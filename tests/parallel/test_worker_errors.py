@@ -10,6 +10,7 @@ and left stale results in the queue, corrupting the next ``map``.
 
 from __future__ import annotations
 
+import importlib
 import time
 
 import numpy as np
@@ -135,24 +136,34 @@ def test_labels_length_mismatch_rejected():
 def test_sharded_failure_names_shard_and_backend(monkeypatch):
     """A worker-side shard failure identifies shard id, rows and backend.
 
-    The kernel is patched *before* the embed forks its pool, so the
-    injected failure reaches the workers through fork inheritance; on the
-    inline path it fires in-process.  Either way the shard task's wrapper
-    must attach shard id, row range and backend name.
+    The kernel is patched where the owner-range executor looks it up, and
+    *before* the embed forks the session pool, so the injected failure
+    reaches the workers through fork inheritance; on the inline path it
+    fires in-process.  Either way the failing range's label must name shard
+    id, row range and backend.  The pool is shut down on both sides so no
+    worker outlives the patch.
     """
+    from repro.core.gee_parallel import shutdown_workers
+
+    # The submodule itself (``repro.core.gee_vectorized`` the attribute is
+    # the function of that name).
+    kernel_mod = importlib.import_module("repro.core.gee_vectorized")
+
     edges = erdos_renyi(200, 1500, seed=3)
     graph = Graph.coerce(edges)
     sharded = graph.shard(2)
     labels = np.random.default_rng(0).integers(0, 4, size=200).astype(np.int64)
 
-    from repro.shard import sharded as sharded_mod
-
     def exploding(*args, **kwargs):
         raise ValueError("injected shard failure")
 
-    monkeypatch.setattr(sharded_mod, "accumulate_fused_rows_sorted", exploding)
-    with pytest.raises(RuntimeError) as exc_info:
-        sharded.embed(labels, 4)
+    shutdown_workers()
+    monkeypatch.setattr(kernel_mod, "accumulate_fused_rows_sorted", exploding)
+    try:
+        with pytest.raises(RuntimeError) as exc_info:
+            sharded.embed(labels, 4)
+    finally:
+        shutdown_workers()
     message = str(exc_info.value)
     assert "shard 0" in message
     assert "backend=sharded" in message

@@ -104,7 +104,7 @@ class TestExactness:
         edges = erdos_renyi(n, 200_000, seed=5)
         y = random_partial_labels(n, k, 1.0, seed=5)
         sg = ShardedGraph(edges, 4)
-        sg.embed(y, k, n_workers=1)  # warm: per-shard plans
+        sg.embed(y, k, n_workers=1)  # warm: the sorted plan
         tracemalloc.start()
         sg.embed(y, k, n_workers=1)
         _, peak = tracemalloc.get_traced_memory()
@@ -156,11 +156,14 @@ class TestStructure:
         assert [s.row_lo for s in specs] == list(sg.row_cuts[:-1])
         assert [s.row_hi for s in specs] == list(sg.row_cuts[1:])
 
-    def test_incidences_cover_every_half_edge(self, skewed_graph):
+    def test_incidences_cover_every_half_edge(self, skewed_graph, tmp_path):
+        from repro.stream.segments import SegmentedEdgeStore
+
         sg = ShardedGraph(skewed_graph, 6)
         assert sum(s.n_incidences for s in sg.shards) == 2 * skewed_graph.n_edges
-        for shard in sg.shards:
-            owners = shard.graph.edges.src
+        for shard, path in zip(sg.shards, sg.persist(tmp_path)):
+            owners = SegmentedEdgeStore.open(path).source().to_edgelist().src
+            assert owners.size == shard.n_incidences
             if owners.size:
                 assert owners.min() >= shard.spec.row_lo
                 assert owners.max() < shard.spec.row_hi
@@ -304,14 +307,36 @@ class TestIncrementalPatches:
         patch_sums_sharded(via_even, src, dst, delta, y, k, n_shards=3)
         np.testing.assert_allclose(via_graph, via_even, atol=ATOL, rtol=0)
 
+    @pytest.mark.parametrize("n_shards", [1, 2, 7])
+    def test_rows_past_the_last_cut_are_patched(self, n_shards):
+        """Sums sized for more rows than the graph (vertices added since the
+        cuts were made): the last shard owns every row from its cut on, so
+        no delta is dropped."""
+        n, grown, k = 10, 14, 3
+        sharded = Graph.coerce(
+            EdgeList(np.arange(n - 1), np.arange(1, n), n_vertices=n)
+        ).shard(n_shards)
+        y = np.random.default_rng(n_shards).integers(0, k, size=grown)
+        src = np.array([0, 10, 13, 4, 12])
+        dst = np.array([11, 12, 2, 13, 12])
+        delta = np.array([1.0, -0.5, 2.0, 0.25, 1.5])
+        via_graph = np.zeros(grown * k)
+        via_even = np.zeros(grown * k)
+        sharded.patch_sums(via_graph, src, dst, delta, y, k)
+        patch_sums_sharded(via_even, src, dst, delta, y, k, n_shards=n_shards)
+        expected = np.zeros((grown, k))
+        for u, v, w in zip(src, dst, delta):
+            expected[u, y[v]] += w
+            expected[v, y[u]] += w
+        np.testing.assert_allclose(via_even.reshape(grown, k), expected, atol=ATOL, rtol=0)
+        np.testing.assert_allclose(via_graph, via_even, atol=ATOL, rtol=0)
+
 
 class TestOneKernel:
     """Every shard runs the one NumPy row-range kernel; no entry point
     takes a kernel selector."""
 
-    @pytest.mark.parametrize(
-        "entry", ["embed", "patch_sums", "patch_sums_sharded", "accumulate_into"]
-    )
+    @pytest.mark.parametrize("entry", ["embed", "patch_sums", "patch_sums_sharded"])
     def test_kernel_keyword_is_refused(self, entry, tiny_edges):
         y = np.array([0, 1, -1, 1, 0])
         k = 2
@@ -322,9 +347,6 @@ class TestOneKernel:
             "embed": lambda: sg.embed(y, k, kernel="numpy"),
             "patch_sums": lambda: sg.patch_sums(S, *one, kernel="numpy"),
             "patch_sums_sharded": lambda: patch_sums_sharded(S, *one, kernel="numpy"),
-            "accumulate_into": lambda: sg.shards[0].accumulate_into(
-                S, y, k, fully_labelled=False, kernel="numpy"
-            ),
         }
         with pytest.raises(TypeError, match="kernel"):
             calls[entry]()
