@@ -63,8 +63,8 @@ def test_chunked_matches_in_memory(friendster_sim, tmp_path):
     store = save_chunked(graph.edges, tmp_path / "store")
     source = ChunkedEdgeSource.open(store, chunk_edges=max(1, graph.n_edges // 7))
     backend = get_backend("vectorized")
-    baseline = backend.embed_with_plan(graph.plan(N_CLASSES), labels).detached()
-    chunked = backend.embed(source, labels, N_CLASSES).detached()
+    baseline = backend.embed_with_plan(graph.plan(N_CLASSES), labels)
+    chunked = backend.embed(source, labels, N_CLASSES)
     np.testing.assert_allclose(chunked.embedding, baseline.embedding, atol=1e-12)
 
 

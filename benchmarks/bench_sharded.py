@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     # Single-pool references: the vectorized fused pass (ties this file to
     # BENCH_outofcore.json) and parallel@1 (ties it to the Fig. 3 sweep).
     vec = get_backend("vectorized")
-    baseline = vec.embed_with_plan(graph.plan(N_CLASSES), labels).detached()
+    baseline = vec.embed_with_plan(graph.plan(N_CLASSES), labels)
     vec_record = time_callable(
         lambda: vec.embed_with_plan(graph.plan(N_CLASSES), labels),
         repeats=args.repeats,

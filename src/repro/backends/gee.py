@@ -255,12 +255,12 @@ class ProcessParallelGEEBackend(GEEBackend):
     (:func:`~repro.core.gee_parallel.run_owner_ranges`).  Deterministic
     despite being parallel — every embedding row is computed start-to-finish
     by exactly one worker in a fixed traversal order, so any worker count
-    gives bitwise the serial sorted pass.  ``embed`` returns a fresh array;
-    ``embed_with_plan`` views the plan's reused output buffer.  The chunked
-    (out-of-core) path trades that row partition for per-worker chunk slabs
-    with private partials and one reduction, keeping the bounded-memory
-    guarantee on the edge side; it too is deterministic (fixed slab
-    assignment, fixed reduction order).
+    gives bitwise the serial sorted pass.  Pooled runs return the slot of
+    the shared output ring the workers wrote, with no copy; the result
+    owns its embedding either way.  The chunked (out-of-core) path trades
+    that row partition for per-worker chunk slabs with private partials and
+    one reduction, keeping the bounded-memory guarantee on the edge side;
+    it too is deterministic (fixed slab assignment, fixed reduction order).
     """
 
     def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):

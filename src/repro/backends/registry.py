@@ -209,9 +209,9 @@ class GEEBackend:
         every label-independent artifact — validated edges, flat scatter
         indices, CSR/CSC views, output buffers — so repeated calls on the
         same graph do no validation, no index rebuilding and no large
-        allocations.  Backends with a dedicated plan kernel return an
-        embedding that views the plan's reused output buffer (valid until
-        the next plan-based call; see ``EmbeddingResult.detached``).
+        allocations.  The result owns its embedding: backends with a
+        dedicated plan kernel write it in place into a buffer of the plan's
+        output ring, which the plan reuses only once no array views it.
 
         Label validation (the only per-call O(n) check left) happens
         exactly once, inside the dispatched kernel.

@@ -231,9 +231,7 @@ class GraphEncoderEmbedding:
                 layout=layout,
             )
             result = self._backend.embed_with_plan(plan, y)
-        # Detach: plan-based embeddings view the plan's reused output
-        # buffer, which the next fit on the same (graph, K) overwrites.
-        self.result_ = result.detached()
+        self.result_ = result
         self.labels_ = y
         self.n_classes = k
         self._scales_ = projection_scales(y, k)

@@ -222,11 +222,10 @@ def gee_ligra_with_plan(
 ) -> EmbeddingResult:
     """GEE via the Ligra engine on a compiled :class:`~repro.core.plan.EmbedPlan`.
 
-    The plan's CSR view was forced at compilation, the output buffer is the
-    plan's reusable one and the dense ``W`` is built lazily — the engine's
-    dense traversal is the only O(s) work per call.  The returned embedding
-    is a view of the plan's output buffer (valid until the next plan-based
-    call on the same plan).
+    The plan's CSR view was forced at compilation, the output comes from
+    the plan's output ring and the dense ``W`` is built lazily — the
+    engine's dense traversal is the only O(s) work per call.  The result
+    owns its embedding.
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
@@ -260,5 +259,4 @@ def gee_ligra_with_plan(
         timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
         method=f"gee-ligra[{engine.backend.name}]",
         n_workers=int(workers),
-        buffer_view=True,
     )

@@ -42,7 +42,11 @@ ranges to them.  All inputs and the output travel through named POSIX
 shared memory; the incidence arrays are shipped once per plan, so
 repeated runs (benchmark repeats, worker sweeps) send only the label
 vector and the ``1/n_c`` column scales — the analogue of Ligra having
-loaded the graph before the timed region starts.
+loaded the graph before the timed region starts.  Like Ligra's in-place
+edge map, nothing is copied after the pass: the workers write a slot of a
+small shared output ring (:class:`~repro.parallel.shm.OutputRing`), and the
+caller keeps the array that views it.  The slot is reused only once no
+array views it any more.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from ..parallel.pool import (
 )
 from ..analysis.annotations import hot_path
 from ..obs import trace
-from ..parallel.shm import SharedArrayHandle, SharedArraySet, attach_many
+from ..parallel.shm import OutputRing, SharedArrayHandle, SharedArraySet, attach_many
 from .gee_vectorized import scatter_add
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
@@ -217,7 +221,9 @@ def shutdown_workers() -> None:
     """Terminate the session's GEE worker pool and its shared memory.
 
     Mostly useful in tests and at interpreter shutdown; a subsequent
-    :func:`gee_parallel` call transparently recreates the pool.
+    :func:`gee_parallel` call transparently recreates the pool.  Every
+    segment is unlinked at once; a held result that views an output slot
+    reads the same values afterwards, and its mapping closes when it dies.
     """
     global _POOL, _WORKSPACE
     if _POOL is not None:
@@ -273,12 +279,19 @@ def _shared_fused_for(fused) -> _SharedFused:
     return entry
 
 
+#: Output segments the shared ring of one workspace may hold.  Callers who
+#: keep three pooled results at once get a private copy of the fourth.
+_MAX_SHARED_OUTPUTS = 3
+
+
 class _Workspace:
-    """Reusable per-call shared buffers (labels, column scales, embedding).
+    """Reusable per-``(n, K)`` shared buffers: labels, column scales, outputs.
 
     Reusing the same named segments across calls lets the pool workers keep
     their mappings warm (see ``_WORKER_ATTACHMENTS``); only the label and
-    column-scale vectors are rewritten per call.
+    column-scale vectors are rewritten per call.  The workers write one
+    slot of the shared output ring, and the caller keeps the array that
+    views it.
     """
 
     def __init__(self, n: int, k: int) -> None:
@@ -288,10 +301,18 @@ class _Workspace:
         #: Per-column ``1/n_c`` rescale vector (written once per call by
         #: the parent; each task multiplies its own rows).
         self.inv = self.shm.empty("inv", (k,), np.float64)
-        self.Z = self.shm.empty("Z", (n, k), np.float64)
         self.handles = self.shm.handles()
+        self.outputs = OutputRing((n, k), shared=True, max_buffers=_MAX_SHARED_OUTPUTS)
+
+    def fallback_output(self) -> Tuple[np.ndarray, SharedArrayHandle]:
+        """The output segment of a run that finds every ring slot held,
+        created on first need."""
+        if "Z" not in self.shm:
+            self.shm.empty("Z", (self.n, self.k), np.float64)
+        return self.shm["Z"], self.shm.handles()["Z"]
 
     def close(self) -> None:
+        self.outputs.close()
         self.shm.close()
 
 
@@ -386,25 +407,34 @@ def run_owner_ranges(
     y: np.ndarray,
     inv: np.ndarray,
     tasks: Sequence[Sequence[OwnerRange]],
-    out: np.ndarray,
+    out: Optional[np.ndarray] = None,
     *,
     backend: str,
-) -> None:
-    """Write rows of ``out`` from a sorted fused layout, task by task.
+) -> np.ndarray:
+    """Compute the rows of every range from a sorted fused layout.
 
     The one owner-range executor behind ``parallel`` and ``sharded``.
     ``tasks`` is a list of tasks, each a sequence of
     ``(row_lo, row_hi, label)`` ranges; together the ranges must cover
-    ``[0, n)`` exactly once.  Every slot of a range's rows is assigned
-    (``out`` need not be zeroed) and rescaled by the column scales ``inv``.
-    A single task runs in this process; several run as one pool task each
-    on the session pool, over the plan's shared fused layout and the shared
-    workspace, and the result is copied into ``out``.  So a caller bounds
-    concurrency by its task count, whatever the pool size.  A failing range
-    raises an error naming its label, in-process or from a worker.
+    ``[0, n)`` exactly once.  Every slot of a range's rows is assigned (no
+    output needs zeroing) and rescaled by the column scales ``inv``.
+    Returns the ``(n, K)`` result.
+
+    A single task runs in this process and writes ``out`` (a fresh array
+    when ``out`` is ``None``).  Several run as one pool task each on the
+    shared worker pool, over the plan's shared fused layout and the shared
+    workspace, and ``out`` is not used: the workers write a free slot of
+    the workspace's shared output ring, and the returned array views that
+    slot, so nothing is copied.  When callers hold every slot, the workers
+    write a fallback segment and the result is a private copy of it.  A
+    caller bounds concurrency by its task count, whatever the pool size.
+    A failing range raises an error naming its label, in-process or from a
+    worker.
     """
     fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
     if len(tasks) == 1:
+        if out is None:
+            out = np.empty((fused.n_vertices, fused.n_classes), dtype=np.float64)
         _accumulate_ranges(
             out,
             fused.owner_flat,
@@ -416,21 +446,24 @@ def run_owner_ranges(
             tasks[0],
             fully,
         )
-        return
+        return out
     shared_fused = _shared_fused_for(fused)
     pool = _get_pool(len(tasks))
-    workspace = _workspace_for(*out.shape)
+    workspace = _workspace_for(fused.n_vertices, fused.n_classes)
     workspace.labels[:] = y
     workspace.inv[:] = inv
+    slot = workspace.outputs.take()
+    Z, z_handle = workspace.fallback_output() if slot is None else slot
     handles = dict(shared_fused.handles)
     handles.update(workspace.handles)
+    handles["Z"] = z_handle
     with trace("parallel.dispatch", backend=backend, n_tasks=len(tasks)):
         pool.map(
             _owner_ranges_task,
             [(handles, tuple(task), fused.rows_per_block, fully) for task in tasks],
             labels=[", ".join(label for _, _, label in task) for task in tasks],
         )
-    np.copyto(out, workspace.Z)
+    return Z.copy() if slot is None else Z
 
 
 def _requested_workers(n_workers: Optional[int]) -> int:
@@ -447,13 +480,14 @@ def _requested_workers(n_workers: Optional[int]) -> int:
 
 
 def _gee_parallel_sorted(
-    plan, labels: np.ndarray, n_workers: Optional[int], *, owned: bool
+    plan, labels: np.ndarray, n_workers: Optional[int]
 ) -> EmbeddingResult:
     """``parallel`` on ``plan``: one degree-balanced owner range per worker.
 
     Runs the sorted fused layout; a ``layout="none"`` plan uses its graph's
-    cached sorted plan.  ``owned=False`` writes the reused output buffer of
-    ``plan`` (the result views it); ``owned=True`` writes a fresh array.
+    cached sorted plan.  One worker writes an output array of ``plan``;
+    several write a slot of the shared output ring.  Either way the result
+    owns its embedding.
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
@@ -477,9 +511,8 @@ def _gee_parallel_sorted(
         ((row_lo, row_hi, f"backend=parallel rows[{row_lo}:{row_hi}]"),)
         for row_lo, row_hi in plan_sorted.fused_row_ranges(workers)
     ]
-    n = plan.n_vertices
-    Z = np.empty((n, k), dtype=np.float64) if owned else plan.output_matrix()
-    run_owner_ranges(fused, y, inv, tasks, Z, backend="parallel")
+    out = plan.output_matrix() if len(tasks) == 1 else None
+    Z = run_owner_ranges(fused, y, inv, tasks, out, backend="parallel")
     t2 = time.perf_counter()
     timings["edge_pass"] = t2 - t1
     timings["total"] = t2 - t0
@@ -492,7 +525,6 @@ def _gee_parallel_sorted(
         timings=timings,
         method="gee-parallel",
         n_workers=workers,
-        buffer_view=not owned,
         layout="sorted",
     )
 
@@ -525,7 +557,7 @@ def gee_parallel(
         (absurd oversubscription, or >1 workers on a platform without
         ``fork``) raises instead.
 
-    The returned embedding is a fresh array owned by the result.
+    The result owns its embedding.
     """
     t_pre = time.perf_counter()
     graph = edges if isinstance(edges, Graph) else Graph(validate_edges(edges))
@@ -534,7 +566,7 @@ def gee_parallel(
         plan = graph.plan(k, layout="sorted")
         plan.fused  # compile the sorted incidence inside "preprocess"
         preprocess = time.perf_counter() - t_pre
-        result = _gee_parallel_sorted(plan, y, n_workers, owned=True)
+        result = _gee_parallel_sorted(plan, y, n_workers)
     finally:
         if graph is not edges:
             # A private facade and its plans reference each other: drop
@@ -722,7 +754,6 @@ def gee_parallel_chunked(
         timings=timings,
         method="gee-parallel",
         n_workers=workers,
-        buffer_view=True,
         layout=layout,
     )
 
@@ -740,7 +771,7 @@ def gee_parallel_with_plan(
     result reports ``layout == "sorted"`` either way.  The incidence
     arrays ship to the pool once per plan and the degree-balanced row
     partition is cached on the plan per worker count, so per call only the
-    label vector and the column scales travel.  The returned embedding is a
-    view of ``plan``'s reused output buffer.
+    label vector and the column scales travel.  The result owns its
+    embedding: the workers write it in place, and nothing is copied out.
     """
-    return _gee_parallel_sorted(plan, labels, n_workers, owned=False)
+    return _gee_parallel_sorted(plan, labels, n_workers)

@@ -87,7 +87,7 @@ def gee_python_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
     Skips edge validation and the output allocation (both done at plan
     compilation) and reads the per-vertex scales instead of the dense ``W``
     — the per-edge loop itself is unchanged, it *is* the baseline.  The
-    returned embedding is a view of the plan's reused output buffer.
+    output comes from the plan's output ring; the result owns it.
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
@@ -116,5 +116,4 @@ def gee_python_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
         timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
         method="gee-python",
         n_workers=1,
-        buffer_view=True,
     )

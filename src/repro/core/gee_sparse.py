@@ -167,7 +167,6 @@ def gee_sparse_chunked(plan, labels: np.ndarray) -> EmbeddingResult:
         timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
         method="gee-sparse",
         n_workers=1,
-        buffer_view=True,
     )
 
 

@@ -262,11 +262,11 @@ def gee_fused_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
     The layout-plan counterpart of :func:`gee_vectorized_with_plan`
     (dispatched when ``plan.layout == "sorted"``): the scatter runs the
     block-local segment-sum kernel over the compiled incidence arrays and
-    writes straight into the plan's reused output buffer — per call the
-    only temporaries are the O(2E) gathered/compacted index and weight
+    writes straight into an output array from the plan's ring — per call
+    the only temporaries are the O(2E) gathered/compacted index and weight
     arrays plus one L2-sized block at a time, never a fresh ``(n*K,)``
-    output.  Same buffer-reuse contract as every plan kernel
-    (``EmbeddingResult.detached`` copies a result out).
+    output while no earlier result holds the plan's buffer.  The result
+    owns its embedding, like every plan kernel's.
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
@@ -301,7 +301,6 @@ def gee_fused_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
         timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
         method="gee-vectorized",
         n_workers=1,
-        buffer_view=True,
         layout=plan.layout,
     )
 
@@ -484,7 +483,7 @@ def gee_vectorized_chunked(plan, labels: np.ndarray) -> EmbeddingResult:
     Identical sums to :func:`gee_vectorized` (scatter-add is associative;
     only floating-point summation order differs), with peak temporary
     allocation bounded by the source's chunk size instead of O(E).  The
-    returned embedding views the plan's reused output buffer.
+    output comes from the plan's output ring; the result owns it.
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
@@ -506,7 +505,6 @@ def gee_vectorized_chunked(plan, labels: np.ndarray) -> EmbeddingResult:
         timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
         method="gee-vectorized",
         n_workers=1,
-        buffer_view=True,
         layout=getattr(plan, "layout", "none"),
     )
 
@@ -520,9 +518,8 @@ def gee_vectorized_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
     runs the scatter-adds.  The dense projection ``W`` is built lazily on
     first access of ``result.projection``.
 
-    The returned embedding is a view of the plan's output buffer — it is
-    valid until the next plan-based call on the same plan (see
-    :meth:`EmbeddingResult.detached`).
+    The output comes from the plan's output ring: the result owns it, and
+    a later call on the plan never overwrites it.
 
     Plans compiled with the locality-optimized layout
     (``graph.plan(K, layout="sorted")``) dispatch to the fused segment-sum
@@ -547,5 +544,4 @@ def gee_vectorized_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
         timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
         method="gee-vectorized",
         n_workers=1,
-        buffer_view=True,
     )

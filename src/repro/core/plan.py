@@ -17,16 +17,16 @@ backend exposes ``embed_with_plan(plan, labels)`` (see
 edge validation, *zero* index rebuilding and *zero* large allocations per
 call.
 
-Two sharp edges, both documented on the methods involved:
+The embedding ``embed_with_plan`` returns belongs to the caller: the
+kernel writes it in place into a buffer of the plan's small output ring
+(:class:`~repro.parallel.shm.OutputRing`), and the plan reuses that buffer
+only once no array views it any more.  So repeated calls on a plan whose
+results are dropped reuse one buffer, and a kept result never changes.
 
-* the plan's output buffer is reused — the embedding returned by
-  ``embed_with_plan`` is valid until the next plan-based call on the same
-  plan (use :meth:`~repro.core.result.EmbeddingResult.detached` to keep
-  one);
-* cache invalidation after *in-place* mutation of the underlying edge
-  arrays is best-effort, via a sampled fingerprint (see
-  :func:`edge_fingerprint`).  Replacing the arrays or building a new
-  ``Graph`` is always detected.
+One sharp edge, documented on the methods involved: cache invalidation
+after *in-place* mutation of the underlying edge arrays is best-effort, via
+a sampled fingerprint (see :func:`edge_fingerprint`).  Replacing the arrays
+or building a new ``Graph`` is always detected.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..analysis.annotations import hot_path
+from ..parallel.shm import OutputRing
 from .validation import validate_edges, validate_labels
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "LAYOUTS",
     "choose_index_dtype",
     "compile_fused_layout",
+    "owner_sort",
     "edge_fingerprint",
     "csr_fingerprint",
     "edge_fingerprint_full",
@@ -165,6 +167,30 @@ class FusedLayout:
         )
 
 
+def owner_sort(owner: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The stable sorting permutation of ``owner``, and the sorted owners.
+
+    Sorts one packed int64 key per incidence, ``owner << b | i`` with ``b``
+    the bit length of the incidence count.  The keys are unique, so any
+    sort yields the stable order, and an int64 sort runs several times
+    faster than the stable argsort: ``key >> b`` is the sorted owners and
+    ``key & (2**b - 1)`` the permutation.  Owners too large to pack into 63
+    bits take the stable argsort.  ``owner`` must be non-negative.
+    """
+    m = int(owner.size)
+    bits = m.bit_length()
+    if m == 0 or int(owner.max()).bit_length() + bits > 63:
+        order = np.argsort(owner, kind="stable")
+        return order, owner[order]
+    key = np.left_shift(owner, bits, dtype=np.int64)
+    key |= np.arange(m, dtype=np.int64)
+    key.sort()
+    sorted_owner = np.empty_like(owner)
+    np.right_shift(key, bits, out=sorted_owner, casting="unsafe")
+    key &= (1 << bits) - 1
+    return key, sorted_owner
+
+
 def compile_fused_layout(
     src: np.ndarray,
     dst: np.ndarray,
@@ -187,8 +213,8 @@ def compile_fused_layout(
 
     owner = np.concatenate((src, dst))
     partner = np.concatenate((dst, src))
-    order = np.argsort(owner, kind="stable")
-    owner_flat = (owner[order] * k).astype(idx_dtype)
+    order, owner = owner_sort(owner)
+    owner_flat = (owner * k).astype(idx_dtype)
     partner_p = partner[order].astype(idx_dtype)
     weights_p = None if weights is None else np.concatenate((weights, weights))[order]
     return FusedLayout(n, k, rows_per_block, idx_dtype, owner_flat, partner_p, weights_p)
@@ -208,9 +234,9 @@ def sorted_incidence(
     """
     owner = np.concatenate((src, dst))
     partner = np.concatenate((dst, src))
-    order = np.argsort(owner, kind="stable")
+    order, owner = owner_sort(owner)
     w2 = None if weights is None else np.concatenate((weights, weights))[order]
-    return owner[order], partner[order], w2
+    return owner, partner[order], w2
 
 
 def edge_fingerprint(edges) -> Tuple:
@@ -301,7 +327,43 @@ def csr_fingerprint_full(csr) -> Tuple:
     return ("csr-full", int(csr.n_vertices), int(csr.n_edges), h.hexdigest())
 
 
-class EmbedPlan:
+class _PlanOutputs:
+    """The per-call output arrays of a plan, from its private output ring.
+
+    Each call gets an array it owns; the ring holds one ``(n*K,)`` buffer
+    while no result views it, and reuses it for the next call.
+    """
+
+    n_vertices: int
+    n_classes: int
+    _outputs: Optional[OutputRing]
+
+    def _output_ring(self) -> OutputRing:
+        if self._outputs is None:
+            self._outputs = OutputRing((self.n_vertices * self.n_classes,))
+        return self._outputs
+
+    @hot_path(reason="per-call output hand-out; must reuse, not reallocate")
+    def zeroed_output(self) -> np.ndarray:
+        """A zeroed flat ``(n*K,)`` output array that the caller owns.
+
+        It reuses the plan's idle buffer when no earlier result views it
+        any more, and allocates another otherwise, so a kept result is
+        never overwritten.
+        """
+        return self._output_ring().take(zeroed=True)[0]
+
+    @hot_path(reason="per-call output hand-out; must reuse, not reallocate")
+    def output_matrix(self) -> np.ndarray:
+        """An ``(n, K)`` output array that the caller owns (not zeroed).
+
+        Same reuse as :meth:`zeroed_output`.
+        """
+        flat = self._output_ring().take()[0]
+        return flat.reshape(self.n_vertices, self.n_classes)
+
+
+class EmbedPlan(_PlanOutputs):
     """Per-``(graph, K)`` compiled artifact for repeated GEE edge passes.
 
     Compilation is tiered so one-shot fits don't pay for views they never
@@ -320,7 +382,7 @@ class EmbedPlan:
     * the total-degree vector and the per-worker-count row partitions of
       the owner-range executor;
     * the CSR out-adjacency and CSC (reverse) in-adjacency views;
-    * the reusable flat ``(n*K,)`` output buffer;
+    * the output ring that hands each call an array it owns;
     * the scipy adjacency pair.
 
     Do not construct directly — use :meth:`repro.graph.facade.Graph.plan`,
@@ -374,7 +436,7 @@ class EmbedPlan:
         self._fused: Optional[FusedLayout] = None
         self._total_degrees: Optional[np.ndarray] = None
         self._fused_row_ranges: Dict[int, List[Tuple[int, int]]] = {}
-        self._Z_flat: Optional[np.ndarray] = None
+        self._outputs: Optional[OutputRing] = None
         self._scipy_adj = None
         self._scipy_adj_T = None
         #: Resource-free Ligra engines cached per engine-backend name (the
@@ -518,29 +580,6 @@ class EmbedPlan:
         y, _ = validate_labels(labels, self.n_vertices, self.n_classes)
         return y
 
-    @hot_path(reason="per-call output hand-out; must reuse, not reallocate")
-    def zeroed_output(self) -> np.ndarray:
-        """The reusable flat ``(n*K,)`` output buffer, zeroed.
-
-        The same buffer backs every plan-based call, so the embedding a
-        backend returns from it is only valid until the next call on this
-        plan; :meth:`EmbeddingResult.detached` copies it out.
-        """
-        if self._Z_flat is None:
-            # repro: ignore[hot-path-alloc] lazy one-time buffer; every later call reuses it
-            self._Z_flat = np.zeros(self.n_vertices * self.n_classes, dtype=np.float64)
-        else:
-            self._Z_flat.fill(0.0)
-        return self._Z_flat
-
-    @hot_path(reason="per-call output hand-out; must reuse, not reallocate")
-    def output_matrix(self) -> np.ndarray:
-        """``(n, K)`` view of the reusable output buffer (not zeroed)."""
-        if self._Z_flat is None:
-            # repro: ignore[hot-path-alloc] lazy one-time buffer; every later call reuses it
-            self._Z_flat = np.zeros(self.n_vertices * self.n_classes, dtype=np.float64)
-        return self._Z_flat.reshape(self.n_vertices, self.n_classes)
-
     # ------------------------------------------------------------------ #
     # Copy-on-write extension (append-only graph mutations)
     # ------------------------------------------------------------------ #
@@ -608,7 +647,7 @@ class EmbedPlan:
         )
 
 
-class ChunkedPlan:
+class ChunkedPlan(_PlanOutputs):
     """Per-``(source, K)`` compiled artifact for bounded-memory edge passes.
 
     The out-of-core counterpart of :class:`EmbedPlan`: where the full plan
@@ -627,8 +666,8 @@ class ChunkedPlan:
     file-backed sources — chunk consumers must not touch ``graph`` (a
     file-backed source has no in-memory views to offer).
 
-    Like :class:`EmbedPlan`, the output buffer is reused across calls on the
-    same plan (see :meth:`zeroed_output`).
+    Like :class:`EmbedPlan`, each call's output comes from the plan's output
+    ring (see :meth:`zeroed_output`).
     """
 
     is_chunked = True
@@ -673,7 +712,7 @@ class ChunkedPlan:
         #: the two-sided edge update.  Built by
         #: ``graph.plan(K, chunk_edges=..., layout="sorted")``.
         self.layout = layout
-        self._Z_flat: Optional[np.ndarray] = None
+        self._outputs: Optional[OutputRing] = None
 
     # ------------------------------------------------------------------ #
     # Per-call helpers (same contract as EmbedPlan)
@@ -682,29 +721,6 @@ class ChunkedPlan:
         """Validate a label vector against the compiled ``(n, K)`` (O(n))."""
         y, _ = validate_labels(labels, self.n_vertices, self.n_classes)
         return y
-
-    @hot_path(reason="per-call output hand-out; must reuse, not reallocate")
-    def zeroed_output(self) -> np.ndarray:
-        """The reusable flat ``(n*K,)`` output buffer, zeroed.
-
-        Same sharp edge as :meth:`EmbedPlan.zeroed_output`: the buffer backs
-        every call on this plan, so returned embeddings are valid until the
-        next plan-based call (``EmbeddingResult.detached`` copies one out).
-        """
-        if self._Z_flat is None:
-            # repro: ignore[hot-path-alloc] lazy one-time buffer; every later call reuses it
-            self._Z_flat = np.zeros(self.n_vertices * self.n_classes, dtype=np.float64)
-        else:
-            self._Z_flat.fill(0.0)
-        return self._Z_flat
-
-    @hot_path(reason="per-call output hand-out; must reuse, not reallocate")
-    def output_matrix(self) -> np.ndarray:
-        """``(n, K)`` view of the reusable output buffer (not zeroed)."""
-        if self._Z_flat is None:
-            # repro: ignore[hot-path-alloc] lazy one-time buffer; every later call reuses it
-            self._Z_flat = np.zeros(self.n_vertices * self.n_classes, dtype=np.float64)
-        return self._Z_flat.reshape(self.n_vertices, self.n_classes)
 
     # ------------------------------------------------------------------ #
     # Streaming compilation

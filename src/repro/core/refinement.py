@@ -412,9 +412,6 @@ def gee_unsupervised(
             break
 
     assert result is not None
-    # Plan-based results view the plan's reused buffer; detach so the
-    # returned embedding survives later embeds on the same graph.
-    result = result.detached()
     if dynamic is not None:
         dynamic.refinement_state = (dynamic.version, labels.copy())
     return RefinementResult(

@@ -15,7 +15,11 @@ class EmbeddingResult:
     Attributes
     ----------
     embedding:
-        ``Z ∈ R^{n×K}`` — the node embeddings (Algorithm 1/2 output).
+        ``Z ∈ R^{n×K}`` — the node embeddings (Algorithm 1/2 output).  The
+        result owns it: a plan-based kernel writes it in place into a
+        buffer of the plan's (or the worker pool's) output ring, and that
+        buffer is reused only once no array views it any more, so a kept
+        embedding never changes.
     projection:
         ``W ∈ R^{n×K}`` — the projection matrix built from the labels.  The
         fast plan-based paths construct it lazily on first access (the edge
@@ -42,7 +46,6 @@ class EmbeddingResult:
         n_workers: int = 1,
         *,
         projection_builder: Optional[Callable[[], np.ndarray]] = None,
-        buffer_view: bool = False,
         layout: str = "none",
         execution_choice=None,
     ) -> None:
@@ -54,10 +57,6 @@ class EmbeddingResult:
         self.timings: Dict[str, float] = {} if timings is None else timings
         self.method = method
         self.n_workers = n_workers
-        #: Whether ``embedding`` aliases a plan's reused output buffer (set
-        #: by the buffer-reusing plan kernels; makes :meth:`detached` cheap
-        #: for everything else).
-        self.buffer_view = buffer_view
         #: Memory layout the edge pass executed with (``"none"`` = arrival
         #: order; ``"sorted"`` = the locality-optimized fused kernel) —
         #: observability for benchmarks and the auto backend.
@@ -105,28 +104,12 @@ class EmbeddingResult:
         return self.embedding / norms
 
     def detached(self) -> "EmbeddingResult":
-        """A result whose embedding no longer aliases a plan's reused buffer.
+        """This result, unchanged: it already owns its embedding.
 
-        The buffer-reusing plan kernels write into a per-plan output buffer
-        that the *next* ``embed_with_plan`` call on the same plan
-        overwrites; call this before storing a result beyond the next
-        embed.  Results that own their embedding (``buffer_view=False``)
-        are returned as-is — no copy.
+        A no-op, so code that stores results through ``detached()`` keeps
+        working and pays no copy.
         """
-        if not self.buffer_view:
-            return self
-        clone = EmbeddingResult(
-            embedding=np.array(self.embedding, dtype=np.float64, copy=True),
-            projection=self._projection,
-            timings=self.timings,
-            method=self.method,
-            n_workers=self.n_workers,
-            projection_builder=self._projection_builder,
-            layout=self.layout,
-            execution_choice=self.execution_choice,
-        )
-        clone.telemetry = self.telemetry
-        return clone
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         n, k = self.embedding.shape

@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+#: Seconds a map waits for a result before it checks that every worker is
+#: still alive.
+_LIVENESS_POLL_S = 0.5
+
+
 class WorkerTaskError(RuntimeError):
     """A task failed inside a pooled worker.
 
@@ -237,6 +242,20 @@ class ForkWorkerPool:
         self._procs.clear()
         self._inline_context = None
 
+    def _terminate(self) -> None:
+        """Kill every worker at once and close the pool (idempotent)."""
+        self._closed = True
+        for p in self._procs:
+            p.terminate()
+        for p in self._procs:
+            p.join(timeout=5)
+        self._procs.clear()
+        if self._task_queue is not None:
+            # Tasks no worker took stay in the pipe; never wait to flush them.
+            self._task_queue.cancel_join_thread()
+            self._task_queue.close()
+            self._result_queue.close()
+
     def __enter__(self) -> "ForkWorkerPool":
         return self
 
@@ -275,6 +294,8 @@ class ForkWorkerPool:
         failed, and the label lands on the worker's ``worker.task`` span.
         The map waits for every task; when several fail, it raises the
         failure with the lowest task id, whatever order they finished in.
+        A worker that dies mid-map makes the map terminate the others, close
+        the pool and raise; a closed pool refuses every later map.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -310,15 +331,22 @@ class ForkWorkerPool:
         failures: Dict[int, str] = {}
         while received < len(task_args):
             try:
-                task_id, err, value, payload = self._result_queue.get(timeout=5.0)
+                task_id, err, value, payload = self._result_queue.get(
+                    timeout=_LIVENESS_POLL_S
+                )
             except queue.Empty:
                 # No result in a while: make sure the workers are still alive,
                 # otherwise this map would wait forever.
                 dead = [p for p in self._procs if not p.is_alive()]
                 if dead:
+                    codes = [p.exitcode for p in dead]
+                    # The survivors may still be running this map's tasks:
+                    # their late results would answer the next map, and their
+                    # writes would land in memory already handed back.
+                    self._terminate()
                     raise RuntimeError(
                         f"{len(dead)} worker process(es) died while running tasks "
-                        f"(exit codes {[p.exitcode for p in dead]})"
+                        f"(exit codes {codes}); the pool is closed"
                     )
                 continue
             _obs.absorb(payload)

@@ -16,10 +16,16 @@ Typical usage::
 
 Workers call :func:`attach` with the handle dictionary to get views of the
 same buffers.
+
+:class:`OutputRing` hands out output arrays that their callers own: a
+kernel writes the buffer in place, the caller keeps the array, and the
+buffer is reused only once no array views it any more.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -29,7 +35,13 @@ import numpy as np
 
 from ..obs import metrics as obs_metrics
 
-__all__ = ["SharedArrayHandle", "SharedArraySet", "attach", "attach_many"]
+__all__ = [
+    "OutputRing",
+    "SharedArrayHandle",
+    "SharedArraySet",
+    "attach",
+    "attach_many",
+]
 
 
 def _release_segments(segments: Dict[str, shared_memory.SharedMemory]) -> None:
@@ -180,6 +192,179 @@ class SharedArraySet:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class _RingState:
+    """The part of an :class:`OutputRing` its hand-out finalizers reach.
+
+    Kept apart from the ring, so a finalizer never keeps the ring (or the
+    plan that owns it) alive.
+    """
+
+    __slots__ = ("lock", "pid", "idle", "n_buffers", "segments", "closed")
+
+    def __init__(self) -> None:
+        # Reentrant: a garbage collection inside a locked section may run a
+        # hand-out finalizer in the same thread.
+        self.lock = threading.RLock()
+        #: Only the creating process frees buffers; a forked worker that
+        #: collects an inherited result must not unlink the parent's segment.
+        self.pid = os.getpid()
+        #: The one buffer no array views, kept for the next take.
+        self.idle = None
+        #: Buffers that exist, handed out or idle.
+        self.n_buffers = 0
+        #: Every segment of a shared ring by name, handed out or idle.
+        self.segments: Dict[str, shared_memory.SharedMemory] = {}
+        self.closed = False
+
+
+def _release_output(state: _RingState, buffer) -> None:
+    """Finalizer of one hand-out: the last array viewing ``buffer`` died.
+
+    It runs after that array's buffer export is released, so a segment may
+    be closed here.  The buffer becomes the ring's idle one, or is freed
+    when the ring already has one or is closed: a segment is closed (and
+    unlinked, unless the ring's close already did), a private array is
+    dropped.
+    """
+    if os.getpid() != state.pid:
+        return
+    shared = isinstance(buffer, shared_memory.SharedMemory)
+    with state.lock:
+        keep = not state.closed and state.idle is None
+        unlink = not state.closed
+        if keep:
+            state.idle = buffer
+        elif unlink:
+            state.n_buffers -= 1
+            if shared:
+                del state.segments[buffer.name]
+    if keep or not shared:
+        return
+    buffer.close()
+    if unlink:
+        buffer.unlink()
+        obs_metrics.gauge_add("shm.segments_live", -1)
+
+
+def _close_ring(state: _RingState) -> None:
+    """Unlink every segment of a ring at once and free its idle buffer.
+
+    A segment that an array still views keeps its mapping until that array
+    dies; then :func:`_release_output` closes it.
+    """
+    if os.getpid() != state.pid:
+        return
+    with state.lock:
+        if state.closed:
+            return
+        state.closed = True
+        idle, state.idle = state.idle, None
+    # Closed rings neither add nor drop segments, so no lock is needed here.
+    for seg in state.segments.values():
+        if seg is idle:
+            seg.close()
+        seg.unlink()
+        obs_metrics.gauge_add("shm.segments_live", -1)
+    state.segments.clear()
+
+
+class OutputRing:
+    """Reusable ``float64`` output buffers of one shape, handed out as
+    arrays that their callers own.
+
+    :meth:`take` returns a fresh array over a free buffer.  The ring reuses
+    that buffer only once no array views it any more: slices and reshapes
+    keep the returned array alive through ``.base``, and a
+    ``weakref.finalize`` on the array's own buffer export hands the buffer
+    back.  So the ring's own reference never counts, and a held result
+    never changes.  The ring keeps at most one idle buffer; a buffer handed
+    back while another is idle is freed.
+
+    ``shared=False`` buffers are private NumPy allocations.
+    ``shared=True`` buffers are named shared-memory segments, which forked
+    workers attach through the handle :meth:`take` returns with the array.
+    ``max_buffers`` caps how many buffers exist; :meth:`take` returns
+    ``None`` while callers hold all of them.  :meth:`close` unlinks every
+    segment at once, and a segment still viewed keeps its mapping until its
+    last array dies, so a held array reads the same values after the close.
+    """
+
+    def __init__(
+        self,
+        shape: Tuple[int, ...],
+        *,
+        shared: bool = False,
+        max_buffers: Optional[int] = None,
+    ) -> None:
+        self.shape = tuple(int(s) for s in shape)
+        self.size = int(np.prod(self.shape, dtype=np.int64))
+        self.shared = bool(shared)
+        self.max_buffers = max_buffers
+        self._state = _RingState()
+        self._finalizer = weakref.finalize(self, _close_ring, self._state)
+
+    @property
+    def n_buffers(self) -> int:
+        """Buffers that exist now, handed out or idle."""
+        return self._state.n_buffers
+
+    def take(
+        self, *, zeroed: bool = False
+    ) -> Optional[Tuple[np.ndarray, Optional[SharedArrayHandle]]]:
+        """A fresh array over a free buffer, and the handle of its segment.
+
+        Reuses the idle buffer (filled with zeros first when ``zeroed``) or
+        allocates a zero-filled one.  The handle is ``None`` on a private
+        ring.  Returns ``None`` when ``max_buffers`` buffers exist and none
+        is idle.
+        """
+        state = self._state
+        with state.lock:
+            if state.closed:
+                raise RuntimeError("OutputRing is closed")
+            buffer, state.idle = state.idle, None
+            reused = buffer is not None
+            if not reused:
+                if self.max_buffers is not None and state.n_buffers >= self.max_buffers:
+                    return None
+                state.n_buffers += 1
+        if not reused:
+            try:
+                buffer = self._allocate()
+            except BaseException:
+                with state.lock:
+                    state.n_buffers -= 1
+                raise
+        source = buffer.buf if self.shared else buffer
+        view = np.asarray(memoryview(source).cast("B").cast("d", self.shape))
+        export = view.base
+        if type(export) is not memoryview:  # pragma: no cover - NumPy guarantee
+            raise RuntimeError("NumPy did not keep the output buffer in a memoryview")
+        # NumPy's own memoryview dies only with the last array derived from
+        # ``view``, and releases the buffer before its weakref callbacks
+        # run.  Not at exit: the array may still be alive then, and the
+        # ring's close has already unlinked the segment.
+        weakref.finalize(export, _release_output, state, buffer).atexit = False
+        if reused and zeroed:
+            view.fill(0.0)
+        if not self.shared:
+            return view, None
+        return view, SharedArrayHandle(buffer.name, self.shape, view.dtype.str)
+
+    def _allocate(self):
+        if not self.shared:
+            return np.zeros(self.size, dtype=np.float64)
+        seg = shared_memory.SharedMemory(create=True, size=self.size * 8)
+        obs_metrics.gauge_add("shm.segments_live", 1)
+        with self._state.lock:
+            self._state.segments[seg.name] = seg
+        return seg
+
+    def close(self) -> None:
+        """Free the idle buffer and unlink every segment (idempotent)."""
+        self._finalizer()
 
 
 def attach(handle: SharedArrayHandle) -> Tuple[np.ndarray, shared_memory.SharedMemory]:

@@ -316,7 +316,7 @@ class ShardedGraph:
         *,
         n_workers: Optional[int] = None,
     ) -> EmbeddingResult:
-        """GEE over the shards, all writing one fresh output array.
+        """GEE over the shards, all writing one output array the result owns.
 
         ``n_workers=None`` auto-sizes (never more workers than shards or
         CPUs); an explicit positive request is honoured up to the shard
@@ -345,8 +345,7 @@ class ShardedGraph:
         inv = inverse_class_counts(class_counts(y, k))
         t1 = time.perf_counter()
         fused = self.graph.plan(k, layout="sorted").fused
-        Z = np.empty((self.n_vertices, k), dtype=np.float64)
-        run_owner_ranges(fused, y, inv, self._tasks(workers), Z, backend="sharded")
+        Z = run_owner_ranges(fused, y, inv, self._tasks(workers), backend="sharded")
         t2 = time.perf_counter()
         return EmbeddingResult(
             embedding=Z,
@@ -363,10 +362,8 @@ class ShardedGraph:
         """Raw per-class sums ``S`` (serial path), shape (n, K)."""
         y, k = validate_labels(labels, self.n_vertices, int(n_classes))
         fused = self.graph.plan(k, layout="sorted").fused
-        S = np.empty((self.n_vertices, k), dtype=np.float64)
         # Column scales of one: the executor leaves the raw sums.
-        run_owner_ranges(fused, y, np.ones(k), self._tasks(1), S, backend="sharded")
-        return S
+        return run_owner_ranges(fused, y, np.ones(k), self._tasks(1), backend="sharded")
 
     # ------------------------------------------------------------------ #
     # Incremental patches

@@ -242,10 +242,11 @@ class IncrementalEmbedding:
         ):
             result = self._backend.embed_with_plan(plan, self._y)
         counts = class_counts(self._y, k).astype(np.float64)
-        # Z is exactly the fresh-fit embedding; S recovers the raw sums the
-        # subsequent patches maintain (Z·n_c inverts the kernel's 1/n_c
+        # Z is exactly the fresh-fit embedding, and ours to patch: the plan
+        # never reuses a buffer a live array views.  S recovers the raw sums
+        # the subsequent patches maintain (Z·n_c inverts the kernel's 1/n_c
         # scale up to one rounding).
-        self._Z = np.array(result.embedding, dtype=np.float64, copy=True)
+        self._Z = result.embedding
         self._S = self._Z * counts[None, :]
         self._counts = counts
         self._version = self._dynamic.version

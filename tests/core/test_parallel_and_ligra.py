@@ -60,8 +60,9 @@ class TestOwnerRowsKernel:
         cuts = [0, n // 3, 2 * n // 3, n]
         ranges = tuple((cuts[i], cuts[i + 1], f"part {i}") for i in range(3))
         for tasks in ([ranges], [ranges[:1], ranges[1:]]):
-            tiled = np.full((n, 6), np.nan)
-            run_owner_ranges(fused, y, inv, tasks, tiled, backend="parallel")
+            tiled = run_owner_ranges(
+                fused, y, inv, tasks, np.full((n, 6), np.nan), backend="parallel"
+            )
             assert np.array_equal(tiled, full)
 
     def test_empty_row_range(self):

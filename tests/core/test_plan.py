@@ -11,6 +11,7 @@ from repro.core import (
     gee_unsupervised,
     gee_vectorized,
 )
+from repro.core.plan import owner_sort
 from repro.core.refinement import _apply_label_delta
 from repro.core.validation import class_counts
 from repro.graph import Graph, erdos_renyi, planted_partition
@@ -150,6 +151,54 @@ class TestPlanCaching:
         assert p.fused_row_ranges(1) == [(0, p.n_vertices)]
 
 
+class TestOwnerSort:
+    """The packed-key owner sort gives exactly the stable argsort's order."""
+
+    @staticmethod
+    def _spy_argsort(monkeypatch):
+        calls = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            calls.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "case", ["random", "random-int32", "duplicate-heavy", "single", "empty"]
+    )
+    def test_matches_the_stable_argsort(self, case, monkeypatch):
+        rng = np.random.default_rng(11)
+        owner = {
+            "random": rng.integers(0, 1_000_000, size=5000),
+            "random-int32": rng.integers(0, 1_000_000, size=5000).astype(np.int32),
+            "duplicate-heavy": rng.integers(0, 4, size=5000),
+            "single": np.array([7]),
+            "empty": np.empty(0, dtype=np.int64),
+        }[case]
+        calls = self._spy_argsort(monkeypatch)
+        order, sorted_owner = owner_sort(owner)
+        monkeypatch.undo()
+        expected = np.argsort(owner, kind="stable")
+        assert np.array_equal(order, expected)
+        assert np.array_equal(sorted_owner, owner[expected])
+        assert sorted_owner.dtype == owner.dtype
+        assert calls == ([] if owner.size else ["stable"])  # packed unless empty
+
+    def test_owners_too_wide_to_pack_take_the_stable_argsort(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        owner = rng.integers(2**61 - 16, 2**61, size=3000)
+        calls = self._spy_argsort(monkeypatch)
+        order, sorted_owner = owner_sort(owner)
+        monkeypatch.undo()
+        assert calls == ["stable"]
+        expected = np.argsort(owner, kind="stable")
+        assert np.array_equal(order, expected)
+        assert np.array_equal(sorted_owner, owner[expected])
+
+
 class TestEmbedWithPlan:
     @pytest.mark.parametrize("name", sorted(list_backends()))
     def test_matches_reference_and_classic_path(self, seeded, name):
@@ -172,13 +221,14 @@ class TestEmbedWithPlan:
         plan = g.plan(4)
         backend = get_backend("vectorized")
         r1 = backend.embed_with_plan(plan, y)
-        base1 = r1.embedding.base if r1.embedding.base is not None else r1.embedding
+        address = r1.embedding.ctypes.data
         kept = r1.detached()
+        assert kept is r1  # nothing to detach: the result owns its array
+        expected = r1.embedding.copy()
+        del r1, kept
         r2 = backend.embed_with_plan(plan, y)
-        base2 = r2.embedding.base if r2.embedding.base is not None else r2.embedding
-        assert base1 is base2  # same reused buffer
-        np.testing.assert_array_equal(kept.embedding, r2.embedding)
-        assert kept.embedding.base is not base2
+        assert r2.embedding.ctypes.data == address  # the dropped result's buffer
+        np.testing.assert_array_equal(r2.embedding, expected)
 
     def test_fully_labelled_fast_path(self, seeded):
         edges, _ = seeded

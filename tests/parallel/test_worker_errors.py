@@ -11,6 +11,7 @@ and left stale results in the queue, corrupting the next ``map``.
 from __future__ import annotations
 
 import importlib
+import os
 import time
 
 import numpy as np
@@ -43,6 +44,17 @@ def _fail_on_two(context, x):
     if x == 2:
         raise ValueError(f"task payload {x} rejected")
     return x * 2
+
+
+def _exit_or_sleep(context, action):
+    if action == "exit":
+        os._exit(3)
+    time.sleep(6.5)  # outlasts the map that lost the other worker
+    return "stale-from-map-1"
+
+
+def _echo(context, value):
+    return value
 
 
 def _fail_task_zero_last(context, x):
@@ -168,3 +180,55 @@ def test_sharded_failure_names_shard_and_backend(monkeypatch):
     assert "shard 0" in message
     assert "backend=sharded" in message
     assert "rows [" in message
+
+
+@fork_only
+def test_a_map_that_loses_a_worker_leaves_no_stale_result():
+    """A worker dies while the other still runs a task of the same map.
+
+    The map closes the pool before it raises, so the survivor's late result
+    can never answer a later map.
+    """
+    pool = ForkWorkerPool(2)
+    procs = list(pool._procs)
+    try:
+        with pytest.raises(RuntimeError, match="died"):
+            pool.map(_exit_or_sleep, [("exit",), ("sleep",)])
+        assert not any(p.is_alive() for p in procs)
+        with pytest.raises(RuntimeError, match="pool is closed"):
+            pool.map(_echo, [("a",), ("b",)])
+    finally:
+        pool.close()
+
+
+@fork_only
+def test_a_killed_worker_does_not_corrupt_the_next_embed(monkeypatch):
+    """A worker dies mid-embed: the next ``parallel`` embed forks a fresh
+    pool and equals the serial sorted pass bit for bit."""
+    from repro.core.gee_parallel import shutdown_workers
+
+    kernel_mod = importlib.import_module("repro.core.gee_vectorized")
+    kernel = kernel_mod.accumulate_fused_rows_sorted
+    graph = Graph.coerce(erdos_renyi(2000, 20000, seed=7))
+    plan = graph.plan(4, layout="sorted")
+    labels = np.random.default_rng(1).integers(0, 4, size=2000).astype(np.int64)
+    expected = get_backend("vectorized").embed_with_plan(plan, labels).embedding
+
+    def dies_on_the_first_rows(*args, **kwargs):
+        if args[7] == 0:  # row_lo
+            os._exit(3)
+        return kernel(*args, **kwargs)
+
+    backend = get_backend("parallel", n_workers=2)
+    shutdown_workers()
+    monkeypatch.setattr(
+        kernel_mod, "accumulate_fused_rows_sorted", dies_on_the_first_rows
+    )
+    try:
+        with pytest.raises(RuntimeError, match="died"):
+            backend.embed_with_plan(plan, labels)
+        monkeypatch.undo()
+        result = backend.embed_with_plan(plan, labels)
+        assert np.array_equal(result.embedding, expected)
+    finally:
+        shutdown_workers()

@@ -2,10 +2,10 @@
 
 Both run their row ranges through ``repro.core.gee_parallel.run_owner_ranges``:
 one session pool, one shared workspace, one shared fused layout per plan.
-So sharded views fork no pool of their own and copy no incidence, results
-returned by ``embed`` own their arrays (a plan-buffer view handed out by
-``embed_with_plan`` survives them), and an embed of a non-``Graph`` input
-leaves no shared layout behind.
+So sharded views fork no pool of their own and copy no incidence, every
+result owns its array (one handed out by ``embed_with_plan`` survives the
+embeds after it), and an embed of a non-``Graph`` input leaves no shared
+layout behind.
 """
 
 import gc
@@ -34,7 +34,6 @@ def test_owned_results_leave_a_plan_view_alone():
     y1 = random_partial_labels(400, K, 0.5, seed=1)
     y2 = random_partial_labels(400, K, 0.5, seed=2)
     view = get_backend("vectorized").embed_with_plan(g.plan(K, layout="sorted"), y1)
-    assert view.buffer_view
     kept = view.embedding.copy()
     results = [
         g.shard(2).embed(y2, K, n_workers=2),
@@ -43,7 +42,6 @@ def test_owned_results_leave_a_plan_view_alone():
     ]
     assert np.array_equal(view.embedding, kept)
     for result in results:
-        assert not result.buffer_view
         np.testing.assert_allclose(result.embedding, results[0].embedding, atol=1e-10)
 
 
