@@ -3,8 +3,9 @@
 Sweeps every ``backend × layout`` execution configuration over the
 Friendster stand-in and the Figure-4 Erdős–Rényi scales (warm compiled-plan
 paths, the regime the refinement loop and repeated fits run in), measures
-what ``backend="auto"``'s calibrated cost model picks at each scale, and
-writes ``BENCH_autotune.json`` with two built-in acceptance gates:
+what ``backend="auto"``'s size rule (:func:`repro.backends.auto.choose`)
+picks at each scale, and writes ``BENCH_autotune.json`` with two built-in
+acceptance gates:
 
 * **segment-sum floor** — the sorted-layout fused kernel must beat the
   arrival-order vectorized plan path by ``--min-segment-speedup`` (default
@@ -26,13 +27,13 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.backends.auto import POOLED_MIN_EDGES, choose
 from repro.core.validation import UNKNOWN_LABEL
 from repro.eval.timing import time_callable
 from repro.graph.datasets import generate_labels
 from repro.graph.facade import Graph
 from repro.graph.generators import erdos_renyi
 from repro.parallel.pool import fork_available
-from repro.tune import get_cost_model
 
 from bench_config import (
     LABELLED_FRACTION,
@@ -132,7 +133,6 @@ def main(argv=None) -> int:
                         help="measure and record only; never fail")
     args = parser.parse_args(argv)
 
-    model = get_cost_model()
     n_cpus = os.cpu_count() or 1
     configs = list(FIXED_CONFIGS)
     if n_cpus > 1 and fork_available():
@@ -203,17 +203,10 @@ def main(argv=None) -> int:
                 addat_speedup = record.best / times["vectorized:sorted"]
 
         # What auto picks at this scale, and what that choice costs.
-        choice = model.choose(n, E, N_CLASSES, n_workers_available=n_cpus)
+        choice = choose(graph.plan(N_CLASSES), n_cpus)
         auto_time = times.get(choice.config)
         if auto_time is None:
-            # Run the configuration auto chose, shard count included (the
-            # sharded backend's default is one shard per worker).
-            options = {"n_shards": choice.n_shards} if choice.backend == "sharded" else {}
-            backend = get_backend(
-                choice.backend,
-                n_workers=choice.n_workers,
-                **options,
-            )
+            backend = get_backend(choice.backend, n_workers=choice.n_workers)
             plan = graph.plan(
                 N_CLASSES, layout=None if choice.layout == "none" else choice.layout
             )
@@ -235,7 +228,7 @@ def main(argv=None) -> int:
             "loss_vs_best": loss_vs_best,
             "loss_vs_vectorized": loss_vs_vectorized,
         }
-        print(f"  {key}: auto={choice.config} ({choice.source}) "
+        print(f"  {key}: auto={choice.config} "
               f"loss_vs_best={loss_vs_best:.2f}x best={best_config}")
 
         if args.smoke:
@@ -274,7 +267,7 @@ def main(argv=None) -> int:
             "auto": auto_summary,
             "segment_speedup_vs_none": segment_speedup,
             "segment_speedup_vs_addat": addat_speedup,
-            "cost_model_source": model.source,
+            "pooled_min_edges": POOLED_MIN_EDGES,
             "cpu_count": n_cpus,
         },
     )

@@ -120,10 +120,11 @@ def bench_entry(
     ``per_edge_ns`` is the scale-free "normalised time" the regression gate
     compares: best wall-clock divided by the directed edge count.
     ``layout`` records the plan memory layout the run executed with, and
-    ``execution_choice`` an :class:`~repro.tune.ExecutionChoice` (or its
-    dict form) for ``backend="auto"`` rows — both make cross-PR comparisons
-    like-for-like (``check_regression.py`` refuses to compare entries whose
-    layouts differ).
+    ``execution_choice`` an
+    :class:`~repro.backends.auto.ExecutionChoice` (or its dict form) for
+    ``backend="auto"`` rows — both make cross-PR comparisons like-for-like
+    (``check_regression.py`` refuses to compare entries whose layouts
+    differ).
     """
     entry: Dict = {
         "label": record.label,

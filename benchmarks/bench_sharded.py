@@ -14,10 +14,9 @@ This benchmark measures
   :meth:`ShardedGraph.embed_outofcore` at several chunk sizes, with a
   ``vectorized`` in-memory reference row comparable against the committed
   ``BENCH_outofcore.json`` baseline;
-* **the cost model's shard axis** — one ``backend="auto"`` row whose
-  recorded :class:`~repro.tune.ExecutionChoice` may carry ``n_shards``;
-  at full scale the script asserts auto lands within 1.1× of the best
-  fixed shard count.
+* **the auto choice** — one ``backend="auto"`` row with its recorded
+  :class:`~repro.backends.auto.ExecutionChoice`; at full scale the script
+  asserts auto lands within 1.1× of the best fixed shard count.
 
 Correctness is asserted in-script on every run: each sharded embedding
 (in-memory and streamed) must match the single-pool vectorized result to
@@ -174,7 +173,7 @@ def main(argv=None) -> int:
                 f"({record.best / vec_record.best:.2f}x in-memory vectorized)"
             )
 
-    # The cost model's shard axis: one auto row, choice recorded.
+    # What the size rule runs here: one auto row, choice recorded.
     auto = get_backend("auto")
     auto_result = auto.embed_with_plan(graph.plan(N_CLASSES), labels)
     auto_record = time_callable(

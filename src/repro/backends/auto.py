@@ -1,30 +1,80 @@
-"""The ``"auto"`` backend: cost-model-driven execution strategy selection.
+"""The ``"auto"`` backend: one size rule picks the execution per call.
 
 Every other registry backend *is* an execution strategy; this one *picks*
-one.  Per call it asks the calibrated :class:`~repro.tune.CostModel` for
-the predicted-fastest ``(backend, layout, workers)`` for the graph's
-``(n, E, K)`` on this machine, delegates to that backend (re-planning with
-the chosen layout when the graph facade is available — layout plans are
-cached per layout, so repeated calls pay compilation once), and logs the
-full :class:`~repro.tune.ExecutionChoice` on the result
-(``result.execution_choice``).
+one with :func:`choose`, delegates to it, and logs the pick on the result
+(``result.execution_choice``).  GEE is one linear pass over the edges, so
+the only decision is whether to run the sorted pass serially or to spread
+its owner ranges over the fork pool:
 
-All candidate strategies compute the identical embedding, so a wrong
-prediction costs speed, never correctness; a missing/stale calibration
-cache degrades to default coefficients with a one-time warning (see
-:mod:`repro.tune`).
+* ``parallel`` on the sorted layout with
+  ``effective_worker_count(n_workers)`` workers when the plan is in
+  memory, ``fork`` is available, that worker count is at least 2 and the
+  graph has at least :data:`POOLED_MIN_EDGES` edges;
+* otherwise ``vectorized`` on the sorted layout, or on the plan's own
+  layout for a standalone chunked source, which streams in stored order
+  and cannot be re-laid out.
+
+The embedding is bitwise what the chosen delegate returns on the same
+plan, so the rule costs speed, never correctness.  It reads and writes no
+file.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..graph.facade import Graph
+from ..parallel.pool import effective_worker_count, fork_available
 from .registry import BackendCapabilities, GEEBackend, get_backend, register_backend
 
-__all__ = ["AutoGEEBackend"]
+__all__ = ["AutoGEEBackend", "ExecutionChoice", "POOLED_MIN_EDGES", "choose"]
+
+#: Fewest edges at which ``auto`` runs the sorted pass on the fork pool.
+#: Measured on a 2-CPU VM (friendster-sim, K = 50, warm sorted plan, serial
+#: against 2 workers, full and 10% labels): two workers lost every run at
+#: 0.28M edges (0.82-0.88x), lost 5 of 8 at 1.1M (0.86-1.75x), won 5 of 7
+#: at 2.2M (0.93-1.91x) and won all 13 at 3.4M-8.9M (1.6-2.15x).  It is
+#: above the largest graph a committed bench sweep hands to ``auto``
+#: (friendster-sim at scale 1, E = 1.11M).
+POOLED_MIN_EDGES = 2**21
+
+
+@dataclass(frozen=True)
+class ExecutionChoice:
+    """What ``backend="auto"`` ran: a registered backend, the plan layout
+    it ran on, and its worker count (``None`` = serial)."""
+
+    backend: str
+    layout: str
+    n_workers: Optional[int] = None
+
+    @property
+    def config(self) -> str:
+        """The ``backend:layout`` key of the choice."""
+        return f"{self.backend}:{self.layout}"
+
+    def to_dict(self) -> Dict:
+        """JSON-able summary (what the benchmarks record)."""
+        return asdict(self)
+
+
+def choose(plan, n_workers: Optional[int] = None) -> ExecutionChoice:
+    """The execution the rule picks for ``plan`` (see the module docstring).
+
+    ``plan`` is an :class:`~repro.core.plan.EmbedPlan` or a
+    :class:`~repro.core.plan.ChunkedPlan`; ``n_workers`` caps the pool
+    (default: every CPU).
+    """
+    if plan.is_chunked:
+        layout = plan.layout if plan.graph is None else "sorted"
+        return ExecutionChoice("vectorized", layout)
+    workers = effective_worker_count(n_workers)
+    if workers >= 2 and plan.n_edges >= POOLED_MIN_EDGES and fork_available():
+        return ExecutionChoice("parallel", "sorted", workers)
+    return ExecutionChoice("vectorized", "sorted")
 
 
 @register_backend(
@@ -36,73 +86,28 @@ __all__ = ["AutoGEEBackend"]
         supports_chunked=True,
         supports_incremental=True,
         supports_layout=True,
-        description="calibrated cost model picks backend, layout and workers per call",
+        description="size rule: the sorted pass, pooled for large in-memory graphs",
     ),
 )
 class AutoGEEBackend(GEEBackend):
-    """Adaptive execution: delegate each embed to the predicted-fastest backend.
+    """Delegate each embed to the backend :func:`choose` picks.
 
-    ``n_workers`` caps how many workers the model may plan for (default:
-    the machine's CPU count).  Capabilities are the union of the candidate
-    set — every candidate is deterministic, weight-capable, and the
-    chunked/incremental protocols route to chunk-/patch-capable delegates.
+    ``n_workers`` caps the pooled run (default: the machine's CPU count).
+    Capabilities are the union of the delegates': chunked plans run on
+    ``vectorized``, incremental patches on the parallel patch kernel.
     """
 
     def __init__(self, *, n_workers: Optional[int] = None, **options) -> None:
         super().__init__(n_workers=n_workers, **options)
-        self._delegates: Dict[
-            Tuple[str, Optional[int], Optional[int]], GEEBackend
-        ] = {}
+        self._delegates: Dict[Tuple[str, Optional[int]], GEEBackend] = {}
 
-    # ------------------------------------------------------------------ #
-    # Model plumbing
-    # ------------------------------------------------------------------ #
-    def _choose(self, n: int, e: int, k: int, *, weighted: bool, chunked: bool = False,
-                chunk_edges: Optional[int] = None, fixed_layout: Optional[str] = None):
-        from ..tune import get_cost_model
-
-        return get_cost_model().choose(
-            n,
-            e,
-            k,
-            weighted=weighted,
-            n_workers_available=self.n_workers,
-            chunked=chunked,
-            chunk_edges=chunk_edges,
-            fixed_layout=fixed_layout,
-        )
-
-    def _delegate(self, choice) -> GEEBackend:
-        n_shards = getattr(choice, "n_shards", None)
-        key = (choice.backend, choice.n_workers, n_shards)
+    def _delegate(self, choice: ExecutionChoice) -> GEEBackend:
+        key = (choice.backend, choice.n_workers)
         backend = self._delegates.get(key)
         if backend is None:
-            options = {}
-            if choice.backend == "sharded":
-                # Only the sharded backend knows the shard-count option;
-                # other delegates reject unknown options by contract.
-                options["n_shards"] = n_shards
-            backend = get_backend(choice.backend, n_workers=choice.n_workers, **options)
+            backend = get_backend(choice.backend, n_workers=choice.n_workers)
             self._delegates[key] = backend
         return backend
-
-    @staticmethod
-    def _record_drift(choice, result, n_edges: int) -> None:
-        """Log predicted vs observed cost for the drift report.
-
-        Every auto run feeds the detector (an in-memory append, flushed to
-        the tune cache dir at exit) — ``python -m repro.obs drift`` compares
-        these against the calibration to flag when re-tuning is warranted.
-        """
-        from ..obs.drift import record_auto_run
-
-        record_auto_run(
-            choice,
-            result.timings.get("total"),
-            result.n_vertices,
-            n_edges,
-            result.n_classes,
-        )
 
     @staticmethod
     def _resolve_k(labels: np.ndarray, n_classes: Optional[int]) -> int:
@@ -122,73 +127,26 @@ class AutoGEEBackend(GEEBackend):
     # Embedding protocol
     # ------------------------------------------------------------------ #
     def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):
+        # Always through the plans cached on the facade, so repeated auto
+        # embeds on one graph do not re-pay validation or compilation.
         k = self._resolve_k(labels, n_classes)
-        choice = self._choose(
-            graph.n_vertices, graph.n_edges, k, weighted=graph.is_weighted
-        )
-        # Always route through the compiled plan (cached on the facade):
-        # the cost model's coefficients were fitted on the warm plan path,
-        # and repeated auto embeds on one graph must not re-pay validation
-        # or index compilation.
-        plan = graph.plan(k, layout=choice.layout if choice.layout != "none" else None)
-        result = self._delegate(choice).embed_with_plan(plan, labels)
-        result.execution_choice = choice
-        self._record_drift(choice, result, graph.n_edges)
-        return result
+        return self._embed_with_plan(graph.plan(k), labels)
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
-        # A non-default plan layout was requested explicitly (the estimator's
-        # layout= knob, or a hand-compiled layout plan): honour it and let
-        # the model pick only among backends executing that layout.  The
-        # default "none" plan leaves the layout free.
-        fixed = plan.layout if plan.layout != "none" else None
-        choice = self._choose(
-            plan.n_vertices,
-            plan.n_edges,
-            plan.n_classes,
-            # The facade property is O(1) for edge-list graphs; asking the
-            # plan (`not plan.unit_weights`) would force edge validation at
-            # choose time.
-            weighted=plan.graph.is_weighted,
-            fixed_layout=fixed,
-        )
-        target = plan
+        choice = choose(plan, self.n_workers)
         if choice.layout != plan.layout:
-            # Layout plans are cached per (K, layout) on the graph facade,
-            # so switching is a one-time compile, not a per-call cost.
-            target = plan.graph.plan(plan.n_classes, layout=choice.layout)
-        result = self._delegate(choice).embed_with_plan(target, labels)
+            # Plans are cached per layout on the graph facade, so switching
+            # compiles once, not per call.
+            plan = plan.graph.plan(
+                plan.n_classes,
+                chunk_edges=plan.chunk_edges if plan.is_chunked else None,
+                layout=choice.layout,
+            )
+        result = self._delegate(choice).embed_with_plan(plan, labels)
         result.execution_choice = choice
-        self._record_drift(choice, result, plan.n_edges)
         return result
 
-    def _embed_with_chunked_plan(self, plan, labels: np.ndarray):
-        # Standalone sources (no facade) cannot be re-laid-out, and an
-        # explicit "sorted" incidence plan must be honoured — in both cases
-        # the model may only choose among backends that execute the plan's
-        # actual layout, so the recorded choice is always what ran.
-        if plan.graph is None or plan.layout != "none":
-            fixed = plan.layout
-        else:
-            fixed = None
-        choice = self._choose(
-            plan.n_vertices,
-            plan.n_edges,
-            plan.n_classes,
-            weighted=plan.source.is_weighted,
-            chunked=True,
-            chunk_edges=plan.chunk_edges,
-            fixed_layout=fixed,
-        )
-        target = plan
-        if choice.layout != plan.layout:
-            target = plan.graph.plan(
-                plan.n_classes, chunk_edges=plan.chunk_edges, layout=choice.layout
-            )
-        result = self._delegate(choice).embed_with_plan(target, labels)
-        result.execution_choice = choice
-        self._record_drift(choice, result, plan.n_edges)
-        return result
+    _embed_with_chunked_plan = _embed_with_plan
 
     # ------------------------------------------------------------------ #
     # Incremental protocol

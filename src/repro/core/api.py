@@ -85,12 +85,9 @@ class GraphEncoderEmbedding:
         Memory layout for the compiled embed plan: ``None`` (the default —
         layout-preserving; ``parallel`` still runs the sorted kernel, which
         matches its earlier arrival-order output to 1e-10, not bitwise),
-        ``"sorted"`` (the locality-optimized fused kernel on
-        ``supports_layout`` backends), or ``"auto"`` (the calibrated cost
-        model picks; see :mod:`repro.tune`).  With ``method="auto"``, the
-        default ``None`` leaves the layout to the cost model, while an
-        explicit ``"sorted"`` pins it (auto then picks only among backends
-        executing that layout).
+        or ``"sorted"`` (the locality-optimized fused kernel on
+        ``supports_layout`` backends).  With ``method="auto"`` an in-memory
+        graph runs the sorted layout either way.
     **backend_options:
         Extra options forwarded to the backend constructor (for example
         ``chunk_edges`` for ``"vectorized"`` or ``atomic`` for the Ligra
@@ -196,7 +193,7 @@ class GraphEncoderEmbedding:
                     "laplacian=True is not supported with a ChunkedEdgeSource: "
                     "the reweighting needs a degree pass over the whole graph"
                 )
-            if self.layout not in (None, "none", "auto"):
+            if self.layout not in (None, "none"):
                 raise ValueError(
                     f"layout={self.layout!r} is not available for a standalone "
                     "ChunkedEdgeSource (it streams in stored order and may be "
@@ -218,17 +215,11 @@ class GraphEncoderEmbedding:
                 raise ValueError("GEE requires at least one vertex")
             work = g.laplacian if self.laplacian else g
             y, k = validate_labels(labels, g.n_vertices, self.n_classes)
-            layout = self.layout
-            if layout == "auto" and not type(self._backend).capabilities.supports_layout:
-                # "Pick for me" must resolve to a layout this backend can
-                # execute; backends without the fused kernels run their
-                # classic arrival-order paths.
-                layout = None
             plan = work.plan(
                 k,
                 chunk_edges=chunk_edges,
                 memory_budget_bytes=memory_budget_bytes,
-                layout=layout,
+                layout=self.layout,
             )
             result = self._backend.embed_with_plan(plan, y)
         self.result_ = result

@@ -166,6 +166,19 @@ _WORKER_ATTACHMENTS: Dict[str, tuple] = {}
 #: worker's RSS without bound.
 _MAX_WORKER_ATTACHMENTS = 32
 
+#: Names of this worker's cached mappings that are output segments.
+_WORKER_OUTPUTS: set = set()
+
+
+def _drop_attachment(shm_name: str) -> None:
+    """Close this worker's cached mapping of one segment."""
+    view, seg = _WORKER_ATTACHMENTS.pop(shm_name)
+    del view  # release the exported buffer before closing the mapping
+    try:
+        seg.close()
+    except BufferError:  # pragma: no cover - defensive
+        pass
+
 
 def _attach_cached(handles: Dict[str, SharedArrayHandle]) -> Dict[str, np.ndarray]:
     """Attach to every handle, reusing LRU-bounded mappings in this process."""
@@ -185,13 +198,21 @@ def _attach_cached(handles: Dict[str, SharedArrayHandle]) -> Dict[str, np.ndarra
         stale_name = next(iter(_WORKER_ATTACHMENTS))
         if stale_name in {h.shm_name for h in handles.values()}:
             break  # everything older is part of the current task
-        view, seg = _WORKER_ATTACHMENTS.pop(stale_name)
-        del view  # release the exported buffer before closing the mapping
-        try:
-            seg.close()
-        except BufferError:  # pragma: no cover - defensive
-            pass
+        _drop_attachment(stale_name)
     return views
+
+
+def _drop_freed_outputs(live_outputs: frozenset) -> None:
+    """Close this worker's mappings of output segments the parent freed.
+
+    The parent unlinks a ring slot once no array views it, but the pages
+    stay allocated while a worker maps them; a refit loop never fills the
+    LRU enough to evict them.
+    """
+    for shm_name in _WORKER_OUTPUTS - live_outputs:
+        _WORKER_OUTPUTS.discard(shm_name)
+        if shm_name in _WORKER_ATTACHMENTS:
+            _drop_attachment(shm_name)
 
 
 # --------------------------------------------------------------------------- #
@@ -311,6 +332,14 @@ class _Workspace:
             self.shm.empty("Z", (self.n, self.k), np.float64)
         return self.shm["Z"], self.shm.handles()["Z"]
 
+    def live_output_names(self) -> frozenset:
+        """Names of the output segments that exist: the ring's slots, handed
+        out or idle, and the fallback once it exists."""
+        names = set(self.outputs.segment_names())
+        if "Z" in self.shm:
+            names.add(self.shm.handles()["Z"].shm_name)
+        return frozenset(names)
+
     def close(self) -> None:
         self.outputs.close()
         self.shm.close()
@@ -378,6 +407,7 @@ def _accumulate_ranges(
 def _owner_ranges_task(
     _context: dict,
     handles: Dict[str, SharedArrayHandle],
+    live_outputs: frozenset,
     ranges: Tuple[OwnerRange, ...],
     rows_per_block: int,
     fully_labelled: bool,
@@ -385,9 +415,12 @@ def _owner_ranges_task(
     """Pool task: run one task's ranges over the shared layout and workspace.
 
     All arrays are reached through the shared-memory handles, so the task
-    payload is a few hundred bytes.
+    payload is a few hundred bytes.  ``live_outputs`` names the output
+    segments that still exist; mappings of any other are closed first.
     """
+    _drop_freed_outputs(live_outputs)
     views = _attach_cached(handles)
+    _WORKER_OUTPUTS.add(handles["Z"].shm_name)
     owner_flat = views["f_owner_flat"]
     _accumulate_ranges(
         views["Z"],
@@ -457,10 +490,14 @@ def run_owner_ranges(
     handles = dict(shared_fused.handles)
     handles.update(workspace.handles)
     handles["Z"] = z_handle
+    live_outputs = workspace.live_output_names()
     with trace("parallel.dispatch", backend=backend, n_tasks=len(tasks)):
         pool.map(
             _owner_ranges_task,
-            [(handles, tuple(task), fused.rows_per_block, fully) for task in tasks],
+            [
+                (handles, live_outputs, tuple(task), fused.rows_per_block, fully)
+                for task in tasks
+            ],
             labels=[", ".join(label for _, _, label in task) for task in tasks],
         )
     return Z.copy() if slot is None else Z

@@ -59,8 +59,7 @@ _FINGERPRINT_SAMPLES = 32
 
 #: The memory layouts a plan can compile its edge arrays into.  ``"none"``
 #: preserves arrival order (the historical, layout-preserving default);
-#: ``"sorted"`` permutes for scatter locality (see :class:`FusedLayout`);
-#: ``"auto"`` lets the calibrated cost model pick.
+#: ``"sorted"`` permutes for scatter locality (see :class:`FusedLayout`).
 LAYOUTS = ("none", "sorted")
 
 #: Flat scatter indices narrow to int32 below this ``n * K`` bound — the
@@ -699,7 +698,7 @@ class ChunkedPlan(_PlanOutputs):
         # A sorted-incidence source holds each directed edge twice (once per
         # endpoint as owner); n_edges stays the graph's directed edge count
         # so plans are comparable across layouts (per-edge metrics, the
-        # cost model's E term).
+        # auto backend's size rule).
         self.n_edges = (
             int(source.n_edges) if layout == "none" else int(source.n_edges) // 2
         )

@@ -61,7 +61,7 @@ class EmbeddingResult:
         #: order; ``"sorted"`` = the locality-optimized fused kernel) —
         #: observability for benchmarks and the auto backend.
         self.layout = layout
-        #: The :class:`~repro.tune.ExecutionChoice` behind a
+        #: The :class:`~repro.backends.auto.ExecutionChoice` behind a
         #: ``backend="auto"`` run (``None`` for explicitly-picked backends).
         self.execution_choice = execution_choice
         #: Compact telemetry summary of the run (top spans + counters),

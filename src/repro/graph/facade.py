@@ -165,8 +165,8 @@ class Graph:
 
         For CSR-adopted graphs the answer needs an O(s) scan of the weight
         column (CSR always materialises one; all-unit counts as
-        unweighted), so it is computed once — per-call consumers like the
-        auto backend's cost-model query must not re-pay it.
+        unweighted), so it is computed once and per-call consumers do not
+        re-pay it.
         """
         if self._is_weighted is None:
             if self._edges is not None:
@@ -322,9 +322,8 @@ class Graph:
         the sorted kernel on such a plan, through the graph's cached
         sorted plan), ``"sorted"`` (the locality-optimized fused incidence
         layout, see :class:`~repro.core.plan.FusedLayout`; results equal
-        the default layout up to floating-point summation order), or
-        ``"auto"`` (the calibrated cost model picks — see
-        :mod:`repro.tune`).  Each layout is a separate cached plan.
+        the default layout up to floating-point summation order).  Each
+        layout is a separate cached plan.
         Chunked plans support ``"sorted"`` (streamed incidence blocks) for
         in-memory sources only.
         """
@@ -333,14 +332,8 @@ class Graph:
         k = int(n_classes)
         if layout is None:
             layout = "none"
-        elif layout == "auto":
-            from ..tune import auto_layout
-
-            layout = auto_layout(self.n_vertices, self.n_edges, k)
         elif layout not in LAYOUTS:
-            raise ValueError(
-                f'layout must be one of {LAYOUTS + ("auto",)}, got {layout!r}'
-            )
+            raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
         if fingerprint is not None:
             if fingerprint not in ("sampled", "full"):
                 raise ValueError(

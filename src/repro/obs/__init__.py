@@ -1,4 +1,4 @@
-"""``repro.obs`` — zero-overhead tracing, metrics and drift detection.
+"""``repro.obs`` — zero-overhead tracing and metrics.
 
 Quickstart::
 
@@ -12,9 +12,8 @@ Quickstart::
 Everything is off by default: until :func:`enable` / :func:`start_trace`
 (or ``REPRO_TRACE``) flips the module flag, each instrumentation site
 costs one boolean check and allocates nothing.  See
-``docs/observability.md`` for span naming conventions, exporter formats
-and the drift-report workflow, and ``python -m repro.obs --help`` for the
-``summarize`` / ``drift`` CLI.
+``docs/observability.md`` for span naming conventions and exporter
+formats, and ``python -m repro.obs summarize --help`` for the CLI.
 """
 
 from __future__ import annotations
@@ -35,14 +34,6 @@ from .core import (
     snapshot,
     trace,
     traced,
-)
-from .drift import (
-    drift_log_path,
-    drift_report,
-    flush_drift_records,
-    format_drift_report,
-    load_drift_records,
-    record_auto_run,
 )
 from .export import (
     aggregate,
@@ -80,12 +71,6 @@ __all__ = [
     "aggregate",
     "format_summary",
     "telemetry",
-    "record_auto_run",
-    "flush_drift_records",
-    "load_drift_records",
-    "drift_log_path",
-    "drift_report",
-    "format_drift_report",
 ]
 
 # REPRO_TRACE=path arms tracing for the whole process at import time.

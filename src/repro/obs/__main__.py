@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.obs summarize <trace.json>`` and ``... drift``."""
+"""CLI: ``python -m repro.obs summarize <trace.json>``."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .drift import drift_report, format_drift_report
 from .export import format_summary
 
 
@@ -49,24 +48,10 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_drift(args: argparse.Namespace) -> int:
-    report = drift_report(
-        threshold=args.threshold,
-        probe=not args.no_probe,
-        repeats=args.repeats,
-        path=args.log,
-    )
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_drift_report(report))
-    return 1 if (args.check and report["recalibrate"]) else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Inspect repro telemetry: trace summaries and cost-model drift.",
+        description="Inspect repro telemetry: trace summaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -76,33 +61,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sum.add_argument("trace", help="path to a trace written via REPRO_TRACE/stop_trace")
     p_sum.add_argument("--top", type=int, default=None, help="show only the top N spans")
     p_sum.set_defaults(func=_cmd_summarize)
-
-    p_drift = sub.add_parser(
-        "drift",
-        help="compare cost-model predictions against recorded/probed reality",
-    )
-    p_drift.add_argument(
-        "--threshold",
-        type=float,
-        default=2.0,
-        help="ratio beyond which recalibration is recommended (default 2.0)",
-    )
-    p_drift.add_argument(
-        "--no-probe",
-        action="store_true",
-        help="skip the live probe; judge only the recorded auto runs",
-    )
-    p_drift.add_argument(
-        "--repeats", type=int, default=3, help="probe repeats per candidate"
-    )
-    p_drift.add_argument("--log", default=None, help="drift log path override")
-    p_drift.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p_drift.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero when drift beyond the threshold is detected",
-    )
-    p_drift.set_defaults(func=_cmd_drift)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -310,6 +310,11 @@ class OutputRing:
         """Buffers that exist now, handed out or idle."""
         return self._state.n_buffers
 
+    def segment_names(self) -> Tuple[str, ...]:
+        """Names of the segments that exist now, handed out or idle."""
+        with self._state.lock:
+            return tuple(self._state.segments)
+
     def take(
         self, *, zeroed: bool = False
     ) -> Optional[Tuple[np.ndarray, Optional[SharedArrayHandle]]]:

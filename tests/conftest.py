@@ -15,50 +15,11 @@ try:  # pragma: no cover - trivial import guard
 except ModuleNotFoundError:  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.graph import EdgeList, erdos_renyi, planted_partition, rmat, symmetrize
 from repro.labels import mask_labels, random_partial_labels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def seeded_tune_cache(tmp_path_factory):
-    """Give the whole suite a valid calibration cache in a private dir.
-
-    Without this, the first ``backend="auto"`` touch in the run emits the
-    missing-calibration RuntimeWarning from whatever test happens to get
-    there first — noise that depends on test order and on the developer's
-    ``~/.cache/repro`` state.  Seeding ``REPRO_TUNE_DIR`` with the default
-    coefficients (stamped with this machine's CPU count so staleness
-    passes) makes the tier-1 run warning-free and hermetic.  Session scope
-    rules out ``monkeypatch``, so the env var is saved/restored by hand.
-    """
-    from repro.tune import reset_cost_model, save_calibration
-    from repro.tune.calibration import SCHEMA_VERSION
-    from repro.tune.cost_model import DEFAULT_CALIBRATION
-
-    previous = os.environ.get("REPRO_TUNE_DIR")
-    os.environ["REPRO_TUNE_DIR"] = str(tmp_path_factory.mktemp("tune"))
-    payload = {
-        **DEFAULT_CALIBRATION,
-        "schema": SCHEMA_VERSION,
-        "cpu_count": os.cpu_count(),
-        "coefficients": {
-            config: dict(coeff)
-            for config, coeff in DEFAULT_CALIBRATION["coefficients"].items()
-        },
-    }
-    save_calibration(payload)
-    reset_cost_model(rearm_warning=True)
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_TUNE_DIR", None)
-    else:
-        os.environ["REPRO_TUNE_DIR"] = previous
-    reset_cost_model(rearm_warning=True)
 
 
 @pytest.fixture(scope="session")

@@ -103,12 +103,18 @@ class TestPermutationInvariance:
         backend = get_backend(backend_name, n_workers=workers)
         result = backend.embed_with_plan(plan, y)
         np.testing.assert_allclose(result.embedding, reference, atol=ATOL)
-        if backend_name in ("parallel", "sharded"):
+        if backend_name in ("auto", "parallel", "sharded"):
             # The owner-range executor runs the graph's sorted plan
-            # regardless of the plan's layout, and says so.
+            # regardless of the plan's layout, and so does auto's rule;
+            # each says so.
             assert result.layout == "sorted"
         else:
-            assert result.layout in (layout, "none")  # auto may re-choose
+            assert result.layout == layout
+        if backend_name == "auto":
+            choice = result.execution_choice
+            delegate = get_backend(choice.backend, n_workers=choice.n_workers)
+            ran = delegate.embed_with_plan(graph.plan(K, layout=choice.layout), y)
+            assert np.array_equal(result.embedding, ran.embedding)
 
     @pytest.mark.skipif(not fork_available(), reason="fork not available")
     @pytest.mark.parametrize("workers", [1, 2])
@@ -187,13 +193,13 @@ class TestPlanLayoutCaching:
         assert g.plan(K, layout="sorted") is sorted_plan
         assert sorted_plan.layout == "sorted"
 
-    @pytest.mark.parametrize("layout", ["zorted", "blocked"])
+    @pytest.mark.parametrize("layout", ["zorted", "blocked", "auto"])
     def test_unknown_layout_rejected(self, layout):
         edges, y = _case("unweighted", "partial")
         g = Graph.coerce(edges)
         with pytest.raises(ValueError, match="layout"):
             g.plan(K, layout=layout)
-        accepted = r"layout must be one of \('none', 'sorted', 'auto'\)"
+        accepted = r"layout must be one of \('none', 'sorted'\)"
         with pytest.raises(ValueError, match=accepted):
             GraphEncoderEmbedding(K, layout=layout).fit(edges, y)
 
@@ -202,15 +208,6 @@ class TestPlanLayoutCaching:
         plan = Graph.coerce(edges).plan(K)
         with pytest.raises(ValueError, match="layout-preserving"):
             plan.fused
-
-    def test_auto_layout_resolves_to_concrete(self):
-        edges, y = _case("weighted", "full")
-        g = Graph.coerce(edges)
-        plan = g.plan(K, layout="auto")
-        assert plan.layout in LAYOUTS
-        result = get_backend("vectorized").embed_with_plan(plan, y)
-        reference = gee_python(edges, y, K).embedding
-        np.testing.assert_allclose(result.embedding, reference, atol=ATOL)
 
 
 class TestIndexNarrowing:

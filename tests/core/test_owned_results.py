@@ -8,6 +8,7 @@ one hands its memory to the next embed, and a pooled result outlives the
 pool that wrote it.
 """
 
+import functools
 import gc
 import importlib
 import os
@@ -21,7 +22,7 @@ from repro.backends import get_backend
 from repro.core import gee_parallel
 from repro.graph import Graph, erdos_renyi
 from repro.labels import random_partial_labels
-from repro.parallel import fork_available
+from repro.parallel import ForkWorkerPool, fork_available
 
 parallel_module = importlib.import_module("repro.core.gee_parallel")
 
@@ -188,3 +189,46 @@ def test_a_pooled_result_outlives_its_workspace(release, monkeypatch):
     del result
     gc.collect()
     assert unraisable == []
+
+
+def _pid_of_task(task, context, *args):
+    task(context, *args)
+    return os.getpid()
+
+
+@fork_only
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+def test_workers_unmap_output_segments_the_ring_freed(monkeypatch):
+    """Dropping three held pooled results frees two of their slots; every
+    worker that runs a task afterwards has closed its mappings of them."""
+    ran_on = []
+    pool_map = ForkWorkerPool.map
+
+    def recording_map(self, fn, task_args, **kwargs):
+        pids = pool_map(self, functools.partial(_pid_of_task, fn), task_args, **kwargs)
+        ran_on.extend(pids)
+        return pids
+
+    monkeypatch.setattr(ForkWorkerPool, "map", recording_map)
+    g = _graph()
+    backend = get_backend("parallel", n_workers=2)
+    held = [backend.embed_with_plan(g.plan(K), _labels(seed)) for seed in (1, 2, 3)]
+    ring = parallel_module._WORKSPACE.outputs
+    before = set(ring.segment_names())
+    assert len(before) == 3
+    del held
+    gc.collect()
+    freed = before - set(ring.segment_names())
+    assert len(freed) == 2
+
+    workers = {p.pid for p in parallel_module._POOL._procs}
+    ran_on.clear()
+    for seed in range(100):
+        if workers <= set(ran_on):
+            break
+        backend.embed_with_plan(g.plan(K), _labels(seed))
+    assert workers <= set(ran_on)
+    for pid in workers:
+        with open(f"/proc/{pid}/maps") as fh:
+            maps = fh.read()
+        assert not [name for name in freed if name in maps], pid

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro import obs
-from repro.obs import drift
 from repro.obs.__main__ import main
 
 
@@ -38,56 +35,3 @@ def test_summarize_top_limits_rows(trace_file, capsys):
     out = capsys.readouterr().out
     assert "backend.embed" in out
     assert "phase.edge_pass" not in out.split("counters:")[0]
-
-
-def test_drift_no_probe_reports_recorded_runs(tmp_path, capsys):
-    log = tmp_path / "drift.jsonl"
-    log.write_text(
-        json.dumps(
-            {
-                "config": "vectorized:sorted",
-                "predicted_s": 0.01,
-                "observed_s": 0.05,
-                "n": 100,
-                "E": 1000,
-                "K": 5,
-            }
-        )
-        + "\n"
-    )
-    drift._PENDING.clear()
-    assert main(["drift", "--no-probe", "--log", str(log)]) == 0
-    out = capsys.readouterr().out
-    assert "vectorized:sorted" in out and "DRIFT" in out
-
-
-def test_drift_check_exit_code(tmp_path, capsys):
-    log = tmp_path / "drift.jsonl"
-    log.write_text(
-        json.dumps(
-            {
-                "config": "vectorized:sorted",
-                "predicted_s": 0.01,
-                "observed_s": 0.05,
-            }
-        )
-        + "\n"
-    )
-    drift._PENDING.clear()
-    assert main(["drift", "--no-probe", "--log", str(log), "--check"]) == 1
-    capsys.readouterr()
-    assert (
-        main(
-            ["drift", "--no-probe", "--log", str(log), "--check", "--threshold", "10"]
-        )
-        == 0
-    )
-
-
-def test_drift_json_output(tmp_path, capsys):
-    log = tmp_path / "empty.jsonl"
-    drift._PENDING.clear()
-    assert main(["drift", "--no-probe", "--log", str(log), "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["recalibrate"] is False
-    assert report["n_recorded_runs"] == 0
