@@ -3,9 +3,9 @@
 The GEE line of work positions the encoder embedding as a fast alternative
 to adjacency / Laplacian spectral embedding, to which it converges
 asymptotically (paper §I–II).  These baselines compute the spectral
-embeddings with sparse eigensolvers so the statistical comparison (E8 in
-DESIGN.md) can be run: on stochastic block models both GEE and ASE should
-recover the planted communities.
+embeddings with sparse eigensolvers so the statistical comparison can be
+run: on stochastic block models both GEE and ASE should recover the
+planted communities.
 """
 
 from __future__ import annotations

@@ -33,11 +33,7 @@ from ..ligra.atomics import make_accumulator
 from ..ligra.backends.base import AccumulatingEdgeMapFunction
 from ..ligra.engine import LigraEngine
 from .gee_vectorized import accumulate_edges_vectorized
-from .projection import (
-    build_projection_parallel,
-    projection_from_scales,
-    projection_scales,
-)
+from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
 from .validation import UNKNOWN_LABEL, validate_edges, validate_labels
 
@@ -141,7 +137,6 @@ def gee_ligra(
     backend: str = "vectorized",
     n_workers: Optional[int] = None,
     atomic: bool = True,
-    engine: Optional[LigraEngine] = None,
 ) -> EmbeddingResult:
     """One-Hot Graph Encoder Embedding via the Ligra-like engine.
 
@@ -156,16 +151,13 @@ def gee_ligra(
         As in :func:`repro.core.gee_python.gee_python`.
     backend:
         Engine backend name (``serial`` / ``vectorized`` / ``threads`` /
-        ``processes``).  Ignored if ``engine`` is given.
+        ``processes``).
     n_workers:
         Worker count for the parallel backends.
     atomic:
         Use lock-striped atomic adds (True, the paper's default) or plain
         unsafe adds (False, the paper's "atomics off" ablation).  Only
         affects backends that issue concurrent scalar/block updates.
-    engine:
-        Reuse an existing engine (its graph must be the one to embed); this
-        avoids re-forking workers in sweep experiments.
     """
     if isinstance(edges, Graph):
         csr = edges.csr
@@ -177,12 +169,7 @@ def gee_ligra(
     n = csr.n_vertices
     y, k = validate_labels(labels, n, n_classes)
 
-    own_engine = engine is None
-    if engine is None:
-        engine = LigraEngine(csr, backend=backend, n_workers=n_workers)
-    else:
-        if engine.n_vertices != n:
-            raise ValueError("provided engine was built over a different graph")
+    engine = LigraEngine(csr, backend=backend, n_workers=n_workers)
 
     t0 = time.perf_counter()
     # Algorithm 2, lines 3-6: the projection initialisation.  The compact
@@ -196,11 +183,9 @@ def gee_ligra(
     Z = np.zeros((n, k), dtype=np.float64)
     fn = UpdateEmbedding(Z, y, scales, k, atomic=atomic)
     # Algorithm 2, line 7: EdgeMap over the full frontier.
-    engine.edge_map(engine.full_frontier(), fn, mode="dense")
+    engine.edge_map(engine.full_frontier(), fn)
     t2 = time.perf_counter()
-
-    if own_engine:
-        engine.close()
+    engine.close()
 
     workers = getattr(engine.backend, "n_workers", 1)
     return EmbeddingResult(
@@ -230,9 +215,10 @@ def gee_ligra_with_plan(
     y = plan.validate_labels(labels)
     k = plan.n_classes
 
-    # Serial/vectorized engines hold no worker resources, so they are
-    # cached on the plan and reused across calls; the thread/process
-    # engines own pools and keep the classic create-use-close lifecycle.
+    # Serial/vectorized engines take no worker count, so they are cached on
+    # the plan and reused across calls; the thread/process schedules start
+    # their workers on every call anyway and are built per call with the
+    # caller's worker count.
     cacheable = backend in ("serial", "vectorized")
     engine = plan._ligra_engines.get(backend) if cacheable else None
     if engine is None:
@@ -246,7 +232,7 @@ def gee_ligra_with_plan(
 
     Z = plan.zeroed_output().reshape(plan.n_vertices, k)
     fn = UpdateEmbedding(Z, y, scales, k, atomic=atomic)
-    engine.edge_map(engine.full_frontier(), fn, mode="dense")
+    engine.edge_map(engine.full_frontier(), fn)
     t2 = time.perf_counter()
 
     if not cacheable:

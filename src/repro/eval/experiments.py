@@ -1,8 +1,8 @@
 """Experiment drivers that regenerate the paper's tables and figures.
 
 Each public function corresponds to one artefact of the paper's evaluation
-(DESIGN.md §4) and returns plain dictionaries / lists that the benchmark
-harness, the examples and EXPERIMENTS.md all consume:
+and returns plain dictionaries / lists that the benchmark harness and the
+examples consume:
 
 * :func:`table1`   — Table I: runtimes of the four implementations on the
   six graph stand-ins, plus the three speedup columns.

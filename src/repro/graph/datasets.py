@@ -204,7 +204,7 @@ def generate_labels(
 
     "We generated the Y labels uniformly at random from [0, K=50] for 10% of
     nodes, which were also selected uniformly at random" (§IV).  Unknown
-    labels are encoded as ``-1`` (see DESIGN.md conventions).
+    labels are encoded as ``-1`` (``repro.core.validation.UNKNOWN_LABEL``).
     """
     if not 0.0 <= labelled_fraction <= 1.0:
         raise ValueError("labelled_fraction must be in [0, 1]")

@@ -1,8 +1,7 @@
 """Structural graph properties computed directly on edge lists.
 
 These helpers are used by the builders, the dataset registry (to report the
-shape of the stand-in graphs) and tests.  Heavier frontier-based algorithms
-(BFS, PageRank, ...) live in :mod:`repro.ligra.algorithms`.
+shape of the stand-in graphs) and tests.
 """
 
 from __future__ import annotations

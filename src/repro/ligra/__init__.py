@@ -1,8 +1,8 @@
 """A Ligra-like shared-memory graph processing engine in Python.
 
-Implements the ``edgeMap`` / ``vertexMap`` / ``vertexSubset`` programming
-interface of Shun & Blelloch's Ligra (the substrate of the paper's
-GEE-Ligra), with pluggable execution backends.
+Implements the part of Shun & Blelloch's Ligra that the paper's GEE-Ligra
+(Algorithm 2) runs: ``vertexSubset`` frontiers and the dense ``edgeMap``,
+with four execution schedules and ``writeAdd`` atomics.
 """
 
 from .atomics import AtomicArray, UnsafeArray, make_accumulator
@@ -15,9 +15,8 @@ from .backends import (
     VectorizedBackend,
     make_backend,
 )
-from .edge_map import EdgeMapFunction, edge_map_dense_serial, edge_map_sparse
-from .engine import LigraEngine, as_engine
-from .vertex_map import VertexMapFunction, vertex_map
+from .edge_map import EdgeMapFunction, edge_map_dense_serial
+from .engine import LigraEngine
 from .vertex_subset import VertexSubset
 
 __all__ = [
@@ -26,13 +25,9 @@ __all__ = [
     "make_accumulator",
     "EdgeMapFunction",
     "AccumulatingEdgeMapFunction",
-    "edge_map_sparse",
     "edge_map_dense_serial",
-    "VertexMapFunction",
-    "vertex_map",
     "VertexSubset",
     "LigraEngine",
-    "as_engine",
     "DenseBackend",
     "SerialBackend",
     "VectorizedBackend",

@@ -1,13 +1,13 @@
 """Atomic update primitives over NumPy arrays.
 
-Ligra's ``writeAdd`` / ``writeMin`` / ``CAS`` are single hardware
-instructions.  CPython cannot emit those against an arbitrary buffer, so
-this module provides the same *semantics* — race-free read-modify-write on
-individual array elements — using striped locks.  The paper reports that
-turning atomics off made no measurable difference for GEE (§IV); the
-ablation bench ``bench_ablation_atomics.py`` reproduces that comparison by
-running the same kernel with :class:`AtomicArray` (locked) and
-:class:`UnsafeArray` (plain adds).
+Ligra's ``writeAdd`` is a single hardware instruction.  CPython cannot
+emit it against an arbitrary buffer, so this module provides the same
+*semantics* — a race-free read-modify-write on individual array elements —
+using striped locks.  The paper reports that turning atomics off made no
+measurable difference for GEE (§IV); the ablation bench
+``bench_ablation_atomics.py`` reproduces that comparison by running the
+same kernel with :class:`AtomicArray` (locked) and :class:`UnsafeArray`
+(plain adds).
 
 Two implementation notes:
 
@@ -22,7 +22,7 @@ Two implementation notes:
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -66,26 +66,6 @@ class AtomicArray:
         """Atomically ``array[index] += value`` (Ligra's ``writeAdd``)."""
         with self._lock_for(index):
             self._array[index] += value
-
-    def write_min(self, index: IndexLike, value: float) -> bool:
-        """Atomically set ``array[index] = min(array[index], value)``.
-
-        Returns True when the stored value changed (Ligra's ``writeMin``
-        convention, used by BFS/CC style algorithms to detect the winner).
-        """
-        with self._lock_for(index):
-            if value < self._array[index]:
-                self._array[index] = value
-                return True
-            return False
-
-    def compare_and_swap(self, index: IndexLike, expected, new) -> bool:
-        """Atomic CAS: store ``new`` iff the current value equals ``expected``."""
-        with self._lock_for(index):
-            if self._array[index] == expected:
-                self._array[index] = new
-                return True
-            return False
 
     def add_at(self, indices, values) -> None:
         """Bulk scatter-add with a single coarse lock pass.
@@ -132,18 +112,6 @@ class UnsafeArray:
 
     def write_add(self, index: IndexLike, value: float) -> None:
         self._array[index] += value
-
-    def write_min(self, index: IndexLike, value: float) -> bool:
-        if value < self._array[index]:
-            self._array[index] = value
-            return True
-        return False
-
-    def compare_and_swap(self, index: IndexLike, expected, new) -> bool:
-        if self._array[index] == expected:
-            self._array[index] = new
-            return True
-        return False
 
     def add_at(self, indices, values) -> None:
         # repro: ignore[no-add-at] the "unsafe updates" ablation is defined as the buffered scatter

@@ -2,7 +2,7 @@
 
 A backend decides *how* the dense traversal of the edge set is executed:
 serially, vectorised through NumPy, with threads, or with forked processes
-over shared memory.  Algorithms never talk to backends directly — they go
+over shared memory.  Callers never talk to backends directly — they go
 through :class:`repro.ligra.engine.LigraEngine`, which owns one backend.
 """
 
@@ -22,12 +22,12 @@ __all__ = ["DenseBackend", "AccumulatingEdgeMapFunction", "frontier_edges"]
 class AccumulatingEdgeMapFunction(EdgeMapFunction):
     """An edge-map function whose effect is pure accumulation.
 
-    Functions of this form (GEE's ``updateEmb``, PageRank's contribution
-    push, degree counting, ...) commute across edges: the result is a sum of
-    per-edge contributions into one or more output arrays.  That property is
-    what lets the process backend replace Ligra's hardware atomics with
-    private per-worker partials plus a reduction, without changing the
-    result (see DESIGN.md §2).
+    Functions of this form (GEE's ``updateEmb``, degree counting, ...)
+    commute across edges: the result is a sum of per-edge contributions
+    into one or more output arrays.  That property is what lets the process
+    backend replace Ligra's hardware atomics with private per-worker
+    partials plus a reduction, without changing the result beyond
+    floating-point summation order.
     """
 
     def output_arrays(self) -> dict:

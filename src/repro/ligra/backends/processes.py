@@ -8,11 +8,14 @@ parallel configuration forks worker processes instead:
   pickling, the same "all workers see one graph" model as Ligra.
 * Each worker accumulates its edge range into a *private* partial of the
   function's output arrays, then adds the partial into a shared-memory
-  result under a lock.  For accumulating functions (GEE, PageRank, degree
-  counts) this is bit-for-bit the same result as lock-free atomic adds, up
-  to floating-point summation order, and costs ``O(n·K)`` extra per worker
-  — negligible next to the ``O(s)`` edge pass whenever ``s >> n·K`` (the
+  result under a lock.  For accumulating functions (GEE's ``updateEmb``,
+  degree counts) this is the same result as lock-free atomic adds, up to
+  floating-point summation order, and costs ``O(n·K)`` extra per worker —
+  negligible next to the ``O(s)`` edge pass whenever ``s >> n·K`` (the
   paper's regime).
+* A worker that exits non-zero (it may have died holding the merge lock,
+  which would leave the others waiting forever) makes the parent terminate
+  the rest and raise; the shared segments are unlinked either way.
 
 Only :class:`~repro.ligra.backends.base.AccumulatingEdgeMapFunction`
 subclasses can run on this backend; anything else falls back to the serial
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import warnings
+from multiprocessing.connection import wait
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -69,6 +73,36 @@ def _worker_accumulate(
     finally:
         for seg in segments:
             seg.close()
+
+
+def _join_workers(procs: List) -> None:
+    """Join every worker; at the first non-zero exit, stop the rest and raise.
+
+    The parent waits on all sentinels at once rather than joining workers in
+    turn: a worker killed while it holds the merge lock leaves the others
+    blocked on that lock, so a plain ``join`` would never return.
+    """
+    pending = dict(enumerate(procs))
+    while pending:
+        ready = set(wait([p.sentinel for p in pending.values()]))
+        for wid in [w for w, p in pending.items() if p.sentinel in ready]:
+            p = pending.pop(wid)
+            p.join()
+            if p.exitcode == 0:
+                continue
+            for other in pending.values():
+                other.terminate()
+            for other in pending.values():
+                other.join(timeout=5)
+                # A forked worker inherits the caller's signal handlers, so
+                # SIGTERM alone may not end it.
+                if other.is_alive():
+                    other.kill()
+                    other.join()
+            raise RuntimeError(
+                f"ProcessBackend: worker {wid} exited with status {p.exitcode}; "
+                f"terminated the {len(pending)} other worker(s)"
+            )
 
 
 class ProcessBackend(DenseBackend):
@@ -139,13 +173,7 @@ class ProcessBackend(DenseBackend):
                 )
                 p.start()
                 procs.append(p)
-            for p in procs:
-                p.join()
-            failed = [p.exitcode for p in procs if p.exitcode != 0]
-            if failed:
-                raise RuntimeError(
-                    f"{len(failed)} worker process(es) exited with non-zero status {failed}"
-                )
+            _join_workers(procs)
             # Fold the shared accumulators into the function's real outputs.
             for name, arr in outputs.items():
                 arr += shm[name]

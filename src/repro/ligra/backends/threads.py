@@ -12,8 +12,6 @@ Because of CPython's GIL, threads only overlap where NumPy releases the GIL
 demonstrates *correctness* of the concurrent formulation rather than
 speedup.  The measured-speedup path is the process backend; the roofline
 model in :mod:`repro.eval.machine_model` covers the hardware the paper used.
-This limitation is exactly the "GIL blocks shared-memory parallelism" gap
-called out in DESIGN.md.
 """
 
 from __future__ import annotations

@@ -20,24 +20,10 @@ __all__ = ["VectorizedBackend"]
 
 
 class VectorizedBackend(DenseBackend):
-    """Single-threaded batch execution of the dense edge map.
-
-    Parameters
-    ----------
-    chunk_edges:
-        Edges per batch call; ``None`` (default) hands the whole edge set to
-        one call.  Chunking bounds the size of the temporary index arrays
-        the batch hook builds without changing results, but costs one pass
-        over the function's output per chunk — only worth it when the edge
-        arrays themselves dwarf memory.
-    """
+    """Single-threaded batch execution of the dense edge map: the frontier's
+    whole edge set goes to one ``update_batch`` call."""
 
     name = "vectorized"
-
-    def __init__(self, chunk_edges: int | None = None) -> None:
-        if chunk_edges is not None and chunk_edges <= 0:
-            raise ValueError("chunk_edges must be positive")
-        self.chunk_edges = None if chunk_edges is None else int(chunk_edges)
 
     def dense_edge_map(
         self, graph: CSRGraph, frontier: VertexSubset, fn: EdgeMapFunction
@@ -47,13 +33,10 @@ class VectorizedBackend(DenseBackend):
             return edge_map_dense_serial(graph, frontier, fn)
         srcs, dsts, ws = frontier_edges(graph, frontier)
         out_mask = np.zeros(graph.n_vertices, dtype=bool)
-        step = self.chunk_edges if self.chunk_edges is not None else max(1, srcs.size)
-        for lo in range(0, srcs.size, step):
-            hi = min(lo + step, srcs.size)
-            fired = fn.update_batch(srcs[lo:hi], dsts[lo:hi], ws[lo:hi])
+        if srcs.size:
+            fired = fn.update_batch(srcs, dsts, ws)
             if fired is None:
-                out_mask[dsts[lo:hi]] = True
+                out_mask[dsts] = True
             else:
-                fired = np.asarray(fired, dtype=bool)
-                out_mask[dsts[lo:hi][fired]] = True
+                out_mask[dsts[np.asarray(fired, dtype=bool)]] = True
         return VertexSubset(graph.n_vertices, mask=out_mask)

@@ -1,16 +1,11 @@
-"""The ``edgeMap`` primitive and the function protocol it maps.
+"""The dense ``edgeMap`` primitive and the function protocol it maps.
 
 This is the heart of the Ligra programming model (paper §II): apply a
 user-supplied update function to every out-edge of a frontier, returning
-the frontier of destinations whose update "fired".  Two traversal modes are
-provided, mirroring Ligra:
-
-* **sparse** (``edgeMapSparse``) — iterate the out-edges of each frontier
-  vertex; best for small frontiers (BFS-style algorithms).
-* **dense** (``edgeMapDense``) — iterate every vertex's edge list; best when
-  the frontier covers most of the graph.  GEE-Ligra always runs in this
-  mode because its frontier is the whole vertex set (paper §III), with one
-  worker per vertex edge list.
+the frontier of destinations whose update "fired".  GEE-Ligra runs Ligra's
+dense traversal (``edgeMapDense``): every vertex's out-edge list is walked
+and only edges whose source is in the frontier are applied.  Its frontier
+is the whole vertex set (paper §III), with one worker per vertex edge list.
 
 The user function is an :class:`EdgeMapFunction`.  Backends use the richest
 hook the function provides: per-edge scalar calls always work, a
@@ -28,7 +23,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from .vertex_subset import VertexSubset
 
-__all__ = ["EdgeMapFunction", "edge_map_sparse", "edge_map_dense_serial"]
+__all__ = ["EdgeMapFunction", "edge_map_dense_serial"]
 
 
 class EdgeMapFunction:
@@ -81,34 +76,6 @@ class EdgeMapFunction:
         mask of destinations that fired or ``None`` to fall back.
         """
         return None
-
-    def cond_mask(self, n_vertices: int) -> Optional[np.ndarray]:
-        """Dense form of :meth:`cond`: a boolean array over all vertices, or
-        ``None`` if per-vertex calls should be used."""
-        return None
-
-
-def edge_map_sparse(
-    graph: CSRGraph, frontier: VertexSubset, fn: EdgeMapFunction
-) -> VertexSubset:
-    """Serial ``edgeMapSparse``: traverse out-edges of frontier vertices."""
-    out_mask = np.zeros(graph.n_vertices, dtype=bool)
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    for u in frontier.indices().tolist():
-        lo, hi = int(indptr[u]), int(indptr[u + 1])
-        if lo == hi:
-            continue
-        dsts = indices[lo:hi]
-        ws = weights[lo:hi]
-        block = fn.update_block(u, dsts, ws)
-        if block is not None:
-            out_mask[dsts[block]] = True
-            continue
-        for j in range(hi - lo):
-            v = int(dsts[j])
-            if fn.cond(v) and fn.update_atomic(u, v, float(ws[j])):
-                out_mask[v] = True
-    return VertexSubset(graph.n_vertices, mask=out_mask)
 
 
 def edge_map_dense_serial(

@@ -1,19 +1,13 @@
-"""The Ligra-style engine: frontier-driven graph traversal.
+"""The Ligra-style engine: a graph plus the schedule of its dense edgeMap.
 
 :class:`LigraEngine` ties together the pieces of the programming model the
-paper builds on (§II):
+paper builds on (§II) that GEE-Ligra (Algorithm 2) runs:
 
 * a graph in CSR form,
-* ``edge_map`` — apply a function over the out-edges of a frontier,
-  automatically choosing the sparse or dense traversal (Ligra's
-  ``|U| + sum_deg(U) > m/20`` rule) unless a mode is forced,
-* ``vertex_map`` — apply a function over the vertices of a frontier,
-* a pluggable execution backend for the dense traversal (serial /
-  vectorized / threads / processes).
-
-GEE-Ligra (Algorithm 2) is one client of this engine; the classic graph
-algorithms in :mod:`repro.ligra.algorithms` are others and serve as
-validation that the engine implements the model faithfully.
+* ``edge_map`` — apply a function over the out-edges of a frontier with
+  Ligra's dense traversal (``edgeMapDense``),
+* a pluggable execution backend for that traversal (serial / vectorized /
+  threads / processes).
 """
 
 from __future__ import annotations
@@ -24,11 +18,10 @@ from ..graph.csr import CSRGraph
 from ..graph.edgelist import EdgeList
 from ..graph.facade import Graph, GraphLike
 from .backends import DenseBackend, make_backend
-from .edge_map import EdgeMapFunction, edge_map_sparse
-from .vertex_map import VertexFn, vertex_map as _vertex_map
+from .edge_map import EdgeMapFunction
 from .vertex_subset import VertexSubset
 
-__all__ = ["LigraEngine", "as_engine"]
+__all__ = ["LigraEngine"]
 
 
 class LigraEngine:
@@ -47,8 +40,6 @@ class LigraEngine:
         names ``"serial"``, ``"vectorized"``, ``"threads"``, ``"processes"``.
     n_workers:
         Worker count for the thread/process backends (ignored otherwise).
-    dense_threshold:
-        Fraction of ``m`` used in the dense/sparse switch; Ligra uses 1/20.
     """
 
     def __init__(
@@ -57,7 +48,6 @@ class LigraEngine:
         *,
         backend: Union[str, DenseBackend] = "serial",
         n_workers: Optional[int] = None,
-        dense_threshold: float = 1 / 20,
     ) -> None:
         if not isinstance(graph, CSRGraph):
             graph = Graph.coerce(graph).csr
@@ -65,13 +55,7 @@ class LigraEngine:
         if isinstance(backend, str):
             backend = make_backend(backend, n_workers)
         self.backend = backend
-        if not 0 < dense_threshold <= 1:
-            raise ValueError("dense_threshold must be in (0, 1]")
-        self.dense_threshold = dense_threshold
 
-    # ------------------------------------------------------------------ #
-    # Frontier constructors
-    # ------------------------------------------------------------------ #
     @property
     def n_vertices(self) -> int:
         """Number of vertices of the underlying graph."""
@@ -86,49 +70,15 @@ class LigraEngine:
         """All vertices active (the GEE-Ligra frontier)."""
         return VertexSubset.full(self.n_vertices)
 
-    def empty_frontier(self) -> VertexSubset:
-        """No vertices active."""
-        return VertexSubset.empty(self.n_vertices)
+    def edge_map(self, frontier: VertexSubset, fn: EdgeMapFunction) -> VertexSubset:
+        """Apply ``fn`` over the out-edges of ``frontier``; return the
+        frontier of destinations whose update fired.
 
-    def frontier(self, vertices) -> VertexSubset:
-        """Frontier from an iterable / array of vertex ids."""
-        return VertexSubset.from_iterable(self.n_vertices, vertices)
-
-    # ------------------------------------------------------------------ #
-    # Primitives
-    # ------------------------------------------------------------------ #
-    def edge_map(
-        self,
-        frontier: VertexSubset,
-        fn: EdgeMapFunction,
-        *,
-        mode: str = "auto",
-    ) -> VertexSubset:
-        """Apply ``fn`` over the out-edges of ``frontier``.
-
-        ``mode`` is ``"auto"`` (Ligra's size-based switch), ``"dense"`` or
-        ``"sparse"``.  The sparse traversal is always executed serially (it
-        is used for small frontiers where parallel dispatch would dominate);
-        the dense traversal goes through the configured backend.
+        The dense traversal runs on the configured backend.
         """
         if frontier.n_vertices != self.n_vertices:
             raise ValueError("frontier does not match the engine's graph")
-        if mode not in ("auto", "dense", "sparse"):
-            raise ValueError(f"unknown edge_map mode {mode!r}")
-        if mode == "auto":
-            dense = frontier.is_dense_preferred(
-                self.graph.indptr, self.n_edges, self.dense_threshold
-            )
-            mode = "dense" if dense else "sparse"
-        if mode == "sparse":
-            return edge_map_sparse(self.graph, frontier, fn)
         return self.backend.dense_edge_map(self.graph, frontier, fn)
-
-    def vertex_map(self, frontier: VertexSubset, fn: VertexFn) -> VertexSubset:
-        """Apply ``fn`` over the vertices of ``frontier``."""
-        if frontier.n_vertices != self.n_vertices:
-            raise ValueError("frontier does not match the engine's graph")
-        return _vertex_map(frontier, fn)
 
     # ------------------------------------------------------------------ #
     # Lifetime
@@ -148,24 +98,3 @@ class LigraEngine:
             f"LigraEngine(n={self.n_vertices}, s={self.n_edges}, "
             f"backend={self.backend.name!r})"
         )
-
-
-def as_engine(
-    graph_or_engine: Union["LigraEngine", CSRGraph, EdgeList, GraphLike],
-    **engine_kwargs,
-) -> LigraEngine:
-    """Coerce an algorithm input to a :class:`LigraEngine`.
-
-    The Ligra algorithms accept either a prepared engine (full control over
-    backend and worker count) or any graph-like input, which is wrapped in
-    a default serial engine.  An existing engine passes through unchanged
-    (``engine_kwargs`` must then be empty).
-    """
-    if isinstance(graph_or_engine, LigraEngine):
-        if engine_kwargs:
-            raise TypeError(
-                "engine options cannot be combined with an existing LigraEngine; "
-                "construct the engine with them instead"
-            )
-        return graph_or_engine
-    return LigraEngine(graph_or_engine, **engine_kwargs)

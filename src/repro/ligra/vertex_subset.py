@@ -2,15 +2,15 @@
 
 Ligra's central data type is the ``vertexSubset``: the set of "active"
 vertices whose out-edges the next ``edgeMap`` will traverse.  Ligra keeps
-the subset either as a sparse list of ids or as a dense boolean array and
-converts between the two based on the subset's size; this class mirrors
-that behaviour, including the automatic representation switch used by
-:func:`repro.ligra.edge_map.edge_map` to pick the dense or sparse traversal.
+the subset either as a sparse list of ids or as a dense boolean array; this
+class accepts either form and caches the other once it is asked for.  Every
+schedule of the dense ``edgeMap`` takes a frontier and returns the
+destinations whose update fired as another one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -64,16 +64,6 @@ class VertexSubset:
         """The frontier containing every vertex (GEE-Ligra's frontier)."""
         return cls(n_vertices, mask=np.ones(n_vertices, dtype=bool))
 
-    @classmethod
-    def single(cls, n_vertices: int, vertex: int) -> "VertexSubset":
-        """A frontier holding one vertex (e.g. a BFS source)."""
-        return cls(n_vertices, indices=np.asarray([vertex], dtype=np.int64))
-
-    @classmethod
-    def from_iterable(cls, n_vertices: int, vertices: Iterable[int]) -> "VertexSubset":
-        """Build from any iterable of vertex ids."""
-        return cls(n_vertices, indices=np.fromiter(vertices, dtype=np.int64))
-
     # ------------------------------------------------------------------ #
     # Representations
     # ------------------------------------------------------------------ #
@@ -119,44 +109,3 @@ class VertexSubset:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VertexSubset({len(self)}/{self.n_vertices})"
-
-    # ------------------------------------------------------------------ #
-    # Set algebra
-    # ------------------------------------------------------------------ #
-    def union(self, other: "VertexSubset") -> "VertexSubset":
-        """Set union."""
-        self._check_compatible(other)
-        return VertexSubset(self.n_vertices, mask=self.mask() | other.mask())
-
-    def intersection(self, other: "VertexSubset") -> "VertexSubset":
-        """Set intersection."""
-        self._check_compatible(other)
-        return VertexSubset(self.n_vertices, mask=self.mask() & other.mask())
-
-    def difference(self, other: "VertexSubset") -> "VertexSubset":
-        """Set difference (``self`` minus ``other``)."""
-        self._check_compatible(other)
-        return VertexSubset(self.n_vertices, mask=self.mask() & ~other.mask())
-
-    def complement(self) -> "VertexSubset":
-        """All vertices not in the subset."""
-        return VertexSubset(self.n_vertices, mask=~self.mask())
-
-    def _check_compatible(self, other: "VertexSubset") -> None:
-        if self.n_vertices != other.n_vertices:
-            raise ValueError("vertex subsets are over different vertex counts")
-
-    # ------------------------------------------------------------------ #
-    # Heuristics
-    # ------------------------------------------------------------------ #
-    def out_degree_sum(self, indptr: np.ndarray) -> int:
-        """Total out-degree of the subset, used by the dense/sparse switch."""
-        idx = self.indices()
-        if idx.size == 0:
-            return 0
-        indptr = np.asarray(indptr)
-        return int(np.sum(indptr[idx + 1] - indptr[idx]))
-
-    def is_dense_preferred(self, indptr: np.ndarray, n_edges: int, threshold_fraction: float = 1 / 20) -> bool:
-        """Ligra's switch rule: go dense when ``|U| + sum_deg(U) > m/20``."""
-        return len(self) + self.out_degree_sum(indptr) > n_edges * threshold_fraction

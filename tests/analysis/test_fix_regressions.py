@@ -1,8 +1,8 @@
 """Regression tests for the fixes driven by the static-analysis pass.
 
 Each test pins a rewritten code path against the behaviour of the code it
-replaced (an ``np.add.at``/``np.subtract.at`` oracle, or the explicit
-unit-scale array the ``scales=None`` fast path elides).
+replaced (an ``np.add.at`` oracle, or the explicit unit-scale array the
+``scales=None`` fast path elides).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from repro.core.gee_vectorized import accumulate_edges_vectorized, scatter_add
 from repro.eval.metrics import confusion_matrix
 from repro.graph.edgelist import EdgeList
 from repro.labels.propagation import propagate_labels
-from repro.ligra.algorithms.kcore import _DecrementDegree
 from repro.parallel.shm import SharedArraySet, attach_many
 
 rng = np.random.default_rng(7)
@@ -62,23 +61,6 @@ def test_confusion_matrix_matches_pair_counting_oracle():
     for i, t in enumerate(t_classes):
         for j, p in enumerate(p_classes):
             assert table[i, j] == np.sum((y_true == t) & (y_pred == p))
-
-
-def test_kcore_block_decrement_matches_subtract_at_oracle():
-    n = 30
-    degrees = rng.integers(5, 50, size=n).astype(np.int64)
-    alive = rng.random(n) > 0.3
-    dsts = rng.integers(0, n, size=100).astype(np.int64)  # duplicates guaranteed
-    weights = np.ones(dsts.size)
-
-    oracle_deg = degrees.copy()
-    mask = alive[dsts]
-    np.subtract.at(oracle_deg, dsts[mask], 1)  # repro: ignore[no-add-at] oracle
-
-    fn = _DecrementDegree(degrees.copy(), alive)
-    out_mask = fn.update_block(0, dsts, weights)
-    np.testing.assert_array_equal(fn.degrees, oracle_deg)
-    np.testing.assert_array_equal(out_mask, mask)
 
 
 # --------------------------------------------------------------------------- #

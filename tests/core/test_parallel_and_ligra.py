@@ -175,27 +175,6 @@ class TestGeeLigraBehaviour:
         assert gee_ligra(edges, y, backend="serial").method == "gee-ligra[serial]"
         assert gee_ligra(edges, y, backend="vectorized").method == "gee-ligra[vectorized]"
 
-    def test_engine_reuse(self):
-        from repro.ligra import LigraEngine
-
-        edges = erdos_renyi(50, 200, seed=7)
-        csr = edges.to_csr()
-        y = random_partial_labels(50, 4, 0.5, seed=7)
-        engine = LigraEngine(csr, backend="vectorized")
-        a = gee_ligra(csr, y, 4, engine=engine).embedding
-        b = gee_ligra(csr, y, 4, engine=engine).embedding
-        np.testing.assert_allclose(a, b)
-
-    def test_engine_graph_mismatch_rejected(self):
-        from repro.ligra import LigraEngine
-
-        edges = erdos_renyi(50, 200, seed=8)
-        other = erdos_renyi(60, 200, seed=8)
-        y = random_partial_labels(50, 4, 0.5, seed=8)
-        engine = LigraEngine(other.to_csr())
-        with pytest.raises(ValueError, match="different graph"):
-            gee_ligra(edges, y, 4, engine=engine)
-
     def test_projection_timing_reported(self):
         edges = erdos_renyi(40, 100, seed=9)
         y = random_partial_labels(40, 3, 0.5, seed=9)

@@ -20,18 +20,6 @@ class TestAtomicArray:
         a.write_add((1, 2), 4.0)
         assert a.array[1, 2] == pytest.approx(4.0)
 
-    def test_write_min(self):
-        a = AtomicArray(np.full(3, 10.0))
-        assert a.write_min(1, 5.0) is True
-        assert a.write_min(1, 7.0) is False
-        assert a.array[1] == 5.0
-
-    def test_compare_and_swap(self):
-        a = AtomicArray(np.zeros(3))
-        assert a.compare_and_swap(0, 0.0, 9.0) is True
-        assert a.compare_and_swap(0, 0.0, 5.0) is False
-        assert a.array[0] == 9.0
-
     def test_add_at_bulk(self):
         a = AtomicArray(np.zeros((4, 2)))
         rows = np.array([0, 0, 3])
@@ -66,8 +54,6 @@ class TestUnsafeArray:
     def test_same_interface(self):
         u = UnsafeArray(np.zeros(3))
         u.write_add(0, 2.0)
-        assert u.write_min(1, -1.0) is True
-        assert u.compare_and_swap(2, 0.0, 3.0) is True
         u.add_at(np.array([0, 0]), np.array([1.0, 1.0]))
         assert u.array[0] == pytest.approx(4.0)
         assert u.shape == (3,)

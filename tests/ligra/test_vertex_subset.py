@@ -1,9 +1,7 @@
-"""Unit and property tests for repro.ligra.vertex_subset."""
+"""Unit tests for repro.ligra.vertex_subset."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ligra import VertexSubset
 
@@ -19,13 +17,10 @@ class TestConstruction:
         assert len(s) == 10
         assert 7 in s
 
-    def test_single(self):
-        s = VertexSubset.single(10, 3)
-        assert list(s) == [3]
-
-    def test_from_iterable_deduplicates(self):
-        s = VertexSubset.from_iterable(10, [1, 1, 2, 2, 3])
+    def test_indices_deduplicate(self):
+        s = VertexSubset(10, indices=[1, 1, 2, 2, 3])
         assert len(s) == 3
+        assert list(s) == [1, 2, 3]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -55,51 +50,3 @@ class TestRepresentations:
         s = VertexSubset.full(4)
         assert -1 not in s
         assert 4 not in s
-
-
-class TestSetAlgebra:
-    def test_union_intersection_difference(self):
-        a = VertexSubset(8, indices=np.array([0, 1, 2]))
-        b = VertexSubset(8, indices=np.array([2, 3]))
-        assert sorted(a.union(b)) == [0, 1, 2, 3]
-        assert sorted(a.intersection(b)) == [2]
-        assert sorted(a.difference(b)) == [0, 1]
-
-    def test_complement(self):
-        a = VertexSubset(4, indices=np.array([1]))
-        assert sorted(a.complement()) == [0, 2, 3]
-
-    def test_incompatible_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            VertexSubset.full(3).union(VertexSubset.full(4))
-
-    @given(
-        n=st.integers(1, 60),
-        data=st.data(),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_de_morgan(self, n, data):
-        idx_a = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
-        idx_b = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
-        a = VertexSubset.from_iterable(n, idx_a)
-        b = VertexSubset.from_iterable(n, idx_b)
-        lhs = a.union(b).complement()
-        rhs = a.complement().intersection(b.complement())
-        assert lhs == rhs
-
-
-class TestHeuristics:
-    def test_dense_preferred_for_full_frontier(self, random_graph):
-        csr = random_graph.to_csr()
-        full = VertexSubset.full(csr.n_vertices)
-        assert full.is_dense_preferred(csr.indptr, csr.n_edges)
-
-    def test_sparse_preferred_for_tiny_frontier(self, random_graph):
-        csr = random_graph.to_csr()
-        one = VertexSubset.single(csr.n_vertices, 0)
-        assert not one.is_dense_preferred(csr.indptr, csr.n_edges)
-
-    def test_out_degree_sum(self, tiny_edges):
-        csr = tiny_edges.to_csr()
-        s = VertexSubset(5, indices=np.array([0, 3]))
-        assert s.out_degree_sum(csr.indptr) == 3
