@@ -46,7 +46,6 @@ EDGE_SIZE_SYMBOLS = frozenset(
         "delta_w",
         "owner",
         "partner",
-        "owner_flat",
         "src_flat",
         "dst_flat",
         "flat",

@@ -13,12 +13,12 @@ Ligra's ``edgeMapDense`` iterates over *destination* vertices and their
 in-edges, which makes every embedding row single-writer; the atomics only
 guard the much rarer source-row updates.  The kernel here takes that idea
 to its limit with an **owner-computes row partition** over the plan's
-owner-sorted incidence (:class:`~repro.core.plan.FusedLayout`, where every
+symmetric CSR incidence (:class:`~repro.core.plan.FusedLayout`, where every
 edge appears twice, once per endpoint as owner):
 
 * the embedding rows (vertices) are split into ``p`` ranges balanced by
   total (in + out) degree;
-* worker ``j`` finds the incidences its rows own with two binary searches,
+* worker ``j`` reads the incidences its rows own off the row pointer,
   runs the block-local segment sums
   (:func:`~repro.core.gee_vectorized.accumulate_fused_rows_sorted`) into
   its rows of the shared-memory ``Z`` and rescales those rows by
@@ -72,6 +72,7 @@ from ..analysis.annotations import hot_path
 from ..obs import trace
 from ..parallel.shm import OutputRing, SharedArrayHandle, SharedArraySet, attach_many
 from .gee_vectorized import scatter_add
+from .plan import choose_label_dtype
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
 from .validation import (
@@ -267,7 +268,7 @@ class _SharedFused:
     def __init__(self, fused) -> None:
         with trace("shm.ship", what="fused-layout"):
             self.shm = SharedArraySet()
-            self.shm.share("f_owner_flat", fused.owner_flat)
+            self.shm.share("f_indptr", fused.indptr)
             self.shm.share("f_partner", fused.partner)
             if fused.weights is not None:
                 self.shm.share("f_weights", fused.weights)
@@ -318,7 +319,8 @@ class _Workspace:
     def __init__(self, n: int, k: int) -> None:
         self.n, self.k = n, k
         self.shm = SharedArraySet()
-        self.labels = self.shm.empty("labels", (n,), np.int64)
+        #: Labels as ``choose_label_dtype(K)``: the parent's copy casts once.
+        self.labels = self.shm.empty("labels", (n,), choose_label_dtype(k))
         #: Per-column ``1/n_c`` rescale vector (written once per call by
         #: the parent; each task multiplies its own rows).
         self.inv = self.shm.empty("inv", (k,), np.float64)
@@ -362,10 +364,10 @@ def _workspace_for(n: int, k: int) -> _Workspace:
 # --------------------------------------------------------------------------- #
 def _accumulate_ranges(
     Z: np.ndarray,
-    owner_flat: np.ndarray,
+    indptr: np.ndarray,
     partner: np.ndarray,
     weights: Optional[np.ndarray],
-    y_idx: np.ndarray,
+    y_lab: np.ndarray,
     inv: np.ndarray,
     rows_per_block: int,
     ranges: Sequence[OwnerRange],
@@ -389,10 +391,10 @@ def _accumulate_ranges(
         try:
             accumulate_fused_rows_sorted(
                 Z_flat,
-                owner_flat,
+                indptr,
                 partner,
                 weights,
-                y_idx,
+                y_lab,
                 k,
                 rows_per_block,
                 row_lo,
@@ -421,13 +423,12 @@ def _owner_ranges_task(
     _drop_freed_outputs(live_outputs)
     views = _attach_cached(handles)
     _WORKER_OUTPUTS.add(handles["Z"].shm_name)
-    owner_flat = views["f_owner_flat"]
     _accumulate_ranges(
         views["Z"],
-        owner_flat,
+        views["f_indptr"],
         views["f_partner"],
         views.get("f_weights"),
-        views["labels"].astype(owner_flat.dtype, copy=False),
+        views["labels"],
         views["inv"],
         rows_per_block,
         ranges,
@@ -470,10 +471,10 @@ def run_owner_ranges(
             out = np.empty((fused.n_vertices, fused.n_classes), dtype=np.float64)
         _accumulate_ranges(
             out,
-            fused.owner_flat,
+            fused.indptr,
             fused.partner,
             fused.weights,
-            y.astype(fused.index_dtype, copy=False),
+            y.astype(choose_label_dtype(fused.n_classes)),
             inv,
             fused.rows_per_block,
             tasks[0],

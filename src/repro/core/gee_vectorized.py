@@ -26,6 +26,7 @@ import numpy as np
 
 from ..analysis.annotations import hot_path
 from ..graph.edgelist import EdgeList
+from .plan import choose_label_dtype
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
 from .validation import UNKNOWN_LABEL, validate_edges, validate_labels
@@ -141,51 +142,41 @@ def patch_sums_vectorized(
 # --------------------------------------------------------------------------- #
 # Locality-optimized segment-sum kernels (FusedLayout consumers)
 # --------------------------------------------------------------------------- #
-@hot_path(reason="block-local segment-sum scatter of the fused layouts")
+@hot_path(reason="block-local segment-sum scatter of the chunked incidence")
 def _block_scatter(
     out_flat: np.ndarray,
     flat: np.ndarray,
     weights: Optional[np.ndarray],
     flat_bounds: np.ndarray,
     cuts: np.ndarray,
-    accumulate: bool,
 ) -> None:
-    """Scatter ``flat``/``weights`` into ``out_flat`` one row block at a time.
+    """Add ``flat``/``weights`` into ``out_flat`` one row block at a time.
 
     ``flat_bounds[i]:flat_bounds[i+1]`` is block ``i``'s output slice (sized
     to stay L2-resident) and ``cuts[i]:cuts[i+1]`` its incidence slice; each
     block runs one *local* ``np.bincount`` whose output is block-sized, so
     the scatter never allocates an ``(n*K,)`` temporary and its writes stay
-    inside the cache-resident slice.  ``accumulate=False`` assigns the block
-    sums into ``out_flat`` directly (zeroing empty blocks), which also skips
-    the full-output zero-fill and read-modify-write passes a global
-    ``out += bincount(...)`` would cost.
+    inside the cache-resident slice.
     """
     for i in range(len(cuts) - 1):
         lo, hi = int(cuts[i]), int(cuts[i + 1])
-        base, top = int(flat_bounds[i]), int(flat_bounds[i + 1])
         if lo == hi:
-            if not accumulate:
-                out_flat[base:top] = 0.0
             continue
-        block = np.bincount(
+        base, top = int(flat_bounds[i]), int(flat_bounds[i + 1])
+        out_flat[base:top] += np.bincount(
             flat[lo:hi] - base,
             weights=None if weights is None else weights[lo:hi],
             minlength=top - base,
         )
-        if accumulate:
-            out_flat[base:top] += block
-        else:
-            out_flat[base:top] = block
 
 
 @hot_path(reason="the sorted-layout kernel: serial, parallel and sharded row ranges")
 def accumulate_fused_rows_sorted(
     out_flat: np.ndarray,
-    owner_flat: np.ndarray,
+    indptr: np.ndarray,
     partner: np.ndarray,
     weights: Optional[np.ndarray],
-    y_idx: np.ndarray,
+    y_lab: np.ndarray,
     n_classes: int,
     rows_per_block: int,
     row_lo: int,
@@ -196,50 +187,41 @@ def accumulate_fused_rows_sorted(
     """Raw sums for rows ``row_lo:row_hi`` of a sorted fused layout.
 
     The one fused kernel: the serial pass runs it over ``[0, n)``, the
-    parallel and sharded workers over their own row ranges.  It gathers
-    ``Y[partner]``, adds it to the precompiled ``owner*K`` flat components
-    and runs the block-local segment sums (:func:`_block_scatter`).  The
-    per-edge projection scale is *not* applied here — the caller rescales
-    columns once afterwards (:func:`class_rescale`), which is exact because
-    ``scale[v]`` depends only on ``Y[v]``, the very column the contribution
-    lands in.  ``y_idx`` must already be cast to the layout's index dtype
-    so the flat-index arithmetic stays in the narrowed dtype.  The sorted
-    incidence arrays locate any row range with two binary searches, so a
-    call processes exactly the incidences owned by its rows and writes only
-    its slice of ``out_flat`` — no atomics, no reduction.  Every search key
-    is cast to the incidence dtype first: a wider key makes
-    ``np.searchsorted`` convert the whole searched array, which would cost
-    each range an O(2E) int64 copy instead of its own share.  Each output
-    slot sums its incidences in array order whatever the range and block
-    boundaries, so any split of ``[0, n)`` gives bitwise the same sums.
-    Works on raw arrays (shared-memory views included) rather than a
-    :class:`FusedLayout` object.
+    parallel and sharded workers over their own row ranges.  The row
+    pointer locates the range's incidences, so a call reads only what its
+    rows own and writes only their slice of ``out_flat`` — no atomics, no
+    reduction.  Per L2-sized block of rows it gathers ``Y[partner]``,
+    builds the local flat index ``row*K + label`` in cache and assigns one
+    local ``np.bincount`` to the block's slice.  The projection scale is
+    applied by the caller afterwards (:func:`class_rescale`), which is
+    exact because ``scale[v]`` depends only on ``Y[v]``, the very column
+    the contribution lands in.
+
+    ``y_lab`` should be cast once per call to
+    :func:`~repro.core.plan.choose_label_dtype` ``(K)``, so the gather
+    reads one byte per label for ``K <= 128``; a dtype that cannot hold
+    ``K - 1`` and ``-1`` raises :class:`TypeError`.  Each output slot sums
+    its incidences in array order whatever the range and block boundaries,
+    so any split of ``[0, n)`` gives bitwise the same sums.
     """
     k = int(n_classes)
-    if row_hi <= row_lo:
-        return
-    key = owner_flat.dtype.type
-    lo = int(np.searchsorted(owner_flat, key(row_lo * k)))
-    hi = int(np.searchsorted(owner_flat, key(row_hi * k)))
-    row_bounds = np.arange(row_lo, row_hi, int(rows_per_block), dtype=np.int64)
-    row_bounds = np.append(row_bounds, row_hi)
-    flat_bounds = row_bounds * k
-    of = owner_flat[lo:hi]
-    flat = y_idx[partner[lo:hi]]
-    w2 = None if weights is None else weights[lo:hi]
-    if fully_labelled:
-        wts = w2
-    else:
-        known = flat != UNKNOWN_LABEL
-        flat = flat[known]
-        of = of[known]
-        wts = None if w2 is None else w2[known]
-    # ``flat`` is a fresh gather, so the owner components go in in place
-    # (saving an O(range) temporary); "safe" refuses a label dtype too
-    # narrow for the flat indices instead of wrapping them.
-    np.add(flat, of, out=flat, casting="safe")
-    cuts = np.searchsorted(flat, flat_bounds.astype(flat.dtype))
-    _block_scatter(out_flat, flat, wts, flat_bounds, cuts, accumulate=False)
+    if not np.can_cast(choose_label_dtype(k), y_lab.dtype):
+        raise TypeError(f"labels of dtype {y_lab.dtype} cannot hold K={k} classes")
+    for r0 in range(row_lo, row_hi, rows_per_block):
+        r1 = min(r0 + rows_per_block, row_hi)
+        bounds = indptr[r0 : r1 + 1]
+        lo, hi = int(bounds[0]), int(bounds[-1])
+        # Widen the block's ids in cache first: NumPy gathers through int32
+        # indices at half the speed of intp ones.
+        labels = y_lab.take(partner[lo:hi].astype(np.intp, copy=False))
+        flat = np.repeat(np.arange(0, (r1 - r0) * k, k), np.diff(bounds))
+        flat += labels
+        wts = None if weights is None else weights[lo:hi]
+        if not fully_labelled:
+            keep = labels != UNKNOWN_LABEL
+            flat = flat[keep]
+            wts = None if wts is None else wts[keep]
+        out_flat[r0 * k : r1 * k] = np.bincount(flat, weights=wts, minlength=(r1 - r0) * k)
 
 
 def class_rescale(Z: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -263,10 +245,10 @@ def gee_fused_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
     (dispatched when ``plan.layout == "sorted"``): the scatter runs the
     block-local segment-sum kernel over the compiled incidence arrays and
     writes straight into an output array from the plan's ring — per call
-    the only temporaries are the O(2E) gathered/compacted index and weight
-    arrays plus one L2-sized block at a time, never a fresh ``(n*K,)``
-    output while no earlier result holds the plan's buffer.  The result
-    owns its embedding, like every plan kernel's.
+    the only temporaries are the narrow label table (cast once) plus one
+    L2-sized block at a time, never a fresh ``(n*K,)`` output while no
+    earlier result holds the plan's buffer.  The result owns its
+    embedding, like every plan kernel's.
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
@@ -274,16 +256,16 @@ def gee_fused_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
 
     t0 = time.perf_counter()
     fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
-    y_idx = y.astype(fused.index_dtype, copy=False)
+    y_lab = y.astype(choose_label_dtype(k))
     t1 = time.perf_counter()
 
     Z = plan.output_matrix()
     accumulate_fused_rows_sorted(
         Z.reshape(-1),
-        fused.owner_flat,
+        fused.indptr,
         fused.partner,
         fused.weights,
-        y_idx,
+        y_lab,
         k,
         fused.rows_per_block,
         0,
@@ -474,7 +456,7 @@ def _accumulate_chunked_incidence(
         last = int(np.searchsorted(flat_bounds, flat[-1], side="right"))
         bounds = flat_bounds[first : last + 1]
         cuts = np.searchsorted(flat, bounds)
-        _block_scatter(Z_flat, flat, wts, bounds, cuts, accumulate=True)
+        _block_scatter(Z_flat, flat, wts, bounds, cuts)
 
 
 def gee_vectorized_chunked(plan, labels: np.ndarray) -> EmbeddingResult:

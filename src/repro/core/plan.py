@@ -37,6 +37,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..analysis.annotations import hot_path
+from ..graph.csr import owner_sort
 from ..parallel.shm import OutputRing
 from .validation import validate_edges, validate_labels
 
@@ -46,6 +47,7 @@ __all__ = [
     "FusedLayout",
     "LAYOUTS",
     "choose_index_dtype",
+    "choose_label_dtype",
     "compile_fused_layout",
     "owner_sort",
     "edge_fingerprint",
@@ -62,10 +64,10 @@ _FINGERPRINT_SAMPLES = 32
 #: ``"sorted"`` permutes for scatter locality (see :class:`FusedLayout`).
 LAYOUTS = ("none", "sorted")
 
-#: Flat scatter indices narrow to int32 below this ``n * K`` bound — the
-#: index arrays are the dominant per-edge read traffic of the fused kernel,
-#: so halving their width halves index bandwidth.  Above the bound a flat
-#: index no longer fits a signed 32-bit integer and int64 is required.
+#: Index arrays narrow to int32 below this bound: the partner ids are the
+#: dominant per-incidence read traffic of the fused kernel, so halving
+#: their width halves index bandwidth.  Above the bound an index no longer
+#: fits a signed 32-bit integer and int64 is required.
 _INT32_LIMIT = 2**31
 
 #: Target size in bytes of one row block's output slice.  Each block's
@@ -78,40 +80,53 @@ _LAYOUT_BLOCK_BYTES = 1 << 18
 def choose_index_dtype(n_vertices: int, n_classes: int, *, limit: int = _INT32_LIMIT):
     """The narrowest integer dtype that can hold every flat index ``< n*K``.
 
-    int32 when ``n_vertices * n_classes < limit`` (every flat scatter index
-    is in ``[0, n*K)``), int64 otherwise.  The product is computed in Python
-    integers, so the decision itself can never overflow.
+    int32 when ``n_vertices * n_classes < limit`` (every flat index is in
+    ``[0, n*K)``; ``n_classes=1`` sizes vertex ids), int64 otherwise.  The
+    product is computed in Python integers, so it can never overflow.
     """
     if int(n_vertices) * int(n_classes) < limit:
         return np.int32
     return np.int64
 
 
+def choose_label_dtype(n_classes: int):
+    """The narrowest signed integer dtype holding every label in ``[-1, K)``.
+
+    int8 for ``K <= 128``, int16 for ``K <= 32768``, then int32, then
+    int64: a signed type holds ``-K`` exactly when it holds ``K - 1``.  The
+    sorted kernel gathers one label per incidence from a table of ``n``
+    labels, so a narrower table keeps more of it in cache.
+    """
+    return np.min_scalar_type(-int(n_classes)).type
+
+
 class FusedLayout:
-    """Locality-optimized incidence arrays for the GEE edge pass.
+    """The symmetric CSR of a graph: the incidence arrays of the edge pass.
 
     The edge pass updates ``Z[u, Y[v]] += scale[v]·w`` and
     ``Z[v, Y[u]] += scale[u]·w`` per edge — two scatter halves whose flat
-    targets are effectively random in arrival order.  The fused layout
-    rewrites the pass as **one** array of ``2E`` incidences
-    ``(owner, partner, w)`` (each edge appears twice, once per endpoint as
-    owner), sorted by owner row at compile time (stable, so arrival order
-    is kept within a row).  Flat targets are then monotone across rows, so
-    the scatter walks the output sequentially (and within one row touches
-    at most ``K`` adjacent slots), one L2-sized block of rows at a time.
+    targets are effectively random in arrival order.  The layout rewrites
+    the pass as **one** set of ``2E`` incidences ``(owner, partner, w)``
+    (each edge appears twice, once per endpoint as owner), grouped by
+    owner row: row ``u`` owns ``partner[indptr[u]:indptr[u+1]]`` and the
+    matching ``weights``.  The scatter then walks the output sequentially
+    (and within one row touches at most ``K`` adjacent slots), one
+    L2-sized block of rows at a time.
 
     The per-edge scale is also hoisted: ``scale[v]`` depends only on
     ``Y[v]`` — the very class column the contribution lands in — so the
     kernel scatters *raw* weights and applies ``diag(1/n_c)`` per column
     afterwards (the ``Z = S·diag(1/n_c)`` identity), eliminating the O(E)
-    scale gather entirely.  Index arrays narrow to int32 when
-    ``n*K < 2^31`` (:func:`choose_index_dtype`), halving index bandwidth.
+    scale gather entirely.  ``partner`` holds vertex ids, so it narrows to
+    int32 when ``n < 2^31`` (:func:`choose_index_dtype`); no array holds a
+    flat ``n*K`` index.
 
-    All artifacts are label-independent; per call only the ``Y`` gather,
-    the (masked) flat-index add and the block-local ``np.bincount``s run
+    All artifacts are label-independent; per call only the ``Y`` gather
+    and the block-local ``np.bincount``s run
     (:func:`~repro.core.gee_vectorized.accumulate_fused_rows_sorted`).
-    The permutation reorders commutative additions only, so results match
-    the arrival-order kernels up to floating-point summation order.
+    A weighted row keeps arrival order and a unit-weight row lists its
+    partners in ascending order (its sums are exact integers), so results
+    match the arrival-order kernels up to floating-point summation order.
     """
 
     __slots__ = (
@@ -120,8 +135,7 @@ class FusedLayout:
         "n_classes",
         "n_incidences",
         "rows_per_block",
-        "index_dtype",
-        "owner_flat",
+        "indptr",
         "partner",
         "weights",
     )
@@ -131,29 +145,28 @@ class FusedLayout:
         n_vertices: int,
         n_classes: int,
         rows_per_block: int,
-        index_dtype,
-        owner_flat: np.ndarray,
+        indptr: np.ndarray,
         partner: np.ndarray,
         weights: Optional[np.ndarray],
     ) -> None:
         self.n_vertices = int(n_vertices)
         self.n_classes = int(n_classes)
-        self.n_incidences = int(owner_flat.size)
+        self.n_incidences = int(partner.size)
         #: Rows per L2-sized scatter block.
         self.rows_per_block = int(rows_per_block)
-        self.index_dtype = index_dtype
-        #: ``owner * K`` per incidence, permuted (int32/int64 per dtype).
-        self.owner_flat = owner_flat
-        #: The other endpoint per incidence, permuted (same dtype).
+        #: Row pointer (int64, ``n + 1``): row ``u`` owns incidences
+        #: ``indptr[u]:indptr[u+1]``.
+        self.indptr = indptr
+        #: The other endpoint per incidence (int32/int64 by ``n``).
         self.partner = partner
-        #: Permuted weights, or ``None`` for unit-weight graphs (the
+        #: Weights per incidence, or ``None`` for unit-weight graphs (the
         #: block-local ``bincount`` then runs weightless, which is faster).
         self.weights = weights
 
     @property
     def nbytes(self) -> int:
         """Total bytes held by the compiled incidence arrays."""
-        total = self.owner_flat.nbytes + self.partner.nbytes
+        total = self.indptr.nbytes + self.partner.nbytes
         if self.weights is not None:
             total += self.weights.nbytes
         return total
@@ -162,32 +175,8 @@ class FusedLayout:
         return (
             f"FusedLayout(n={self.n_vertices}, "
             f"incidences={self.n_incidences}, K={self.n_classes}, "
-            f"dtype={np.dtype(self.index_dtype).name})"
+            f"dtype={self.partner.dtype.name})"
         )
-
-
-def owner_sort(owner: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The stable sorting permutation of ``owner``, and the sorted owners.
-
-    Sorts one packed int64 key per incidence, ``owner << b | i`` with ``b``
-    the bit length of the incidence count.  The keys are unique, so any
-    sort yields the stable order, and an int64 sort runs several times
-    faster than the stable argsort: ``key >> b`` is the sorted owners and
-    ``key & (2**b - 1)`` the permutation.  Owners too large to pack into 63
-    bits take the stable argsort.  ``owner`` must be non-negative.
-    """
-    m = int(owner.size)
-    bits = m.bit_length()
-    if m == 0 or int(owner.max()).bit_length() + bits > 63:
-        order = np.argsort(owner, kind="stable")
-        return order, owner[order]
-    key = np.left_shift(owner, bits, dtype=np.int64)
-    key |= np.arange(m, dtype=np.int64)
-    key.sort()
-    sorted_owner = np.empty_like(owner)
-    np.right_shift(key, bits, out=sorted_owner, casting="unsafe")
-    key &= (1 << bits) - 1
-    return key, sorted_owner
 
 
 def compile_fused_layout(
@@ -200,23 +189,37 @@ def compile_fused_layout(
     int32_limit: int = _INT32_LIMIT,
     block_bytes: int = _LAYOUT_BLOCK_BYTES,
 ) -> FusedLayout:
-    """Compile the owner-sorted fused incidence arrays for one ``(graph, K)``.
+    """Compile the symmetric CSR incidence arrays for one ``(graph, K)``.
 
     ``weights=None`` marks a unit-weight graph (no weight array is stored
-    and the scatter runs weightless).  See :class:`FusedLayout`.
+    and the scatter runs weightless); it sorts one packed int64 key
+    ``owner << b | partner`` (``b`` the bit length of ``n - 1``) whose low
+    bits are the sorted partners, so no permutation is gathered.  A weighted
+    graph, or a key too wide for 63 bits, takes :func:`owner_sort`'s stable
+    order.  See :class:`FusedLayout`.
     """
     n = int(n_vertices)
     k = int(n_classes)
-    idx_dtype = choose_index_dtype(n, k, limit=int32_limit)
+    idx_dtype = choose_index_dtype(n, 1, limit=int32_limit)
     rows_per_block = max(1, int(block_bytes) // (k * 8))
 
-    owner = np.concatenate((src, dst))
+    owner = np.concatenate((src, dst)).astype(np.int64, copy=False)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
     partner = np.concatenate((dst, src))
-    order, owner = owner_sort(owner)
-    owner_flat = (owner * k).astype(idx_dtype)
-    partner_p = partner[order].astype(idx_dtype)
+    bits = max(n - 1, 0).bit_length()
+    if weights is None and 2 * bits <= 63:
+        key = np.left_shift(owner, bits, out=owner)
+        key |= partner
+        del partner
+        key.sort()
+        key &= (1 << bits) - 1
+        partner_p = key.astype(idx_dtype, copy=False)
+        return FusedLayout(n, k, rows_per_block, indptr, partner_p, None)
+    order, _ = owner_sort(owner)
+    del owner
+    partner_p = partner[order].astype(idx_dtype, copy=False)
     weights_p = None if weights is None else np.concatenate((weights, weights))[order]
-    return FusedLayout(n, k, rows_per_block, idx_dtype, owner_flat, partner_p, weights_p)
+    return FusedLayout(n, k, rows_per_block, indptr, partner_p, weights_p)
 
 
 def sorted_incidence(
@@ -377,9 +380,8 @@ class EmbedPlan(_PlanOutputs):
       never expand them;
     * the flat-index components ``src*K`` and ``dst*K`` the vectorised
       scatter kernels otherwise recompute per call;
-    * the owner-sorted :class:`FusedLayout` (``layout="sorted"`` plans);
-    * the total-degree vector and the per-worker-count row partitions of
-      the owner-range executor;
+    * the symmetric-CSR :class:`FusedLayout` (``layout="sorted"`` plans)
+      and the per-worker-count row partitions of the owner-range executor;
     * the CSR out-adjacency and CSC (reverse) in-adjacency views;
     * the output ring that hands each call an array it owns;
     * the scipy adjacency pair.
@@ -433,7 +435,6 @@ class EmbedPlan(_PlanOutputs):
         self._src_flat: Optional[np.ndarray] = None
         self._dst_flat: Optional[np.ndarray] = None
         self._fused: Optional[FusedLayout] = None
-        self._total_degrees: Optional[np.ndarray] = None
         self._fused_row_ranges: Dict[int, List[Tuple[int, int]]] = {}
         self._outputs: Optional[OutputRing] = None
         self._scipy_adj = None
@@ -489,7 +490,7 @@ class EmbedPlan(_PlanOutputs):
         return self._dst_flat
 
     # ------------------------------------------------------------------ #
-    # Locality-optimized layout (owner-sorted incidence arrays)
+    # Locality-optimized layout (the symmetric CSR incidence arrays)
     # ------------------------------------------------------------------ #
     @property
     def unit_weights(self) -> bool:
@@ -503,8 +504,8 @@ class EmbedPlan(_PlanOutputs):
         """The compiled :class:`FusedLayout` (requires ``layout != "none"``).
 
         Built on first access from the validated edge arrays and cached for
-        the plan's lifetime — the layout permutation, flat-index narrowing
-        and block size are all label-independent.
+        the plan's lifetime — the row pointer, partner order, index
+        narrowing and block size are all label-independent.
         """
         if self.layout == "none":
             raise ValueError(
@@ -522,28 +523,13 @@ class EmbedPlan(_PlanOutputs):
             )
         return self._fused
 
-    @property
-    def total_degrees(self) -> np.ndarray:
-        """Unweighted total (in + out) degree per vertex, from the edge arrays.
-
-        The work per row of the owner-range executor (a self loop counts
-        twice, as it owns two incidences); it never forces the CSR/CSC
-        views, so layout plans stay adjacency-free.
-        """
-        if self._total_degrees is None:
-            n = self.n_vertices
-            self._total_degrees = np.bincount(self.src, minlength=n) + np.bincount(
-                self.dst, minlength=n
-            )
-        return self._total_degrees
-
     def fused_row_ranges(self, n_parts: int) -> List[Tuple[int, int]]:
         """Degree-balanced owner row ranges, one per part, cached per count.
 
-        The partition the ``parallel`` backend hands its workers: it
-        depends only on the degree profile, so a worker sweep over one plan
-        cuts each count once.  One part is the whole row range, which needs
-        no degree count.
+        The partition the ``parallel`` backend hands its workers: it cuts
+        the rows of :attr:`fused` by their incidence counts, so a worker
+        sweep over one plan cuts each count once.  One part is the whole
+        row range, which compiles nothing.
         """
         n_parts = int(n_parts)
         cached = self._fused_row_ranges.get(n_parts)
@@ -553,7 +539,7 @@ class EmbedPlan(_PlanOutputs):
             else:
                 from ..parallel.partition import balanced_ranges_from_work
 
-                cached = balanced_ranges_from_work(self.total_degrees, n_parts)
+                cached = balanced_ranges_from_work(np.diff(self.fused.indptr), n_parts)
             self._fused_row_ranges[n_parts] = cached
         return cached
 

@@ -16,7 +16,31 @@ import numpy as np
 
 from .edgelist import EdgeList
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "owner_sort"]
+
+
+def owner_sort(owner: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The stable sorting permutation of ``owner``, and the sorted owners.
+
+    Sorts one packed int64 key per incidence, ``owner << b | i`` with ``b``
+    the bit length of the incidence count.  The keys are unique, so any
+    sort yields the stable order, and an int64 sort runs several times
+    faster than the stable argsort: ``key >> b`` is the sorted owners and
+    ``key & (2**b - 1)`` the permutation.  Owners too large to pack into 63
+    bits take the stable argsort.  ``owner`` must be non-negative.
+    """
+    m = int(owner.size)
+    bits = m.bit_length()
+    if m == 0 or int(owner.max()).bit_length() + bits > 63:
+        order = np.argsort(owner, kind="stable")
+        return order, owner[order]
+    key = np.left_shift(owner, bits, dtype=np.int64)
+    key |= np.arange(m, dtype=np.int64)
+    key.sort()
+    sorted_owner = np.empty_like(owner)
+    np.right_shift(key, bits, out=sorted_owner, casting="unsafe")
+    key &= (1 << bits) - 1
+    return key, sorted_owner
 
 
 @dataclass
@@ -55,6 +79,13 @@ class CSRGraph:
             raise ValueError("indptr must be non-decreasing")
         if self.weights.size != self.indices.size:
             raise ValueError("weights and indices must have the same length")
+        if self.indices.size and self.indices.min() < 0:
+            raise ValueError("vertex ids must be non-negative")
+        if self.indices.size and self.indices.max() >= self.n_vertices:
+            raise ValueError(
+                f"n_vertices={self.n_vertices} (from indptr) is smaller than the "
+                f"largest index + 1 ({int(self.indices.max()) + 1})"
+            )
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -65,8 +96,7 @@ class CSRGraph:
         within each vertex's adjacency list)."""
         n = edges.n_vertices
         w = edges.effective_weights()
-        order = np.argsort(edges.src, kind="stable")
-        src_sorted = edges.src[order]
+        order, src_sorted = owner_sort(edges.src)
         indices = edges.dst[order]
         weights = w[order]
         counts = np.bincount(src_sorted, minlength=n)
@@ -134,7 +164,7 @@ class CSRGraph:
     def _build_in_adjacency(self) -> None:
         src = self.edge_sources()
         dst = self.indices
-        order = np.argsort(dst, kind="stable")
+        order, _ = owner_sort(dst)
         counts = np.bincount(dst, minlength=self.n_vertices)
         indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

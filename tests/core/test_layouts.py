@@ -5,10 +5,11 @@ hoists the per-edge projection scale into a per-column rescale), so every
 ``supports_layout`` backend × layout combination must reproduce the
 unpermuted pure-Python reference on the conformance-matrix edge cases to
 1e-12.  The suite also pins the int32 index-narrowing boundary at
-``n*K = 2^31``, the plan-buffer reuse property (no fresh ``(n*K,)``
-output temporary on the layout plan path), and the sorted row-range
-kernel: bitwise split invariance, and per-range allocation proportional
-to the range.
+``n*K = 2^31`` and the label dtypes by ``K``, the symmetric-CSR layout
+itself (row pointer, partner width, byte count, unit-weight row order),
+the plan-buffer reuse property (no fresh ``(n*K,)`` output temporary on
+the layout plan path), and the sorted row-range kernel: bitwise split
+invariance, and per-range allocation proportional to the range.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.core.plan import (
     ChunkedPlan,
     EmbedPlan,
     choose_index_dtype,
+    choose_label_dtype,
     compile_fused_layout,
 )
 from repro.graph import Graph
@@ -226,6 +228,34 @@ class TestIndexNarrowing:
         assert choose_index_dtype(limit - 1, 1) is np.int32
         assert choose_index_dtype(limit, 1) is np.int64
 
+    def test_label_dtype_boundaries(self):
+        """The narrowest signed dtype holding every label in ``[-1, K)``."""
+        table = {
+            1: np.int8,
+            128: np.int8,
+            129: np.int16,
+            32_768: np.int16,
+            32_769: np.int32,
+            2**31: np.int32,
+            2**31 + 1: np.int64,
+        }
+        for k, expected in table.items():
+            assert choose_label_dtype(k) is expected, k
+
+    def test_partner_narrows_by_vertex_count(self):
+        """``partner`` holds vertex ids, so a graph with ``n`` below the
+        int32 limit but ``n*K`` at or above it keeps int32 partners."""
+        edges, y = _case("weighted", "partial")
+        n = edges.n_vertices
+        limit = n * K  # n < limit <= n*K
+        plan = Graph.coerce(edges).plan(K, layout="sorted")
+        plan._fused = compile_fused_layout(
+            plan.src, plan.dst, plan.weights, n, K, int32_limit=limit
+        )
+        assert plan.fused.partner.dtype == np.int32
+        result = get_backend("vectorized").embed_with_plan(plan, y)
+        np.testing.assert_allclose(result.embedding, gee_python(edges, y, K).embedding, atol=ATOL)
+
     @pytest.mark.parametrize("layout", PERMUTING_LAYOUTS)
     def test_int64_fallback_is_exact(self, layout):
         """Force the int64 path via a tiny limit; results must not change."""
@@ -234,7 +264,7 @@ class TestIndexNarrowing:
         graph = Graph.coerce(edges)
         plan = graph.plan(K, layout=layout)
         narrow = plan.fused
-        assert narrow.index_dtype is np.int32
+        assert narrow.partner.dtype == np.int32
         wide = compile_fused_layout(
             plan.src,
             plan.dst,
@@ -243,14 +273,12 @@ class TestIndexNarrowing:
             K,
             int32_limit=1,  # every graph is now "too big" for int32
         )
-        assert wide.index_dtype is np.int64
+        assert wide.partner.dtype == np.int64
         plan._fused = wide  # swap the compiled artifact under the kernel
         result = get_backend("vectorized").embed_with_plan(plan, y)
         np.testing.assert_allclose(result.embedding, reference, atol=ATOL)
-        np.testing.assert_array_equal(
-            np.sort(narrow.owner_flat.astype(np.int64)),
-            np.sort(wide.owner_flat),
-        )
+        np.testing.assert_array_equal(narrow.indptr, wide.indptr)
+        np.testing.assert_array_equal(narrow.partner.astype(np.int64), wide.partner)
 
     @pytest.mark.skipif(not fork_available(), reason="fork not available")
     @pytest.mark.parametrize("backend_name", ["vectorized", "parallel"])
@@ -263,7 +291,7 @@ class TestIndexNarrowing:
         workers = 2 if backend_name == "parallel" else None
         backend = get_backend(backend_name, n_workers=workers)
         narrow_plan = Graph.coerce(edges).plan(K, layout="sorted")
-        assert narrow_plan.fused.index_dtype is np.int32
+        assert narrow_plan.fused.partner.dtype == np.int32
         narrow = backend.embed_with_plan(narrow_plan, y).detached().embedding
         wide_plan = Graph.coerce(edges).plan(K, layout="sorted")
         wide_plan._fused = compile_fused_layout(
@@ -274,10 +302,83 @@ class TestIndexNarrowing:
             K,
             int32_limit=1,
         )
-        assert wide_plan.fused.index_dtype is np.int64
+        assert wide_plan.fused.partner.dtype == np.int64
         wide = backend.embed_with_plan(wide_plan, y).embedding
         assert np.array_equal(wide, narrow)
         np.testing.assert_allclose(wide, gee_python(edges, y, K).embedding, atol=ATOL)
+
+
+class TestSymmetricCSR:
+    """The sorted layout is the symmetric CSR of the graph: a row pointer,
+    the partner of each incidence and its weight."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_nbytes_counts_the_three_arrays(self, weighted):
+        edges, _ = _case("weighted" if weighted else "unweighted", "full")
+        fused = Graph.coerce(edges).plan(K, layout="sorted").fused
+        assert fused.indptr.dtype == np.int64
+        assert fused.indptr.size == edges.n_vertices + 1
+        assert fused.indptr[-1] == fused.n_incidences == 2 * edges.n_edges
+        expected = fused.indptr.nbytes + fused.partner.nbytes
+        if weighted:
+            expected += fused.weights.nbytes
+        else:
+            assert fused.weights is None
+        assert fused.nbytes == expected
+
+    @pytest.mark.parametrize("case", ["unweighted", "isolated-vertices"])
+    @pytest.mark.parametrize("labelled", ["full", "partial"])
+    def test_unit_weight_rows_give_the_stable_order_sums(self, case, labelled):
+        """A unit-weight compile lists each row's partners in ascending
+        order; its raw sums are bitwise those of the stable-order compile
+        (counts of ones are exact in any order)."""
+        edges, y = _case(case, labelled)
+        n = edges.n_vertices
+        unit = compile_fused_layout(edges.src, edges.dst, None, n, K)
+        stable = compile_fused_layout(edges.src, edges.dst, np.ones(edges.n_edges), n, K)
+        np.testing.assert_array_equal(unit.indptr, stable.indptr)
+        for u in range(n):
+            row = slice(unit.indptr[u], unit.indptr[u + 1])
+            assert np.all(np.diff(unit.partner[row]) >= 0)
+            np.testing.assert_array_equal(unit.partner[row], np.sort(stable.partner[row]))
+        y_lab = y.astype(choose_label_dtype(K))
+        sums = []
+        for fused in (unit, stable):
+            out = np.full(n * K, np.nan)
+            accumulate_fused_rows_sorted(
+                out,
+                fused.indptr,
+                fused.partner,
+                fused.weights,
+                y_lab,
+                K,
+                fused.rows_per_block,
+                0,
+                n,
+                fully_labelled=labelled == "full",
+            )
+            sums.append(out)
+        np.testing.assert_array_equal(sums[0], sums[1])
+
+    @pytest.mark.skipif(not fork_available(), reason="fork not available")
+    @pytest.mark.parametrize("k", [129, 200])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_int16_labels_match_reference(self, k, weighted):
+        """``K > 128`` gathers int16 labels; serial and pooled fits agree
+        bitwise and match the pure-Python reference."""
+        rng = np.random.default_rng(k)
+        n, e = 400, 3000
+        w = rng.uniform(0.1, 4.0, e) if weighted else None
+        edges = EdgeList(rng.integers(0, n, e), rng.integers(0, n, e), w, n)
+        y = rng.integers(0, k, n)
+        y[rng.random(n) < 0.3] = -1
+        assert choose_label_dtype(k) is np.int16
+        serial = GraphEncoderEmbedding(k, method="vectorized", layout="sorted").fit(edges, y)
+        pooled = GraphEncoderEmbedding(k, method="parallel", n_workers=2).fit(edges, y)
+        assert pooled.result_.n_workers == 2
+        reference = gee_python(edges, y, k).embedding
+        np.testing.assert_allclose(serial.embedding_, reference, atol=1e-10)
+        assert np.array_equal(pooled.embedding_, serial.embedding_)
 
 
 class TestPlanBufferReuse:
@@ -288,9 +389,11 @@ class TestPlanBufferReuse:
     def _peak_during_embed(self, backend, plan, y):
         backend.embed_with_plan(plan, y)  # warm: compile layout, buffers
         tracemalloc.start()
-        backend.embed_with_plan(plan, y)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        try:
+            backend.embed_with_plan(plan, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         return peak
 
     def test_sorted_plan_path_avoids_output_temporary(self):
@@ -363,20 +466,20 @@ class TestRowRangeKernel:
             block_bytes=self.ROWS_PER_BLOCK * K * 8,
             **({"int32_limit": 1} if dtype == "int64" else {}),
         )
-        assert np.dtype(fused.index_dtype).name == dtype
+        assert fused.partner.dtype.name == dtype
         assert fused.rows_per_block == self.ROWS_PER_BLOCK
         plan._fused = fused
-        y_idx = y.astype(fused.index_dtype)
+        y_lab = y.astype(choose_label_dtype(K))
 
         def run(cuts):
             out = np.full(n * K, np.nan)
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 accumulate_fused_rows_sorted(
                     out,
-                    fused.owner_flat,
+                    fused.indptr,
                     fused.partner,
                     fused.weights,
-                    y_idx,
+                    y_lab,
                     K,
                     fused.rows_per_block,
                     lo,
@@ -401,26 +504,26 @@ class TestRowRangeKernel:
         assert parallel.n_workers == 2
         np.testing.assert_array_equal(parallel.embedding, Z)
 
-    def test_labels_narrower_than_layout_refused(self):
-        """Flat indices are summed into the gathered labels' dtype, so int32
-        labels against an int64 layout must raise rather than wrap."""
-        edges, y = _case("weighted", "full")
-        plan = Graph.coerce(edges).plan(K, layout="sorted")
-        wide = compile_fused_layout(
-            plan.src, plan.dst, plan.weights, plan.n_vertices, K, int32_limit=1
+    @pytest.mark.parametrize("k, dtype", [(5, np.uint8), (200, np.int8), (40_000, np.int16)])
+    def test_labels_too_narrow_for_k_refused(self, k, dtype):
+        """A label dtype that cannot hold ``K - 1`` and ``-1`` must raise
+        rather than wrap the labels into other classes' columns."""
+        edges, _ = _case("weighted", "full")
+        fused = compile_fused_layout(
+            edges.src, edges.dst, edges.weights, edges.n_vertices, k
         )
-        out = np.zeros(plan.n_vertices * K)
-        with pytest.raises(TypeError):
+        out = np.zeros(edges.n_vertices * k)
+        with pytest.raises(TypeError, match=f"K={k}"):
             accumulate_fused_rows_sorted(
                 out,
-                wide.owner_flat,
-                wide.partner,
-                wide.weights,
-                y.astype(np.int32),
-                K,
-                wide.rows_per_block,
+                fused.indptr,
+                fused.partner,
+                fused.weights,
+                np.zeros(edges.n_vertices, dtype=dtype),
+                k,
+                fused.rows_per_block,
                 0,
-                plan.n_vertices,
+                edges.n_vertices,
                 fully_labelled=True,
             )
 
@@ -428,33 +531,35 @@ class TestRowRangeKernel:
     def test_range_call_allocates_only_for_its_rows(self, labelled):
         """A call over one eighth of the rows allocates for those rows only.
 
-        An int64 search key against the int32 incidence array makes
-        ``np.searchsorted`` convert the whole array: 8 B per layout
-        incidence.  Reading only the range's own incidences stays far
-        below that.
+        The row pointer gives the range's incidences directly, and the
+        kernel gathers one narrow label per incidence of the range.  A
+        temporary over the whole layout, such as an int64 index per
+        incidence, would cost 8 B per layout incidence and break the bound.
         """
         rng = np.random.default_rng(5)
         n, e = 200_000, 1_000_000
         fused = compile_fused_layout(
             rng.integers(0, n, e), rng.integers(0, n, e), None, n, K
         )
-        assert fused.index_dtype is np.int32
+        assert fused.partner.dtype == np.int32
         assert fused.n_incidences == 2 * e
-        y_idx = _labels(n, rng, labelled).astype(fused.index_dtype)
+        y_lab = _labels(n, rng, labelled).astype(choose_label_dtype(K))
         out = np.zeros(n * K)
         tracemalloc.start()
-        accumulate_fused_rows_sorted(
-            out,
-            fused.owner_flat,
-            fused.partner,
-            fused.weights,
-            y_idx,
-            K,
-            fused.rows_per_block,
-            0,
-            n // 8,
-            fully_labelled=labelled == "full",
-        )
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        try:
+            accumulate_fused_rows_sorted(
+                out,
+                fused.indptr,
+                fused.partner,
+                fused.weights,
+                y_lab,
+                K,
+                fused.rows_per_block,
+                0,
+                n // 8,
+                fully_labelled=labelled == "full",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak < 3 * fused.n_incidences

@@ -120,9 +120,11 @@ def test_a_dropped_serial_result_hands_its_buffer_to_the_next_embed():
     y = rng.integers(0, k, n)
     address = backend.embed_with_plan(plan, y).embedding.ctypes.data
     tracemalloc.start()
-    result = backend.embed_with_plan(plan, y)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    try:
+        result = backend.embed_with_plan(plan, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert result.embedding.ctypes.data == address
     assert peak < n * k * 8  # no second output buffer
 

@@ -80,7 +80,13 @@ class TestOwnerRowsKernel:
         assert len(ranges) == 7
         assert ranges[0][0] == 0 and ranges[-1][1] == plan.n_vertices
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        degrees = plan.total_degrees
+        # The row pointer's row lengths are the total (in + out) degrees.
+        degrees = np.diff(plan.fused.indptr)
+        np.testing.assert_array_equal(
+            degrees,
+            np.bincount(plan.src, minlength=plan.n_vertices)
+            + np.bincount(plan.dst, minlength=plan.n_vertices),
+        )
         works = [int(degrees[lo:hi].sum()) for lo, hi in ranges]
         assert sum(works) == 2 * edges.n_edges
 

@@ -76,10 +76,10 @@ class TestPlanCaching:
         p = g.plan(5)
         np.testing.assert_array_equal(p.src_flat, p.src * 5)
         np.testing.assert_array_equal(p.dst_flat, p.dst * 5)
-        # Every edge is one unit of work at each endpoint.
-        assert p.total_degrees.sum() == 2 * p.n_edges
-        assert p.total_degrees is p.total_degrees  # cached
-        # The degree count reads the edge arrays only: no CSR/CSC view.
+        # The sorted layout's row pointer gives every edge one incidence at
+        # each endpoint, and reads the edge arrays only: no CSR/CSC view.
+        indptr = g.plan(5, layout="sorted").fused.indptr
+        assert indptr[-1] == 2 * p.n_edges
         assert g._csr is None
 
     def test_plan_compile_is_lazy_about_adjacency(self, seeded):
@@ -143,7 +143,7 @@ class TestPlanCaching:
 
     def test_row_ranges_cached_per_worker_count(self, seeded):
         edges, _ = seeded
-        p = Graph.coerce(edges).plan(4)
+        p = Graph.coerce(edges).plan(4, layout="sorted")
         r2 = p.fused_row_ranges(2)
         assert p.fused_row_ranges(2) is r2
         assert len(p.fused_row_ranges(3)) == 3

@@ -32,6 +32,42 @@ class TestConstruction:
         with pytest.raises(ValueError, match="same length"):
             CSRGraph(indptr=[0, 1], indices=[0], weights=[1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(2, "smaller than the largest index"), (10**8, "smaller than the largest index"),
+         (-1, "non-negative")],
+        ids=["n", "far", "negative"],
+    )
+    def test_out_of_range_index_rejected(self, bad, match):
+        """An index outside ``[0, n)`` would reach scipy and the kernels
+        unchecked; construction refuses it."""
+        with pytest.raises(ValueError, match=match):
+            CSRGraph(indptr=[0, 1, 2], indices=[1, bad], weights=[1.0, 1.0])
+
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "empty"])
+    def test_arrays_equal_stable_argsort_reference(self, kind):
+        """Out- and in-adjacency keep arrival order within each row."""
+        rng = np.random.default_rng(4)
+        if kind == "random":
+            src, dst, n = rng.integers(0, 300, 4000), rng.integers(0, 300, 4000), 310
+        elif kind == "duplicates":
+            src, dst, n = rng.integers(0, 4, 3000), rng.integers(0, 3, 3000), 5
+        else:
+            src, dst, n = np.empty(0, np.int64), np.empty(0, np.int64), 3
+        w = rng.uniform(0.1, 2.0, src.size)
+        g = CSRGraph.from_edgelist(EdgeList(src, dst, w, n))
+        order = np.argsort(src, kind="stable")
+        np.testing.assert_array_equal(g.indptr, np.r_[0, np.cumsum(np.bincount(src, minlength=n))])
+        np.testing.assert_array_equal(g.indices, dst[order])
+        np.testing.assert_array_equal(g.weights, w[order])
+        in_order = np.argsort(g.indices, kind="stable")
+        np.testing.assert_array_equal(
+            g.in_indptr, np.r_[0, np.cumsum(np.bincount(dst, minlength=n))]
+        )
+        np.testing.assert_array_equal(g.in_indices, src[order][in_order])
+        np.testing.assert_array_equal(g.in_weights, w[order][in_order])
+        np.testing.assert_array_equal(g._in_edge_pos, in_order)
+
 
 class TestRoundTrip:
     def test_edgelist_roundtrip_preserves_edges(self, random_graph):

@@ -93,9 +93,11 @@ def test_shard_view_keeps_no_incidence_copy():
     g = Graph.coerce(erdos_renyi(n, 200_000, seed=6))
     g.plan(k, layout="sorted").fused  # the sorted plan the shards run over
     tracemalloc.start()
-    sharded = g.shard(4)
-    kept, _ = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    try:
+        sharded = g.shard(4)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert sharded.n_shards == 4
     assert sum(s.n_incidences for s in sharded.shards) == 2 * g.n_edges
     assert kept < 1 << 20

@@ -106,9 +106,11 @@ class TestExactness:
         sg = ShardedGraph(edges, 4)
         sg.embed(y, k, n_workers=1)  # warm: the sorted plan
         tracemalloc.start()
-        sg.embed(y, k, n_workers=1)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        try:
+            sg.embed(y, k, n_workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak < 1.5 * n * k * 8
 
     def test_repeated_embeds_are_identical(self, skewed_graph):
