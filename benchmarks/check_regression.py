@@ -40,15 +40,13 @@ import sys
 from pathlib import Path
 
 
-def _best_entry(payload: dict, backend: str, layout=None, shards=None):
+def _best_entry(payload: dict, backend: str, layout=None):
     """The entry for ``backend`` with the largest edge count (most stable).
 
     ``layout`` filters to one plan memory layout so the gate compares
     like-for-like (a sorted-layout run is not a regression baseline for an
     arrival-order run); entries predating the layout field count as
-    ``None`` a.k.a. arrival order.  ``shards`` filters to one shard count
-    the same way — an 8-shard sweep row is not a baseline for a 1-shard
-    run.
+    ``None`` a.k.a. arrival order.
     """
     rows = [
         e
@@ -58,8 +56,6 @@ def _best_entry(payload: dict, backend: str, layout=None, shards=None):
     if layout is not None:
         wanted = None if layout in ("none", "None") else layout
         rows = [e for e in rows if _entry_layout(e) == wanted]
-    if shards is not None:
-        rows = [e for e in rows if e.get("n_shards") == shards]
     if not rows:
         return None
     return max(rows, key=lambda e: e["E"] or 0)
@@ -152,10 +148,6 @@ def main(argv=None) -> int:
                         help="restrict the baseline/current comparison to one "
                              "plan layout (default: compare whatever layout "
                              "the baseline's best entry ran with)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="restrict the comparison to entries with this "
-                             "n_shards (sharded-backend sweeps record one "
-                             "entry per shard count)")
     parser.add_argument("--factor", type=float, default=1.5,
                         help="fail when current/baseline per-edge time exceeds this")
     parser.add_argument("--speedup", metavar="FAST:SLOW",
@@ -178,7 +170,7 @@ def main(argv=None) -> int:
     baseline = json.loads(args.baseline.read_text())
     _warn_environment_mismatch(baseline, current)
 
-    base_entry = _best_entry(baseline, args.backend, args.layout, args.shards)
+    base_entry = _best_entry(baseline, args.backend, args.layout)
     # Like-for-like layouts: whatever layout the baseline's best entry ran
     # with (arrival order for pre-layout files) is what the current file is
     # filtered to — a sorted-layout speed-up must never mask (or fake) a
@@ -186,7 +178,7 @@ def main(argv=None) -> int:
     cur_layout = args.layout if args.layout is not None else (
         _entry_layout(base_entry) or "none"
     ) if base_entry is not None else None
-    cur_entry = _best_entry(current, args.backend, cur_layout, args.shards)
+    cur_entry = _best_entry(current, args.backend, cur_layout)
     if base_entry is None or cur_entry is None:
         print(
             f"check_regression: no '{args.backend}' entries with edge counts in "

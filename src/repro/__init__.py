@@ -37,7 +37,6 @@ from .core import (
 )
 from .graph import ChunkedEdgeSource, CSRGraph, EdgeList, Graph, as_graph
 from .ligra import LigraEngine, VertexSubset
-from .shard import ShardedGraph
 from .stream import DynamicGraph, IncrementalEmbedding, MutationLog, SegmentedEdgeStore
 
 # Importing repro.obs arms REPRO_TRACE=path tracing (a no-op otherwise).
@@ -63,7 +62,6 @@ __all__ = [
     "IncrementalEmbedding",
     "MutationLog",
     "SegmentedEdgeStore",
-    "ShardedGraph",
     "GEEBackend",
     "get_backend",
     "list_backends",

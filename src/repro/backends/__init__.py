@@ -28,8 +28,6 @@ from .registry import (
 
 # Importing the modules registers the built-in backends.
 from . import gee as _gee_backends  # noqa: F401  (import for side effects)
-from ..shard import backend as _shard_backend  # noqa: F401  (registration)
-from ..shard.backend import ShardedGEEBackend
 from .auto import AutoGEEBackend
 from .gee import (
     LigraProcessesGEEBackend,
@@ -59,5 +57,4 @@ __all__ = [
     "LigraThreadsGEEBackend",
     "LigraProcessesGEEBackend",
     "ProcessParallelGEEBackend",
-    "ShardedGEEBackend",
 ]

@@ -85,11 +85,6 @@ class BackendCapabilities:
         (see :class:`~repro.core.plan.FusedLayout`).  Backends without the
         capability still accept layout plans but run their classic
         arrival-order kernels over the plan's unpermuted edge arrays.
-    supports_sharding:
-        Whether the backend executes over owner-range shards
-        (:class:`repro.shard.ShardedGraph`): each shard writes the raw
-        class sums of its own rows into one shared output, with an
-        ``n_shards`` construction option selecting the partition width.
     description:
         One-line human-readable summary shown by discovery helpers.
     """
@@ -101,7 +96,6 @@ class BackendCapabilities:
     supports_chunked: bool = False
     supports_incremental: bool = False
     supports_layout: bool = False
-    supports_sharding: bool = False
     description: str = ""
 
 

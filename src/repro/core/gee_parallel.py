@@ -31,8 +31,8 @@ exactly twice, once per endpoint) while sidestepping the GIL entirely.
 Each output slot sums its incidences in array order whatever the split,
 so every worker count reproduces the serial sorted pass bit for bit.
 :func:`run_owner_ranges` is the one executor of such row ranges: the
-``parallel`` backend hands it one range per worker, and
-:class:`~repro.shard.ShardedGraph` hands it its shards.
+``parallel`` backend hands it one range per worker, and each range is one
+pool task.
 
 Worker management mirrors how Ligra treats its thread pool: the workers are
 a long-lived resource created once per session (``fork`` is two orders of
@@ -362,7 +362,7 @@ def _workspace_for(n: int, k: int) -> _Workspace:
 # --------------------------------------------------------------------------- #
 # The owner-range executor
 # --------------------------------------------------------------------------- #
-def _accumulate_ranges(
+def _accumulate_range(
     Z: np.ndarray,
     indptr: np.ndarray,
     partner: np.ndarray,
@@ -370,51 +370,48 @@ def _accumulate_ranges(
     y_lab: np.ndarray,
     inv: np.ndarray,
     rows_per_block: int,
-    ranges: Sequence[OwnerRange],
+    owner_range: OwnerRange,
     fully_labelled: bool,
 ) -> None:
-    """Fill the rows of each ``(row_lo, row_hi, label)`` range and rescale them.
+    """Fill the rows of one ``(row_lo, row_hi, label)`` range and rescale them.
 
-    The one loop of the executor, run in-process and by every pool task.
-    The sorted kernel assigns every slot of a range's rows, so ``Z`` (a
-    C-contiguous ``(n, K)`` array) needs no zeroing; each range's rows are
-    then multiplied by the column scales ``inv``.  A failing range raises a
-    :class:`RuntimeError` naming its label.
+    The one step of the executor, run in-process and by every pool task.
+    The sorted kernel assigns every slot of the range's rows, so ``Z`` (a
+    C-contiguous ``(n, K)`` array) needs no zeroing; the rows are then
+    multiplied by the column scales ``inv``.  A failure raises a
+    :class:`RuntimeError` naming the range's label.
     """
     # Looked up per call: this is the one place the executor reaches the
     # kernel, in the parent and in every forked worker.
     from .gee_vectorized import accumulate_fused_rows_sorted
 
-    k = Z.shape[1]
-    Z_flat = Z.reshape(-1)
-    for row_lo, row_hi, label in ranges:
-        try:
-            accumulate_fused_rows_sorted(
-                Z_flat,
-                indptr,
-                partner,
-                weights,
-                y_lab,
-                k,
-                rows_per_block,
-                row_lo,
-                row_hi,
-                fully_labelled=fully_labelled,
-            )
-            Z[row_lo:row_hi] *= inv[None, :]
-        except Exception as exc:
-            raise RuntimeError(f"{label} failed: {exc}") from exc
+    row_lo, row_hi, label = owner_range
+    try:
+        accumulate_fused_rows_sorted(
+            Z.reshape(-1),
+            indptr,
+            partner,
+            weights,
+            y_lab,
+            Z.shape[1],
+            rows_per_block,
+            row_lo,
+            row_hi,
+            fully_labelled=fully_labelled,
+        )
+        Z[row_lo:row_hi] *= inv[None, :]
+    except Exception as exc:
+        raise RuntimeError(f"{label} failed: {exc}") from exc
 
 
-def _owner_ranges_task(
-    _context: dict,
+def _owner_range_task(
     handles: Dict[str, SharedArrayHandle],
     live_outputs: frozenset,
-    ranges: Tuple[OwnerRange, ...],
+    owner_range: OwnerRange,
     rows_per_block: int,
     fully_labelled: bool,
 ) -> None:
-    """Pool task: run one task's ranges over the shared layout and workspace.
+    """Pool task: run one range over the shared layout and workspace.
 
     All arrays are reached through the shared-memory handles, so the task
     payload is a few hundred bytes.  ``live_outputs`` names the output
@@ -423,7 +420,7 @@ def _owner_ranges_task(
     _drop_freed_outputs(live_outputs)
     views = _attach_cached(handles)
     _WORKER_OUTPUTS.add(handles["Z"].shm_name)
-    _accumulate_ranges(
+    _accumulate_range(
         views["Z"],
         views["f_indptr"],
         views["f_partner"],
@@ -431,7 +428,7 @@ def _owner_ranges_task(
         views["labels"],
         views["inv"],
         rows_per_block,
-        ranges,
+        owner_range,
         fully_labelled,
     )
 
@@ -440,36 +437,32 @@ def run_owner_ranges(
     fused,
     y: np.ndarray,
     inv: np.ndarray,
-    tasks: Sequence[Sequence[OwnerRange]],
+    ranges: Sequence[OwnerRange],
     out: Optional[np.ndarray] = None,
-    *,
-    backend: str,
 ) -> np.ndarray:
     """Compute the rows of every range from a sorted fused layout.
 
-    The one owner-range executor behind ``parallel`` and ``sharded``.
-    ``tasks`` is a list of tasks, each a sequence of
-    ``(row_lo, row_hi, label)`` ranges; together the ranges must cover
-    ``[0, n)`` exactly once.  Every slot of a range's rows is assigned (no
-    output needs zeroing) and rescaled by the column scales ``inv``.
-    Returns the ``(n, K)`` result.
+    The owner-range executor behind ``parallel``.  ``ranges`` is a list of
+    ``(row_lo, row_hi, label)`` ranges that together cover ``[0, n)``
+    exactly once.  Every slot of a range's rows is assigned (no output
+    needs zeroing) and rescaled by the column scales ``inv``.  Returns the
+    ``(n, K)`` result.
 
-    A single task runs in this process and writes ``out`` (a fresh array
+    A single range runs in this process and writes ``out`` (a fresh array
     when ``out`` is ``None``).  Several run as one pool task each on the
     shared worker pool, over the plan's shared fused layout and the shared
     workspace, and ``out`` is not used: the workers write a free slot of
     the workspace's shared output ring, and the returned array views that
     slot, so nothing is copied.  When callers hold every slot, the workers
-    write a fallback segment and the result is a private copy of it.  A
-    caller bounds concurrency by its task count, whatever the pool size.
-    A failing range raises an error naming its label, in-process or from a
-    worker.
+    write a fallback segment and the result is a private copy of it.  The
+    range count bounds concurrency, whatever the pool size.  A failing
+    range raises an error naming its label, in-process or from a worker.
     """
     fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
-    if len(tasks) == 1:
+    if len(ranges) == 1:
         if out is None:
             out = np.empty((fused.n_vertices, fused.n_classes), dtype=np.float64)
-        _accumulate_ranges(
+        _accumulate_range(
             out,
             fused.indptr,
             fused.partner,
@@ -477,12 +470,12 @@ def run_owner_ranges(
             y.astype(choose_label_dtype(fused.n_classes)),
             inv,
             fused.rows_per_block,
-            tasks[0],
+            ranges[0],
             fully,
         )
         return out
     shared_fused = _shared_fused_for(fused)
-    pool = _get_pool(len(tasks))
+    pool = _get_pool(len(ranges))
     workspace = _workspace_for(fused.n_vertices, fused.n_classes)
     workspace.labels[:] = y
     workspace.inv[:] = inv
@@ -492,14 +485,14 @@ def run_owner_ranges(
     handles.update(workspace.handles)
     handles["Z"] = z_handle
     live_outputs = workspace.live_output_names()
-    with trace("parallel.dispatch", backend=backend, n_tasks=len(tasks)):
+    with trace("parallel.dispatch", backend="parallel", n_tasks=len(ranges)):
         pool.map(
-            _owner_ranges_task,
+            _owner_range_task,
             [
-                (handles, live_outputs, tuple(task), fused.rows_per_block, fully)
-                for task in tasks
+                (handles, live_outputs, r, fused.rows_per_block, fully)
+                for r in ranges
             ],
-            labels=[", ".join(label for _, _, label in task) for task in tasks],
+            labels=[label for _, _, label in ranges],
         )
     return Z.copy() if slot is None else Z
 
@@ -545,12 +538,12 @@ def _gee_parallel_sorted(
     timings["projection"] = t1 - t0
 
     workers = requested if fork_available() and plan.n_edges > 0 else 1
-    tasks = [
-        ((row_lo, row_hi, f"backend=parallel rows[{row_lo}:{row_hi}]"),)
+    ranges = [
+        (row_lo, row_hi, f"backend=parallel rows[{row_lo}:{row_hi}]")
         for row_lo, row_hi in plan_sorted.fused_row_ranges(workers)
     ]
-    out = plan.output_matrix() if len(tasks) == 1 else None
-    Z = run_owner_ranges(fused, y, inv, tasks, out, backend="parallel")
+    out = plan.output_matrix() if len(ranges) == 1 else None
+    Z = run_owner_ranges(fused, y, inv, ranges, out)
     t2 = time.perf_counter()
     timings["edge_pass"] = t2 - t1
     timings["total"] = t2 - t0
@@ -616,7 +609,6 @@ def gee_parallel(
 
 
 def _chunked_pool_task(
-    _context: dict,
     handles: Dict[str, SharedArrayHandle],
     source_token: dict,
     chunk_lo: int,
@@ -626,26 +618,38 @@ def _chunked_pool_task(
 ) -> None:
     """Worker task for the out-of-core path: accumulate one chunk slab.
 
-    Re-opens the edge source inside the worker — a file-backed store is
-    memory-mapped independently (no edge data ever travels between
-    processes); an in-memory source reads the shared-memory copy staged by
-    the caller.  The slab's contributions go into this task's private row of
-    the shared ``partials`` matrix; no two tasks write the same row, and
-    the caller reduces with one sum.
+    Re-opens the edge source inside the worker — a file-backed source is
+    memory-mapped independently from the very column files the caller's
+    source maps (no edge data ever travels between processes); an
+    in-memory source reads the shared-memory copy staged by the caller.
+    The slab's contributions go into this task's private row of the shared
+    ``partials`` matrix; no two tasks write the same row, and the caller
+    reduces with one sum.
 
     Attaches per call (chunked calls ship a fresh segment set, unlike the
     long-lived workspace of the dense path) and detaches before returning
     so per-call segments are never pinned by worker-side caches.
     """
     from ..graph.io import ChunkedEdgeSource
+    from ..stream.segments import SegmentedEdgeSource
     from .gee_vectorized import accumulate_chunked_plan
     from .plan import ChunkedPlan
 
     views, segments = attach_many(handles)
     try:
         if source_token["kind"] == "file":
-            source = ChunkedEdgeSource.open(
-                source_token["path"], chunk_edges=source_token["chunk_edges"]
+            # One part per mapped segment: a plain store is a single part.
+            source = SegmentedEdgeSource(
+                [
+                    tuple(
+                        None if name is None else np.load(name, mmap_mode="r")
+                        for name in files
+                    )
+                    for files in source_token["columns"]
+                ],
+                source_token["n_vertices"],
+                weighted=source_token["weighted"],
+                chunk_edges=source_token["chunk_edges"],
             )
         else:
             source = ChunkedEdgeSource(
@@ -736,9 +740,17 @@ def gee_parallel_chunked(
             shm.share("scales", scales)
             partials = shm.zeros("partials", (n_tasks, n * k), np.float64)
             if source.path is not None:
+                # The files the caller's source maps, not its path: a
+                # segmented store's path is its root, and a later commit
+                # there may already hold another version of the edges.
                 token = {
                     "kind": "file",
-                    "path": str(source.path),
+                    "columns": [
+                        [None if col is None else col.filename for col in part]
+                        for part in source._column_parts()
+                    ],
+                    "n_vertices": n,
+                    "weighted": source.is_weighted,
                     "chunk_edges": source.chunk_edges,
                     "layout": layout,
                 }

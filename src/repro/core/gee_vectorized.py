@@ -170,7 +170,7 @@ def _block_scatter(
         )
 
 
-@hot_path(reason="the sorted-layout kernel: serial, parallel and sharded row ranges")
+@hot_path(reason="the sorted-layout kernel: the serial pass and parallel row ranges")
 def accumulate_fused_rows_sorted(
     out_flat: np.ndarray,
     indptr: np.ndarray,
@@ -187,7 +187,7 @@ def accumulate_fused_rows_sorted(
     """Raw sums for rows ``row_lo:row_hi`` of a sorted fused layout.
 
     The one fused kernel: the serial pass runs it over ``[0, n)``, the
-    parallel and sharded workers over their own row ranges.  The row
+    ``parallel`` workers over their own row ranges.  The row
     pointer locates the range's incidences, so a call reads only what its
     rows own and writes only their slice of ``out_flat`` — no atomics, no
     reduction.  Per L2-sized block of rows it gathers ``Y[partner]``,

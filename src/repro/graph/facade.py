@@ -81,8 +81,6 @@ class Graph:
         #: in-place edits) or ``"full"`` (O(s) digest, exact).  Sticky —
         #: set via ``plan(K, fingerprint="full")``.
         self._fingerprint_mode = "sampled"
-        #: n_shards -> compiled ShardedGraph (see :meth:`shard`).
-        self._sharded: Dict[int, object] = {}
 
     #: Cap on cached plans per graph (each holds two s-length flat-index
     #: arrays and an n*K buffer); oldest is evicted beyond this.
@@ -416,30 +414,6 @@ class Graph:
         self._plans[key] = plan
         return plan
 
-    def shard(self, n_shards: int):
-        """The compiled :class:`~repro.shard.ShardedGraph` for ``n_shards``.
-
-        Like :meth:`plan`, the sharded view — degree-balanced contiguous
-        owner row cuts, each shard with a pinned worker affinity — is built
-        on first request and cached per shard count.  Building it is one
-        degree count, with no sort: the shards run over this graph's
-        cached sorted plan.  ``n_shards`` is clamped to the vertex count;
-        cached sharded views are dropped (and closed) by
-        :meth:`invalidate_cache`.
-        """
-        from ..shard import ShardedGraph
-
-        requested = int(n_shards)
-        if requested < 1:
-            raise ValueError(f"n_shards={requested} must be at least 1")
-        key = max(1, min(requested, self.n_vertices)) if self.n_vertices else 1
-        sharded = self._sharded.get(key)
-        if sharded is None:
-            with obs_trace("shard.compile", n_shards=key, n_edges=self.n_edges):
-                sharded = ShardedGraph(self, key)
-            self._sharded[key] = sharded
-        return sharded
-
     def invalidate_cache(self) -> None:
         """Drop every cached derived view and compiled plan.
 
@@ -470,7 +444,7 @@ class Graph:
         self.drop_plans()
 
     def drop_plans(self) -> None:
-        """Drop the compiled plans and sharded views cached on this graph.
+        """Drop the compiled plans cached on this graph.
 
         They reference the graph back, so a graph about to be discarded
         frees their arrays and shared memory at once instead of at the next
@@ -479,9 +453,6 @@ class Graph:
         in-adjacency.
         """
         self._plans.clear()
-        for sharded in self._sharded.values():
-            sharded.close()
-        self._sharded.clear()
 
     # ------------------------------------------------------------------ #
     # Conversions

@@ -381,6 +381,12 @@ class ChunkedEdgeSource:
         """The backing weight column, or ``None`` for unweighted sources."""
         return self._weights
 
+    def _column_parts(
+        self,
+    ) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+        """The backing ``(src, dst, weights)`` columns, one triple per part."""
+        return [(self._src, self._dst, self._weights)]
+
     @property
     def n_chunks(self) -> int:
         """Number of blocks :meth:`iter_chunks` yields."""

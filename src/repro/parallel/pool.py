@@ -38,7 +38,7 @@ class WorkerTaskError(RuntimeError):
 
     Carries enough context to identify *which* piece of work failed —
     ``task_id`` (position in the submitted batch) and ``label`` (the
-    caller-supplied description: shard index, chunk range, backend name) —
+    caller-supplied description: row range, chunk range, backend name) —
     on top of the worker-side traceback embedded in the message.
     Subclasses :class:`RuntimeError`, which is what :meth:`ForkWorkerPool.map`
     historically raised.
@@ -113,24 +113,13 @@ def resolve_worker_count(
 
 
 def _worker_main(
-    worker_id: int,
-    init_fn: Optional[Callable[..., Dict[str, Any]]],
-    init_args: tuple,
-    task_queue: "mp.Queue",
-    result_queue: "mp.Queue",
+    worker_id: int, task_queue: "mp.Queue", result_queue: "mp.Queue"
 ) -> None:
-    """Worker loop: run the initialiser once, then serve tasks until None."""
+    """Worker loop: report ready, then serve tasks until None."""
     # A forked worker inherits the parent's span buffer and tracing flag;
     # drop both so this process only ever ships spans it produced itself.
     _obs.clear()
     _obs.disable()
-    try:
-        context: Dict[str, Any] = {}
-        if init_fn is not None:
-            context = init_fn(worker_id, *init_args) or {}
-    except BaseException:
-        result_queue.put(("__init_error__", worker_id, traceback.format_exc()))
-        return
     result_queue.put(("__ready__", worker_id, None))
     while True:
         item = task_queue.get()
@@ -147,7 +136,7 @@ def _worker_main(
                 "worker.task", {"worker": worker_id, "label": label}
             ).begin()
         try:
-            result, err = fn(context, *args), None
+            result, err = fn(*args), None
         except BaseException:
             result, err = None, traceback.format_exc()
         if span is not None:
@@ -157,7 +146,7 @@ def _worker_main(
 
 
 class ForkWorkerPool:
-    """Pool of forked workers sharing a one-time initialised context.
+    """Pool of long-lived forked workers.
 
     Parameters
     ----------
@@ -165,27 +154,15 @@ class ForkWorkerPool:
         Number of worker processes.  ``1`` short-circuits to in-process
         execution (no fork), which keeps the code path identical for the
         serial baseline.
-    initializer:
-        ``initializer(worker_id, *initargs) -> dict`` run once in each
-        worker; the returned dict is passed as the first argument to every
-        task function.  This is where workers attach shared memory.
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        initializer: Optional[Callable[..., Dict[str, Any]]] = None,
-        initargs: tuple = (),
-    ) -> None:
+    def __init__(self, n_workers: int) -> None:
         self.n_workers = max(1, int(n_workers))
-        self._initializer = initializer
-        self._initargs = initargs
         self._procs: List[mp.process.BaseProcess] = []
         self._task_queue: Optional[mp.Queue] = None
         self._result_queue: Optional[mp.Queue] = None
         self._closed = False
         self._inline = self.n_workers == 1 or not fork_available()
-        self._inline_context: Optional[Dict[str, Any]] = None
         if not self._inline:
             self._start()
 
@@ -199,25 +176,15 @@ class ForkWorkerPool:
         for wid in range(self.n_workers):
             p = ctx.Process(
                 target=_worker_main,
-                args=(
-                    wid,
-                    self._initializer,
-                    self._initargs,
-                    self._task_queue,
-                    self._result_queue,
-                ),
+                args=(wid, self._task_queue, self._result_queue),
                 daemon=True,
             )
             p.start()
             self._procs.append(p)
-        ready = 0
-        while ready < self.n_workers:
-            tag, wid, err = self._result_queue.get()
-            if tag == "__init_error__":
-                self.close()
-                raise RuntimeError(f"worker {wid} failed to initialise:\n{err}")
-            if tag == "__ready__":
-                ready += 1
+        # Start barrier: no task is queued yet, so every message is a
+        # worker's "__ready__".
+        for _ in self._procs:
+            self._result_queue.get()
 
     @property
     def is_inline(self) -> bool:
@@ -240,7 +207,6 @@ class ForkWorkerPool:
                 if p.is_alive():  # pragma: no cover - defensive
                     p.terminate()
         self._procs.clear()
-        self._inline_context = None
 
     def _terminate(self) -> None:
         """Kill every worker at once and close the pool (idempotent)."""
@@ -265,14 +231,6 @@ class ForkWorkerPool:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _ensure_inline_context(self) -> Dict[str, Any]:
-        if self._inline_context is None:
-            if self._initializer is not None:
-                self._inline_context = self._initializer(0, *self._initargs) or {}
-            else:
-                self._inline_context = {}
-        return self._inline_context
-
     def map(
         self,
         fn: Callable[..., Any],
@@ -280,7 +238,7 @@ class ForkWorkerPool:
         *,
         labels: Optional[Sequence[str]] = None,
     ) -> List[Any]:
-        """Run ``fn(context, *args)`` for every argument tuple.
+        """Run ``fn(*args)`` for every argument tuple.
 
         Results are returned in task order.  Tasks are distributed to idle
         workers dynamically (a shared queue), so uneven task costs
@@ -289,7 +247,7 @@ class ForkWorkerPool:
 
         ``labels`` (optional, same length as ``task_args``) describes each
         task for diagnostics: a failing forked task raises
-        :class:`WorkerTaskError` carrying its label (shard index, chunk
+        :class:`WorkerTaskError` carrying its label (row range, chunk
         range, backend name) so the error identifies *which* piece of work
         failed, and the label lands on the worker's ``worker.task`` span.
         The map waits for every task; when several fail, it raises the
@@ -305,11 +263,10 @@ class ForkWorkerPool:
                 f"labels length {len(labels)} != task count {len(task_args)}"
             )
         if self._inline:
-            context = self._ensure_inline_context()
             results = []
             for task_id, args in enumerate(task_args):
                 try:
-                    results.append(fn(context, *args))
+                    results.append(fn(*args))
                 except BaseException:
                     # Inline tasks propagate the original exception unchanged
                     # (no wrapping); the failure event still identifies the task.

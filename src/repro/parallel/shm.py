@@ -93,7 +93,7 @@ class SharedArraySet:
         # the former ``atexit.register(self.close)`` — holds no strong
         # reference to the set, so closed instances are collectable
         # immediately instead of being pinned for the life of the process
-        # (one registration per pool/plan/shard instance added up).
+        # (one registration per pool/plan instance added up).
         self._finalizer = weakref.finalize(self, _release_segments, self._segments)
 
     # ------------------------------------------------------------------ #

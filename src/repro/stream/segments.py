@@ -7,7 +7,7 @@ store keeps the immutability *per segment*: a directory of chunked stores
 An append-only :meth:`~repro.stream.dynamic.DynamicGraph.commit` then costs
 one new segment of Δ edges (the existing segments' bytes are never
 rewritten), while structural mutations (removals, weight updates) fall back
-to a single-segment rewrite.
+to a rewrite into one fresh segment.  Segment names are never reused.
 
 :class:`SegmentedEdgeSource` exposes the whole store through the standard
 :class:`~repro.graph.io.ChunkedEdgeSource` contract — every chunk-capable
@@ -49,6 +49,10 @@ class SegmentedEdgeStore:
         self.n_vertices = int(n_vertices)
         self.weighted = bool(weighted)
         self._segments = list(segments)
+        #: Index of the next segment written.  Names are never reused, so
+        #: a source still mapping a segment that a rewrite deleted fails to
+        #: reopen it instead of reading another version's edges.
+        self._next_segment = len(self._segments)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -81,7 +85,10 @@ class SegmentedEdgeStore:
                 f"{path}: unsupported store format {meta.get('format')!r} "
                 f"(expected {_STORE_FORMAT!r})"
             )
-        return cls(path, meta["n_vertices"], meta["weighted"], meta["segments"])
+        store = cls(path, meta["n_vertices"], meta["weighted"], meta["segments"])
+        # A store written before the index was kept starts at its count.
+        store._next_segment = meta.get("next_segment", store.n_segments)
+        return store
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -135,9 +142,10 @@ class SegmentedEdgeStore:
         self._write_meta()
 
     def _write_segment(self, edges: EdgeList) -> None:
-        name = f"seg-{len(self._segments):05d}"
+        name = f"seg-{self._next_segment:05d}"
         save_chunked(edges, self.path / name)
         self._segments.append(name)
+        self._next_segment += 1
 
     def _write_meta(self) -> None:
         meta = {
@@ -145,6 +153,7 @@ class SegmentedEdgeStore:
             "n_vertices": int(self.n_vertices),
             "weighted": bool(self.weighted),
             "segments": list(self._segments),
+            "next_segment": self._next_segment,
         }
         with (self.path / _META_FILENAME).open("w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2)
@@ -238,6 +247,11 @@ class SegmentedEdgeSource(ChunkedEdgeSource):
 
     dst = src
     weights = src
+
+    def _column_parts(
+        self,
+    ) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+        return self._parts
 
     def reblocked(
         self,

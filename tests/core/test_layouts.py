@@ -105,7 +105,7 @@ class TestPermutationInvariance:
         backend = get_backend(backend_name, n_workers=workers)
         result = backend.embed_with_plan(plan, y)
         np.testing.assert_allclose(result.embedding, reference, atol=ATOL)
-        if backend_name in ("auto", "parallel", "sharded"):
+        if backend_name in ("auto", "parallel"):
             # The owner-range executor runs the graph's sorted plan
             # regardless of the plan's layout, and so does auto's rule;
             # each says so.
@@ -430,7 +430,7 @@ class TestPlanBufferReuse:
 
 class TestRowRangeKernel:
     """The one sorted kernel: the serial pass runs it over ``[0, n)``, the
-    parallel and sharded workers over their own row ranges.  Every output
+    ``parallel`` workers over their own row ranges.  Every output
     slot sums its incidences in array order, so any split of the rows gives
     bitwise the sums of a single call."""
 

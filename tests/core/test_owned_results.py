@@ -1,11 +1,11 @@
 """Every plan-based embed returns an embedding its result owns.
 
 Serial kernels write an array from the plan's private output ring; pooled
-runs (``parallel`` with several workers, ``sharded``, ``gee_parallel``)
-write a slot of the worker pool's shared output ring.  A buffer is reused only
-once no array views it any more, so a held result never changes, a dropped
-one hands its memory to the next embed, and a pooled result outlives the
-pool that wrote it.
+runs (``parallel`` with several workers, ``gee_parallel``) write a slot of
+the worker pool's shared output ring.  A buffer is reused only once no
+array views it any more, so a held result never changes, a dropped one
+hands its memory to the next embed, and a pooled result outlives the pool
+that wrote it.
 """
 
 import functools
@@ -46,7 +46,6 @@ POOLED = {
     "parallel-2-workers": lambda g, y: get_backend(
         "parallel", n_workers=2
     ).embed_with_plan(g.plan(K), y),
-    "sharded-2": lambda g, y: g.shard(2).embed(y, K, n_workers=2),
     "gee_parallel": lambda g, y: gee_parallel(g, y, K, n_workers=2),
 }
 EMBEDS = {**SERIAL, **POOLED}
@@ -193,8 +192,8 @@ def test_a_pooled_result_outlives_its_workspace(release, monkeypatch):
     assert unraisable == []
 
 
-def _pid_of_task(task, context, *args):
-    task(context, *args)
+def _pid_of_task(task, *args):
+    task(*args)
     return os.getpid()
 
 

@@ -53,24 +53,24 @@ class TestOwnerRowsKernel:
         fused, inv = self._layout(edges, y, 6)
         ref = gee_python(edges, y, 6).embedding
         full = np.empty((n, 6))
-        run_owner_ranges(fused, y, inv, [((0, n, "all rows"),)], full, backend="parallel")
+        run_owner_ranges(fused, y, inv, [(0, n, "all rows")], full)
         np.testing.assert_allclose(full, ref, atol=1e-9)
         # An arbitrary 3-way split must tile to the same matrix, bit for
-        # bit, in one in-process task and across pool tasks.
+        # bit, range by range in process and as three pool tasks.
         cuts = [0, n // 3, 2 * n // 3, n]
-        ranges = tuple((cuts[i], cuts[i + 1], f"part {i}") for i in range(3))
-        for tasks in ([ranges], [ranges[:1], ranges[1:]]):
-            tiled = run_owner_ranges(
-                fused, y, inv, tasks, np.full((n, 6), np.nan), backend="parallel"
-            )
-            assert np.array_equal(tiled, full)
+        ranges = [(cuts[i], cuts[i + 1], f"part {i}") for i in range(3)]
+        tiled = np.full((n, 6), np.nan)
+        for owner_range in ranges:
+            assert run_owner_ranges(fused, y, inv, [owner_range], tiled) is tiled
+        assert np.array_equal(tiled, full)
+        assert np.array_equal(run_owner_ranges(fused, y, inv, ranges), full)
 
     def test_empty_row_range(self):
         edges = erdos_renyi(20, 50, seed=0)
         y = random_partial_labels(20, 3, 0.5, seed=0)
         fused, inv = self._layout(edges, y, 3)
         out = np.full((20, 3), 7.0)
-        run_owner_ranges(fused, y, inv, [((5, 5, "empty"),)], out, backend="parallel")
+        run_owner_ranges(fused, y, inv, [(5, 5, "empty")], out)
         assert np.all(out == 7.0)  # no row owned, nothing written
 
     def test_balanced_row_ranges_cover_all_vertices(self):

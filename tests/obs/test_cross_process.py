@@ -13,14 +13,14 @@ from repro.parallel.pool import ForkWorkerPool, fork_available
 fork_only = pytest.mark.skipif(not fork_available(), reason="fork not available")
 
 
-def _traced_task(context, tag):
+def _traced_task(tag):
     with obs.trace("worker.unit", tag=tag):
         pass
     obs.metrics.count("worker.units")
     return (os.getpid(), tag)
 
 
-def _quiet_task(context, tag):
+def _quiet_task(tag):
     return tag
 
 

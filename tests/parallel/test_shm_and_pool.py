@@ -90,7 +90,7 @@ class TestSharedArraySet:
 
         ``__init__`` used to call ``atexit.register(self.close)`` and never
         unregister, pinning every instance (and its array dict) for the
-        life of the process — unbounded growth under plan/shard churn.
+        life of the process — unbounded growth under plan churn.
         """
         shm = SharedArraySet()
         shm.zeros("a", (64,))
@@ -113,20 +113,12 @@ class TestSharedArraySet:
             shared_memory.SharedMemory(name=name)
 
 
-def _double(context, x):
+def _double(x):
     return 2 * x
 
 
-def _use_context(context, x):
-    return context["offset"] + x
-
-
-def _boom(context):
+def _boom():
     raise RuntimeError("intentional failure")
-
-
-def _init(worker_id, offset):
-    return {"offset": offset, "worker_id": worker_id}
 
 
 class TestForkWorkerPool:
@@ -139,11 +131,6 @@ class TestForkWorkerPool:
     def test_results_in_task_order(self):
         with ForkWorkerPool(4) as pool:
             assert pool.map(_double, [(i,) for i in range(20)]) == [2 * i for i in range(20)]
-
-    @pytest.mark.skipif(not fork_available(), reason="fork not available")
-    def test_initializer_context(self):
-        with ForkWorkerPool(2, initializer=_init, initargs=(100,)) as pool:
-            assert pool.map(_use_context, [(1,), (2,)]) == [101, 102]
 
     @pytest.mark.skipif(not fork_available(), reason="fork not available")
     def test_task_error_propagates(self):

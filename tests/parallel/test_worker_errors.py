@@ -2,7 +2,7 @@
 
 Regression suite for the failure paths of :class:`ForkWorkerPool` and the
 execution layers above it: a failing task must (a) raise an error naming
-*which* piece of work failed (task id, caller label: shard index, chunk
+*which* piece of work failed (task id, caller label: row range, chunk
 range, backend name), (b) record a failure event when tracing, and (c)
 leave the pool usable — the old implementation raised on the first error
 and left stale results in the queue, corrupting the next ``map``.
@@ -36,28 +36,28 @@ def clean_obs_state():
     obs.metrics.reset()
 
 
-def _ok(context, x):
+def _ok(x):
     return x * 2
 
 
-def _fail_on_two(context, x):
+def _fail_on_two(x):
     if x == 2:
         raise ValueError(f"task payload {x} rejected")
     return x * 2
 
 
-def _exit_or_sleep(context, action):
+def _exit_or_sleep(action):
     if action == "exit":
         os._exit(3)
     time.sleep(6.5)  # outlasts the map that lost the other worker
     return "stale-from-map-1"
 
 
-def _echo(context, value):
+def _echo(value):
     return value
 
 
-def _fail_task_zero_last(context, x):
+def _fail_task_zero_last(x):
     if x == 0:
         time.sleep(0.2)
     raise ValueError(f"task payload {x} rejected")
@@ -87,10 +87,12 @@ def test_forked_failures_report_the_lowest_task_id():
     """Task 1 fails first, task 0 later: the error names task 0 anyway."""
     with ForkWorkerPool(2) as pool:
         with pytest.raises(WorkerTaskError) as exc_info:
-            pool.map(_fail_task_zero_last, [(0,), (1,)], labels=["shard 0", "shard 1"])
+            pool.map(
+                _fail_task_zero_last, [(0,), (1,)], labels=["rows[0:5]", "rows[5:9]"]
+            )
     err = exc_info.value
     assert err.task_id == 0
-    assert err.label == "shard 0"
+    assert err.label == "rows[0:5]"
     assert "task payload 0 rejected" in err.worker_traceback
 
 
@@ -132,11 +134,11 @@ def test_inline_failure_records_event_when_tracing():
     obs.enable()
     with ForkWorkerPool(1) as pool:
         with pytest.raises(ValueError):
-            pool.map(_fail_on_two, [(2,)], labels=["shard 3"])
+            pool.map(_fail_on_two, [(2,)], labels=["rows[3:4]"])
     obs.disable()
     events = [r for r in obs.snapshot() if r[1] == "worker.task_failed"]
     assert len(events) == 1
-    assert events[0][6] == {"task_id": 0, "label": "shard 3", "inline": True}
+    assert events[0][6] == {"task_id": 0, "label": "rows[3:4]", "inline": True}
 
 
 def test_labels_length_mismatch_rejected():
@@ -145,41 +147,40 @@ def test_labels_length_mismatch_rejected():
             pool.map(_ok, [(1,), (2,)], labels=["only-one"])
 
 
-def test_sharded_failure_names_shard_and_backend(monkeypatch):
-    """A worker-side shard failure identifies shard id, rows and backend.
+@fork_only
+def test_range_failure_names_rows_and_backend(monkeypatch):
+    """A worker-side range failure identifies the backend and the rows.
 
     The kernel is patched where the owner-range executor looks it up, and
     *before* the embed forks the session pool, so the injected failure
-    reaches the workers through fork inheritance; on the inline path it
-    fires in-process.  Either way the failing range's label must name shard
-    id, row range and backend.  The pool is shut down on both sides so no
-    worker outlives the patch.
+    reaches the workers through fork inheritance.  Every range fails, and
+    the error names the lowest task: the backend and the first range's
+    rows.  The pool is shut down on both sides so no worker outlives the
+    patch.
     """
+    from repro.core import gee_parallel
     from repro.core.gee_parallel import shutdown_workers
 
     # The submodule itself (``repro.core.gee_vectorized`` the attribute is
     # the function of that name).
     kernel_mod = importlib.import_module("repro.core.gee_vectorized")
 
-    edges = erdos_renyi(200, 1500, seed=3)
-    graph = Graph.coerce(edges)
-    sharded = graph.shard(2)
+    graph = Graph.coerce(erdos_renyi(200, 1500, seed=3))
     labels = np.random.default_rng(0).integers(0, 4, size=200).astype(np.int64)
 
     def exploding(*args, **kwargs):
-        raise ValueError("injected shard failure")
+        raise ValueError("injected range failure")
 
     shutdown_workers()
     monkeypatch.setattr(kernel_mod, "accumulate_fused_rows_sorted", exploding)
     try:
         with pytest.raises(RuntimeError) as exc_info:
-            sharded.embed(labels, 4)
+            gee_parallel(graph, labels, 4, n_workers=2)
     finally:
         shutdown_workers()
     message = str(exc_info.value)
-    assert "shard 0" in message
-    assert "backend=sharded" in message
-    assert "rows [" in message
+    assert "backend=parallel rows[0:" in message
+    assert "injected range failure" in message
 
 
 @fork_only

@@ -36,7 +36,7 @@ def _fresh_fit(dyn: DynamicGraph, labels: np.ndarray, k: int) -> np.ndarray:
 
 def test_expected_incremental_backends():
     assert set(INCREMENTAL_BACKENDS) == {
-        "auto", "vectorized", "sparse", "parallel", "sharded",
+        "auto", "vectorized", "sparse", "parallel",
     }
 
 
