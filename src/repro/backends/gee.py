@@ -25,7 +25,7 @@ parallel           owner-computes rows over the sorted incidence GEE-Ligra P
 
 Every backend also implements the compiled-plan path
 (``embed_with_plan``, see :mod:`repro.core.plan`): repeated embeds of one
-``(graph, K)`` pair skip validation, index building and large allocations.
+``(graph, K)`` pair skip validation and index building.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ class VectorizedGEEBackend(GEEBackend):
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
         if self.chunk_edges is not None:
-            # Chunked runs exist to bound temporary-array size; the plan's
-            # precompiled full-length index components defeat that, so
-            # re-plan the graph chunked (cached per chunk size) and stream.
+            # Chunked runs exist to bound temporary-array size; the plan
+            # kernels' full-length temporaries defeat that, so re-plan the
+            # graph chunked (cached per chunk size) and stream.
             # A requested layout carries over (chunked plans stream sorted
             # incidence blocks).
             layout = None if plan.layout == "none" else plan.layout

@@ -200,10 +200,10 @@ class GEEBackend:
         """Run the edge pass on a compiled :class:`~repro.core.plan.EmbedPlan`.
 
         The plan (from :meth:`repro.graph.facade.Graph.plan`) already holds
-        every label-independent artifact — validated edges, flat scatter
-        indices, CSR/CSC views, output buffers — so repeated calls on the
-        same graph do no validation, no index rebuilding and no large
-        allocations.  The result owns its embedding: backends with a
+        every label-independent artifact — validated edges, a sorted
+        plan's symmetric CSR, CSR/CSC views, output buffers — so repeated
+        calls on the same graph do no validation and no index rebuilding.
+        The result owns its embedding: backends with a
         dedicated plan kernel write it in place into a buffer of the plan's
         output ring, which the plan reuses only once no array views it.
 

@@ -83,11 +83,12 @@ class GraphEncoderEmbedding:
         rows returned by :meth:`transform`).
     layout:
         Memory layout for the compiled embed plan: ``None`` (the default —
-        layout-preserving; ``parallel`` still runs the sorted kernel, which
-        matches its earlier arrival-order output to 1e-10, not bitwise),
-        or ``"sorted"`` (the locality-optimized fused kernel on
-        ``supports_layout`` backends).  With ``method="auto"`` an in-memory
-        graph runs the sorted layout either way.
+        nothing compiled beyond the validated edges; ``parallel`` still
+        runs the sorted kernel), or ``"sorted"`` (the locality-optimized
+        fused kernel on ``supports_layout`` backends).  Both embed bitwise
+        the same (older arrival-order results differ in the last bits).
+        With ``method="auto"`` an in-memory graph runs the sorted layout
+        either way.
     **backend_options:
         Extra options forwarded to the backend constructor (for example
         ``chunk_edges`` for ``"vectorized"`` or ``atomic`` for the Ligra

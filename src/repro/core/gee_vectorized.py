@@ -29,17 +29,18 @@ from ..graph.edgelist import EdgeList
 from .plan import choose_label_dtype
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
-from .validation import UNKNOWN_LABEL, validate_edges, validate_labels
+from .validation import UNKNOWN_LABEL, class_counts, inverse_class_counts
+from .validation import validate_edges, validate_labels
 
 __all__ = [
     "gee_vectorized",
     "gee_vectorized_with_plan",
     "gee_vectorized_chunked",
-    "gee_fused_with_plan",
     "accumulate_edges_vectorized",
     "accumulate_chunked_plan",
     "accumulate_fused_rows_sorted",
     "class_rescale",
+    "known_incidence_sums",
     "patch_sums_vectorized",
     "scatter_add",
 ]
@@ -224,6 +225,51 @@ def accumulate_fused_rows_sorted(
         out_flat[r0 * k : r1 * k] = np.bincount(flat, weights=wts, minlength=(r1 - r0) * k)
 
 
+@hot_path(reason="the default plan's pass: one bincount over the known incidences")
+def known_incidence_sums(
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: Optional[np.ndarray],
+    y_lab: np.ndarray,
+    n_classes: int,
+    *,
+    fully_labelled: bool,
+) -> np.ndarray:
+    """Raw sums ``S`` (flat ``(n*K,)``) of an edge list's known incidences.
+
+    The default plan's pass: gather ``Y`` (``y_lab``, cast to
+    :func:`~repro.core.plan.choose_label_dtype`) at both endpoints, keep
+    the incidences whose partner is labelled, form ``owner*K + label`` for
+    those alone and run one ``np.bincount`` (weightless if ``weights`` is
+    ``None``), the pass's one ``(n*K,)`` temporary.  The source-owned half
+    precedes the destination-owned half, each in arrival order: the order
+    of a weighted row of the sorted layout (a unit-weight row sums exact
+    integers), so every slot is bitwise :func:`accumulate_fused_rows_sorted`'s.
+    """
+    k = int(n_classes)
+    halves = []
+    for owner, partner in ((src, dst), (dst, src)):
+        labels = y_lab.take(partner)
+        wts = weights
+        if not fully_labelled:
+            # One index array, then gathers: cheaper than boolean masks.
+            keep = np.flatnonzero(labels != UNKNOWN_LABEL)
+            owner, labels = owner.take(keep), labels.take(keep)
+            wts = None if weights is None else weights.take(keep)
+        halves.append((owner, labels, wts))
+    n_incidences = halves[0][0].size + halves[1][0].size
+    # repro: ignore[hot-path-alloc] the pass's index: one slot per known incidence, built in place of a compiled src*K/dst*K pair
+    flat = np.empty(n_incidences, dtype=np.intp)
+    lo = 0
+    for owner, labels, _ in halves:
+        part = flat[lo : lo + owner.size]
+        np.multiply(owner, k, out=part)
+        part += labels
+        lo += owner.size
+    wts = None if weights is None else np.concatenate([w for _, _, w in halves])
+    return np.bincount(flat, weights=wts, minlength=y_lab.size * k)
+
+
 def class_rescale(Z: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
     """Apply ``Z = S · diag(1/n_c)`` in place; returns the inverse counts.
 
@@ -231,60 +277,9 @@ def class_rescale(Z: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarr
     ``c`` of the raw sums is divided by the size of class ``c`` (columns of
     empty classes receive no contributions and stay zero).
     """
-    from .validation import class_counts, inverse_class_counts
-
     inv = inverse_class_counts(class_counts(labels, n_classes))
     Z *= inv[None, :]
     return inv
-
-
-def gee_fused_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
-    """Vectorised GEE through a plan's locality-optimized fused layout.
-
-    The layout-plan counterpart of :func:`gee_vectorized_with_plan`
-    (dispatched when ``plan.layout == "sorted"``): the scatter runs the
-    block-local segment-sum kernel over the compiled incidence arrays and
-    writes straight into an output array from the plan's ring — per call
-    the only temporaries are the narrow label table (cast once) plus one
-    L2-sized block at a time, never a fresh ``(n*K,)`` output while no
-    earlier result holds the plan's buffer.  The result owns its
-    embedding, like every plan kernel's.
-    """
-    y = plan.validate_labels(labels)
-    k = plan.n_classes
-    fused = plan.fused
-
-    t0 = time.perf_counter()
-    fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
-    y_lab = y.astype(choose_label_dtype(k))
-    t1 = time.perf_counter()
-
-    Z = plan.output_matrix()
-    accumulate_fused_rows_sorted(
-        Z.reshape(-1),
-        fused.indptr,
-        fused.partner,
-        fused.weights,
-        y_lab,
-        k,
-        fused.rows_per_block,
-        0,
-        plan.n_vertices,
-        fully_labelled=fully,
-    )
-    class_rescale(Z, y, k)
-    t2 = time.perf_counter()
-
-    return EmbeddingResult(
-        embedding=Z,
-        projection_builder=lambda: projection_from_scales(
-            y, projection_scales(y, k), k
-        ),
-        timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
-        method="gee-vectorized",
-        n_workers=1,
-        layout=plan.layout,
-    )
 
 
 def gee_vectorized(
@@ -336,40 +331,6 @@ def gee_vectorized(
         method="gee-vectorized",
         n_workers=1,
     )
-
-
-@hot_path(reason="plan-reuse edge pass (the per-call path of embed_with_plan)")
-def _accumulate_with_plan(
-    Z_flat: np.ndarray, plan, y: np.ndarray, scales: np.ndarray
-) -> None:
-    """The edge pass using a plan's precomputed flat-index components.
-
-    ``flat = src*K + Y[dst]`` becomes one add on the precompiled ``src*K``
-    array; when every vertex is labelled (the refinement loop's regime) the
-    known-label masks are skipped entirely, saving six O(s) boolean-gather
-    copies per call.
-    """
-    y_dst = y[plan.dst]
-    y_src = y[plan.src]
-    if y.size == 0 or y.min() != UNKNOWN_LABEL:
-        # Fully labelled: no masking, use the precompiled components as-is.
-        scatter_add(Z_flat, plan.src_flat + y_dst, scales[plan.dst] * plan.weights)
-        scatter_add(Z_flat, plan.dst_flat + y_src, scales[plan.src] * plan.weights)
-        return
-    known = y_dst != UNKNOWN_LABEL
-    if np.any(known):
-        scatter_add(
-            Z_flat,
-            plan.src_flat[known] + y_dst[known],
-            scales[plan.dst[known]] * plan.weights[known],
-        )
-    known = y_src != UNKNOWN_LABEL
-    if np.any(known):
-        scatter_add(
-            Z_flat,
-            plan.dst_flat[known] + y_src[known],
-            scales[plan.src[known]] * plan.weights[known],
-        )
 
 
 @hot_path(reason="bounded-memory chunked edge pass")
@@ -494,36 +455,67 @@ def gee_vectorized_chunked(plan, labels: np.ndarray) -> EmbeddingResult:
 def gee_vectorized_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
     """Vectorised GEE on a compiled :class:`~repro.core.plan.EmbedPlan`.
 
-    The label-independent work (edge validation, flat scatter-index
-    components, the output allocation) was done when the plan was compiled;
-    this call only computes scales, zeroes the plan's reusable buffer and
-    runs the scatter-adds.  The dense projection ``W`` is built lazily on
-    first access of ``result.projection``.
+    Both layouts compute the raw sums ``S`` and write ``S·diag(1/n_c)``
+    into an output array from the plan's ring:
 
-    The output comes from the plan's output ring: the result owns it, and
-    a later call on the plan never overwrites it.
+    * a default plan (``layout="none"``) runs
+      :func:`known_incidence_sums` straight from the validated edge
+      arrays: it compiles nothing, and its one ``(n*K,)`` temporary is the
+      ``bincount`` result;
+    * a sorted plan (``graph.plan(K, layout="sorted")``) runs the
+      block-local segment-sum kernel over the compiled
+      :class:`~repro.core.plan.FusedLayout`, with only the narrow label
+      table and one L2-sized block at a time as temporaries.
 
-    Plans compiled with the locality-optimized layout
-    (``graph.plan(K, layout="sorted")``) dispatch to the fused segment-sum
-    kernel (:func:`gee_fused_with_plan`) instead.
+    Both sum every output slot in the same order, so the two layouts, and
+    ``parallel`` (the sorted kernel over row ranges), return bitwise the
+    same embedding.  The dense projection ``W`` is built lazily on first
+    access of ``result.projection``.  The result owns its embedding: a
+    later call on the plan never overwrites it.
     """
-    if plan.layout != "none":
-        return gee_fused_with_plan(plan, labels)
     y = plan.validate_labels(labels)
     k = plan.n_classes
 
     t0 = time.perf_counter()
-    scales = projection_scales(y, k)
+    fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
+    y_lab = y.astype(choose_label_dtype(k))
     t1 = time.perf_counter()
 
-    Z_flat = plan.zeroed_output()
-    _accumulate_with_plan(Z_flat, plan, y, scales)
+    Z = plan.output_matrix()
+    if plan.layout == "none":
+        S = known_incidence_sums(
+            plan.src,
+            plan.dst,
+            None if plan.unit_weights else plan.weights,
+            y_lab,
+            k,
+            fully_labelled=fully,
+        )
+        np.multiply(S.reshape(Z.shape), inverse_class_counts(class_counts(y, k)), out=Z)
+    else:
+        fused = plan.fused
+        accumulate_fused_rows_sorted(
+            Z.reshape(-1),
+            fused.indptr,
+            fused.partner,
+            fused.weights,
+            y_lab,
+            k,
+            fused.rows_per_block,
+            0,
+            plan.n_vertices,
+            fully_labelled=fully,
+        )
+        class_rescale(Z, y, k)
     t2 = time.perf_counter()
 
     return EmbeddingResult(
-        embedding=Z_flat.reshape(plan.n_vertices, k),
-        projection_builder=lambda: projection_from_scales(y, scales, k),
+        embedding=Z,
+        projection_builder=lambda: projection_from_scales(
+            y, projection_scales(y, k), k
+        ),
         timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
         method="gee-vectorized",
         n_workers=1,
+        layout=plan.layout,
     )

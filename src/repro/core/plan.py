@@ -2,20 +2,20 @@
 
 Profiling repeated ``embed()`` calls on one graph (backend sweeps, worker
 sweeps, the unsupervised refinement loop) shows the timed region paying for
-work whose result never changes between calls: edge validation, the
-``u*K`` / ``v*K`` flat scatter indices, CSR/CSC adjacency views, degree
-vectors and the ``n×K`` output allocation are all functions of the graph
-and ``K`` alone — only the label vector varies.  The paper's own protocol
-never pays these costs (Ligra times an already-loaded graph), so neither
-should ours.
+work whose result never changes between calls: edge validation, the sorted
+layout's symmetric CSR, CSR/CSC adjacency views and the ``n×K`` output
+allocation are all functions of the graph and ``K`` alone — only the label
+vector varies.  The paper's own protocol never pays these costs (Ligra
+times an already-loaded graph), so neither should ours.
 
 :class:`EmbedPlan` is the compiled artifact holding all of it.  Plans are
 cached on the :class:`~repro.graph.facade.Graph` facade via
 ``graph.plan(K)`` — one plan per ``(graph, K)`` — and every registered
 backend exposes ``embed_with_plan(plan, labels)`` (see
-:meth:`repro.backends.GEEBackend.embed_with_plan`), which performs *zero*
-edge validation, *zero* index rebuilding and *zero* large allocations per
-call.
+:meth:`repro.backends.GEEBackend.embed_with_plan`), which performs no edge
+validation and no index rebuilding per call.  The default plan compiles
+nothing beyond the validated edges; its vectorised pass allocates one
+``n×K`` temporary, and a sorted plan's only L2-sized block temporaries.
 
 The embedding ``embed_with_plan`` returns belongs to the caller: the
 kernel writes it in place into a buffer of the plan's small output ring
@@ -60,8 +60,8 @@ __all__ = [
 _FINGERPRINT_SAMPLES = 32
 
 #: The memory layouts a plan can compile its edge arrays into.  ``"none"``
-#: preserves arrival order (the historical, layout-preserving default);
-#: ``"sorted"`` permutes for scatter locality (see :class:`FusedLayout`).
+#: keeps arrival order and compiles nothing (the default); ``"sorted"``
+#: permutes for scatter locality (see :class:`FusedLayout`).
 LAYOUTS = ("none", "sorted")
 
 #: Index arrays narrow to int32 below this bound: the partner ids are the
@@ -124,9 +124,10 @@ class FusedLayout:
     All artifacts are label-independent; per call only the ``Y`` gather
     and the block-local ``np.bincount``s run
     (:func:`~repro.core.gee_vectorized.accumulate_fused_rows_sorted`).
-    A weighted row keeps arrival order and a unit-weight row lists its
-    partners in ascending order (its sums are exact integers), so results
-    match the arrival-order kernels up to floating-point summation order.
+    A weighted row lists its source-owned, then its destination-owned
+    incidences, each in arrival order, and a unit-weight row its partners
+    in ascending order (exact integer sums), so the default plan's pass
+    embeds bitwise the same.
     """
 
     __slots__ = (
@@ -375,11 +376,11 @@ class EmbedPlan(_PlanOutputs):
     and the CSR/CSC caches live on the shared ``Graph``/``CSRGraph`` so
     nothing is ever rebuilt):
 
-    * the validated edge arrays (``src``, ``dst``, materialised
-      ``weights``) — the scatter kernels' input; CSR-consuming backends
-      never expand them;
-    * the flat-index components ``src*K`` and ``dst*K`` the vectorised
-      scatter kernels otherwise recompute per call;
+    * the validated edge arrays (``src``, ``dst``; ``weights`` builds a
+      unit-weight graph's ones only when read) — the scatter kernels'
+      input; CSR-consuming backends never expand them;
+    * the flat-index components ``src*K`` and ``dst*K``, which no kernel
+      reads;
     * the symmetric-CSR :class:`FusedLayout` (``layout="sorted"`` plans)
       and the per-worker-count row partitions of the owner-range executor;
     * the CSR out-adjacency and CSC (reverse) in-adjacency views;
@@ -418,9 +419,9 @@ class EmbedPlan(_PlanOutputs):
         self.n_classes = k
         self.n_vertices = int(graph.n_vertices)
         self.n_edges = int(graph.n_edges)
-        #: Compiled memory layout: ``"none"`` preserves arrival order;
-        #: ``"sorted"`` compiles a :class:`FusedLayout` on first access of
-        #: :attr:`fused`.
+        #: Compiled memory layout: ``"none"`` compiles nothing beyond the
+        #: validated edges; ``"sorted"`` compiles a :class:`FusedLayout` on
+        #: first access of :attr:`fused`.
         self.layout = layout
 
         self.fingerprint = (
@@ -452,7 +453,8 @@ class EmbedPlan(_PlanOutputs):
         self._src = edges.src
         self._dst = edges.dst
         self._unit_weights = edges.weights is None
-        self._weights = edges.effective_weights()
+        # None for unit weights: :attr:`weights` builds the ones when read.
+        self._weights = edges.weights
 
     @property
     def src(self) -> np.ndarray:
@@ -470,10 +472,12 @@ class EmbedPlan(_PlanOutputs):
 
     @property
     def weights(self) -> np.ndarray:
-        """Materialised edge weights (unit weights for unweighted graphs)."""
-        if self._weights is None:
+        """Edge weights; a unit-weight graph's ones are built on first read."""
+        if self._src is None:
             self._materialise_edges()
-        return self._weights  # type: ignore[return-value]
+        if self._weights is None:
+            self._weights = np.ones(self._src.size, dtype=np.float64)
+        return self._weights
 
     @property
     def src_flat(self) -> np.ndarray:
@@ -580,12 +584,10 @@ class EmbedPlan(_PlanOutputs):
         """A plan for the append-extended graph, reusing this plan's artifacts.
 
         The fast path behind append-only :class:`~repro.stream.dynamic.DynamicGraph`
-        commits: instead of recompiling against the new version's edge
-        arrays (re-validating all ``E`` edges, rebuilding the flat
-        scatter-index components), the returned plan seeds its lazy fields
-        by concatenating the ``Δ`` appended edges onto whichever artifacts
-        this plan already materialised — no validation, and index
-        arithmetic only on the ``Δ`` tail.
+        commits: instead of re-validating all ``E`` edges of the new
+        version, the returned plan seeds its validated edge arrays by
+        concatenating the ``Δ`` appended edges onto this plan's, if it
+        materialised them.
 
         Copy-on-write: *this* plan is left untouched, so snapshot readers
         of the previous version who hold it keep embedding exactly their
@@ -606,11 +608,8 @@ class EmbedPlan(_PlanOutputs):
             # extended plan is no longer unit-weight unless they are all 1
             # (the fused layout recompiles lazily from these seeds anyway).
             new._unit_weights = bool(self._unit_weights) and bool(np.all(weights == 1.0))
-            new._weights = np.concatenate((self._weights, weights))
-        if self._src_flat is not None:
-            new._src_flat = np.concatenate((self._src_flat, src * self.n_classes))
-        if self._dst_flat is not None:
-            new._dst_flat = np.concatenate((self._dst_flat, dst * self.n_classes))
+            if not new._unit_weights:
+                new._weights = np.concatenate((self.weights, weights))
         return new
 
     def scipy_adjacency(self):
@@ -635,9 +634,8 @@ class EmbedPlan(_PlanOutputs):
 class ChunkedPlan(_PlanOutputs):
     """Per-``(source, K)`` compiled artifact for bounded-memory edge passes.
 
-    The out-of-core counterpart of :class:`EmbedPlan`: where the full plan
-    materialises the ``u*K``/``v*K`` flat scatter indices for all ``E``
-    edges once, the chunked plan compiles them *per block* as
+    The out-of-core counterpart of :class:`EmbedPlan`: it compiles the
+    ``u*K``/``v*K`` flat scatter indices *per block* as
     :meth:`iter_compiled` streams the source — the only full-length
     allocation a chunk consumer ever makes is the ``(n*K,)`` output buffer
     the per-block scatter-adds accumulate into (scatter-add is associative,
@@ -716,8 +714,7 @@ class ChunkedPlan(_PlanOutputs):
         """Stream ``(src, dst, w, src*K, dst*K)`` blocks, compiled lazily.
 
         Each block's flat-index components are O(chunk) temporaries built
-        here and dropped when the consumer moves on — never the O(E) arrays
-        the full plan would pin.  ``chunk_lo``/``chunk_hi`` restrict the
+        here and dropped when the consumer moves on — never O(E) arrays.  ``chunk_lo``/``chunk_hi`` restrict the
         stream to a contiguous chunk-index range (how the parallel backend
         hands each worker its slab).
         """

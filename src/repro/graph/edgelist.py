@@ -70,8 +70,12 @@ class EdgeList:
                     f"weights length {self.weights.size} does not match edge count {self.src.size}"
                 )
         inferred = 0
+        negative = False
         if self.src.size:
-            inferred = int(max(self.src.max(), self.dst.max())) + 1
+            # Read unsigned, a negative id is >= 2**63: one max finds both faults.
+            top = max(int(self.src.view(np.uint64).max()), int(self.dst.view(np.uint64).max()))
+            negative = top >= 2**63
+            inferred = int(max(self.src.max(), self.dst.max())) + 1 if negative else top + 1
         if self.n_vertices is None:
             self.n_vertices = inferred
         else:
@@ -81,7 +85,7 @@ class EdgeList:
                     f"n_vertices={self.n_vertices} is smaller than the largest "
                     f"endpoint + 1 ({inferred})"
                 )
-        if self.src.size and (self.src.min() < 0 or self.dst.min() < 0):
+        if negative:
             raise ValueError("vertex ids must be non-negative")
         self._validated = True
 

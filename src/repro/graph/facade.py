@@ -82,8 +82,8 @@ class Graph:
         #: set via ``plan(K, fingerprint="full")``.
         self._fingerprint_mode = "sampled"
 
-    #: Cap on cached plans per graph (each holds two s-length flat-index
-    #: arrays and an n*K buffer); oldest is evicted beyond this.
+    #: Cap on cached plans per graph (each holds the validated edges, a sorted
+    #: plan its symmetric CSR, and an n*K buffer); oldest is evicted beyond this.
     _MAX_PLANS = 8
 
     # ------------------------------------------------------------------ #
@@ -289,11 +289,11 @@ class Graph:
     ):
         """The compiled :class:`~repro.core.plan.EmbedPlan` for ``K`` classes.
 
-        The plan — validated edge arrays, ``u*K`` / ``v*K`` flat scatter
-        indices, CSR/CSC adjacency views, degree vectors and a reusable
-        output buffer — is built on first request and cached, so repeated
-        ``embed_with_plan`` calls (backend sweeps, worker sweeps, the
-        refinement loop) pay the label-independent work exactly once.
+        The plan — validated edge arrays, a sorted plan's symmetric CSR,
+        CSR/CSC adjacency views and a reusable output buffer, each built on
+        first use — is cached, so repeated ``embed_with_plan`` calls
+        (backend sweeps, worker sweeps, the refinement loop) pay the
+        label-independent work exactly once.
 
         A different ``K`` compiles a separate plan.  If the underlying edge
         arrays changed since compilation (detected via a sampled
@@ -316,12 +316,12 @@ class Graph:
         once (the fingerprints are not comparable across modes).
 
         ``layout`` selects the plan's memory layout: ``None``/``"none"``
-        (the default — arrival order preserved; ``parallel`` still runs
-        the sorted kernel on such a plan, through the graph's cached
-        sorted plan), ``"sorted"`` (the locality-optimized fused incidence
-        layout, see :class:`~repro.core.plan.FusedLayout`; results equal
-        the default layout up to floating-point summation order).  Each
-        layout is a separate cached plan.
+        (the default — arrival order kept, nothing compiled; ``parallel``
+        still runs the sorted kernel on such a plan, through the graph's
+        cached sorted plan), ``"sorted"`` (the locality-optimized fused
+        incidence layout, see :class:`~repro.core.plan.FusedLayout`).  Both
+        layouts embed bitwise the same.  Each layout is a separate cached
+        plan.
         Chunked plans support ``"sorted"`` (streamed incidence blocks) for
         in-memory sources only.
         """

@@ -44,9 +44,11 @@ LAYOUT_BACKENDS = sorted(
 PERMUTING_LAYOUTS = [l for l in LAYOUTS if l != "none"]
 
 
-def _labels(n, rng, labelled="partial"):
-    y = rng.integers(0, K, size=n).astype(np.int64)
-    if labelled == "partial":
+def _labels(n, rng, labelled="partial", k=K):
+    y = rng.integers(0, k, size=n).astype(np.int64)
+    if labelled == "none":
+        y[:] = -1
+    elif labelled == "partial":
         y[rng.random(n) < 0.35] = -1
         if np.all(y == -1):
             y[0] = 0
@@ -168,14 +170,29 @@ class TestPermutationInvariance:
         assert incidence.n_edges == plain.n_edges == edges.n_edges
         assert incidence.source.n_edges == 2 * edges.n_edges
 
-    def test_layout_plan_equals_default_plan(self):
-        edges, y = _case("weighted", "partial")
+    @pytest.mark.parametrize("k", [1, 3, 50, 130])
+    @pytest.mark.parametrize("labelled", ["full", "partial", "none"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_layout_plan_equals_default_plan(self, case, labelled, k):
+        """The default plan's pass sums every slot in the sorted layout's
+        order: bitwise the sorted pass, and ``parallel`` at any worker
+        count."""
+        edges, _ = _case(case, labelled)
+        y = _labels(edges.n_vertices, np.random.default_rng(k), labelled, k)
         graph = Graph.coerce(edges)
         backend = get_backend("vectorized")
-        base = backend.embed_with_plan(graph.plan(K), y).detached()
+        base = backend.embed_with_plan(graph.plan(k), y)
+        assert base.layout == "none"
+        np.testing.assert_allclose(base.embedding, gee_python(edges, y, k).embedding, atol=ATOL)
         for layout in PERMUTING_LAYOUTS:
-            other = backend.embed_with_plan(graph.plan(K, layout=layout), y)
-            np.testing.assert_allclose(other.embedding, base.embedding, atol=ATOL)
+            other = backend.embed_with_plan(graph.plan(k, layout=layout), y)
+            assert np.array_equal(other.embedding, base.embedding)
+        if fork_available():
+            for workers in (1, 2, 3):
+                pooled = get_backend("parallel", n_workers=workers)
+                assert np.array_equal(
+                    pooled.embed_with_plan(graph.plan(k), y).embedding, base.embedding
+                )
 
 
 class TestPlanLayoutCaching:
@@ -407,8 +424,8 @@ class TestPlanBufferReuse:
 
         peak_sorted = self._peak_during_embed(backend, graph.plan(k, layout="sorted"), y)
         peak_none = self._peak_during_embed(backend, graph.plan(k), y)
-        # The arrival-order dense path allocates a full output-sized
-        # bincount temporary; the fused path must stay well under one.
+        # The default plan's pass allocates one output-sized bincount
+        # temporary; the fused path must stay well under one.
         assert peak_none >= out_bytes
         assert peak_sorted < out_bytes
         assert peak_sorted < peak_none

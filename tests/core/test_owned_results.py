@@ -68,17 +68,9 @@ def _labels(seed):
 
 
 def _reference(g, y):
-    """The serial sorted pass, which every embed here equals bit for bit
-    (the default-plan arrival-order pass to rounding)."""
+    """The serial sorted pass, which every embed here equals bit for bit."""
     plan = g.plan(K, layout="sorted")
     return get_backend("vectorized").embed_with_plan(plan, y).embedding
-
-
-def _check(name, embedding, expected):
-    if name == "vectorized-default":
-        np.testing.assert_allclose(embedding, expected, atol=1e-12)
-    else:
-        assert np.array_equal(embedding, expected)
 
 
 @pytest.mark.parametrize("name", EMBED_NAMES)
@@ -90,11 +82,11 @@ def test_held_results_never_change(name):
         result = embed(g, _labels(seed))
         held.append((result, result.embedding.copy(), seed))
     for seed in (4, 5, 6, 7, 8):
-        _check(name, embed(g, _labels(seed)).embedding, _reference(g, _labels(seed)))
+        assert np.array_equal(embed(g, _labels(seed)).embedding, _reference(g, _labels(seed)))
         for result, copy, _ in held:
             assert np.array_equal(result.embedding, copy)
     for result, _, seed in held:
-        _check(name, result.embedding, _reference(g, _labels(seed)))
+        assert np.array_equal(result.embedding, _reference(g, _labels(seed)))
 
 
 @pytest.mark.parametrize("name", EMBED_NAMES)
@@ -143,7 +135,7 @@ def test_pooled_refits_use_at_most_two_output_segments():
         assert workspace.outputs.n_buffers <= 2
         assert "Z" not in workspace.shm  # no fallback segment
     assert len(addresses) == 2
-    _check("parallel-2-workers", held.embedding, _reference(g, _labels(9)))
+    assert np.array_equal(held.embedding, _reference(g, _labels(9)))
 
 
 @fork_only
@@ -161,7 +153,7 @@ def test_a_fourth_pooled_result_is_a_private_copy(name):
     copy = fourth.embedding.copy()
     embed(g, _labels(5))
     assert np.array_equal(fourth.embedding, copy)
-    _check(name, fourth.embedding, _reference(g, _labels(4)))
+    assert np.array_equal(fourth.embedding, _reference(g, _labels(4)))
 
 
 def _other_shape_embed():

@@ -14,7 +14,7 @@ from repro.core import (
 from repro.core.plan import owner_sort
 from repro.core.refinement import _apply_label_delta
 from repro.core.validation import class_counts
-from repro.graph import Graph, erdos_renyi, planted_partition
+from repro.graph import EdgeList, Graph, erdos_renyi, planted_partition
 from repro.labels import mask_labels
 
 
@@ -229,6 +229,25 @@ class TestEmbedWithPlan:
         r2 = backend.embed_with_plan(plan, y)
         assert r2.embedding.ctypes.data == address  # the dropped result's buffer
         np.testing.assert_array_equal(r2.embedding, expected)
+
+    @pytest.mark.parametrize(
+        "backend_name, layout",
+        [("vectorized", None), ("vectorized", "sorted"), ("parallel", None)],
+    )
+    def test_embeds_compile_no_flat_index_or_unit_weights(self, seeded, backend_name, layout):
+        """The default plan's pass reads the validated edge arrays alone,
+        and no kernel reads a unit-weight graph's ones."""
+        weighted, y = seeded
+        edges = EdgeList(weighted.src, weighted.dst, None, weighted.n_vertices)
+        g = Graph.coerce(edges)
+        plan = g.plan(4, layout=layout)
+        workers = 2 if backend_name == "parallel" else None
+        result = get_backend(backend_name, n_workers=workers).embed_with_plan(plan, y)
+        np.testing.assert_allclose(result.embedding, gee_python(edges, y, 4).embedding, atol=1e-12)
+        assert plan._src_flat is None and plan._dst_flat is None
+        for compiled in g._plans.values():
+            assert compiled.unit_weights and compiled._weights is None
+        np.testing.assert_array_equal(plan.weights, np.ones(edges.n_edges))
 
     def test_fully_labelled_fast_path(self, seeded):
         edges, _ = seeded

@@ -30,6 +30,33 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-negative"):
             EdgeList([-1], [0])
 
+    @pytest.mark.parametrize("n_vertices", [None, 3])
+    @pytest.mark.parametrize("bad", [-1, np.iinfo(np.int64).min])
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_negative_vertex_rejected_on_either_side(self, side, bad, n_vertices):
+        """A negative id reads as >= 2**63 unsigned; the most negative
+        int64 (exactly 2**63) is caught too, with or without a bound."""
+        ends = {"src": [0, 1], "dst": [1, 2]}
+        ends[side] = [1, bad]
+        with pytest.raises(ValueError, match="vertex ids must be non-negative"):
+            EdgeList(ends["src"], ends["dst"], n_vertices=n_vertices)
+
+    def test_bound_checked_before_sign(self):
+        """An id past ``n_vertices`` next to a negative one names the bound."""
+        with pytest.raises(ValueError, match=r"smaller than the largest endpoint \+ 1 \(10\)"):
+            EdgeList([-1, 9], [0, 0], n_vertices=3)
+
+    def test_id_equal_to_n_vertices_rejected(self):
+        with pytest.raises(ValueError, match=r"n_vertices=3 is smaller .* \(4\)"):
+            EdgeList([0, 3], [1, 2], n_vertices=3)
+        assert EdgeList([0, 2], [1, 2], n_vertices=3).n_vertices == 3
+
+    @pytest.mark.parametrize("n_vertices, expected", [(None, 0), (4, 4)])
+    def test_empty_arrays_validate(self, n_vertices, expected):
+        e = EdgeList(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                     n_vertices=n_vertices)
+        assert e.n_vertices == expected and e.n_edges == 0
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             EdgeList([0, 1], [1])
