@@ -1,25 +1,21 @@
-"""Ablation: tuning ``scatter_add``'s dense/sparse strategy threshold.
+"""Ablation: the scatter-add strategies behind ``scatter_add``.
 
-``repro.core.gee_vectorized.scatter_add`` picks between a dense
-``np.bincount`` over the whole output and a sparse ``np.unique``-based
-update of only the touched slots, switched on the fill ratio
-(updates per output slot).  This micro-benchmark sweeps the fill ratio for
-three strategies:
+``repro.core.gee_vectorized.scatter_add`` is ``np.add.at``, whose
+unbuffered loop runs a fast path for 1-D ``intp`` indices on NumPy
+>= 1.25.  This micro-benchmark sweeps the fill ratio (updates per output
+slot) for four strategies:
 
-* ``dense``   — ``out += np.bincount(idx, w, minlength=out.size)``;
-* ``unique``  — sort-based duplicate aggregation (the current sparse path);
-* ``compact`` — the sort-free candidate: mark touched slots with a boolean
-  mask, compact them with ``cumsum``, and bincount the compacted indices.
-
-Measured result (recorded in ``BENCH_ablation_scatter.json``): the unique
-path wins only below ~2–3 % fill, dense wins everywhere above, and the
-sort-free compact variant loses to dense at *every* ratio (its O(out)
-mask + cumsum pass costs more than bincount's single sweep) — so
-``_SPARSE_THRESHOLD`` is set to 0.03 and the unique path is kept for the
-very-sparse regime.
+* ``add_at``  — ``np.add.at(out, idx, w)``, the shipping primitive;
+* ``dense``   — ``out += np.bincount(idx, w, minlength=out.size)``, one
+  sweep over the whole output;
+* ``unique``  — sort-based duplicate aggregation, then an update of only
+  the touched slots;
+* ``compact`` — the sort-free variant of ``unique``: mark touched slots
+  with a boolean mask, compact them with ``cumsum``, and bincount the
+  compacted indices.
 
 Run directly to regenerate the JSON; the pytest-benchmark cases cover the
-two shipping strategies at a sparse and a dense ratio.
+shipping primitive at a sparse and a dense ratio.
 """
 
 import argparse
@@ -27,7 +23,7 @@ import argparse
 import numpy as np
 import pytest
 
-from repro.core.gee_vectorized import _SPARSE_THRESHOLD, scatter_add
+from repro.core.gee_vectorized import scatter_add
 from repro.eval.timing import time_callable
 
 from bench_config import N_CLASSES, bench_entry, write_bench_json
@@ -35,6 +31,11 @@ from bench_config import N_CLASSES, bench_entry, write_bench_json
 #: Output slots: the n*K of a bench-scale friendster-sim embedding.
 OUT_SIZE = 40_000 * N_CLASSES
 FILL_RATIOS = [0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0]
+
+
+def _add_at(out, idx, w):
+    # repro: ignore[no-add-at] the measured row of the shipping primitive
+    np.add.at(out, idx, w)
 
 
 def _dense(out, idx, w):
@@ -54,20 +55,25 @@ def _compact(out, idx, w):
     out[touched] += np.bincount(pos[idx], weights=w, minlength=touched.size)
 
 
-STRATEGIES = {"dense": _dense, "unique": _unique, "compact": _compact}
+STRATEGIES = {
+    "add_at": _add_at,
+    "dense": _dense,
+    "unique": _unique,
+    "compact": _compact,
+}
 
 
 def _case(fill_ratio: float, out_size: int = OUT_SIZE):
     rng = np.random.default_rng(0)
     m = max(1, int(out_size * fill_ratio))
-    idx = rng.integers(0, out_size, size=m).astype(np.int64)
+    idx = rng.integers(0, out_size, size=m).astype(np.intp)
     return idx, rng.random(m)
 
 
 @pytest.mark.benchmark(group="ablation-scatter")
 @pytest.mark.parametrize("fill_ratio", [0.01, 0.25])
 def test_shipping_scatter_add(benchmark, fill_ratio):
-    """The dispatching scatter_add at a sparse and a dense fill ratio."""
+    """The shipping scatter_add at a sparse and a dense fill ratio."""
     idx, w = _case(fill_ratio)
     out = np.zeros(OUT_SIZE)
     benchmark.extra_info["fill_ratio"] = fill_ratio
@@ -112,20 +118,11 @@ def main(argv=None) -> int:
         gates=[
             {
                 "kind": "informational",
-                "reason": "scatter-strategy ablation that tunes "
-                "_SPARSE_THRESHOLD; conclusions land in code, not in a "
-                "cross-run gate",
+                "reason": "scatter-strategy ablation; conclusions land in "
+                "code, not in a cross-run gate",
             }
         ],
-        extra={
-            "winner_per_fill_ratio": winners,
-            "tuned_sparse_threshold": _SPARSE_THRESHOLD,
-            "conclusion": (
-                "unique wins only below ~2-3% fill; the sort-free compact "
-                "variant loses to dense everywhere, so _SPARSE_THRESHOLD=0.03 "
-                "and the unique sparse path is kept"
-            ),
-        },
+        extra={"winner_per_fill_ratio": winners},
     )
     return 0
 

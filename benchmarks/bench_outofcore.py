@@ -2,8 +2,9 @@
 
 The chunked engine exists so the GEE edge pass can run on edge lists that
 do not fit in RAM: :class:`~repro.graph.io.ChunkedEdgeSource` memory-maps
-an on-disk store and the chunk-capable backends (``vectorized``,
-``sparse``, ``parallel``) accumulate the embedding block by block.  The
+an on-disk store and the chunk-capable backends (``vectorized`` and
+``parallel``, both running the one serial chunked pass) accumulate the
+embedding block by block.  The
 price is per-chunk dispatch overhead; this benchmark quantifies it by
 sweeping the chunk size from "everything in one block" down through
 successively smaller blocks on the Friendster stand-in, against the
@@ -37,7 +38,7 @@ from bench_config import N_CLASSES, bench_entry, load_bench_dataset, write_bench
 #: Chunk sizes as fractions of the edge count (1 = one chunk for everything).
 CHUNK_FRACTIONS = [1, 8, 64, 512]
 
-BACKENDS = ["vectorized", "sparse", "parallel"]
+BACKENDS = ["vectorized", "parallel"]
 
 
 def _peak_rss_bytes() -> int:

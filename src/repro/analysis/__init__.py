@@ -8,8 +8,8 @@ things a generic linter cannot know:
   the *live* registry);
 * ``hot-path-alloc`` — ``@hot_path`` kernels neither loop over edges nor
   allocate edge/vertex-sized temporaries outside the plan's reused buffers;
-* ``no-add-at`` — every scatter routes through ``scatter_add`` /
-  ``np.bincount``, never the slow buffered ``np.add.at``;
+* ``no-add-at`` — every scatter routes through the one primitive,
+  ``scatter_add`` (itself ``np.add.at``), or ``np.bincount``;
 * ``shm-lifecycle`` — every shared-memory segment is closed and unlinked
   on all paths;
 * ``index-dtype`` — int32 narrowing only via ``choose_index_dtype``;

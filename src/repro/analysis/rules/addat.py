@@ -1,13 +1,15 @@
-"""``no-add-at`` — ban the buffered-ufunc scatter path repo-wide.
+"""``no-add-at`` — keep one scatter primitive.
 
-``np.add.at`` is the slow, buffered ufunc scatter: on this workload it
-measured 2-7x slower than the ``np.bincount``-based
-:func:`repro.core.gee_vectorized.scatter_add` (see
-``benchmarks/bench_ablation_scatter.py`` and the PR 2 ``_align_labels``
-fix).  Every scatter-accumulate in ``src/repro`` must route through
-``scatter_add`` (or a block-local ``np.bincount``); the few deliberate
-uses — the lock-striped bulk atomics, oracle/reference rows in tests and
-benchmarks — carry ``# repro: ignore[no-add-at]`` with a justification.
+Every scatter-accumulate in ``src/repro`` routes through
+:func:`repro.core.gee_vectorized.scatter_add` (or a block-local
+``np.bincount``), so a change of scatter strategy lands in one place.
+``scatter_add`` itself is ``np.add.at``, which on NumPy >= 1.25 runs a
+fast loop for 1-D ``intp`` indices (see
+``benchmarks/bench_ablation_scatter.py``), and carries the one justified
+waiver in the library.  The rule flags every other ``add.at`` /
+``subtract.at``; the few deliberate uses — the lock-striped bulk atomics,
+oracle/reference rows in tests and benchmarks — carry
+``# repro: ignore[no-add-at]`` with a justification.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ __all__ = ["NoAddAtRule"]
 class NoAddAtRule(Rule):
     name = "no-add-at"
     description = (
-        "np.add.at is the slow buffered-ufunc scatter; route through "
+        "one scatter primitive: route scatter-adds through "
         "repro.core.gee_vectorized.scatter_add (or np.bincount)"
     )
 
@@ -41,7 +43,7 @@ class NoAddAtRule(Rule):
                 yield self.finding(
                     module.rel_path,
                     node.lineno,
-                    f"{dotted}(...) uses the buffered-ufunc scatter path; use "
+                    f"{dotted}(...) bypasses the one scatter primitive; use "
                     "scatter_add / np.bincount, or justify with "
                     "# repro: ignore[no-add-at]",
                     col=node.col_offset,

@@ -19,7 +19,8 @@ Deliberate exceptions (per-worker private partials, O(Δ) delta arrays that
 merely *look* edge-sized) carry ``# repro: ignore[hot-path-alloc]`` with a
 one-line justification.
 
-``np.add.at`` is banned repo-wide by the separate ``no-add-at`` rule.
+``np.add.at`` outside ``scatter_add`` is flagged by the separate
+``no-add-at`` rule.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ its owner ranges over the fork pool:
   ``effective_worker_count(n_workers)`` workers when the plan is in
   memory, ``fork`` is available, that worker count is at least 2 and the
   graph has at least :data:`POOLED_MIN_EDGES` edges;
-* otherwise ``vectorized`` on the sorted layout, or on the plan's own
-  layout for a standalone chunked source, which streams in stored order
-  and cannot be re-laid out.
+* otherwise ``vectorized`` on the sorted layout;
+* a chunked plan, in memory or on disk, runs as given on ``vectorized``:
+  the one chunked pass streams in stored order (``layout == "none"``).
 
 The embedding is bitwise what the chosen delegate returns on the same
 plan, so the rule costs speed, never correctness.  It reads and writes no
@@ -26,6 +26,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.gee_vectorized import patch_sums_vectorized
 from ..graph.facade import Graph
 from ..parallel.pool import effective_worker_count, fork_available
 from .registry import BackendCapabilities, GEEBackend, get_backend, register_backend
@@ -69,8 +70,7 @@ def choose(plan, n_workers: Optional[int] = None) -> ExecutionChoice:
     (default: every CPU).
     """
     if plan.is_chunked:
-        layout = plan.layout if plan.graph is None else "sorted"
-        return ExecutionChoice("vectorized", layout)
+        return ExecutionChoice("vectorized", "none")
     workers = effective_worker_count(n_workers)
     if workers >= 2 and plan.n_edges >= POOLED_MIN_EDGES and fork_available():
         return ExecutionChoice("parallel", "sorted", workers)
@@ -94,7 +94,7 @@ class AutoGEEBackend(GEEBackend):
 
     ``n_workers`` caps the pooled run (default: the machine's CPU count).
     Capabilities are the union of the delegates': chunked plans run on
-    ``vectorized``, incremental patches on the parallel patch kernel.
+    ``vectorized``, incremental patches on the vectorised patch kernel.
     """
 
     def __init__(self, *, n_workers: Optional[int] = None, **options) -> None:
@@ -134,14 +134,10 @@ class AutoGEEBackend(GEEBackend):
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
         choice = choose(plan, self.n_workers)
-        if choice.layout != plan.layout:
+        if not plan.is_chunked and choice.layout != plan.layout:
             # Plans are cached per layout on the graph facade, so switching
             # compiles once, not per call.
-            plan = plan.graph.plan(
-                plan.n_classes,
-                chunk_edges=plan.chunk_edges if plan.is_chunked else None,
-                layout=choice.layout,
-            )
+            plan = plan.graph.plan(plan.n_classes, layout=choice.layout)
         result = self._delegate(choice).embed_with_plan(plan, labels)
         result.execution_choice = choice
         return result
@@ -152,10 +148,4 @@ class AutoGEEBackend(GEEBackend):
     # Incremental protocol
     # ------------------------------------------------------------------ #
     def _patch_sums(self, S_flat, src, dst, delta_w, labels, n_classes):
-        from ..core.gee_parallel import patch_sums_parallel
-
-        # patch_sums_parallel already self-tunes: tiny deltas run the
-        # vectorised kernel in-process, large ones thread the gather half.
-        patch_sums_parallel(
-            S_flat, src, dst, delta_w, labels, n_classes, n_workers=self.n_workers
-        )
+        patch_sums_vectorized(S_flat, src, dst, delta_w, labels, n_classes)

@@ -35,19 +35,9 @@ from typing import Optional
 import numpy as np
 
 from ..core.gee_ligra import gee_ligra, gee_ligra_with_plan
-from ..core.gee_parallel import (
-    gee_parallel,
-    gee_parallel_chunked,
-    gee_parallel_with_plan,
-    patch_sums_parallel,
-)
+from ..core.gee_parallel import gee_parallel, gee_parallel_with_plan
 from ..core.gee_python import gee_python, gee_python_with_plan
-from ..core.gee_sparse import (
-    gee_sparse,
-    gee_sparse_chunked,
-    gee_sparse_with_plan,
-    patch_sums_sparse,
-)
+from ..core.gee_sparse import gee_sparse, gee_sparse_with_plan, patch_sums_sparse
 from ..core.gee_vectorized import (
     gee_vectorized,
     gee_vectorized_chunked,
@@ -97,28 +87,13 @@ class PythonLoopBackend(GEEBackend):
 class VectorizedGEEBackend(GEEBackend):
     """Fully vectorised single-core edge pass (the Numba-serial stand-in)."""
 
-    _OPTIONS = {"chunk_edges": None}
-
     def _patch_sums(self, S_flat, src, dst, delta_w, labels, n_classes):
         patch_sums_vectorized(S_flat, src, dst, delta_w, labels, n_classes)
 
     def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):
-        return gee_vectorized(
-            graph.edges, labels, n_classes, chunk_edges=self.chunk_edges
-        )
+        return gee_vectorized(graph.edges, labels, n_classes)
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
-        if self.chunk_edges is not None:
-            # Chunked runs exist to bound temporary-array size; the plan
-            # kernels' full-length temporaries defeat that, so re-plan the
-            # graph chunked (cached per chunk size) and stream.
-            # A requested layout carries over (chunked plans stream sorted
-            # incidence blocks).
-            layout = None if plan.layout == "none" else plan.layout
-            chunked = plan.graph.plan(
-                plan.n_classes, chunk_edges=self.chunk_edges, layout=layout
-            )
-            return gee_vectorized_chunked(chunked, labels)
         return gee_vectorized_with_plan(plan, labels)
 
     def _embed_with_chunked_plan(self, plan, labels: np.ndarray):
@@ -128,7 +103,6 @@ class VectorizedGEEBackend(GEEBackend):
 @register_backend(
     "sparse",
     capabilities=BackendCapabilities(
-        supports_chunked=True,
         supports_incremental=True,
         description="scipy.sparse CSR matmul (A + A^T)W — C-speed serial reference",
     ),
@@ -146,9 +120,6 @@ class SparseMatmulGEEBackend(GEEBackend):
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
         return gee_sparse_with_plan(plan, labels)
-
-    def _embed_with_chunked_plan(self, plan, labels: np.ndarray):
-        return gee_sparse_chunked(plan, labels)
 
     def _patch_sums(self, S_flat, src, dst, delta_w, labels, n_classes):
         patch_sums_sparse(S_flat, src, dst, delta_w, labels, n_classes)
@@ -257,10 +228,11 @@ class ProcessParallelGEEBackend(GEEBackend):
     by exactly one worker in a fixed traversal order, so any worker count
     gives bitwise the serial sorted pass.  Pooled runs return the slot of
     the shared output ring the workers wrote, with no copy; the result
-    owns its embedding either way.  The chunked (out-of-core) path trades
-    that row partition for per-worker chunk slabs with private partials and
-    one reduction, keeping the bounded-memory guarantee on the edge side;
-    it too is deterministic (fixed slab assignment, fixed reduction order).
+    owns its embedding either way.  A chunked (out-of-core) plan runs the
+    one serial chunked pass
+    (:func:`~repro.core.gee_vectorized.gee_vectorized_chunked`) and
+    reports ``n_workers == 1``; O(Δ) patches run
+    :func:`~repro.core.gee_vectorized.patch_sums_vectorized`.
     """
 
     def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):
@@ -270,9 +242,7 @@ class ProcessParallelGEEBackend(GEEBackend):
         return gee_parallel_with_plan(plan, labels, n_workers=self.n_workers)
 
     def _embed_with_chunked_plan(self, plan, labels: np.ndarray):
-        return gee_parallel_chunked(plan, labels, n_workers=self.n_workers)
+        return gee_vectorized_chunked(plan, labels)
 
     def _patch_sums(self, S_flat, src, dst, delta_w, labels, n_classes):
-        patch_sums_parallel(
-            S_flat, src, dst, delta_w, labels, n_classes, n_workers=self.n_workers
-        )
+        patch_sums_vectorized(S_flat, src, dst, delta_w, labels, n_classes)

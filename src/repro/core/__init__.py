@@ -2,9 +2,9 @@
 
 from .api import GraphEncoderEmbedding
 from .gee_ligra import UpdateEmbedding, gee_ligra, gee_ligra_with_plan
-from .gee_parallel import gee_parallel, gee_parallel_chunked, gee_parallel_with_plan
+from .gee_parallel import gee_parallel, gee_parallel_with_plan
 from .gee_python import gee_python, gee_python_with_plan
-from .gee_sparse import gee_sparse, gee_sparse_chunked, gee_sparse_with_plan
+from .gee_sparse import gee_sparse, gee_sparse_with_plan
 from .gee_vectorized import (
     accumulate_edges_vectorized,
     gee_vectorized,
@@ -48,10 +48,8 @@ __all__ = [
     "UpdateEmbedding",
     "gee_parallel",
     "gee_parallel_with_plan",
-    "gee_parallel_chunked",
     "gee_sparse",
     "gee_sparse_with_plan",
-    "gee_sparse_chunked",
     "gee_laplacian",
     "laplacian_reweight",
     "weighted_total_degrees",

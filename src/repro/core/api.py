@@ -45,7 +45,7 @@ import numpy as np
 
 from ..backends import GEEBackend, get_backend, list_backends, resolve_backend_name
 from ..graph.facade import Graph, GraphLike, as_edgelist
-from .gee_vectorized import accumulate_edges_vectorized
+from .gee_vectorized import accumulate_edges_vectorized, patch_sums_vectorized
 from .refinement import gee_unsupervised
 from .result import EmbeddingResult
 from .validation import (
@@ -91,8 +91,8 @@ class GraphEncoderEmbedding:
         either way.
     **backend_options:
         Extra options forwarded to the backend constructor (for example
-        ``chunk_edges`` for ``"vectorized"`` or ``atomic`` for the Ligra
-        family).  Unknown options raise immediately.
+        ``atomic=False`` for the Ligra family).  Unknown options raise
+        immediately.
 
     Examples
     --------
@@ -184,7 +184,8 @@ class GraphEncoderEmbedding:
         set ``chunk_edges`` / ``memory_budget_bytes`` on an in-memory input
         to bound the edge pass's temporary working set.  Both require a
         backend whose capabilities declare ``supports_chunked``
-        (``vectorized``, ``sparse``, ``parallel``).
+        (``vectorized``, ``parallel``, ``auto``), and all of them run the
+        one serial chunked pass.
         """
         from ..graph.io import ChunkedEdgeSource
 
@@ -490,17 +491,16 @@ class GraphEncoderEmbedding:
         n_needed = max(batch.n_vertices, self._stream_labels_.shape[0])
         self._grow_stream_state(n_needed)
 
-        # Accumulate the batch's raw (un-scaled) class sums: the shared
-        # vectorised kernel with scales=None computes S[u, Y[v]] += w
-        # (negated weights retract a previously-ingested batch).
+        # Accumulate the batch's raw (un-scaled) class sums S[u, Y[v]] += w
+        # through the O(Δ) patch step (negated weights retract a
+        # previously-ingested batch).
         w = batch.effective_weights()
-        accumulate_edges_vectorized(
+        patch_sums_vectorized(
             self._stream_sums_.reshape(-1),
             batch.src,
             batch.dst,
             -w if remove else w,
             self._stream_labels_,
-            None,
             k,
         )
         self._stream_touched_[batch.src] = True
@@ -554,15 +554,12 @@ class GraphEncoderEmbedding:
         src, dst, dw = delta.patch_edges()
         if src.size:
             if type(self._backend).capabilities.supports_incremental:
-                self._backend.patch_sums(
-                    self._stream_sums_.reshape(-1), src, dst, dw,
-                    self._stream_labels_, k,
-                )
+                patch = self._backend.patch_sums
             else:
-                accumulate_edges_vectorized(
-                    self._stream_sums_.reshape(-1), src, dst, dw,
-                    self._stream_labels_, None, k,
-                )
+                patch = patch_sums_vectorized
+            patch(
+                self._stream_sums_.reshape(-1), src, dst, dw, self._stream_labels_, k
+            )
             self._stream_touched_[src] = True
             self._stream_touched_[dst] = True
         return self._finalise_stream(t0)

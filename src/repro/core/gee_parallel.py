@@ -61,17 +61,14 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..graph.edgelist import EdgeList
 from ..graph.facade import Graph
-from ..parallel.partition import block_ranges
 from ..parallel.pool import (
     ForkWorkerPool,
     effective_worker_count,
     fork_available,
     resolve_worker_count,
 )
-from ..analysis.annotations import hot_path
 from ..obs import trace
-from ..parallel.shm import OutputRing, SharedArrayHandle, SharedArraySet, attach_many
-from .gee_vectorized import scatter_add
+from ..parallel.shm import OutputRing, SharedArrayHandle, SharedArraySet
 from .plan import choose_label_dtype
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
@@ -86,72 +83,12 @@ from .validation import (
 __all__ = [
     "gee_parallel",
     "gee_parallel_with_plan",
-    "gee_parallel_chunked",
-    "patch_sums_parallel",
     "run_owner_ranges",
     "shutdown_workers",
 ]
 
 #: One owner range: rows ``[row_lo, row_hi)`` and the label its failure names.
 OwnerRange = Tuple[int, int, str]
-
-
-@hot_path(reason="parallel O(Δ) incremental patch kernel")
-def patch_sums_parallel(
-    S_flat: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    delta_w: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    *,
-    n_workers: Optional[int] = None,
-) -> None:
-    """Apply a signed edge delta to flat raw per-class sums, in place.
-
-    The parallel O(Δ) patch kernel: the *gather* half of the patch (label
-    gathers, known-label masks, flat-index arithmetic — the bulk of the work
-    for typical deltas) is split into contiguous edge slabs processed by a
-    thread pool, NumPy releasing the GIL for the array ops; the final
-    scatter runs serially over the slab results in slab order, so the
-    update is deterministic (fixed association order) like the owner-computes
-    full kernel.  Forked workers would lose here: a delta batch is far too
-    small to amortise shipping it through shared memory.
-
-    Deltas below a few thousand edges skip the pool entirely — thread
-    dispatch would cost more than it saves.
-    """
-    k = int(n_classes)
-    m = int(src.size)
-    workers = effective_worker_count(n_workers)
-    if m < 4096 or workers <= 1:
-        from .gee_vectorized import patch_sums_vectorized
-
-        patch_sums_vectorized(S_flat, src, dst, delta_w, labels, k)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    slabs = [r for r in block_ranges(m, min(workers, m)) if r[0] < r[1]]
-
-    def gather(slab: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-        lo, hi = slab
-        s, d, w = src[lo:hi], dst[lo:hi], delta_w[lo:hi]
-        y_d = labels[d]
-        y_s = labels[s]
-        known_d = y_d != UNKNOWN_LABEL
-        known_s = y_s != UNKNOWN_LABEL
-        # repro: ignore[hot-path-alloc] O(Δ) slab temporaries, not O(E): the slab is a delta slice
-        flat = np.concatenate(
-            (s[known_d] * k + y_d[known_d], d[known_s] * k + y_s[known_s])
-        )
-        contrib = np.concatenate((w[known_d], w[known_s]))
-        return flat, contrib
-
-    with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
-        parts = list(pool.map(gather, slabs))
-    flat = np.concatenate([p[0] for p in parts])
-    contrib = np.concatenate([p[1] for p in parts])
-    scatter_add(S_flat, flat, contrib)
 
 
 #: Worker-process cache of shared-memory attachments, keyed by segment name.
@@ -606,206 +543,6 @@ def gee_parallel(
             graph.drop_plans()
     result.timings["preprocess"] += preprocess
     return result
-
-
-def _chunked_pool_task(
-    handles: Dict[str, SharedArrayHandle],
-    source_token: dict,
-    chunk_lo: int,
-    chunk_hi: int,
-    n_classes: int,
-    slot: int,
-) -> None:
-    """Worker task for the out-of-core path: accumulate one chunk slab.
-
-    Re-opens the edge source inside the worker — a file-backed source is
-    memory-mapped independently from the very column files the caller's
-    source maps (no edge data ever travels between processes); an
-    in-memory source reads the shared-memory copy staged by the caller.
-    The slab's contributions go into this task's private row of the shared
-    ``partials`` matrix; no two tasks write the same row, and the caller
-    reduces with one sum.
-
-    Attaches per call (chunked calls ship a fresh segment set, unlike the
-    long-lived workspace of the dense path) and detaches before returning
-    so per-call segments are never pinned by worker-side caches.
-    """
-    from ..graph.io import ChunkedEdgeSource
-    from ..stream.segments import SegmentedEdgeSource
-    from .gee_vectorized import accumulate_chunked_plan
-    from .plan import ChunkedPlan
-
-    views, segments = attach_many(handles)
-    try:
-        if source_token["kind"] == "file":
-            # One part per mapped segment: a plain store is a single part.
-            source = SegmentedEdgeSource(
-                [
-                    tuple(
-                        None if name is None else np.load(name, mmap_mode="r")
-                        for name in files
-                    )
-                    for files in source_token["columns"]
-                ],
-                source_token["n_vertices"],
-                weighted=source_token["weighted"],
-                chunk_edges=source_token["chunk_edges"],
-            )
-        else:
-            source = ChunkedEdgeSource(
-                views["e_src"],
-                views["e_dst"],
-                views.get("e_weights"),
-                source_token["n_vertices"],
-                chunk_edges=source_token["chunk_edges"],
-            )
-        plan = ChunkedPlan(
-            source, n_classes, layout=source_token.get("layout", "none")
-        )
-        accumulate_chunked_plan(
-            views["partials"][slot],
-            plan,
-            views["labels"],
-            views["scales"],
-            chunk_lo,
-            chunk_hi,
-        )
-    finally:
-        del views
-        for seg in segments:
-            seg.close()
-
-
-def gee_parallel_chunked(
-    plan,
-    labels: np.ndarray,
-    *,
-    n_workers: Optional[int] = None,
-) -> EmbeddingResult:
-    """Out-of-core process-parallel GEE on a :class:`~repro.core.plan.ChunkedPlan`.
-
-    The source's chunks are split into contiguous slabs, one per worker;
-    each worker streams its slab under the same per-chunk memory bound as
-    the serial chunked kernel and accumulates into a private ``(n*K,)``
-    partial in shared memory, which the caller reduces with one sum.  A
-    file-backed source is re-opened (memory-mapped) inside each worker, so
-    the only per-call interprocess traffic is the label/scale vectors and
-    the partials — never edge data.  For an in-memory source the edge
-    arrays are staged into shared memory once per call.
-
-    Vertex-side state still has to fit: the reduction holds one ``n*K``
-    partial per worker (out-of-core bounds the *edge*-side working set).
-    Worker-count semantics follow :func:`gee_parallel` (an explicit request
-    sizes the pool exactly or raises), with one structural cap: a call can
-    run at most one worker per chunk, so the result's ``n_workers`` reports
-    the slab count actually executed (``min(requested, n_chunks)``), never
-    the nominal request.
-    """
-    from .gee_vectorized import accumulate_chunked_plan
-
-    y = plan.validate_labels(labels)
-    k = plan.n_classes
-    n = plan.n_vertices
-    timings: Dict[str, float] = {}
-    requested = _requested_workers(n_workers)
-
-    t0 = time.perf_counter()
-    scales = projection_scales(y, k)
-    t1 = time.perf_counter()
-    timings["projection"] = t1 - t0
-
-    layout = getattr(plan, "layout", "none")
-    source = plan.source
-    n_chunks = source.n_chunks
-    if requested == 1 or not fork_available() or n_chunks <= 1:
-        Z_flat = plan.zeroed_output()
-        accumulate_chunked_plan(Z_flat, plan, y, scales)
-        workers = 1
-        Z = Z_flat.reshape(n, k)
-        if layout == "sorted":
-            from .gee_vectorized import class_rescale
-
-            class_rescale(Z, y, k)
-        t2 = time.perf_counter()
-        timings["edge_pass"] = t2 - t1
-    else:
-        n_tasks = min(requested, n_chunks)
-        workers = n_tasks
-        cuts = np.linspace(0, n_chunks, n_tasks + 1).astype(np.int64)
-        t_share = time.perf_counter()
-        pool = _get_pool(requested)
-        shm = SharedArraySet()
-        try:
-            shm.share("labels", y)
-            shm.share("scales", scales)
-            partials = shm.zeros("partials", (n_tasks, n * k), np.float64)
-            if source.path is not None:
-                # The files the caller's source maps, not its path: a
-                # segmented store's path is its root, and a later commit
-                # there may already hold another version of the edges.
-                token = {
-                    "kind": "file",
-                    "columns": [
-                        [None if col is None else col.filename for col in part]
-                        for part in source._column_parts()
-                    ],
-                    "n_vertices": n,
-                    "weighted": source.is_weighted,
-                    "chunk_edges": source.chunk_edges,
-                    "layout": layout,
-                }
-            else:
-                shm.share("e_src", np.asarray(source.src, dtype=np.int64))
-                shm.share("e_dst", np.asarray(source.dst, dtype=np.int64))
-                if source.weights is not None:
-                    shm.share(
-                        "e_weights", np.asarray(source.weights, dtype=np.float64)
-                    )
-                token = {
-                    "kind": "shm",
-                    "n_vertices": n,
-                    "chunk_edges": source.chunk_edges,
-                    "layout": layout,
-                }
-            handles = shm.handles()
-            timings["preprocess"] = time.perf_counter() - t_share
-            t_edge = time.perf_counter()
-            with trace(
-                "parallel.dispatch", backend="parallel-chunked", n_tasks=n_tasks
-            ):
-                pool.map(
-                    _chunked_pool_task,
-                    [
-                        (handles, token, int(cuts[i]), int(cuts[i + 1]), k, i)
-                        for i in range(n_tasks)
-                    ],
-                    labels=[
-                        f"backend=parallel-chunked chunks[{int(cuts[i])}:"
-                        f"{int(cuts[i + 1])}) slot={i}"
-                        for i in range(n_tasks)
-                    ],
-                )
-            Z_flat = plan.zeroed_output()
-            np.sum(partials, axis=0, out=Z_flat)
-            Z = Z_flat.reshape(n, k)
-            if layout == "sorted":
-                from .gee_vectorized import class_rescale
-
-                class_rescale(Z, y, k)
-            t2 = time.perf_counter()
-            timings["edge_pass"] = t2 - t_edge
-        finally:
-            shm.close()
-    timings["total"] = t2 - t0
-
-    return EmbeddingResult(
-        embedding=Z,
-        projection_builder=lambda: projection_from_scales(y, scales, k),
-        timings=timings,
-        method="gee-parallel",
-        n_workers=workers,
-        layout=layout,
-    )
 
 
 def gee_parallel_with_plan(

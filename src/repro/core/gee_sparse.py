@@ -35,7 +35,6 @@ from .validation import validate_labels
 __all__ = [
     "gee_sparse",
     "gee_sparse_with_plan",
-    "gee_sparse_chunked",
     "patch_sums_sparse",
 ]
 
@@ -114,51 +113,6 @@ def gee_sparse(
     t1 = time.perf_counter()
 
     Z = _product(A, A_T, W)
-    t2 = time.perf_counter()
-
-    return EmbeddingResult(
-        embedding=Z,
-        projection=W,
-        timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
-        method="gee-sparse",
-        n_workers=1,
-    )
-
-
-def gee_sparse_chunked(plan, labels: np.ndarray) -> EmbeddingResult:
-    """Out-of-core sparse-matmul GEE on a :class:`~repro.core.plan.ChunkedPlan`.
-
-    ``Z = Σ_c (A_c + A_cᵀ)·W`` over per-chunk adjacency slices ``A_c`` —
-    matrix multiplication distributes over the sum of the slices, so the
-    result equals the one-shot product exactly (up to summation order).
-    Each slice is a CSR matrix over at most ``chunk_edges`` non-zeros; the
-    only O(n) state is the dense ``W`` and the output, both vertex-side.
-    """
-    import scipy.sparse as sp
-
-    if getattr(plan, "layout", "none") != "none":
-        raise ValueError(
-            "the sparse backend cannot execute a sorted-incidence chunked "
-            "plan (its blocks hold each edge twice, once per orientation, "
-            "which the two-sided A + A^T update would double-count); "
-            "re-plan with the default layout, or use a layout-capable "
-            "chunked backend (vectorized, parallel)"
-        )
-    y = plan.validate_labels(labels)
-    k = plan.n_classes
-    n = plan.n_vertices
-
-    t0 = time.perf_counter()
-    scales = projection_scales(y, k)
-    W = projection_from_scales(y, scales, k)
-    t1 = time.perf_counter()
-
-    Z_flat = plan.zeroed_output()
-    Z = Z_flat.reshape(n, k)
-    for src, dst, w in plan.source.iter_chunks():
-        A_c = sp.csr_matrix((w, (src, dst)), shape=(n, n))
-        Z += A_c.dot(W)
-        Z += A_c.T.dot(W)
     t2 = time.perf_counter()
 
     return EmbeddingResult(

@@ -11,16 +11,29 @@ The two updates per edge (Algorithm 1, lines 10–11)::
     Z[v, Y[u]] += W[u, Y[u]] * w      (for edges with Y[u] known)
 
 are scatter-adds into the flattened ``n×K`` embedding at flat indices
-``u*K + Y[v]`` and ``v*K + Y[u]``; ``numpy.bincount`` with weights performs
-the whole pass in two calls with no Python-level loop.  The result is
-bit-wise reproducible and (like Numba) single-threaded, so it slots into
-Table I's "Numba Serial" column.
+``u*K + Y[v]`` and ``v*K + Y[u]``; :func:`gee_vectorized` runs them as
+written (:func:`accumulate_edges_vectorized`).  ``W[v, Y[v]]`` depends
+only on the column the contribution lands in, so the plan kernels scatter
+*raw* weights and rescale each column by ``1/n_c`` once
+(``Z = S·diag(1/n_c)``):
+
+* the default plan's pass (:func:`known_incidence_sums`) sums every known
+  incidence with one ``np.bincount``;
+* the sorted layout's kernel (:func:`accumulate_fused_rows_sorted`) runs
+  one block-local ``bincount`` per L2 row block of the owner-sorted
+  incidence;
+* every chunked plan and every O(Δ) patch runs one compile-free step,
+  :func:`add_known_incidences`: the same known incidences, ``np.add.at``
+  into an output that persists across the chunks or versions.
+
+All of them are single-threaded and bit-wise reproducible, so they slot
+into Table I's "Numba Serial" column.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,85 +50,116 @@ __all__ = [
     "gee_vectorized_with_plan",
     "gee_vectorized_chunked",
     "accumulate_edges_vectorized",
-    "accumulate_chunked_plan",
     "accumulate_fused_rows_sorted",
+    "add_known_incidences",
     "class_rescale",
     "known_incidence_sums",
     "patch_sums_vectorized",
     "scatter_add",
 ]
 
-#: Below this fill ratio (updates per output slot) the sparse scatter path
-#: is cheaper than a dense ``bincount`` over the whole output.  Tuned with
-#: ``benchmarks/bench_ablation_scatter.py``: on a 2M-slot output the
-#: ``np.unique`` path wins only below ~2–3 % fill (0.3 ms vs 2.0 ms at
-#: 0.5 %, break-even near 3 %, 3× *slower* by 10 %); the previous 0.25
-#: threshold sent the common 5–25 % regime down the slow sorting path.  A
-#: sort-free "compact the touched slots, bincount the compacted indices"
-#: variant was benchmarked as the replacement candidate and lost to dense
-#: ``bincount`` at every fill ratio (the O(out) mask/cumsum pass costs more
-#: than bincount's single O(out+m) sweep), so the unique path stays for the
-#: very-sparse regime.
-_SPARSE_THRESHOLD = 0.03
 
-
-@hot_path(reason="the scatter primitive every embed/patch call funnels through")
-def scatter_add(out_flat: np.ndarray, flat_idx: np.ndarray, weights: np.ndarray) -> None:
+@hot_path(reason="the scatter primitive every unsorted embed/patch call funnels through")
+def scatter_add(out_flat: np.ndarray, flat_idx: np.ndarray, weights) -> None:
     """``out_flat[flat_idx] += weights`` with duplicate indices summed.
 
-    Two strategies, chosen by fill ratio:
-
-    * dense — one ``np.bincount`` over the whole output; best when more
-      than ~3 % of output slots receive updates (see ``_SPARSE_THRESHOLD``);
-    * sparse — aggregate duplicates with ``np.unique`` and update only the
-      touched slots; best when very few slots are hit.
-
-    Both are exact; only the summation order (and hence the last bits of
-    floating-point rounding) can differ.
+    ``np.add.at``: NumPy's unbuffered scatter-add, which since NumPy 1.25
+    runs a fast loop for 1-D ``intp`` indices.  It touches only the slots
+    it adds to, so it allocates nothing of the output's size, and it adds
+    in index order, so the sums are bitwise reproducible.  ``weights`` may
+    be a scalar (``1.0`` for unit weights).
     """
-    if flat_idx.size == 0:
-        return
-    if flat_idx.size >= _SPARSE_THRESHOLD * out_flat.size:
-        out_flat += np.bincount(flat_idx, weights=weights, minlength=out_flat.size)
-    else:
-        uniq, inverse = np.unique(flat_idx, return_inverse=True)
-        sums = np.bincount(inverse, weights=weights)
-        out_flat[uniq] += sums
+    # repro: ignore[no-add-at] the one scatter primitive; faster than a dense bincount on NumPy >= 1.25
+    np.add.at(out_flat, flat_idx, weights)
 
 
-@hot_path(reason="shared per-edge accumulation kernel (vectorised/Ligra/parallel)")
+@hot_path(reason="scaled per-edge pass: the unchunked vectorized embed, transform and Ligra batches")
 def accumulate_edges_vectorized(
     Z_flat: np.ndarray,
     src: np.ndarray,
     dst: np.ndarray,
     weights: np.ndarray,
     labels: np.ndarray,
-    scales: Optional[np.ndarray],
+    scales: np.ndarray,
     n_classes: int,
 ) -> None:
     """Accumulate the GEE contribution of a batch of edges into ``Z_flat``.
 
-    ``Z_flat`` is the flattened ``(n*K,)`` view of the embedding.  This is
-    the single kernel shared by the vectorised implementation, the
-    Ligra batch function and the parallel workers, so all of them compute
-    exactly the same per-edge contributions.
-
-    ``scales=None`` means unit scales (the O(Δ) patch kernel's regime):
-    contributions are the raw edge weights, with no per-vertex gather and
-    no materialised ones vector.
+    ``Z_flat`` is the flattened ``(n*K,)`` view of the embedding, and each
+    contribution is scaled by its partner's projection scale ``scales``.
+    The kernel of the unchunked vectorised embed, of the estimator's
+    out-of-sample ``transform`` and of the Ligra batch function, so all of
+    them compute exactly the same per-edge contributions.
     """
     y_dst = labels[dst]
     known = y_dst != UNKNOWN_LABEL
     if np.any(known):
         flat = src[known] * n_classes + y_dst[known]
-        contrib = weights[known] if scales is None else scales[dst[known]] * weights[known]
-        scatter_add(Z_flat, flat, contrib)
+        scatter_add(Z_flat, flat, scales[dst[known]] * weights[known])
     y_src = labels[src]
     known = y_src != UNKNOWN_LABEL
     if np.any(known):
         flat = dst[known] * n_classes + y_src[known]
-        contrib = weights[known] if scales is None else scales[src[known]] * weights[known]
-        scatter_add(Z_flat, flat, contrib)
+        scatter_add(Z_flat, flat, scales[src[known]] * weights[known])
+
+
+def _known_incidences(
+    owner: np.ndarray,
+    partner: np.ndarray,
+    weights: Optional[np.ndarray],
+    y_lab: np.ndarray,
+    fully_labelled: bool,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """``(owner, label, weight)`` of the incidences whose partner is labelled.
+
+    One half of an edge batch: the incidences owned by ``owner``, in
+    arrival order.  ``weights=None`` (unit weights) stays ``None``.
+    """
+    labels = y_lab.take(partner)
+    if not fully_labelled:
+        # One index array, then gathers: cheaper than boolean masks.
+        keep = np.flatnonzero(labels != UNKNOWN_LABEL)
+        owner, labels = owner.take(keep), labels.take(keep)
+        weights = None if weights is None else weights.take(keep)
+    return owner, labels, weights
+
+
+@hot_path(reason="the one out-of-core and O(Δ) step: a compile-free scatter of the known incidences")
+def add_known_incidences(
+    out_flat: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: Optional[np.ndarray],
+    y_lab: np.ndarray,
+    n_classes: int,
+    *,
+    fully_labelled: bool = False,
+) -> None:
+    """Add the raw sums of an edge batch's known incidences into ``out_flat``.
+
+    The step every chunked plan runs chunk by chunk, and every O(Δ) patch
+    runs on its signed delta.  For the source-owned half, then the
+    destination-owned half, it gathers the label table ``y_lab`` at the
+    partners, keeps the labelled incidences with one index array and
+    scatter-adds their raw weights into ``out_flat[owner*K + label]``
+    (:func:`scatter_add`; ``weights=None`` adds a scalar ``1.0``).  It
+    compiles nothing and allocates O(batch), never O(n·K).
+
+    ``y_lab`` is any signed integer label table; the chunked pass casts it
+    once to :func:`~repro.core.plan.choose_label_dtype` ``(K)``.  Set
+    ``fully_labelled`` when no label is unknown, to skip the keep step.
+    Each slot sums its incidences in batch order, source-owned half first,
+    so one batch into a zeroed output equals :func:`known_incidence_sums`
+    bit for bit.
+    """
+    k = int(n_classes)
+    for owner, partner in ((src, dst), (dst, src)):
+        owner, labels, wts = _known_incidences(
+            owner, partner, weights, y_lab, fully_labelled
+        )
+        flat = np.multiply(owner, k, dtype=np.intp)
+        flat += labels
+        scatter_add(out_flat, flat, 1.0 if wts is None else wts)
 
 
 @hot_path(reason="O(Δ) incremental patch kernel")
@@ -129,48 +173,18 @@ def patch_sums_vectorized(
 ) -> None:
     """Apply a signed edge delta to flat raw per-class sums, in place.
 
-    The vectorised O(Δ) patch kernel behind the ``supports_incremental``
-    capability: raw sums are the unit-scale special case of the shared edge
-    pass (``S[u, Y[v]] += Δw`` is ``accumulate_edges_vectorized`` with
-    ``scales=None``), so the patch reuses the exact kernel the full embeds
-    run and the incremental trajectory stays bit-compatible with it — and
-    allocates nothing of size n (the old unit-scale ones vector cost an
-    O(n) allocation per O(Δ) patch).
+    The O(Δ) patch kernel behind the ``supports_incremental`` capability
+    of ``vectorized``, ``parallel`` and ``auto``: raw sums move by exactly
+    ``S[u, Y[v]] += Δw``, which is :func:`add_known_incidences` on the
+    signed delta.  It gathers ``labels`` as given, so nothing of size n is
+    cast or allocated per patch.
     """
-    accumulate_edges_vectorized(S_flat, src, dst, delta_w, labels, None, n_classes)
+    add_known_incidences(S_flat, src, dst, delta_w, labels, n_classes)
 
 
 # --------------------------------------------------------------------------- #
 # Locality-optimized segment-sum kernels (FusedLayout consumers)
 # --------------------------------------------------------------------------- #
-@hot_path(reason="block-local segment-sum scatter of the chunked incidence")
-def _block_scatter(
-    out_flat: np.ndarray,
-    flat: np.ndarray,
-    weights: Optional[np.ndarray],
-    flat_bounds: np.ndarray,
-    cuts: np.ndarray,
-) -> None:
-    """Add ``flat``/``weights`` into ``out_flat`` one row block at a time.
-
-    ``flat_bounds[i]:flat_bounds[i+1]`` is block ``i``'s output slice (sized
-    to stay L2-resident) and ``cuts[i]:cuts[i+1]`` its incidence slice; each
-    block runs one *local* ``np.bincount`` whose output is block-sized, so
-    the scatter never allocates an ``(n*K,)`` temporary and its writes stay
-    inside the cache-resident slice.
-    """
-    for i in range(len(cuts) - 1):
-        lo, hi = int(cuts[i]), int(cuts[i + 1])
-        if lo == hi:
-            continue
-        base, top = int(flat_bounds[i]), int(flat_bounds[i + 1])
-        out_flat[base:top] += np.bincount(
-            flat[lo:hi] - base,
-            weights=None if weights is None else weights[lo:hi],
-            minlength=top - base,
-        )
-
-
 @hot_path(reason="the sorted-layout kernel: the serial pass and parallel row ranges")
 def accumulate_fused_rows_sorted(
     out_flat: np.ndarray,
@@ -247,16 +261,10 @@ def known_incidence_sums(
     integers), so every slot is bitwise :func:`accumulate_fused_rows_sorted`'s.
     """
     k = int(n_classes)
-    halves = []
-    for owner, partner in ((src, dst), (dst, src)):
-        labels = y_lab.take(partner)
-        wts = weights
-        if not fully_labelled:
-            # One index array, then gathers: cheaper than boolean masks.
-            keep = np.flatnonzero(labels != UNKNOWN_LABEL)
-            owner, labels = owner.take(keep), labels.take(keep)
-            wts = None if weights is None else weights.take(keep)
-        halves.append((owner, labels, wts))
+    halves = [
+        _known_incidences(owner, partner, weights, y_lab, fully_labelled)
+        for owner, partner in ((src, dst), (dst, src))
+    ]
     n_incidences = halves[0][0].size + halves[1][0].size
     # repro: ignore[hot-path-alloc] the pass's index: one slot per known incidence, built in place of a compiled src*K/dst*K pair
     flat = np.empty(n_incidences, dtype=np.intp)
@@ -296,12 +304,19 @@ def gee_vectorized(
     edges, labels, n_classes:
         As in :func:`repro.core.gee_python.gee_python`.
     chunk_edges:
-        Process the edge list in chunks of this many edges (bounds the size
-        of the temporary index arrays; ``None`` processes everything in one
-        shot).  Results are identical either way.
+        Stream the edge list in chunks of this many edges through the
+        chunked pass (:func:`gee_vectorized_chunked`), which bounds the size
+        of the temporary arrays; ``None`` processes everything in one shot.
+        The two agree up to floating-point rounding.
     """
     edges = validate_edges(edges)
     y, k = validate_labels(labels, edges.n_vertices, n_classes)
+    if chunk_edges is not None:
+        from ..graph.io import ChunkedEdgeSource
+        from .plan import ChunkedPlan
+
+        source = ChunkedEdgeSource.from_edgelist(edges, chunk_edges=chunk_edges)
+        return gee_vectorized_chunked(ChunkedPlan(source, k), y)
     n = edges.n_vertices
 
     t0 = time.perf_counter()
@@ -310,17 +325,9 @@ def gee_vectorized(
     t1 = time.perf_counter()
 
     Z_flat = np.zeros(n * k, dtype=np.float64)
-    src, dst, w = edges.src, edges.dst, edges.effective_weights()
-    if chunk_edges is None or chunk_edges >= edges.n_edges:
-        accumulate_edges_vectorized(Z_flat, src, dst, w, y, scales, k)
-    else:
-        if chunk_edges <= 0:
-            raise ValueError("chunk_edges must be positive")
-        for lo in range(0, edges.n_edges, chunk_edges):
-            hi = min(lo + chunk_edges, edges.n_edges)
-            accumulate_edges_vectorized(
-                Z_flat, src[lo:hi], dst[lo:hi], w[lo:hi], y, scales, k
-            )
+    accumulate_edges_vectorized(
+        Z_flat, edges.src, edges.dst, edges.effective_weights(), y, scales, k
+    )
     Z = Z_flat.reshape(n, k)
     t2 = time.perf_counter()
 
@@ -333,122 +340,46 @@ def gee_vectorized(
     )
 
 
-@hot_path(reason="bounded-memory chunked edge pass")
-def accumulate_chunked_plan(
-    Z_flat: np.ndarray,
-    plan,
-    y: np.ndarray,
-    scales: np.ndarray,
-    chunk_lo: int = 0,
-    chunk_hi: Optional[int] = None,
-) -> None:
-    """The edge pass of a :class:`~repro.core.plan.ChunkedPlan`.
-
-    Streams the plan's source block by block; every temporary (the chunk
-    triple, the lazily-compiled ``src*K``/``dst*K`` components, the gathered
-    labels and contributions) is O(chunk_edges), so the pass's working set
-    beyond ``Z_flat`` is bounded by the source's memory budget no matter how
-    large E is.  Shared by the serial chunked kernel and the parallel
-    chunked workers (each streaming its own ``chunk_lo:chunk_hi`` slab), so
-    all of them accumulate identical per-block contributions.
-
-    Sorted-layout chunked plans (``plan.layout == "sorted"``) stream an
-    owner-sorted *incidence* source instead and run the one-sided
-    segment-sum update per block — the accumulated values are then raw
-    per-class sums, and the **caller** must apply :func:`class_rescale`
-    once after the last chunk (``scales`` is ignored on that path).
-    """
-    if getattr(plan, "layout", "none") == "sorted":
-        _accumulate_chunked_incidence(Z_flat, plan, y, chunk_lo, chunk_hi)
-        return
-    if y.size == 0 or y.min() != UNKNOWN_LABEL:
-        # Fully labelled (the refinement loop's regime): use each block's
-        # precompiled flat-index components with no masking.
-        for src, dst, w, src_flat, dst_flat in plan.iter_compiled(chunk_lo, chunk_hi):
-            scatter_add(Z_flat, src_flat + y[dst], scales[dst] * w)
-            scatter_add(Z_flat, dst_flat + y[src], scales[src] * w)
-        return
-    # Partially labelled: the shared masked kernel indexes only the known
-    # subset of each block, so it does strictly less work than compiling
-    # flat indices for edges the masks then drop.
-    k = plan.n_classes
-    for src, dst, w in plan.source.iter_chunks(chunk_lo, chunk_hi):
-        accumulate_edges_vectorized(Z_flat, src, dst, w, y, scales, k)
-
-
-@hot_path(reason="sorted-incidence chunked segment-sum pass")
-def _accumulate_chunked_incidence(
-    Z_flat: np.ndarray,
-    plan,
-    y: np.ndarray,
-    chunk_lo: int = 0,
-    chunk_hi: Optional[int] = None,
-) -> None:
-    """Segment-sum edge pass over a sorted-incidence chunked source.
-
-    Each streamed block is ``(owner, partner, w)`` with owner globally
-    non-decreasing, so within a block the scatter targets are monotone and
-    the block-local bincounts write into L2-resident row-block slices.
-    Accumulates *raw* sums into ``Z_flat`` (``+=`` — a row may straddle a
-    chunk boundary); the caller rescales columns once at the end.
-    """
-    from .plan import _LAYOUT_BLOCK_BYTES
-
-    k = plan.n_classes
-    n = plan.n_vertices
-    rows_per_block = max(1, _LAYOUT_BLOCK_BYTES // (k * 8))
-    row_bounds = np.arange(0, n, rows_per_block, dtype=np.int64)
-    row_bounds = np.append(row_bounds, n)
-    flat_bounds = row_bounds * k
-    fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
-    for owner, partner, w in plan.source.iter_chunks(chunk_lo, chunk_hi):
-        yp = y[partner]
-        if fully:
-            flat = owner * k + yp
-            wts = w
-        else:
-            known = yp != UNKNOWN_LABEL
-            flat = owner[known] * k + yp[known]
-            wts = w[known]
-        if flat.size == 0:
-            continue
-        # Restrict the block loop to the rows this chunk actually touches.
-        first = int(np.searchsorted(flat_bounds, flat[0], side="right")) - 1
-        last = int(np.searchsorted(flat_bounds, flat[-1], side="right"))
-        bounds = flat_bounds[first : last + 1]
-        cuts = np.searchsorted(flat, bounds)
-        _block_scatter(Z_flat, flat, wts, bounds, cuts)
-
-
 def gee_vectorized_chunked(plan, labels: np.ndarray) -> EmbeddingResult:
     """Out-of-core vectorised GEE on a :class:`~repro.core.plan.ChunkedPlan`.
 
-    Identical sums to :func:`gee_vectorized` (scatter-add is associative;
-    only floating-point summation order differs), with peak temporary
-    allocation bounded by the source's chunk size instead of O(E).  The
-    output comes from the plan's output ring; the result owns it.
+    The one chunked pass of every chunk-capable backend: it streams the
+    plan's source block by block through :func:`add_known_incidences` into
+    one zeroed buffer of the plan's output ring, then rescales the columns
+    once (:func:`class_rescale`).  Every temporary is O(chunk_edges), so
+    the working set beyond the ``(n*K,)`` output is bounded by the
+    source's memory budget however large E is.  A unit-weight embedding is
+    bitwise the default plan's at any chunk size; a weighted one is
+    bitwise with one chunk and otherwise differs only in summation order.
+    The result owns its embedding.
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
 
     t0 = time.perf_counter()
-    scales = projection_scales(y, k)
+    fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
+    y_lab = y.astype(choose_label_dtype(k))
+    unit = not plan.source.is_weighted
     t1 = time.perf_counter()
 
     Z_flat = plan.zeroed_output()
-    accumulate_chunked_plan(Z_flat, plan, y, scales)
+    for src, dst, w in plan.source.iter_chunks():
+        add_known_incidences(
+            Z_flat, src, dst, None if unit else w, y_lab, k, fully_labelled=fully
+        )
     Z = Z_flat.reshape(plan.n_vertices, k)
-    if getattr(plan, "layout", "none") == "sorted":
-        class_rescale(Z, y, k)
+    class_rescale(Z, y, k)
     t2 = time.perf_counter()
 
     return EmbeddingResult(
         embedding=Z,
-        projection_builder=lambda: projection_from_scales(y, scales, k),
+        projection_builder=lambda: projection_from_scales(
+            y, projection_scales(y, k), k
+        ),
         timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
         method="gee-vectorized",
         n_workers=1,
-        layout=getattr(plan, "layout", "none"),
+        layout="none",
     )
 
 

@@ -32,7 +32,7 @@ or building a new ``Graph`` is always detected.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -221,25 +221,6 @@ def compile_fused_layout(
     partner_p = partner[order].astype(idx_dtype, copy=False)
     weights_p = None if weights is None else np.concatenate((weights, weights))[order]
     return FusedLayout(n, k, rows_per_block, indptr, partner_p, weights_p)
-
-
-def sorted_incidence(
-    src: np.ndarray, dst: np.ndarray, weights: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """The owner-sorted ``(owner, partner, w)`` incidence triple of an edge set.
-
-    The raw-vertex-id counterpart of :func:`compile_fused_layout`, used to
-    build chunked *incidence* sources (``graph.plan(K, chunk_edges=...,
-    layout="sorted")``): each edge appears twice, once per endpoint as
-    owner, and the triple is sorted by owner so every streamed block's
-    scatter targets are monotone.  ``weights=None`` stays ``None`` (unit
-    weights).
-    """
-    owner = np.concatenate((src, dst))
-    partner = np.concatenate((dst, src))
-    order, owner = owner_sort(owner)
-    w2 = None if weights is None else np.concatenate((weights, weights))[order]
-    return owner, partner[order], w2
 
 
 def edge_fingerprint(edges) -> Tuple:
@@ -632,22 +613,21 @@ class EmbedPlan(_PlanOutputs):
 
 
 class ChunkedPlan(_PlanOutputs):
-    """Per-``(source, K)`` compiled artifact for bounded-memory edge passes.
+    """Per-``(source, K)`` artifact for bounded-memory edge passes.
 
-    The out-of-core counterpart of :class:`EmbedPlan`: it compiles the
-    ``u*K``/``v*K`` flat scatter indices *per block* as
-    :meth:`iter_compiled` streams the source — the only full-length
-    allocation a chunk consumer ever makes is the ``(n*K,)`` output buffer
-    the per-block scatter-adds accumulate into (scatter-add is associative,
-    so the block-wise sums equal the one-shot pass exactly, up to
-    floating-point summation order).
+    The out-of-core counterpart of :class:`EmbedPlan`.  It compiles
+    nothing: the chunked pass
+    (:func:`~repro.core.gee_vectorized.gee_vectorized_chunked`) streams the
+    source in stored order and adds each block's known incidences into one
+    ``(n*K,)`` output, the only full-length allocation a chunk consumer
+    makes.  Every other temporary is O(chunk_edges).
 
     ``source`` is a :class:`~repro.graph.io.ChunkedEdgeSource` (memory-mapped
-    on-disk store or a re-blocked in-memory edge list).  ``graph`` is the
-    owning :class:`~repro.graph.facade.Graph` when the plan was compiled via
-    ``graph.plan(K, chunk_edges=...)`` and ``None`` for standalone
-    file-backed sources — chunk consumers must not touch ``graph`` (a
-    file-backed source has no in-memory views to offer).
+    on-disk store, segmented store or a re-blocked in-memory edge list).
+    ``graph`` is the owning :class:`~repro.graph.facade.Graph` when the plan
+    was compiled via ``graph.plan(K, chunk_edges=...)`` and ``None`` for
+    standalone file-backed sources — chunk consumers must not touch
+    ``graph`` (a file-backed source has no in-memory views to offer).
 
     Like :class:`EmbedPlan`, each call's output comes from the plan's output
     ring (see :meth:`zeroed_output`).
@@ -662,7 +642,6 @@ class ChunkedPlan(_PlanOutputs):
         *,
         graph=None,
         fingerprint: Optional[Tuple] = None,
-        layout: str = "none",
     ):
         from ..graph.io import ChunkedEdgeSource
 
@@ -673,28 +652,13 @@ class ChunkedPlan(_PlanOutputs):
         k = int(n_classes)
         if k <= 0:
             raise ValueError("n_classes must be positive")
-        if layout not in LAYOUTS:
-            raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
         self.source = source
         self.graph = graph
         self.n_classes = k
         self.n_vertices = int(source.n_vertices)
-        # A sorted-incidence source holds each directed edge twice (once per
-        # endpoint as owner); n_edges stays the graph's directed edge count
-        # so plans are comparable across layouts (per-edge metrics, the
-        # auto backend's size rule).
-        self.n_edges = (
-            int(source.n_edges) if layout == "none" else int(source.n_edges) // 2
-        )
+        self.n_edges = int(source.n_edges)
         self.chunk_edges = int(source.chunk_edges)
         self.fingerprint = fingerprint
-        #: ``"sorted"`` marks an *incidence* source: the blocks stream
-        #: ``(owner, partner, w)`` triples sorted by owner (each edge
-        #: appears twice), and the chunked kernels run the one-sided
-        #: segment-sum update with a final per-column rescale instead of
-        #: the two-sided edge update.  Built by
-        #: ``graph.plan(K, chunk_edges=..., layout="sorted")``.
-        self.layout = layout
         self._outputs: Optional[OutputRing] = None
 
     # ------------------------------------------------------------------ #
@@ -704,23 +668,6 @@ class ChunkedPlan(_PlanOutputs):
         """Validate a label vector against the compiled ``(n, K)`` (O(n))."""
         y, _ = validate_labels(labels, self.n_vertices, self.n_classes)
         return y
-
-    # ------------------------------------------------------------------ #
-    # Streaming compilation
-    # ------------------------------------------------------------------ #
-    def iter_compiled(
-        self, chunk_lo: int = 0, chunk_hi: Optional[int] = None
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Stream ``(src, dst, w, src*K, dst*K)`` blocks, compiled lazily.
-
-        Each block's flat-index components are O(chunk) temporaries built
-        here and dropped when the consumer moves on — never O(E) arrays.  ``chunk_lo``/``chunk_hi`` restrict the
-        stream to a contiguous chunk-index range (how the parallel backend
-        hands each worker its slab).
-        """
-        k = self.n_classes
-        for src, dst, w in self.source.iter_chunks(chunk_lo, chunk_hi):
-            yield src, dst, w, src * k, dst * k
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -302,9 +302,8 @@ class Graph:
 
         With ``chunk_edges`` (a block length) or ``memory_budget_bytes`` (a
         cap on per-block temporaries) the compiled artifact is instead a
-        :class:`~repro.core.plan.ChunkedPlan`: the edge pass then streams
-        the edges in bounded blocks and compiles each block's scatter
-        indices lazily, never materialising the O(E) flat-index arrays.
+        :class:`~repro.core.plan.ChunkedPlan`: it compiles nothing, and the
+        edge pass streams the edges in stored order in bounded blocks.
         Only backends whose capabilities declare ``supports_chunked``
         accept a chunked plan.
 
@@ -321,9 +320,9 @@ class Graph:
         cached sorted plan), ``"sorted"`` (the locality-optimized fused
         incidence layout, see :class:`~repro.core.plan.FusedLayout`).  Both
         layouts embed bitwise the same.  Each layout is a separate cached
-        plan.
-        Chunked plans support ``"sorted"`` (streamed incidence blocks) for
-        in-memory sources only.
+        plan.  A chunked plan has no layout: ``layout="sorted"`` with
+        ``chunk_edges`` or ``memory_budget_bytes`` raises
+        :class:`ValueError`.
         """
         from ..core.plan import LAYOUTS, EmbedPlan
 
@@ -332,6 +331,14 @@ class Graph:
             layout = "none"
         elif layout not in LAYOUTS:
             raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
+        chunked = chunk_edges is not None or memory_budget_bytes is not None
+        if chunked and layout == "sorted":
+            raise ValueError(
+                "a chunked plan streams the edges in stored order and has no "
+                'sorted layout; use graph.plan(K, layout="sorted"), whose '
+                "kernel already works one L2 row block at a time, or "
+                "graph.plan(K, chunk_edges=...) for bounded temporaries"
+            )
         if fingerprint is not None:
             if fingerprint not in ("sampled", "full"):
                 raise ValueError(
@@ -354,17 +361,15 @@ class Graph:
             baseline = self._view_fingerprint
         if baseline is not None and baseline != fingerprint:
             self.invalidate_cache()
-        chunked = chunk_edges is not None or memory_budget_bytes is not None
         if chunked:
             from .io import ChunkedEdgeSource
 
-            # Resolve the block length for the cache key WITHOUT building
-            # the source: on a hit the (potentially O(E log E)) incidence
-            # sort must never run.
+            # Resolve the block length for the cache key without building
+            # the source.
             resolved_chunk = ChunkedEdgeSource._resolve_chunk_edges(
                 memory_budget_bytes, chunk_edges
             )
-            key = ("chunked", k, resolved_chunk, layout)
+            key = ("chunked", k, resolved_chunk)
         else:
             # The bare-K key keeps the historical default plans (and every
             # pre-layout caller) hitting the same cache slot.
@@ -388,27 +393,10 @@ class Graph:
             if chunked:
                 from ..core.plan import ChunkedPlan
 
-                if layout == "sorted":
-                    from ..core.plan import sorted_incidence
-
-                    edges = self.edges
-                    owner, partner, w2 = sorted_incidence(
-                        edges.src, edges.dst, edges.weights
-                    )
-                    source = ChunkedEdgeSource(
-                        owner,
-                        partner,
-                        w2,
-                        self.n_vertices,
-                        chunk_edges=resolved_chunk,
-                    )
-                else:
-                    source = ChunkedEdgeSource.from_edgelist(
-                        self.edges, chunk_edges=resolved_chunk
-                    )
-                plan = ChunkedPlan(
-                    source, k, graph=self, fingerprint=fingerprint, layout=layout
+                source = ChunkedEdgeSource.from_edgelist(
+                    self.edges, chunk_edges=resolved_chunk
                 )
+                plan = ChunkedPlan(source, k, graph=self, fingerprint=fingerprint)
             else:
                 plan = EmbedPlan(self, k, fingerprint=fingerprint, layout=layout)
         self._plans[key] = plan

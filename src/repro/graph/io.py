@@ -125,9 +125,9 @@ def load_npz(path: PathLike) -> EdgeList:
 # --------------------------------------------------------------------------- #
 
 #: Conservative per-edge working-set estimate for one chunked edge pass, in
-#: bytes: the chunk triple itself (src + dst + weights, 24 B), the two
-#: lazily-compiled flat scatter-index arrays (16 B), the gathered label /
-#: known-mask / contribution temporaries of both edge directions (~66 B),
+#: bytes: the chunk triple itself (src + dst + weights, 24 B) and one
+#: half's temporaries at a time (the gathered labels, the keep index, the
+#: kept owners, labels and weights, and the flat index: at most ~34 B),
 #: rounded up to absorb allocator slack.  ``memory_budget_bytes`` divided by
 #: this is the largest chunk the budget admits.
 CHUNK_BYTES_PER_EDGE = 128
@@ -200,9 +200,10 @@ class ChunkedEdgeSource:
     chunk) or in-memory arrays (:meth:`from_edgelist`) — behind one
     iteration contract: :meth:`iter_chunks` yields consecutive blocks of at
     most :attr:`chunk_edges` edges, each a ``(src, dst, weights)`` triple of
-    ``int64``/``int64``/``float64`` arrays.  Scatter-add is associative, so
-    any consumer that accumulates per-block contributions computes exactly
-    the sums of the one-shot pass.
+    ``int64``/``int64``/``float64`` arrays.  The chunked edge pass
+    (:func:`~repro.core.gee_vectorized.gee_vectorized_chunked`) adds each
+    block's known incidences into one output, so it computes the sums of
+    the one-shot pass (exactly so on unit weights).
 
     The chunk size comes from exactly one of two knobs:
 
@@ -367,27 +368,6 @@ class ChunkedEdgeSource:
         return self._weights is not None
 
     @property
-    def src(self) -> np.ndarray:
-        """The backing source column (an ``np.memmap`` for on-disk stores)."""
-        return self._src
-
-    @property
-    def dst(self) -> np.ndarray:
-        """The backing destination column (an ``np.memmap`` for on-disk stores)."""
-        return self._dst
-
-    @property
-    def weights(self) -> Optional[np.ndarray]:
-        """The backing weight column, or ``None`` for unweighted sources."""
-        return self._weights
-
-    def _column_parts(
-        self,
-    ) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-        """The backing ``(src, dst, weights)`` columns, one triple per part."""
-        return [(self._src, self._dst, self._weights)]
-
-    @property
     def n_chunks(self) -> int:
         """Number of blocks :meth:`iter_chunks` yields."""
         return -(-self.n_edges // self.chunk_edges) if self.n_edges else 0
@@ -410,20 +390,15 @@ class ChunkedEdgeSource:
     # ------------------------------------------------------------------ #
     # Iteration
     # ------------------------------------------------------------------ #
-    def iter_chunks(
-        self, chunk_lo: int = 0, chunk_hi: Optional[int] = None
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def iter_chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Yield ``(src, dst, weights)`` blocks of at most ``chunk_edges`` edges.
 
-        ``chunk_lo``/``chunk_hi`` select a sub-range of chunk indices (used
-        by the parallel backend to hand each worker a contiguous slab).
         Endpoint ids are validated per block — O(chunk) work, never O(E) —
         and unweighted sources materialise a unit-weight block, so consumers
         always see a ``float64`` weight array.
         """
-        bounds = self.chunk_bounds()[chunk_lo:chunk_hi]
         n = self.n_vertices
-        for lo, hi in bounds:
+        for lo, hi in self.chunk_bounds():
             src = np.asarray(self._src[lo:hi], dtype=np.int64)
             dst = np.asarray(self._dst[lo:hi], dtype=np.int64)
             if src.size and (

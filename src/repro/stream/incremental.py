@@ -77,8 +77,8 @@ class IncrementalEmbedding:
         Embedding dimensionality ``K`` (inferred from ``labels`` if omitted).
     backend:
         A backend name or instance whose capabilities declare
-        ``supports_incremental`` (``vectorized``, ``sparse``, ``parallel``).
-        Full refreshes and O(Δ) patches both run through it.
+        ``supports_incremental`` (``vectorized``, ``parallel``, ``auto``,
+        ``sparse``).  Full refreshes and O(Δ) patches both run through it.
     refresh_every:
         Run an exact full re-embed every this many :meth:`update` calls
         (``None`` disables the schedule; churn can still trigger one).
@@ -91,7 +91,8 @@ class IncrementalEmbedding:
         Run full refreshes through the out-of-core chunked path with this
         blocking, streaming from the dynamic graph's segmented store when
         one is attached (the O(Δ) patches are unaffected — they only touch
-        the delta).
+        the delta).  The backend must also declare ``supports_chunked``
+        (``vectorized``, ``parallel``, ``auto``; not ``sparse``).
     """
 
     def __init__(
@@ -127,9 +128,8 @@ class IncrementalEmbedding:
             raise ValueError("refresh_every must be positive (or None)")
         if not 0 < churn_threshold:
             raise ValueError("churn_threshold must be positive")
-        if (chunk_edges is not None or memory_budget_bytes is not None) and not (
-            caps.supports_chunked
-        ):  # pragma: no cover - every incremental backend is also chunk-capable
+        chunked = chunk_edges is not None or memory_budget_bytes is not None
+        if chunked and not caps.supports_chunked:
             raise ValueError(
                 f"backend {type(self._backend).name!r} cannot run chunked refreshes"
             )

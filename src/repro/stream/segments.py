@@ -49,9 +49,10 @@ class SegmentedEdgeStore:
         self.n_vertices = int(n_vertices)
         self.weighted = bool(weighted)
         self._segments = list(segments)
-        #: Index of the next segment written.  Names are never reused, so
-        #: a source still mapping a segment that a rewrite deleted fails to
-        #: reopen it instead of reading another version's edges.
+        #: Index of the next segment written.  Names are never reused, so a
+        #: segment name always denotes one set of edges: whatever reopens a
+        #: segment by name after a rewrite fails instead of reading another
+        #: version's edges.
         self._next_segment = len(self._segments)
 
     # ------------------------------------------------------------------ #
@@ -238,21 +239,6 @@ class SegmentedEdgeSource(ChunkedEdgeSource):
     def is_weighted(self) -> bool:
         return self._weighted
 
-    @property
-    def src(self) -> np.ndarray:
-        raise NotImplementedError(
-            "a SegmentedEdgeSource has no single backing column; iterate "
-            "chunks or materialise with to_edgelist()"
-        )
-
-    dst = src
-    weights = src
-
-    def _column_parts(
-        self,
-    ) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-        return self._parts
-
     def reblocked(
         self,
         *,
@@ -294,10 +280,9 @@ class SegmentedEdgeSource(ChunkedEdgeSource):
             return pieces[0]
         return np.concatenate(pieces)
 
-    def iter_chunks(self, chunk_lo: int = 0, chunk_hi: Optional[int] = None):
-        bounds = self.chunk_bounds()[chunk_lo:chunk_hi]
+    def iter_chunks(self):
         n = self.n_vertices
-        for lo, hi in bounds:
+        for lo, hi in self.chunk_bounds():
             src = self._gather(lo, hi, 0)
             dst = self._gather(lo, hi, 1)
             if src.size and (

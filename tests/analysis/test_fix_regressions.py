@@ -1,8 +1,8 @@
 """Regression tests for the fixes driven by the static-analysis pass.
 
 Each test pins a rewritten code path against the behaviour of the code it
-replaced (an ``np.add.at`` oracle, or the explicit unit-scale array the
-``scales=None`` fast path elides).
+replaced (an ``np.add.at`` oracle, or the scaled pass with an explicit
+unit-scale array, which the raw-sum step elides).
 """
 
 from __future__ import annotations
@@ -10,7 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.gee_vectorized import accumulate_edges_vectorized, scatter_add
+from repro.core.gee_vectorized import (
+    accumulate_edges_vectorized,
+    patch_sums_vectorized,
+    scatter_add,
+)
 from repro.eval.metrics import confusion_matrix
 from repro.graph.edgelist import EdgeList
 from repro.labels.propagation import propagate_labels
@@ -64,9 +68,9 @@ def test_confusion_matrix_matches_pair_counting_oracle():
 
 
 # --------------------------------------------------------------------------- #
-# scales=None fast path
+# the raw-sum step against the scaled pass
 # --------------------------------------------------------------------------- #
-def test_accumulate_edges_scales_none_matches_unit_scales():
+def test_raw_sum_step_matches_unit_scales():
     n, n_classes, m = 25, 4, 200
     src = rng.integers(0, n, size=m).astype(np.int64)
     dst = rng.integers(0, n, size=m).astype(np.int64)
@@ -74,13 +78,14 @@ def test_accumulate_edges_scales_none_matches_unit_scales():
     labels = rng.integers(-1, n_classes, size=n).astype(np.int64)
 
     fast = np.zeros(n * n_classes)
-    accumulate_edges_vectorized(fast, src, dst, weights, labels, None, n_classes)
+    patch_sums_vectorized(fast, src, dst, weights, labels, n_classes)
 
     explicit = np.zeros(n * n_classes)
     accumulate_edges_vectorized(
         explicit, src, dst, weights, labels, np.ones(n), n_classes
     )
-    # Bitwise identical: the old path multiplied every weight by exactly 1.0.
+    # Bitwise identical: the scaled pass multiplies every weight by exactly
+    # 1.0 and adds in the same order.
     np.testing.assert_array_equal(fast, explicit)
 
 
@@ -95,7 +100,7 @@ def test_accumulate_edges_nonunit_scales_still_applied():
     scaled = np.zeros(n * n_classes)
     accumulate_edges_vectorized(scaled, src, dst, weights, labels, scales, n_classes)
     unit = np.zeros(n * n_classes)
-    accumulate_edges_vectorized(unit, src, dst, weights, labels, None, n_classes)
+    patch_sums_vectorized(unit, src, dst, weights, labels, n_classes)
     assert not np.allclose(scaled, unit)
 
 

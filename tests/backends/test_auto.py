@@ -2,7 +2,7 @@
 
 ``choose`` runs ``parallel`` on the sorted layout for large in-memory
 plans when the fork pool has at least two workers, and ``vectorized``
-otherwise; a standalone chunked source keeps its stored layout.  Every
+otherwise; a chunked plan runs as given on ``vectorized``.  Every
 choice names a registered backend and a layout that runs the plan, and
 ``auto``'s embedding is bitwise what that delegate returns.
 """
@@ -51,6 +51,7 @@ def _standalone_chunked(edges):
 
 SERIAL = ExecutionChoice("vectorized", "sorted")
 POOLED = ExecutionChoice("parallel", "sorted", 2)
+CHUNKED = ExecutionChoice("vectorized", "none")
 
 #: (plan builder, n_workers, CPU count, edges below the threshold, fork
 #: available, expected choice) — one row per branch of the rule.
@@ -59,10 +60,8 @@ DECISIONS = {
     "at-threshold": (_in_memory, 2, 2, False, True, POOLED),
     "one-worker": (_in_memory, 1, 2, False, True, SERIAL),
     "no-fork": (_in_memory, 2, 2, False, False, SERIAL),
-    "chunked": (_chunked, 2, 2, False, True, SERIAL),
-    "pinned-none": (
-        _standalone_chunked, 2, 2, False, True, ExecutionChoice("vectorized", "none"),
-    ),
+    "chunked": (_chunked, 2, 2, False, True, CHUNKED),
+    "pinned-none": (_standalone_chunked, 2, 2, False, True, CHUNKED),
     "default-workers": (_in_memory, None, 2, False, True, POOLED),
     "one-cpu": (_in_memory, None, 1, False, True, SERIAL),
     "workers-capped-by-cpus": (_in_memory, 4, 2, False, True, POOLED),
@@ -98,12 +97,8 @@ class TestChoose:
         assert choice.backend in list_backends() and choice.layout in LAYOUTS
 
         target = plan
-        if choice.layout != plan.layout:
-            target = plan.graph.plan(
-                K,
-                chunk_edges=plan.chunk_edges if plan.is_chunked else None,
-                layout=choice.layout,
-            )
+        if not plan.is_chunked and choice.layout != plan.layout:
+            target = plan.graph.plan(K, layout=choice.layout)
         delegate = get_backend(choice.backend, n_workers=choice.n_workers)
         ran = delegate.embed_with_plan(target, y)
         assert ran.layout == choice.layout
@@ -151,7 +146,9 @@ class TestChoose:
             n_classes=k,
         )
         choice = choose(plan, 1 if mode == "serial" else 2)
-        if mode == "pooled" and n_edges >= auto_module.POOLED_MIN_EDGES:
+        if mode == "chunked":
+            assert choice == CHUNKED
+        elif mode == "pooled" and n_edges >= auto_module.POOLED_MIN_EDGES:
             assert choice == POOLED
         else:
             assert choice == SERIAL
@@ -199,14 +196,12 @@ def _case_labels(n, labelling):
 BRANCHES = {
     "serial": (lambda edges: Graph.coerce(edges).plan(K), SERIAL),
     "pooled": (lambda edges: Graph.coerce(edges).plan(K), POOLED),
-    "chunked": (
-        lambda edges: Graph.coerce(edges).plan(K, chunk_edges=7), SERIAL,
-    ),
+    "chunked": (lambda edges: Graph.coerce(edges).plan(K, chunk_edges=7), CHUNKED),
     "standalone-chunked": (
         lambda edges: ChunkedPlan(
             ChunkedEdgeSource.from_edgelist(edges, chunk_edges=7), K
         ),
-        ExecutionChoice("vectorized", "none"),
+        CHUNKED,
     ),
 }
 BRANCH_IDS = [
@@ -239,12 +234,8 @@ class TestDelegation:
         assert result.layout == expected.layout
 
         target = plan
-        if expected.layout != plan.layout:
-            target = plan.graph.plan(
-                K,
-                chunk_edges=plan.chunk_edges if plan.is_chunked else None,
-                layout=expected.layout,
-            )
+        if not plan.is_chunked and expected.layout != plan.layout:
+            target = plan.graph.plan(K, layout=expected.layout)
         delegate = get_backend(expected.backend, n_workers=expected.n_workers)
         ran = delegate.embed_with_plan(target, y)
         assert np.array_equal(result.embedding, ran.embedding)

@@ -208,10 +208,10 @@ def test_aliases_resolve_to_registered_backends():
 
 
 def test_chunk_capable_backends_cover_the_engine():
-    # The out-of-core engine's contract: at least the vectorized, sparse
-    # and parallel execution strategies run it.
+    # The out-of-core engine's contract: at least the vectorized and
+    # parallel execution strategies run it.
     capable = {n for n in list_backends() if backend_capabilities(n).supports_chunked}
-    assert {"vectorized", "sparse", "parallel"} <= capable
+    assert {"vectorized", "parallel"} <= capable
 
 
 def test_incremental_capable_backends_cover_the_engine():

@@ -134,17 +134,20 @@ class TestConstructionValidation:
         with pytest.raises(TypeError, match="unsupported option"):
             get_backend("python", chunk_edges=128)
         with pytest.raises(TypeError, match="unsupported option"):
+            get_backend("vectorized", chunk_edges=64)
+        with pytest.raises(TypeError, match="unsupported option"):
             get_backend("parallel", atomic=False)
 
     def test_supported_options_accepted(self):
-        assert get_backend("vectorized", chunk_edges=64).chunk_edges == 64
+        assert get_backend("ligra-serial", atomic=False).atomic is False
+        assert get_backend("ligra-vectorized").atomic is True
         assert get_backend("ligra-threads", n_workers=2, atomic=False).atomic is False
 
     def test_instance_passthrough(self):
-        backend = get_backend("vectorized")
+        backend = get_backend("ligra-serial")
         assert get_backend(backend) is backend
         with pytest.raises(TypeError, match="already-constructed"):
-            get_backend(backend, chunk_edges=8)
+            get_backend(backend, atomic=False)
 
 
 class TestBackendEquivalence:

@@ -2,11 +2,10 @@
 
 Two invariants that parametrised example tests cover thinly:
 
-* ``scatter_add``'s dense (whole-output ``bincount``) and sparse
-  (``np.unique`` + compacted ``bincount``) strategies must agree with the
-  ``np.add.at`` oracle — and with each other — on *any* index/weight
-  profile, since the fill-ratio threshold that picks between them is a
-  perf tunable, never a semantics switch;
+* ``scatter_add``, the scatter primitive behind every unsorted embed and
+  patch, must equal a Python-loop oracle bit for bit on *any*
+  index/weight profile: heavy duplication, an empty input, and a scalar
+  weight;
 * a cached :class:`~repro.core.plan.EmbedPlan` must be evicted when the
   underlying edge data is mutated in place (the sampled fingerprint covers
   every edge on graphs with ≤ 32 edges, so detection there is exact, not
@@ -21,11 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import importlib
-
-# Bind the *module* (the package __init__ re-exports a function of the same
-# name, which shadows the submodule as a package attribute).
-gv = importlib.import_module("repro.core.gee_vectorized")
+from repro.core.gee_vectorized import scatter_add
 from repro.core.plan import _FINGERPRINT_SAMPLES
 from repro.graph.edgelist import EdgeList
 from repro.graph.facade import Graph
@@ -33,57 +28,26 @@ from repro.graph.facade import Graph
 N_CASES = 200
 
 
-def _force_scatter(monkeypatch, out, idx, w, threshold):
-    """Run scatter_add with the strategy threshold pinned."""
-    monkeypatch.setattr(gv, "_SPARSE_THRESHOLD", threshold)
-    gv.scatter_add(out, idx, w)
-    return out
-
-
-def test_scatter_add_paths_agree(monkeypatch):
+def test_scatter_add_matches_loop_oracle():
+    """Duplicates sum in index order, exactly as the interpreted loop."""
     rng = np.random.default_rng(20260728)
     for case in range(N_CASES):
         size = int(rng.integers(1, 400))
-        m = int(rng.integers(0, 600))
-        idx = rng.integers(0, size, size=m).astype(np.int64)
+        m = 0 if case == 0 else int(rng.integers(0, 600))
+        idx = rng.integers(0, size, size=m).astype(np.intp)
         if m and rng.random() < 0.3:
             # Heavy duplication: all updates into very few slots.
             idx = idx % max(1, size // 10)
-        w = rng.normal(size=m)
+        scalar = rng.random() < 0.2
+        w = 1.0 if scalar else rng.normal(size=m)
         base = rng.normal(size=size)
 
+        out = base.copy()
+        scatter_add(out, idx, w)
         oracle = base.copy()
-        np.add.at(oracle, idx, w)
-        # threshold 0 -> m >= 0 is always true -> dense; huge -> sparse.
-        dense = _force_scatter(monkeypatch, base.copy(), idx, w, 0.0)
-        sparse = _force_scatter(monkeypatch, base.copy(), idx, w, float("inf"))
-
-        np.testing.assert_allclose(dense, oracle, atol=1e-10, err_msg=f"case {case}")
-        np.testing.assert_allclose(sparse, oracle, atol=1e-10, err_msg=f"case {case}")
-        np.testing.assert_allclose(dense, sparse, atol=1e-10, err_msg=f"case {case}")
-
-
-def test_scatter_add_strategies_match_in_kernels(monkeypatch):
-    """Whole-kernel check: the embedding is threshold-independent."""
-    rng = np.random.default_rng(7)
-    for case in range(40):
-        n = int(rng.integers(2, 40))
-        s = int(rng.integers(1, 80))
-        edges = EdgeList(
-            rng.integers(0, n, size=s),
-            rng.integers(0, n, size=s),
-            rng.uniform(0.1, 2.0, size=s),
-            n,
-        )
-        k = int(rng.integers(1, 5))
-        y = rng.integers(-1, k, size=n).astype(np.int64)
-        if np.all(y == -1):
-            y[0] = 0
-        monkeypatch.setattr(gv, "_SPARSE_THRESHOLD", 0.0)
-        dense = gv.gee_vectorized(edges, y, k).embedding.copy()
-        monkeypatch.setattr(gv, "_SPARSE_THRESHOLD", float("inf"))
-        sparse = gv.gee_vectorized(edges, y, k).embedding
-        np.testing.assert_allclose(dense, sparse, atol=1e-10, err_msg=f"case {case}")
+        for i, slot in enumerate(idx):
+            oracle[slot] += w if scalar else w[i]
+        np.testing.assert_array_equal(out, oracle, err_msg=f"case {case}")
 
 
 def _random_small_graph(rng):

@@ -25,7 +25,6 @@ from repro.core import gee_python
 from repro.core.gee_vectorized import accumulate_fused_rows_sorted, class_rescale
 from repro.core.plan import (
     LAYOUTS,
-    ChunkedPlan,
     EmbedPlan,
     choose_index_dtype,
     choose_label_dtype,
@@ -142,33 +141,17 @@ class TestPermutationInvariance:
         assert result.n_workers == workers
         assert np.array_equal(result.embedding, sorted_pass)
 
-    @pytest.mark.parametrize("chunk_edges", [1, 17, 10_000])
-    def test_chunked_sorted_incidence(self, chunk_edges):
-        edges, y = _case("weighted", "partial")
-        reference = gee_python(edges, y, K).embedding
-        graph = Graph.coerce(edges)
-        plan = graph.plan(K, chunk_edges=chunk_edges, layout="sorted")
-        assert isinstance(plan, ChunkedPlan) and plan.layout == "sorted"
-        for backend_name in ("vectorized", "parallel"):
-            result = get_backend(backend_name).embed_with_plan(plan, y)
-            np.testing.assert_allclose(result.embedding, reference, atol=ATOL)
-
-    def test_sparse_rejects_sorted_incidence_chunked_plan(self):
-        """The two-sided A+Aᵀ matmul would double-count incidence blocks
-        (each edge appears twice) — the sparse backend must refuse, not
-        silently return a wrong embedding."""
-        edges, y = _case("weighted", "partial")
-        plan = Graph.coerce(edges).plan(K, chunk_edges=32, layout="sorted")
-        with pytest.raises(ValueError, match="sorted-incidence"):
-            get_backend("sparse").embed_with_plan(plan, y)
-
-    def test_chunked_incidence_plan_reports_true_edge_count(self):
+    @pytest.mark.parametrize("budget", [{"chunk_edges": 17}, {"memory_budget_bytes": 4096}])
+    def test_chunked_plan_has_no_sorted_layout(self, budget):
+        """A chunked plan streams in stored order: asking for the sorted
+        layout raises and names both alternatives."""
         edges, _ = _case("weighted", "partial")
-        g = Graph.coerce(edges)
-        plain = g.plan(K, chunk_edges=32)
-        incidence = g.plan(K, chunk_edges=32, layout="sorted")
-        assert incidence.n_edges == plain.n_edges == edges.n_edges
-        assert incidence.source.n_edges == 2 * edges.n_edges
+        graph = Graph.coerce(edges)
+        with pytest.raises(ValueError) as info:
+            graph.plan(K, layout="sorted", **budget)
+        assert 'graph.plan(K, layout="sorted")' in str(info.value)
+        assert "graph.plan(K, chunk_edges=...)" in str(info.value)
+        assert graph.plan(K, **budget).is_chunked
 
     @pytest.mark.parametrize("k", [1, 3, 50, 130])
     @pytest.mark.parametrize("labelled", ["full", "partial", "none"])

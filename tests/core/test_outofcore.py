@@ -1,10 +1,12 @@
 """Out-of-core chunked execution: correctness, memory bounds, wiring.
 
-The acceptance bar for the chunked engine:
+The acceptance bar for the one chunked pass:
 
-* chunked embedding equals the in-memory embedding to 1e-12 for chunk
-  sizes {1, E//7, E}, on every chunk-capable backend, for both in-memory
-  and file-backed (memory-mapped) sources;
+* a unit-weight chunked embedding is bitwise the default plan's at every
+  chunk size, on every chunk-capable backend, for in-memory, file-backed
+  (memory-mapped) and segmented sources, fully, partly and not labelled;
+* a weighted one is bitwise with one chunk and within 1e-12 with more;
+* ``parallel`` runs it serially: one worker, no pool, no shared memory;
 * the edge pass's peak temporary allocation is bounded by the caller's
   memory budget (asserted with tracemalloc against a warm plan, so the
   vertex-side output buffer is excluded);
@@ -16,7 +18,10 @@ The acceptance bar for the chunked engine:
 
 from __future__ import annotations
 
+import importlib
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +32,12 @@ from repro.core.plan import ChunkedPlan, EmbedPlan
 from repro.core.refinement import gee_unsupervised
 from repro.graph import erdos_renyi
 from repro.graph.facade import Graph
+from repro.graph.edgelist import EdgeList
 from repro.graph.io import CHUNK_BYTES_PER_EDGE, ChunkedEdgeSource, save_chunked
 from repro.labels import random_partial_labels
+from repro.stream import SegmentedEdgeStore
+
+parallel_module = importlib.import_module("repro.core.gee_parallel")
 
 CHUNKED_BACKENDS = sorted(
     name for name in list_backends() if backend_capabilities(name).supports_chunked
@@ -53,7 +62,7 @@ def store(case, tmp_path_factory):
 
 
 def test_chunked_backend_set_is_declared():
-    assert CHUNKED_BACKENDS == ["auto", "parallel", "sparse", "vectorized"]
+    assert CHUNKED_BACKENDS == ["auto", "parallel", "vectorized"]
 
 
 # --------------------------------------------------------------------------- #
@@ -73,6 +82,64 @@ def test_chunked_equals_in_memory(case, backend_name):
             chunked, baseline, atol=1e-12, rtol=1e-12,
             err_msg=f"{backend_name} chunk_edges={chunk_edges}",
         )
+        if chunk_edges == E:
+            # One weighted chunk sums every slot in the default plan's order.
+            assert np.array_equal(chunked, baseline), backend_name
+
+
+def _unit_case():
+    rng = np.random.default_rng(5)
+    n = 60
+    edges = EdgeList(rng.integers(0, n, 400), rng.integers(0, n, 400), n_vertices=n)
+    y = rng.integers(0, K, n)
+    return edges, y
+
+
+def _unit_sources(edges, kind, chunk_edges, tmp_path):
+    """Chunked plans over the same edges: in memory, on disk, segmented."""
+    if kind == "in-memory":
+        return Graph.coerce(edges).plan(K, chunk_edges=chunk_edges)
+    if kind == "file":
+        store = save_chunked(edges, tmp_path / f"store-{chunk_edges}")
+        return ChunkedPlan(ChunkedEdgeSource.open(store, chunk_edges=chunk_edges), K)
+    half = edges.n_edges // 2
+    store = SegmentedEdgeStore.create(
+        tmp_path / f"segments-{chunk_edges}",
+        EdgeList(edges.src[:half], edges.dst[:half], n_vertices=edges.n_vertices),
+    )
+    store.append(
+        EdgeList(edges.src[half:], edges.dst[half:], n_vertices=edges.n_vertices)
+    )
+    return ChunkedPlan(store.source(chunk_edges=chunk_edges), K)
+
+
+@pytest.mark.parametrize("labelled", ["full", "partial", "none"])
+@pytest.mark.parametrize("kind", ["in-memory", "file", "segmented"])
+@pytest.mark.parametrize("backend_name", CHUNKED_BACKENDS)
+def test_unit_weight_chunks_equal_default_plan_bitwise(
+    backend_name, kind, labelled, tmp_path
+):
+    """Unit weights sum exact integers, so any chunking of any source kind
+    embeds bitwise the default plan."""
+    edges, y = _unit_case()
+    if labelled == "partial":
+        y = np.where(np.arange(y.size) % 3 == 0, -1, y)
+    elif labelled == "none":
+        y = np.full(y.size, -1)
+    default = (
+        get_backend("vectorized")
+        .embed_with_plan(Graph.coerce(edges).plan(K), y)
+        .detached()
+        .embedding
+    )
+    n_workers = 2 if backend_capabilities(backend_name).supports_n_workers else None
+    backend = get_backend(backend_name, n_workers=n_workers)
+    E = edges.n_edges
+    for chunk_edges in (1, 7, E // 7, E):
+        plan = _unit_sources(edges, kind, chunk_edges, tmp_path)
+        result = backend.embed_with_plan(plan, y)
+        assert result.n_workers == 1 and result.layout == "none"
+        assert np.array_equal(result.embedding, default), (backend_name, chunk_edges)
 
 
 @pytest.mark.parametrize("backend_name", CHUNKED_BACKENDS)
@@ -90,18 +157,29 @@ def test_parallel_chunked_multi_worker_matches(case, store):
     np.testing.assert_allclose(result.embedding, reference, atol=1e-10)
 
 
-def test_parallel_chunked_reports_actual_worker_count(case):
-    # Concurrency is structurally capped at one worker per chunk; the
-    # result must report the slab count that ran, not the nominal request.
-    edges, labels, _, _ = case
-    two_chunks = ChunkedEdgeSource.from_edgelist(
-        edges, chunk_edges=-(-edges.n_edges // 2)
-    )
-    result = get_backend("parallel", n_workers=4).embed(two_chunks, labels, K)
-    assert result.n_workers == 2
-    one_chunk = ChunkedEdgeSource.from_edgelist(edges, chunk_edges=edges.n_edges)
-    result = get_backend("parallel", n_workers=4).embed(one_chunk, labels, K)
-    assert result.n_workers == 1
+def _shm_segments():
+    shm = Path("/dev/shm")
+    if not shm.is_dir():  # pragma: no cover - platforms without /dev/shm
+        return set()
+    return {name for name in os.listdir(shm) if name.startswith("psm_")}
+
+
+def test_parallel_chunked_runs_the_serial_pass(case, store):
+    """``parallel`` runs a chunked plan with the one serial pass: it reports
+    one worker, starts no pool and leaves no shared-memory segment."""
+    edges, labels, _, reference = case
+    parallel_module.shutdown_workers()
+    before = _shm_segments()
+    backend = get_backend("parallel", n_workers=4)
+    for source in (
+        ChunkedEdgeSource.from_edgelist(edges, chunk_edges=-(-edges.n_edges // 2)),
+        ChunkedEdgeSource.open(store, chunk_edges=500),
+    ):
+        result = backend.embed(source, labels, K)
+        assert result.n_workers == 1
+        np.testing.assert_allclose(result.embedding, reference, atol=1e-10)
+    assert parallel_module._POOL is None
+    assert _shm_segments() - before == set()
 
 
 def test_unlabelled_vertices_and_unweighted_store(tmp_path):
@@ -135,7 +213,7 @@ def test_budget_resolves_chunk_size_and_bounds_blocks():
     assert total == edges.n_edges
 
 
-@pytest.mark.parametrize("backend_name", ["vectorized", "sparse"])
+@pytest.mark.parametrize("backend_name", ["vectorized", "parallel"])
 def test_peak_allocation_bounded_by_budget(backend_name):
     # A graph whose one-shot edge-pass temporaries far exceed the budget.
     edges = erdos_renyi(400, 60000, seed=3, weighted=True)
@@ -162,10 +240,11 @@ def test_peak_allocation_bounded_by_budget(backend_name):
     finally:
         tracemalloc.stop()
 
-    # The chunked pass stays inside the budget; the full scatter pass (the
-    # thing the budget protects against) does not.  The sparse backend's
-    # full pass is a CSR matmul with no O(E) temporaries, so the contrast
-    # assertion only applies to the scatter formulation.
+    # The chunked pass stays inside the budget; the default plan's full
+    # pass (the thing the budget protects against) does not.  ``parallel``
+    # runs a default plan on the sorted layout, whose temporaries are
+    # L2-sized blocks, so the contrast assertion only applies to the
+    # default plan's pass.
     assert peak_chunked <= budget, (peak_chunked, budget)
     if backend_name == "vectorized":
         assert peak_full > budget, (peak_full, budget)
@@ -227,7 +306,7 @@ def test_estimator_fit_chunk_edges(case, store):
     np.testing.assert_allclose(model.embedding_, reference, atol=1e-10)
     # File-backed source straight into fit, re-blocked by the fit kwarg.
     source = ChunkedEdgeSource.open(store)
-    model2 = GraphEncoderEmbedding(K, method="sparse").fit(
+    model2 = GraphEncoderEmbedding(K, method="parallel").fit(
         source, labels, chunk_edges=611
     )
     np.testing.assert_allclose(model2.embedding_, reference, atol=1e-10)

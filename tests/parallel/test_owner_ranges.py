@@ -9,8 +9,8 @@ reproduce the serial sorted pass bit for bit — on the conformance edge
 cases (rows no incidence reaches, self loops, duplicate edges, more ranges
 than busy rows), with narrow and wide shared label segments.  A pooled
 workspace reused with other labels keeps no rows of the previous embed,
-the chunked sorted plan and the file-backed chunked sources stream to the
-reference, and the O(Δ) patch kernel composes exactly.
+segmented-store sources stream to the reference, and the backend's O(Δ)
+patch composes exactly.
 """
 
 import gc
@@ -24,12 +24,7 @@ import pytest
 from repro import GraphEncoderEmbedding
 from repro.backends import get_backend, list_backends
 from repro.core import gee_parallel, gee_python, gee_vectorized
-from repro.core.gee_parallel import (
-    _FUSED_CACHE,
-    patch_sums_parallel,
-    run_owner_ranges,
-    shutdown_workers,
-)
+from repro.core.gee_parallel import _FUSED_CACHE, run_owner_ranges, shutdown_workers
 from repro.core.validation import class_counts, inverse_class_counts
 from repro.graph import EdgeList, Graph, erdos_renyi
 from repro.labels import random_partial_labels
@@ -171,22 +166,6 @@ class TestPooledWorkspace:
         assert np.array_equal(kept, ref)
 
 
-class TestChunkedSortedPlan:
-    @pytest.mark.parametrize("chunk_edges", [1, 7, 1000])
-    @pytest.mark.parametrize("case", CASES)
-    def test_streams_to_the_reference(self, case, chunk_edges):
-        """The sorted chunked plan, serial and over two workers."""
-        edges = _edges(case)
-        y = _labels(edges.n_vertices, "partial")
-        plan = Graph.coerce(edges).plan(K, chunk_edges=chunk_edges, layout="sorted")
-        ref = gee_python(edges, y, K).embedding
-        serial = get_backend("vectorized").embed_with_plan(plan, y)
-        np.testing.assert_allclose(serial.embedding, ref, atol=ATOL)
-        if fork_available():
-            pooled = get_backend("parallel", n_workers=2).embed_with_plan(plan, y)
-            np.testing.assert_allclose(pooled.embedding, ref, atol=ATOL)
-
-
 class TestExactness:
     def test_repeated_embeds_are_identical(self, skewed_graph):
         y = random_partial_labels(skewed_graph.n_vertices, 6, 0.4, seed=3)
@@ -303,41 +282,30 @@ def _dense_patch(S, src, dst, delta, labels):
 class TestIncrementalPatches:
     @pytest.mark.parametrize("n_workers", [1, 2, 7])
     def test_patch_stream_matches_dense_reference(self, n_workers):
-        """Signed inserts, weight bumps and deletions compose exactly; the
-        large batch takes the threaded gather."""
+        """Signed inserts, weight bumps and deletions compose exactly,
+        small batches and large."""
         rng = np.random.default_rng(n_workers)
         n, k = 26, 4
         labels = rng.integers(-1, k, size=n).astype(np.int64)
         S_flat = np.zeros(n * k)
         expected = np.zeros((n, k))
+        backend = get_backend("parallel", n_workers=n_workers)
         for batch in (1, 5, 11, 5000, 3):
             src = rng.integers(0, n, size=batch).astype(np.int64)
             dst = rng.integers(0, n, size=batch).astype(np.int64)
             delta = rng.uniform(-1.0, 1.5, size=batch)
-            patch_sums_parallel(S_flat, src, dst, delta, labels, k, n_workers=n_workers)
+            backend.patch_sums(S_flat, src, dst, delta, labels, k)
             _dense_patch(expected, src, dst, delta, labels)
             np.testing.assert_allclose(
                 S_flat.reshape(n, k), expected, atol=ATOL, rtol=0
             )
 
-    def test_threaded_patch_equals_inline(self):
-        n, k = 300, 5
-        rng = np.random.default_rng(1)
-        y = random_partial_labels(n, k, 0.7, seed=1)
-        m = 20_000  # above the thread threshold
-        src = rng.integers(0, n, m)
-        dst = rng.integers(0, n, m)
-        dw = rng.uniform(-1.0, 1.0, m)
-        threaded = np.zeros(n * k)
-        inline = np.zeros(n * k)
-        patch_sums_parallel(threaded, src, dst, dw, y, k, n_workers=4)
-        patch_sums_parallel(inline, src, dst, dw, y, k, n_workers=1)
-        np.testing.assert_allclose(threaded, inline, atol=ATOL)
-
     def test_empty_delta_is_noop(self):
         S = np.ones(12)
         empty = np.empty(0, np.int64)
-        patch_sums_parallel(S, empty, empty, np.empty(0), np.array([0, 1, 2]), 4)
+        get_backend("parallel", n_workers=2).patch_sums(
+            S, empty, empty, np.empty(0), np.array([0, 1, 2]), 4
+        )
         assert np.all(S == 1.0)
 
     @pytest.mark.parametrize("n_workers", [1, 2, 7])
@@ -417,9 +385,9 @@ def test_private_facades_release_their_layout(kind, entry):
 
 
 class TestSegmentedStoreSources:
-    """Pooled chunked workers map exactly the segments the caller's source
-    maps: a segmented store's path is its root, which a later commit may
-    have rewritten."""
+    """``parallel``'s chunked pass reads exactly the segments the caller's
+    source maps: a segmented store's path is its root, which a later commit
+    may have rewritten."""
 
     @staticmethod
     def _graph():
@@ -473,20 +441,16 @@ class TestSegmentedStoreSources:
 
     @fork_only
     def test_a_source_held_across_a_rewrite_never_mixes_versions(self, tmp_path):
-        """A source opened before a removal commit either raises or embeds
-        its own version — never the store's new one."""
+        """A source opened before a removal commit embeds its own version,
+        never the store's new one."""
         edges, y = self._graph()
         dyn = DynamicGraph(edges, store=tmp_path / "store")
         held = dyn.chunked_source(chunk_edges=500)
         dyn.remove_edges(edges.src[:300], edges.dst[:300])
         dyn.commit()
         model = GraphEncoderEmbedding(method="parallel", n_workers=2)
-        try:
-            Z = model.fit(held, y).embedding_
-        except RuntimeError as exc:
-            assert "FileNotFoundError" in str(exc)
-        else:
-            np.testing.assert_allclose(Z, gee_python(edges, y, 4).embedding, atol=ATOL)
+        Z = model.fit(held, y).embedding_
+        np.testing.assert_allclose(Z, gee_python(edges, y, 4).embedding, atol=ATOL)
 
     def test_segment_names_are_never_reused(self, tmp_path):
         edges, _ = self._graph()

@@ -53,6 +53,17 @@ def test_non_incremental_backend_rejects_patch():
                              n_classes=2, backend="python")
 
 
+def test_chunked_refreshes_need_a_chunk_capable_backend():
+    """``sparse`` patches but has no chunked pass: asking it for chunked
+    refreshes raises and names the backend."""
+    edges = erdos_renyi(30, 80, seed=0)
+    y = np.arange(30) % 3
+    with pytest.raises(ValueError, match="'sparse' cannot run chunked refreshes"):
+        IncrementalEmbedding(DynamicGraph(edges), y, backend="sparse", chunk_edges=64)
+    inc = IncrementalEmbedding(DynamicGraph(edges), y, backend="sparse")
+    assert inc.n_refreshes == 1
+
+
 def test_requires_dynamic_graph():
     with pytest.raises(TypeError, match="DynamicGraph"):
         IncrementalEmbedding(erdos_renyi(5, 5, seed=0), np.zeros(5, dtype=np.int64),
