@@ -17,7 +17,7 @@ re-fit to 1e-10 at every checked version (``--check-every 1``, the
 default, checks all of them).  The emitted ``BENCH_stream.json`` records
 both timings and their ratio; the CI gate
 (``check_regression.py --speedup incremental-update:refit``) fails if the
-speedup drops below 5×.
+speedup drops below 3×.
 
 Run directly::
 

@@ -53,7 +53,7 @@ def main() -> None:
     labels = scenario.labels
 
     # 2. The live pipeline: versioned graph + incrementally-maintained
-    #    embedding (any backend declaring supports_incremental works).
+    #    embedding (refreshes run on any registered backend).
     dyn = DynamicGraph(scenario.initial)
     inc = IncrementalEmbedding(dyn, labels, n_classes=K, backend="vectorized")
     print(f"v0: {dyn!r}")

@@ -3,14 +3,13 @@
 The backend registry (:mod:`repro.backends.registry`) routes work by
 *declared* :class:`BackendCapabilities`; a flag that lies is worse than a
 missing feature because the dispatch layer will happily send a chunked
-plan or an O(Δ) patch to a backend whose "implementation" is the base
-class's ``NotImplementedError`` guard — at fit time, deep inside a run.
+plan to a backend whose "implementation" is the base class's
+``NotImplementedError`` guard — at fit time, deep inside a run.
 
 This project-scoped rule imports the live registry and cross-checks every
 registered backend class against what it actually implements:
 
 * ``supports_chunked``  ⇔ overrides ``_embed_with_chunked_plan``
-* ``supports_incremental`` ⇔ overrides ``_patch_sums``
 * ``supports_layout``  ⇒ overrides ``_embed_with_plan`` (a backend that
   claims the locality-optimized kernels but falls back to the base
   ``_embed`` path silently ignores the layout it advertised)
@@ -35,7 +34,6 @@ __all__ = ["CapabilityContractRule", "check_capability_contract"]
 #: capability flag -> method a truthful declaration must override.
 _IFF_OVERRIDES: Tuple[Tuple[str, str], ...] = (
     ("supports_chunked", "_embed_with_chunked_plan"),
-    ("supports_incremental", "_patch_sums"),
 )
 _IMPLIES_OVERRIDES: Tuple[Tuple[str, str], ...] = (
     ("supports_layout", "_embed_with_plan"),

@@ -26,7 +26,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.gee_vectorized import patch_sums_vectorized
 from ..graph.facade import Graph
 from ..parallel.pool import effective_worker_count, fork_available
 from .registry import BackendCapabilities, GEEBackend, get_backend, register_backend
@@ -84,7 +83,6 @@ def choose(plan, n_workers: Optional[int] = None) -> ExecutionChoice:
         parallel=True,
         deterministic=True,
         supports_chunked=True,
-        supports_incremental=True,
         supports_layout=True,
         description="size rule: the sorted pass, pooled for large in-memory graphs",
     ),
@@ -94,7 +92,7 @@ class AutoGEEBackend(GEEBackend):
 
     ``n_workers`` caps the pooled run (default: the machine's CPU count).
     Capabilities are the union of the delegates': chunked plans run on
-    ``vectorized``, incremental patches on the vectorised patch kernel.
+    ``vectorized``.
     """
 
     def __init__(self, *, n_workers: Optional[int] = None, **options) -> None:
@@ -143,9 +141,3 @@ class AutoGEEBackend(GEEBackend):
         return result
 
     _embed_with_chunked_plan = _embed_with_plan
-
-    # ------------------------------------------------------------------ #
-    # Incremental protocol
-    # ------------------------------------------------------------------ #
-    def _patch_sums(self, S_flat, src, dst, delta_w, labels, n_classes):
-        patch_sums_vectorized(S_flat, src, dst, delta_w, labels, n_classes)

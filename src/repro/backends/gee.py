@@ -37,12 +37,11 @@ import numpy as np
 from ..core.gee_ligra import gee_ligra, gee_ligra_with_plan
 from ..core.gee_parallel import gee_parallel, gee_parallel_with_plan
 from ..core.gee_python import gee_python, gee_python_with_plan
-from ..core.gee_sparse import gee_sparse, gee_sparse_with_plan, patch_sums_sparse
+from ..core.gee_sparse import gee_sparse, gee_sparse_with_plan
 from ..core.gee_vectorized import (
     gee_vectorized,
     gee_vectorized_chunked,
     gee_vectorized_with_plan,
-    patch_sums_vectorized,
 )
 from ..graph.facade import Graph
 from .registry import BackendCapabilities, GEEBackend, register_backend
@@ -79,16 +78,12 @@ class PythonLoopBackend(GEEBackend):
     "vectorized",
     capabilities=BackendCapabilities(
         supports_chunked=True,
-        supports_incremental=True,
         supports_layout=True,
         description="single-core NumPy scatter-add edge pass (compiled-serial stand-in)",
     ),
 )
 class VectorizedGEEBackend(GEEBackend):
     """Fully vectorised single-core edge pass (the Numba-serial stand-in)."""
-
-    def _patch_sums(self, S_flat, src, dst, delta_w, labels, n_classes):
-        patch_sums_vectorized(S_flat, src, dst, delta_w, labels, n_classes)
 
     def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):
         return gee_vectorized(graph.edges, labels, n_classes)
@@ -103,7 +98,6 @@ class VectorizedGEEBackend(GEEBackend):
 @register_backend(
     "sparse",
     capabilities=BackendCapabilities(
-        supports_incremental=True,
         description="scipy.sparse CSR matmul (A + A^T)W — C-speed serial reference",
     ),
 )
@@ -120,9 +114,6 @@ class SparseMatmulGEEBackend(GEEBackend):
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
         return gee_sparse_with_plan(plan, labels)
-
-    def _patch_sums(self, S_flat, src, dst, delta_w, labels, n_classes):
-        patch_sums_sparse(S_flat, src, dst, delta_w, labels, n_classes)
 
 
 class _LigraGEEBackend(GEEBackend):
@@ -212,7 +203,6 @@ class LigraProcessesGEEBackend(_LigraGEEBackend):
         parallel=True,
         deterministic=True,
         supports_chunked=True,
-        supports_incremental=True,
         supports_layout=True,
         description="owner-computes row partition over a persistent fork pool",
     ),
@@ -231,8 +221,7 @@ class ProcessParallelGEEBackend(GEEBackend):
     owns its embedding either way.  A chunked (out-of-core) plan runs the
     one serial chunked pass
     (:func:`~repro.core.gee_vectorized.gee_vectorized_chunked`) and
-    reports ``n_workers == 1``; O(Δ) patches run
-    :func:`~repro.core.gee_vectorized.patch_sums_vectorized`.
+    reports ``n_workers == 1``.
     """
 
     def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):
@@ -243,6 +232,3 @@ class ProcessParallelGEEBackend(GEEBackend):
 
     def _embed_with_chunked_plan(self, plan, labels: np.ndarray):
         return gee_vectorized_chunked(plan, labels)
-
-    def _patch_sums(self, S_flat, src, dst, delta_w, labels, n_classes):
-        patch_sums_vectorized(S_flat, src, dst, delta_w, labels, n_classes)

@@ -73,12 +73,6 @@ class BackendCapabilities:
         or a :class:`~repro.core.plan.ChunkedPlan` to
         :meth:`embed_with_plan`.  Backends without this capability reject
         both instead of silently materialising the edges.
-    supports_incremental:
-        Whether the backend implements the O(Δ) patch kernel
-        (:meth:`GEEBackend.patch_sums`) that maintains raw per-class sums
-        under signed edge deltas — the engine room of the dynamic-graph
-        subsystem (:class:`repro.stream.IncrementalEmbedding`).  Backends
-        without it reject patch requests instead of silently re-embedding.
     supports_layout:
         Whether the backend executes the locality-optimized fused kernels
         of plans compiled with ``graph.plan(K, layout="sorted")``
@@ -94,7 +88,6 @@ class BackendCapabilities:
     parallel: bool = False
     deterministic: bool = True
     supports_chunked: bool = False
-    supports_incremental: bool = False
     supports_layout: bool = False
     description: str = ""
 
@@ -259,67 +252,6 @@ class GEEBackend:
         raise NotImplementedError(  # pragma: no cover - contract guard
             f"backend {type(self).name!r} declares supports_chunked but does "
             "not implement _embed_with_chunked_plan"
-        )
-
-    # ------------------------------------------------------------------ #
-    # Incremental (O(Δ)) maintenance protocol
-    # ------------------------------------------------------------------ #
-    def patch_sums(
-        self,
-        S_flat: np.ndarray,
-        src: np.ndarray,
-        dst: np.ndarray,
-        delta_w: np.ndarray,
-        labels: np.ndarray,
-        n_classes: int,
-    ) -> None:
-        """Apply a signed edge delta to flat raw per-class sums, in place.
-
-        ``S_flat`` is the flattened ``(n*K,)`` raw-sum matrix
-        ``S[u, c] = Σ_{(u,v) or (v,u) incident, Y[v]=c} w`` (the label-scaled
-        embedding is ``Z = S·diag(1/n_c)``).  For every signed edge
-        ``(u, v, Δw)`` the kernel performs ``S[u, Y[v]] += Δw`` and
-        ``S[v, Y[u]] += Δw`` for known labels — additions pass ``+w``,
-        removals ``-w`` and weight updates ``new − old``, so one call
-        maintains the embedding under any committed mutation batch in
-        O(Δ) instead of O(E).
-
-        Only backends declaring the ``supports_incremental`` capability
-        implement the kernel; others raise.
-        """
-        caps = type(self).capabilities
-        if not caps.supports_incremental:
-            raise ValueError(
-                f"backend {type(self).name!r} does not support incremental "
-                "(O(Δ) patch) execution; incremental-capable backends: "
-                f"{[n for n in list_backends() if backend_capabilities(n).supports_incremental]}"
-            )
-        if src.size == 0:
-            return
-        if not _obs_core._ENABLED:
-            self._patch_sums(S_flat, src, dst, delta_w, labels, int(n_classes))
-            return
-        from ..obs import metrics as obs_metrics
-
-        obs_metrics.count("edges_patched", int(src.size))
-        with _obs_core.Span(
-            "backend.patch_sums",
-            {"backend": type(self).name, "delta_edges": int(src.size)},
-        ):
-            self._patch_sums(S_flat, src, dst, delta_w, labels, int(n_classes))
-
-    def _patch_sums(
-        self,
-        S_flat: np.ndarray,
-        src: np.ndarray,
-        dst: np.ndarray,
-        delta_w: np.ndarray,
-        labels: np.ndarray,
-        n_classes: int,
-    ) -> None:
-        raise NotImplementedError(  # pragma: no cover - contract guard
-            f"backend {type(self).name!r} declares supports_incremental but "
-            "does not implement _patch_sums"
         )
 
     def _embed(self, graph, labels: np.ndarray, n_classes: Optional[int]):

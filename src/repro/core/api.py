@@ -21,9 +21,9 @@ scenarios the batch algorithm doesn't cover:
   from their incident edges alone, with one edge pass that touches only the
   new edges (the fitted vertices' rows and class counts are unchanged);
 * :meth:`~GraphEncoderEmbedding.partial_fit` — *streaming* ingestion of
-  edge batches with incremental class-count/projection updates; the
-  embedding after streaming the whole edge set equals a full-batch ``fit``
-  up to floating-point summation order.
+  edge batches into raw per-class sums (:class:`~repro.core.raw_sums.RawSums`)
+  that move in O(batch); the embedding after streaming the whole edge set
+  equals a full-batch ``fit`` up to floating-point summation order.
 
 Examples
 --------
@@ -45,7 +45,8 @@ import numpy as np
 
 from ..backends import GEEBackend, get_backend, list_backends, resolve_backend_name
 from ..graph.facade import Graph, GraphLike, as_edgelist
-from .gee_vectorized import accumulate_edges_vectorized, patch_sums_vectorized
+from .gee_vectorized import patch_sums_vectorized
+from .raw_sums import RawSums
 from .refinement import gee_unsupervised
 from .result import EmbeddingResult
 from .validation import (
@@ -143,12 +144,8 @@ class GraphEncoderEmbedding:
         self.result_: Optional[EmbeddingResult] = None
         self.labels_: Optional[np.ndarray] = None
         self.is_fitted_: bool = False
-        self._scales_: Optional[np.ndarray] = None
-        # Streaming (partial_fit) state: raw, un-scaled class sums, plus a
-        # per-vertex "touched by an ingested edge" mask guarding label edits.
-        self._stream_sums_: Optional[np.ndarray] = None
-        self._stream_labels_: Optional[np.ndarray] = None
-        self._stream_touched_: Optional[np.ndarray] = None
+        # Streaming (partial_fit) state, created by the first batch.
+        self._sums: Optional[RawSums] = None
 
     # ------------------------------------------------------------------ #
     # Fitting
@@ -156,11 +153,6 @@ class GraphEncoderEmbedding:
     def _prepare_graph(self, graph: GraphLike) -> Graph:
         g = Graph.coerce(graph)
         return g.laplacian if self.laplacian else g
-
-    def _reset_stream(self) -> None:
-        self._stream_sums_ = None
-        self._stream_labels_ = None
-        self._stream_touched_ = None
 
     def fit(
         self,
@@ -227,8 +219,7 @@ class GraphEncoderEmbedding:
         self.result_ = result
         self.labels_ = y
         self.n_classes = k
-        self._scales_ = projection_scales(y, k)
-        self._reset_stream()
+        self._sums = None
         self.is_fitted_ = True
         return self
 
@@ -263,8 +254,7 @@ class GraphEncoderEmbedding:
         )
         self.result_ = refinement.final
         self.labels_ = refinement.labels
-        self._scales_ = projection_scales(refinement.labels, self.n_classes)
-        self._reset_stream()
+        self._sums = None
         self.is_fitted_ = True
         return self
 
@@ -278,9 +268,9 @@ class GraphEncoderEmbedding:
     ) -> np.ndarray:
         """Embed out-of-sample vertices from their incident edges.
 
-        Runs one GEE edge pass over *only* the given edges, using the
-        fitted labels and projection scales.  New vertices are any vertex
-        ids at or beyond the fitted vertex count; they are treated as
+        Runs the raw-sum step over *only* the given edges, with the fitted
+        labels, then scales by the fitted ``1/n_c``.  New vertices are any
+        vertex ids at or beyond the fitted vertex count; they are treated as
         unlabelled, so the fitted vertices' class counts (and therefore
         their embedding rows) are untouched — exactly what a full-batch
         refit with the new vertices unlabelled would produce.
@@ -308,7 +298,7 @@ class GraphEncoderEmbedding:
                 "reweighting needs the degrees of the combined graph, which "
                 "out-of-sample edges change"
             )
-        assert self.labels_ is not None and self._scales_ is not None
+        assert self.labels_ is not None
         new = as_edgelist(edges)
         k = int(self.n_classes)  # type: ignore[arg-type]
         n_fit = int(self.labels_.shape[0])
@@ -316,14 +306,11 @@ class GraphEncoderEmbedding:
 
         y_ext = np.full(n_total, UNKNOWN_LABEL, dtype=np.int64)
         y_ext[:n_fit] = self.labels_
-        scales_ext = np.zeros(n_total, dtype=np.float64)
-        scales_ext[:n_fit] = self._scales_
-
-        Z_flat = np.zeros(n_total * k, dtype=np.float64)
-        accumulate_edges_vectorized(
-            Z_flat, new.src, new.dst, new.effective_weights(), y_ext, scales_ext, k
+        Z = np.zeros((n_total, k), dtype=np.float64)
+        patch_sums_vectorized(
+            Z.reshape(-1), new.src, new.dst, new.effective_weights(), y_ext, k
         )
-        Z = Z_flat.reshape(n_total, k)
+        Z *= inverse_class_counts(class_counts(self.labels_, k))
         if self.normalize:
             norms = np.linalg.norm(Z, axis=1, keepdims=True)
             norms[norms == 0] = 1.0
@@ -336,96 +323,6 @@ class GraphEncoderEmbedding:
     # ------------------------------------------------------------------ #
     # Streaming ingestion
     # ------------------------------------------------------------------ #
-    def _ensure_stream_state(self) -> None:
-        """Initialise the streaming sums (from a batch fit when present)."""
-        if self._stream_sums_ is None:
-            if self.is_fitted_ and self.result_ is not None and self.labels_ is not None:
-                # Continue streaming from a batch fit: recover raw sums.
-                k = int(self.n_classes)  # type: ignore[arg-type]
-                counts = class_counts(self.labels_, k).astype(np.float64)
-                self._stream_sums_ = self.result_.embedding * counts[None, :]
-                self._stream_labels_ = np.asarray(self.labels_, dtype=np.int64).copy()
-                # The fitted graph's edges are gone; conservatively freeze
-                # every fitted vertex's label.
-                self._stream_touched_ = np.ones(self._stream_labels_.shape[0], dtype=bool)
-            else:
-                # With an explicit n_classes (or labels arriving with this
-                # call), streaming may start unlabelled.
-                self._stream_labels_ = np.empty(0, dtype=np.int64)
-                self._stream_sums_ = np.zeros((0, 0), dtype=np.float64)
-                self._stream_touched_ = np.zeros(0, dtype=bool)
-
-    def _merge_stream_labels(self, labels: Optional[np.ndarray]) -> None:
-        """Merge a (possibly extended) label vector into the stream state."""
-        if labels is not None:
-            y_new = np.asarray(labels)
-            y_new, k = validate_labels(y_new, y_new.shape[0], self.n_classes)
-            old = self._stream_labels_
-            touched = self._stream_touched_
-            assert old is not None and touched is not None
-            if y_new.shape[0] < old.shape[0]:
-                raise ValueError(
-                    f"labels may only be extended: got {y_new.shape[0]} labels for "
-                    f"{old.shape[0]} already-ingested vertices"
-                )
-            # Only vertices that an ingested edge has touched are frozen:
-            # their past contributions were accumulated under the old label.
-            # Padding vertices no edge has reached may be (re)labelled freely.
-            frozen = touched & (y_new[: old.shape[0]] != old)
-            if np.any(frozen):
-                raise ValueError(
-                    "labels of already-ingested vertices must not change between "
-                    "partial_fit calls (their edges were accumulated under the "
-                    f"previous labels); offending vertices: "
-                    f"{np.flatnonzero(frozen)[:10].tolist()}"
-                )
-            self._stream_labels_ = y_new
-            self.n_classes = k
-        if self.n_classes is None:
-            raise ValueError(
-                "n_classes could not be determined; pass labels or set n_classes"
-            )
-
-    def _grow_stream_state(self, n_needed: int) -> None:
-        """Grow labels / touched mask / sums to cover ``n_needed`` vertices."""
-        assert self._stream_labels_ is not None and self._stream_sums_ is not None
-        assert self._stream_touched_ is not None
-        k = int(self.n_classes)  # type: ignore[arg-type]
-        if self._stream_labels_.shape[0] < n_needed:
-            grown = np.full(n_needed, UNKNOWN_LABEL, dtype=np.int64)
-            grown[: self._stream_labels_.shape[0]] = self._stream_labels_
-            self._stream_labels_ = grown
-        if self._stream_touched_.shape[0] < n_needed:
-            grown_touched = np.zeros(n_needed, dtype=bool)
-            grown_touched[: self._stream_touched_.shape[0]] = self._stream_touched_
-            self._stream_touched_ = grown_touched
-        if self._stream_sums_.shape != (n_needed, k):
-            grown_sums = np.zeros((n_needed, k), dtype=np.float64)
-            rows, cols = self._stream_sums_.shape
-            grown_sums[:rows, :cols] = self._stream_sums_
-            self._stream_sums_ = grown_sums
-
-    def _finalise_stream(self, t0: float) -> "GraphEncoderEmbedding":
-        """Divide the raw sums by current class counts and rebuild W."""
-        assert self._stream_labels_ is not None and self._stream_sums_ is not None
-        k = int(self.n_classes)  # type: ignore[arg-type]
-        counts = class_counts(self._stream_labels_, k).astype(np.float64)
-        inv = inverse_class_counts(counts)
-        Z = self._stream_sums_ * inv[None, :]
-        scales = projection_scales(self._stream_labels_, k)
-        W = projection_from_scales(self._stream_labels_, scales, k)
-        self.result_ = EmbeddingResult(
-            embedding=Z,
-            projection=W,
-            timings={"total": time.perf_counter() - t0},
-            method="gee-streaming",
-            n_workers=1,
-        )
-        self.labels_ = self._stream_labels_
-        self._scales_ = scales
-        self.is_fitted_ = True
-        return self
-
     def partial_fit(
         self,
         edges: GraphLike,
@@ -435,11 +332,21 @@ class GraphEncoderEmbedding:
     ) -> "GraphEncoderEmbedding":
         """Ingest (or retract) one batch of edges, updating incrementally.
 
-        The estimator accumulates the *raw* per-class weight sums
-        ``S[u, c] = Σ w`` over ingested edges and keeps class counts
-        separate, so the embedding ``Z[:, c] = S[:, c] / count_c`` after any
-        number of batches equals a full-batch :meth:`fit` on the union of
-        the batches (up to floating-point summation order).
+        The estimator keeps the *raw* per-class weight sums
+        ``S[u, c] = Σ w`` over ingested edges, with the class counts, in one
+        :class:`~repro.core.raw_sums.RawSums`, so the embedding
+        ``Z[:, c] = S[:, c] / count_c`` after any number of batches equals a
+        full-batch :meth:`fit` on the union of the batches (up to
+        floating-point summation order).  A batch costs O(batch), plus O(n)
+        when ``labels`` are passed: it recomputes only the rows it touches,
+        and the dense projection ``W`` is built on first access of
+        :attr:`projection_`.
+
+        :attr:`embedding_` is live: every batch updates it in place (copy
+        it to keep a version), as
+        :attr:`repro.stream.IncrementalEmbedding.embedding` is.  Streaming
+        after :meth:`fit` copies the fit's embedding once, so the fit's own
+        array is never modified.
 
         Parameters
         ----------
@@ -450,16 +357,17 @@ class GraphEncoderEmbedding:
             the previous vector for newly arrived vertices; ``-1`` =
             unknown).  Required on the first call unless the estimator was
             batch-fitted first, in which case streaming continues from the
-            fitted state.  Labels of already-ingested vertices must not
-            change — their edges were accumulated under the old label.
+            fitted state.  The label of a vertex an ingested edge has
+            touched must not change — its edges were accumulated under the
+            old label; every fitted vertex counts as touched.
         remove:
             Retract the batch instead of ingesting it: each edge's
             contribution is *subtracted* from the raw sums — the inverse of
             a previous ingestion of the same edges (with the same weights).
             The caller asserts the edges were previously streamed in; the
             estimator has no edge store to verify against (use
-            :class:`repro.stream.DynamicGraph` +
-            :meth:`update` for checked removals).
+            :class:`repro.stream.DynamicGraph` with
+            :class:`repro.stream.IncrementalEmbedding` for checked removals).
 
         Notes
         -----
@@ -474,95 +382,41 @@ class GraphEncoderEmbedding:
             )
         t0 = time.perf_counter()
         batch = as_edgelist(edges)
-        if (
-            self._stream_sums_ is None
-            and not self.is_fitted_
-            and labels is None
-            and self.n_classes is None
-        ):
+        y = None
+        if labels is not None:
+            y = np.asarray(labels)
+            y, self.n_classes = validate_labels(y, y.shape[0], self.n_classes)
+        elif self.n_classes is None:
             raise ValueError(
                 "the first partial_fit call must provide labels or the "
                 "estimator must be constructed with n_classes (or follow "
                 "a batch fit to continue streaming from it)"
             )
-        self._ensure_stream_state()
-        self._merge_stream_labels(labels)
-        k = int(self.n_classes)  # type: ignore[arg-type]
-        n_needed = max(batch.n_vertices, self._stream_labels_.shape[0])
-        self._grow_stream_state(n_needed)
-
-        # Accumulate the batch's raw (un-scaled) class sums S[u, Y[v]] += w
-        # through the O(Δ) patch step (negated weights retract a
-        # previously-ingested batch).
+        sums = self._sums
+        if sums is None:
+            sums = self._sums = RawSums(self.n_classes)
+            if self.is_fitted_:
+                assert self.result_ is not None and self.labels_ is not None
+                sums.reset(self.labels_, self.result_.embedding.copy())
+        if y is not None:
+            sums.set_labels(y)
+        sums.grow(batch.n_vertices)
         w = batch.effective_weights()
-        patch_sums_vectorized(
-            self._stream_sums_.reshape(-1),
-            batch.src,
-            batch.dst,
-            -w if remove else w,
-            self._stream_labels_,
-            k,
+        sums.apply(batch.src, batch.dst, -w if remove else w)
+
+        y, k = sums.labels, sums.n_classes
+        self.result_ = EmbeddingResult(
+            embedding=sums.Z,
+            projection_builder=lambda: projection_from_scales(
+                y, projection_scales(y, k), k
+            ),
+            timings={"total": time.perf_counter() - t0},
+            method="gee-streaming",
+            n_workers=1,
         )
-        self._stream_touched_[batch.src] = True
-        self._stream_touched_[batch.dst] = True
-        return self._finalise_stream(t0)
-
-    def update(
-        self,
-        delta,
-        labels: Optional[np.ndarray] = None,
-    ) -> "GraphEncoderEmbedding":
-        """Apply a committed mutation batch to the streamed embedding.
-
-        ``delta`` is a :class:`~repro.stream.mutations.MutationDelta` (what
-        :meth:`repro.stream.DynamicGraph.commit` returns): additions are
-        ingested, removals retracted with the weights the removed instances
-        actually carried, and weight updates applied as ``new − old`` — one
-        O(Δ) patch through the backend's ``patch_sums`` kernel when its
-        capabilities declare ``supports_incremental`` (the shared vectorised
-        kernel otherwise).  ``labels`` may extend the vector for vertices
-        the delta added.
-
-        Requires streaming state (a previous :meth:`fit` /
-        :meth:`partial_fit`); for a fully-managed live embedding use
-        :class:`repro.stream.IncrementalEmbedding`.
-        """
-        from ..stream.mutations import MutationDelta
-
-        if not isinstance(delta, MutationDelta):
-            raise TypeError(
-                f"update applies a MutationDelta (from DynamicGraph.commit), "
-                f"got {type(delta)!r}; use partial_fit for plain edge batches"
-            )
-        if self.laplacian:
-            raise ValueError(
-                "update is not supported with laplacian=True: mutations "
-                "change the degrees the reweighting depends on"
-            )
-        if self._stream_sums_ is None and not self.is_fitted_:
-            raise RuntimeError(
-                "update requires a fitted or streaming estimator; call fit "
-                "or partial_fit first"
-            )
-        t0 = time.perf_counter()
-        self._ensure_stream_state()
-        self._merge_stream_labels(labels)
-        k = int(self.n_classes)  # type: ignore[arg-type]
-        n_needed = max(delta.n_vertices_after, self._stream_labels_.shape[0])
-        self._grow_stream_state(n_needed)
-
-        src, dst, dw = delta.patch_edges()
-        if src.size:
-            if type(self._backend).capabilities.supports_incremental:
-                patch = self._backend.patch_sums
-            else:
-                patch = patch_sums_vectorized
-            patch(
-                self._stream_sums_.reshape(-1), src, dst, dw, self._stream_labels_, k
-            )
-            self._stream_touched_[src] = True
-            self._stream_touched_[dst] = True
-        return self._finalise_stream(t0)
+        self.labels_ = y
+        self.is_fitted_ = True
+        return self
 
     # ------------------------------------------------------------------ #
     # Fitted attributes
@@ -579,7 +433,11 @@ class GraphEncoderEmbedding:
 
     @property
     def embedding_(self) -> np.ndarray:
-        """The fitted ``(n, K)`` embedding (row-normalised if configured)."""
+        """The fitted ``(n, K)`` embedding (row-normalised if configured).
+
+        After :meth:`partial_fit` this is the live streamed array, which
+        later batches update in place (``normalize=True`` returns a copy).
+        """
         result = self._check_fitted()
         return result.normalized() if self.normalize else result.embedding
 

@@ -26,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..analysis.annotations import hot_path
 from ..graph.facade import Graph
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
@@ -35,7 +34,6 @@ from .validation import validate_labels
 __all__ = [
     "gee_sparse",
     "gee_sparse_with_plan",
-    "patch_sums_sparse",
 ]
 
 
@@ -44,47 +42,6 @@ def _product(A, A_T, W: np.ndarray) -> np.ndarray:
     Z = A.dot(W)
     Z += A_T.dot(W)
     return Z
-
-
-@hot_path(reason="sparse-native O(Δ) incremental patch kernel")
-def patch_sums_sparse(
-    S_flat: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    delta_w: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-) -> None:
-    """Apply a signed edge delta to flat raw per-class sums, in place.
-
-    The sparse-native O(Δ) patch kernel: the delta is a sparse adjacency
-    ``D`` over the touched edges, and the raw-sum update is exactly
-    ``S += (D + Dᵀ)·H`` with ``H`` the (unscaled) one-hot label matrix —
-    the same linear formulation :func:`gee_sparse` uses for the full pass,
-    restricted to the Δ non-zeros.  The product stays sparse end to end; its
-    entries are scattered into ``S`` so the update is O(touched slots),
-    never O(nK).
-    """
-    import scipy.sparse as sp
-
-    from .validation import UNKNOWN_LABEL
-    from .gee_vectorized import scatter_add
-
-    k = int(n_classes)
-    n = S_flat.size // k
-    # The product only ever reads H rows of the delta's endpoints, so the
-    # one-hot matrix is built over those O(Δ) vertices alone — a full-label
-    # construction would make the patch O(n) per call.
-    touched = np.unique(np.concatenate((src, dst)))  # repro: ignore[hot-path-alloc] O(Δ) endpoints, not O(E)
-    known = touched[labels[touched] != UNKNOWN_LABEL]
-    if known.size == 0:
-        return
-    H = sp.csr_matrix(
-        (np.ones(known.size), (known, labels[known])), shape=(n, k)
-    )
-    D = sp.csr_matrix((delta_w, (src, dst)), shape=(n, n))
-    patch = (D.dot(H) + D.T.dot(H)).tocoo()
-    scatter_add(S_flat, patch.row * k + patch.col, patch.data)
 
 
 def gee_sparse(

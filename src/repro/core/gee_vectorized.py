@@ -73,7 +73,7 @@ def scatter_add(out_flat: np.ndarray, flat_idx: np.ndarray, weights) -> None:
     np.add.at(out_flat, flat_idx, weights)
 
 
-@hot_path(reason="scaled per-edge pass: the unchunked vectorized embed, transform and Ligra batches")
+@hot_path(reason="scaled per-edge pass: the unchunked vectorized embed and Ligra batches")
 def accumulate_edges_vectorized(
     Z_flat: np.ndarray,
     src: np.ndarray,
@@ -87,9 +87,9 @@ def accumulate_edges_vectorized(
 
     ``Z_flat`` is the flattened ``(n*K,)`` view of the embedding, and each
     contribution is scaled by its partner's projection scale ``scales``.
-    The kernel of the unchunked vectorised embed, of the estimator's
-    out-of-sample ``transform`` and of the Ligra batch function, so all of
-    them compute exactly the same per-edge contributions.
+    It has two callers, which compute exactly the same per-edge
+    contributions: the unchunked :func:`gee_vectorized` (Table I's column
+    and the cold side of the plan-reuse gate) and the Ligra batch function.
     """
     y_dst = labels[dst]
     known = y_dst != UNKNOWN_LABEL
@@ -173,11 +173,12 @@ def patch_sums_vectorized(
 ) -> None:
     """Apply a signed edge delta to flat raw per-class sums, in place.
 
-    The O(Δ) patch kernel behind the ``supports_incremental`` capability
-    of ``vectorized``, ``parallel`` and ``auto``: raw sums move by exactly
-    ``S[u, Y[v]] += Δw``, which is :func:`add_known_incidences` on the
-    signed delta.  It gathers ``labels`` as given, so nothing of size n is
-    cast or allocated per patch.
+    The one O(Δ) patch step, run by
+    :meth:`~repro.core.raw_sums.RawSums.apply` and by the estimator's
+    ``transform``: raw sums move by exactly ``S[u, Y[v]] += Δw``, which is
+    :func:`add_known_incidences` on the signed delta.  It gathers
+    ``labels`` as given, so nothing of size n is cast or allocated per
+    patch.
     """
     add_known_incidences(S_flat, src, dst, delta_w, labels, n_classes)
 
@@ -359,14 +360,11 @@ def gee_vectorized_chunked(plan, labels: np.ndarray) -> EmbeddingResult:
     t0 = time.perf_counter()
     fully = bool(y.size) and int(y.min()) != UNKNOWN_LABEL
     y_lab = y.astype(choose_label_dtype(k))
-    unit = not plan.source.is_weighted
     t1 = time.perf_counter()
 
     Z_flat = plan.zeroed_output()
     for src, dst, w in plan.source.iter_chunks():
-        add_known_incidences(
-            Z_flat, src, dst, None if unit else w, y_lab, k, fully_labelled=fully
-        )
+        add_known_incidences(Z_flat, src, dst, w, y_lab, k, fully_labelled=fully)
     Z = Z_flat.reshape(plan.n_vertices, k)
     class_rescale(Z, y, k)
     t2 = time.perf_counter()

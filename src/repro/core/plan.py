@@ -550,49 +550,6 @@ class EmbedPlan(_PlanOutputs):
         y, _ = validate_labels(labels, self.n_vertices, self.n_classes)
         return y
 
-    # ------------------------------------------------------------------ #
-    # Copy-on-write extension (append-only graph mutations)
-    # ------------------------------------------------------------------ #
-    def extended(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        weights: np.ndarray,
-        *,
-        graph,
-        fingerprint: Tuple,
-    ) -> "EmbedPlan":
-        """A plan for the append-extended graph, reusing this plan's artifacts.
-
-        The fast path behind append-only :class:`~repro.stream.dynamic.DynamicGraph`
-        commits: instead of re-validating all ``E`` edges of the new
-        version, the returned plan seeds its validated edge arrays by
-        concatenating the ``Δ`` appended edges onto this plan's, if it
-        materialised them.
-
-        Copy-on-write: *this* plan is left untouched, so snapshot readers
-        of the previous version who hold it keep embedding exactly their
-        version's edge set.  ``graph`` must be the post-append facade over
-        the same vertex set; the appended endpoint arrays must already be
-        validated (they come from a committed mutation batch).
-        """
-        if int(graph.n_vertices) != self.n_vertices:
-            raise ValueError(
-                "extended() cannot change the vertex set "
-                f"({self.n_vertices} -> {int(graph.n_vertices)}); recompile the plan"
-            )
-        new = EmbedPlan(graph, self.n_classes, fingerprint=fingerprint, layout=self.layout)
-        if self._src is not None:
-            new._src = np.concatenate((self._src, src))
-            new._dst = np.concatenate((self._dst, dst))
-            # Appended batches always carry explicit weights, so the
-            # extended plan is no longer unit-weight unless they are all 1
-            # (the fused layout recompiles lazily from these seeds anyway).
-            new._unit_weights = bool(self._unit_weights) and bool(np.all(weights == 1.0))
-            if not new._unit_weights:
-                new._weights = np.concatenate((self.weights, weights))
-        return new
-
     def scipy_adjacency(self):
         """The adjacency as ``scipy.sparse.csr_matrix``, cached."""
         if self._scipy_adj is None:

@@ -200,7 +200,8 @@ class ChunkedEdgeSource:
     chunk) or in-memory arrays (:meth:`from_edgelist`) — behind one
     iteration contract: :meth:`iter_chunks` yields consecutive blocks of at
     most :attr:`chunk_edges` edges, each a ``(src, dst, weights)`` triple of
-    ``int64``/``int64``/``float64`` arrays.  The chunked edge pass
+    ``int64``/``int64``/``float64`` arrays (``weights`` is ``None`` for an
+    unweighted source).  The chunked edge pass
     (:func:`~repro.core.gee_vectorized.gee_vectorized_chunked`) adds each
     block's known incidences into one output, so it computes the sums of
     the one-shot pass (exactly so on unit weights).
@@ -390,12 +391,14 @@ class ChunkedEdgeSource:
     # ------------------------------------------------------------------ #
     # Iteration
     # ------------------------------------------------------------------ #
-    def iter_chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def iter_chunks(
+        self,
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
         """Yield ``(src, dst, weights)`` blocks of at most ``chunk_edges`` edges.
 
-        Endpoint ids are validated per block — O(chunk) work, never O(E) —
-        and unweighted sources materialise a unit-weight block, so consumers
-        always see a ``float64`` weight array.
+        Endpoint ids are validated per block — O(chunk) work, never O(E).
+        ``weights`` is a ``float64`` block, or ``None`` for an unweighted
+        source (unit weights).
         """
         n = self.n_vertices
         for lo, hi in self.chunk_bounds():
@@ -409,10 +412,9 @@ class ChunkedEdgeSource:
                     f"[0, {n}); the store's meta.json n_vertices is wrong "
                     "or the edge data is corrupt"
                 )
+            w = None
             if self._weights is not None:
                 w = np.asarray(self._weights[lo:hi], dtype=np.float64)
-            else:
-                w = np.ones(src.size, dtype=np.float64)
             yield src, dst, w
 
     # ------------------------------------------------------------------ #

@@ -9,9 +9,8 @@ embedding *live* while the graph mutates underneath it:
   :class:`~repro.stream.mutations.MutationLog`;
 * :class:`IncrementalEmbedding` — maintains the GEE embedding under
   committed batches in O(Δ) by scatter-patching persisted raw per-class
-  sums through a backend's ``patch_sums`` kernel (the
-  ``supports_incremental`` capability), with churn-triggered exact full
-  refreshes through the compiled-plan path;
+  sums (:class:`~repro.core.raw_sums.RawSums`), with churn-triggered exact
+  full refreshes through any backend's compiled-plan path;
 * :class:`SegmentedEdgeStore` — append-only on-disk segments so mutated
   graphs larger than memory keep streaming through the out-of-core engine.
 

@@ -12,20 +12,14 @@ three ideas:
   *new* :class:`~repro.graph.facade.Graph` facade; the previous version's
   arrays are never touched, so a :meth:`snapshot` taken by a reader stays a
   consistent view no matter how many batches writers commit afterwards;
-* **a mutation log** — recent deltas are kept so incremental consumers
-  (:class:`~repro.stream.incremental.IncrementalEmbedding`,
-  ``GraphEncoderEmbedding.update``) can catch up in O(Δ) from whatever
-  version they last saw.
+* **a mutation log** — recent deltas are kept so an incremental consumer
+  (:class:`~repro.stream.incremental.IncrementalEmbedding`) can catch up in
+  O(Δ) from whatever version it last saw.
 
-Append-only commits (only ``add_edges``, no vertex growth) take a fast
-path: each cached :class:`~repro.core.plan.EmbedPlan` of the previous
-version is *extended* into the new version's cache — a copy-on-write plan
-whose already-validated edge arrays and compiled ``u*K``/``v*K`` flat-index
-components are the old ones plus the appended Δ — instead of being thrown
-away and recompiled (the old version's plans stay untouched for its
-snapshot readers).  A full refresh after a string of appends therefore pays
-no validation or index-building cost, which is what makes the
-churn-triggered exact re-embeds of the incremental engine cheap.
+Each version's :class:`~repro.graph.facade.Graph` starts with an empty plan
+cache.  Its default plan compiles nothing, and validating the committed
+:class:`~repro.graph.edgelist.EdgeList` is O(1), so a refresh right after a
+commit embeds straight from the new version's arrays.
 
 Removal semantics on multigraphs are exact-multiplicity: requesting
 ``(u, v)`` once removes *one* instance even when the pair is duplicated
@@ -377,8 +371,6 @@ class DynamicGraph:
 
         new_graph = Graph(EdgeList(new_src, new_dst, new_w, n_after))
         new_graph._fingerprint_mode = old_graph._fingerprint_mode
-        if delta.append_only and not (add_weighted and not edges.is_weighted):
-            self._carry_plans(old_graph, new_graph, add_src, add_dst, add_w)
 
         if self.store is not None:
             if delta.append_only and self.store.weighted == weighted:
@@ -391,40 +383,6 @@ class DynamicGraph:
         self.log.append(delta)
         self.discard_staged()
         return delta
-
-    @staticmethod
-    def _carry_plans(
-        old_graph: Graph,
-        new_graph: Graph,
-        add_src: np.ndarray,
-        add_dst: np.ndarray,
-        add_w: np.ndarray,
-    ) -> None:
-        """Seed the new version's plan cache from the old one, copy-on-write.
-
-        Only full :class:`~repro.core.plan.EmbedPlan` objects carry (chunked
-        plans pin the old version's source and are simply dropped); each is
-        *extended* — a new plan whose compiled artifacts are the old ones
-        plus the Δ appended edges, re-fingerprinted against the new arrays
-        — so the first refresh on the new version pays no validation or
-        index-compilation cost.  The old version's plans are left in place
-        untouched: snapshot readers of that version keep embedding exactly
-        the edge set they saw.
-        """
-        from ..core.plan import EmbedPlan
-
-        carried = {
-            key: plan
-            for key, plan in old_graph._plans.items()
-            if isinstance(plan, EmbedPlan)
-        }
-        if not carried:
-            return
-        fingerprint = new_graph.edge_data_fingerprint()
-        for key, plan in carried.items():
-            new_graph._plans[key] = plan.extended(
-                add_src, add_dst, add_w, graph=new_graph, fingerprint=fingerprint
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         staged = f", staged={self.n_staged}" if self.n_staged else ""

@@ -7,22 +7,18 @@ The supervised embedding is linear in the *raw* per-class edge sums::
 so a committed mutation batch only moves ``S`` by its signed edge delta:
 every added edge scatter-adds ``+w`` into the rows of its endpoints, every
 removed instance ``-w`` (the weight it actually carried) and every weight
-update ``new − old``.  :class:`IncrementalEmbedding` persists ``S`` across
-versions of a :class:`~repro.stream.dynamic.DynamicGraph` and, per
-:meth:`update`, replays the mutation log through a backend patch kernel
-(see :meth:`repro.backends.GEEBackend.patch_sums`) and renormalises only
-the rows the batch touched — O(Δ) work per batch against the O(E) of a
-re-fit.
+update ``new − old``.  :class:`IncrementalEmbedding` keeps ``S`` across
+versions of a :class:`~repro.stream.dynamic.DynamicGraph` in one
+:class:`~repro.core.raw_sums.RawSums` and, per :meth:`update`, replays the
+mutation log through its one O(Δ) step, which recomputes only the rows the
+batch touched — O(Δ) work per batch against the O(E) of a re-fit.
 
 Floating-point drift from long add/subtract chains is bounded by *exact
 full refreshes*: a refresh re-embeds the current version through the
-backend's compiled-plan path and replaces ``S`` wholesale.  Refreshes
-trigger on an update-count schedule (``refresh_every``), on cumulative
-churn (``churn_threshold``, the staleness accounting), when the mutation
-log no longer covers the versions missed, or on demand — and because
-append-only commits extend the cached :class:`~repro.core.plan.EmbedPlan`
-copy-on-write into the next version, a refresh after a string of appends
-pays no validation or index-compilation cost.
+backend's compiled-plan path and resets ``S`` from the fresh embedding.
+Refreshes trigger on an update-count schedule (``refresh_every``), on
+cumulative churn (``churn_threshold``, the staleness accounting), when the
+mutation log no longer covers the versions missed, or on demand.
 """
 
 from __future__ import annotations
@@ -35,12 +31,8 @@ import numpy as np
 from ..analysis.annotations import hot_path
 from ..obs import metrics as obs_metrics
 from ..obs import record_event, trace
-from ..core.validation import (
-    UNKNOWN_LABEL,
-    class_counts,
-    inverse_class_counts,
-    validate_labels,
-)
+from ..core.raw_sums import RawSums
+from ..core.validation import UNKNOWN_LABEL, validate_labels
 from .dynamic import DynamicGraph
 
 __all__ = ["IncrementalEmbedding", "UpdateReport"]
@@ -76,9 +68,8 @@ class IncrementalEmbedding:
     n_classes:
         Embedding dimensionality ``K`` (inferred from ``labels`` if omitted).
     backend:
-        A backend name or instance whose capabilities declare
-        ``supports_incremental`` (``vectorized``, ``parallel``, ``auto``,
-        ``sparse``).  Full refreshes and O(Δ) patches both run through it.
+        A registered backend name or instance; full refreshes run through
+        it.  The O(Δ) patches run one step whatever the backend.
     refresh_every:
         Run an exact full re-embed every this many :meth:`update` calls
         (``None`` disables the schedule; churn can still trigger one).
@@ -115,21 +106,12 @@ class IncrementalEmbedding:
             )
         self._dynamic = dynamic
         self._backend = get_backend(backend)
-        caps = type(self._backend).capabilities
-        if not caps.supports_incremental:
-            from ..backends import backend_capabilities, list_backends
-
-            raise ValueError(
-                f"backend {type(self._backend).name!r} does not support "
-                "incremental maintenance; incremental-capable backends: "
-                f"{[n for n in list_backends() if backend_capabilities(n).supports_incremental]}"
-            )
         if refresh_every is not None and refresh_every <= 0:
             raise ValueError("refresh_every must be positive (or None)")
         if not 0 < churn_threshold:
             raise ValueError("churn_threshold must be positive")
         chunked = chunk_edges is not None or memory_budget_bytes is not None
-        if chunked and not caps.supports_chunked:
+        if chunked and not type(self._backend).capabilities.supports_chunked:
             raise ValueError(
                 f"backend {type(self._backend).name!r} cannot run chunked refreshes"
             )
@@ -142,24 +124,17 @@ class IncrementalEmbedding:
         if labels is None:
             if n_classes is None:
                 raise ValueError("provide labels and/or n_classes")
-            self._y = np.full(n, UNKNOWN_LABEL, dtype=np.int64)
-            self._k = int(n_classes)
-            if self._k <= 0:
-                raise ValueError("n_classes must be positive")
-        else:
-            self._y, self._k = validate_labels(labels, n, n_classes)
-            self._y = self._y.copy()
+            labels = np.full(n, UNKNOWN_LABEL, dtype=np.int64)
+        y, k = validate_labels(labels, n, n_classes)
 
         self.n_updates = 0
         self.n_patch_updates = 0
         self.n_refreshes = 0
         self._updates_since_refresh = 0
         self._churn_since_refresh = 0
-        self._S: Optional[np.ndarray] = None
-        self._Z: Optional[np.ndarray] = None
-        self._counts = np.zeros(self._k, dtype=np.float64)
-        self._version = dynamic.version
-        self.refresh()
+        # S and Z are first allocated by the refresh below.
+        self._sums = RawSums(k)
+        self._refresh(y)
 
     # ------------------------------------------------------------------ #
     # Read side
@@ -168,25 +143,24 @@ class IncrementalEmbedding:
     def embedding(self) -> np.ndarray:
         """The maintained ``(n, K)`` embedding ``Z`` (a live buffer).
 
-        The array is updated in place by :meth:`update` / :meth:`refresh`;
-        copy it to keep a frozen version.
+        The array is updated in place by :meth:`update`, and replaced by a
+        refresh or when vertices are added; copy it to keep a frozen
+        version.
         """
-        assert self._Z is not None
-        return self._Z
+        return self._sums.Z
 
     @property
     def raw_sums(self) -> np.ndarray:
         """The persisted raw per-class sums ``S`` (``Z = S·diag(1/n_c)``)."""
-        assert self._S is not None
-        return self._S
+        return self._sums.S
 
     @property
     def labels(self) -> np.ndarray:
-        return self._y
+        return self._sums.labels
 
     @property
     def n_classes(self) -> int:
-        return self._k
+        return self._sums.n_classes
 
     @property
     def version(self) -> int:
@@ -218,13 +192,16 @@ class IncrementalEmbedding:
     def refresh(self) -> None:
         """Exact full re-embed of the current version (resets drift/churn).
 
-        Runs through the backend's compiled-plan path — append-only commits
-        extended the cached plan copy-on-write, so this pays no validation
-        or index-building cost — or through a fresh chunked plan streaming the
-        attached store when the embedding was configured out-of-core.
+        Runs through the backend's compiled-plan path, or through a fresh
+        chunked plan streaming the attached store when the embedding was
+        configured out-of-core.  Afterwards every vertex counts as read, so
+        no current label may change.
         """
+        self._refresh(self._sums.labels)
+
+    def _refresh(self, y: np.ndarray) -> None:
         graph = self._dynamic.graph
-        k = self._k
+        k = self._sums.n_classes
         if self._chunk_edges is not None or self._memory_budget_bytes is not None:
             from ..core.plan import ChunkedPlan
 
@@ -240,15 +217,10 @@ class IncrementalEmbedding:
             version=self._dynamic.version,
             n_edges=self._dynamic.n_edges,
         ):
-            result = self._backend.embed_with_plan(plan, self._y)
-        counts = class_counts(self._y, k).astype(np.float64)
+            result = self._backend.embed_with_plan(plan, y)
         # Z is exactly the fresh-fit embedding, and ours to patch: the plan
-        # never reuses a buffer a live array views.  S recovers the raw sums
-        # the subsequent patches maintain (Z·n_c inverts the kernel's 1/n_c
-        # scale up to one rounding).
-        self._Z = result.embedding
-        self._S = self._Z * counts[None, :]
-        self._counts = counts
+        # never reuses a buffer a live array views.
+        self._sums.reset(y, result.embedding)
         self._version = self._dynamic.version
         self.n_refreshes += 1
         self._updates_since_refresh = 0
@@ -264,21 +236,22 @@ class IncrementalEmbedding:
         """Catch up with every batch committed since the last update.
 
         Replays the mutation log from :attr:`version` to the tracked
-        graph's current version: one backend patch over the concatenated
-        signed deltas, then renormalisation of only the touched rows
-        (plus any class column whose member count changed).  Falls back to
-        an exact full refresh when the refresh schedule or the churn
-        threshold says so, when the log no longer covers the missed
-        versions, or on ``force_refresh=True``.
+        graph's current version: one O(Δ) step over the concatenated signed
+        deltas, which recomputes only the touched rows (plus any class
+        column whose member count changed).  Falls back to an exact full
+        refresh when the refresh schedule or the churn threshold says so,
+        when the log no longer covers the missed versions, or on
+        ``force_refresh=True``.
 
         Parameters
         ----------
         labels:
             Full label vector for the *current* vertex set, required when
-            vertices were added and should arrive labelled.  Labels of
-            already-embedded vertices must not change (their edges were
-            accumulated under the old labels); new vertices default to
-            unknown.
+            vertices were added and should arrive labelled; new vertices
+            default to unknown.  A label may not change once an applied edge
+            has read it (its edges were accumulated under the old label);
+            after a refresh every vertex counts as read, so only vertices
+            added since that no edge has reached may be labelled later.
         """
         version_from = self._version
         deltas = self._dynamic.log.since(version_from)
@@ -294,7 +267,10 @@ class IncrementalEmbedding:
             return UpdateReport(version_from, version_from, 0, 0, False)
 
         n_after = self._dynamic.n_vertices
-        y_new = self._merge_labels(labels, n_after)
+        if labels is None:
+            self._sums.grow(n_after)
+        else:
+            self._sums.set_labels(validate_labels(labels, n_after, self.n_classes)[0])
         patched = sum(d.n_patch_edges for d in deltas)
 
         reason = None
@@ -313,9 +289,6 @@ class IncrementalEmbedding:
         ):
             reason = "churn-threshold"
 
-        old_counts = self._counts
-        self._y = y_new
-
         if reason is not None:
             obs_metrics.count("incremental.refresh_triggers")
             obs_metrics.count(f"incremental.refresh_triggers.{reason}")
@@ -326,36 +299,13 @@ class IncrementalEmbedding:
                 version_from, self._version, len(deltas), patched, True, reason
             )
 
-        self._grow_state(n_after)
-        assert self._S is not None and self._Z is not None
-        k = self._k
-        counts = class_counts(y_new, k).astype(np.float64)
         if patched:
             parts = [d.patch_edges() for d in deltas]
             src = np.concatenate([p[0] for p in parts])
             dst = np.concatenate([p[1] for p in parts])
             dw = np.concatenate([p[2] for p in parts])
             with trace("incremental.patch", delta_edges=patched, n_deltas=len(deltas)):
-                self._backend.patch_sums(self._S.reshape(-1), src, dst, dw, y_new, k)
-            # Sorted touched rows through an n-byte bitmap: cheaper than
-            # sorting the 2Δ endpoints, and below the O(n) class_counts above.
-            touched = np.zeros(n_after, dtype=bool)
-            touched[src] = True
-            touched[dst] = True
-            rows = np.flatnonzero(touched)
-        else:
-            rows = np.empty(0, dtype=np.int64)
-
-        # Renormalise: Z = S·diag(1/n_c), recomputed only where it moved —
-        # the rows the patch touched, plus any whole column whose class
-        # count changed (newly-labelled vertices rescale their class).
-        inv = inverse_class_counts(counts)
-        if rows.size:
-            self._Z[rows] = self._S[rows] * inv[None, :]
-        changed_cols = np.flatnonzero(counts != old_counts)
-        for c in changed_cols:
-            self._Z[:, c] = self._S[:, c] * inv[c]
-        self._counts = counts
+                self._sums.apply(src, dst, dw)
 
         self._version = self._dynamic.version
         self.n_updates += 1
@@ -366,44 +316,9 @@ class IncrementalEmbedding:
             version_from, self._version, len(deltas), patched, False, None
         )
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _merge_labels(self, labels: Optional[np.ndarray], n_after: int) -> np.ndarray:
-        n_old = self._y.shape[0]
-        if labels is None:
-            if n_after == n_old:
-                return self._y
-            grown = np.full(n_after, UNKNOWN_LABEL, dtype=np.int64)
-            grown[:n_old] = self._y
-            return grown
-        y_new, k = validate_labels(labels, n_after, self._k)
-        if k != self._k:  # pragma: no cover - validate_labels pins k
-            raise ValueError("label vector implies a different n_classes")
-        if np.any(y_new[:n_old] != self._y):
-            offending = np.flatnonzero(y_new[:n_old] != self._y)
-            raise ValueError(
-                "labels of already-embedded vertices must not change (their "
-                "edges were accumulated under the old labels); offending "
-                f"vertices: {offending[:10].tolist()}"
-            )
-        return y_new.copy()
-
-    def _grow_state(self, n_after: int) -> None:
-        assert self._S is not None and self._Z is not None
-        n_old = self._S.shape[0]
-        if n_after == n_old:
-            return
-        grown_S = np.zeros((n_after, self._k), dtype=np.float64)
-        grown_S[:n_old] = self._S
-        grown_Z = np.zeros((n_after, self._k), dtype=np.float64)
-        grown_Z[:n_old] = self._Z
-        self._S = grown_S
-        self._Z = grown_Z
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"IncrementalEmbedding(v{self._version}, n={self._y.shape[0]}, "
-            f"K={self._k}, backend={type(self._backend).name!r}, "
+            f"IncrementalEmbedding(v{self._version}, n={self.labels.shape[0]}, "
+            f"K={self.n_classes}, backend={type(self._backend).name!r}, "
             f"updates={self.n_updates}, refreshes={self.n_refreshes})"
         )

@@ -5,10 +5,10 @@ staged operations into one immutable :class:`MutationDelta` — the normal
 form the rest of the subsystem consumes:
 
 * the *graph layer* applies it to produce the next copy-on-write version;
-* the *embedding layer* (:class:`~repro.stream.incremental.IncrementalEmbedding`,
-  ``GraphEncoderEmbedding.update``) reads :meth:`MutationDelta.patch_edges`,
-  a signed ``(src, dst, Δw)`` triple whose scatter into the raw per-class
-  sums is the whole O(Δ) maintenance step;
+* the *embedding layer* (:class:`~repro.stream.incremental.IncrementalEmbedding`)
+  reads :meth:`MutationDelta.patch_edges`, a signed ``(src, dst, Δw)``
+  triple whose scatter into the raw per-class sums is the whole O(Δ)
+  maintenance step;
 * the :class:`MutationLog` keeps the recent deltas so late readers can
   catch up from the version they last saw (or learn that history was
   truncated and a full refresh is needed).
@@ -179,11 +179,8 @@ class MutationDelta:
     def append_only(self) -> bool:
         """Whether the batch only appended edges over the existing vertex set.
 
-        Append-only batches are the fast path everywhere: each cached
-        :class:`~repro.core.plan.EmbedPlan` is extended copy-on-write into
-        the next version's cache (the old plan stays untouched for its
-        snapshot readers) instead of recompiled, and segmented on-disk
-        stores gain one new segment instead of a rewrite.
+        A segmented on-disk store gains one new segment for an append-only
+        batch instead of a rewrite.
         """
         return (
             self.n_removed == 0 and self.n_updated == 0 and self.n_new_vertices == 0

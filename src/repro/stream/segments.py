@@ -195,8 +195,7 @@ class SegmentedEdgeSource(ChunkedEdgeSource):
     """A :class:`ChunkedEdgeSource` over the virtual concatenation of segments.
 
     Chunks are addressed in global edge coordinates; a chunk spanning a
-    segment boundary is assembled from the pieces (an O(chunk) copy — the
-    same bound every chunk already pays for its unit-weight block).  The
+    segment boundary is assembled from the pieces (an O(chunk) copy).  The
     backing columns stay memory-mapped per segment; nothing is ever
     materialised whole.
     """
@@ -293,11 +292,9 @@ class SegmentedEdgeSource(ChunkedEdgeSource):
                     f"[0, {n}); the store's meta.json n_vertices is wrong "
                     "or the edge data is corrupt"
                 )
-            if self._weighted:
-                w = self._gather(lo, hi, 2)
-            else:
-                w = np.ones(src.size, dtype=np.float64)
-            yield src, dst, w
+            # An unweighted store yields None; a weighted one gathers ones
+            # for its unweighted segments.
+            yield src, dst, self._gather(lo, hi, 2) if self._weighted else None
 
     # ------------------------------------------------------------------ #
     # Materialisation

@@ -423,7 +423,6 @@ class _TruthfulFull(GEEBackend):
     capabilities = _caps(
         supports_n_workers=True,
         supports_chunked=True,
-        supports_incremental=True,
         supports_layout=True,
     )
 
@@ -436,19 +435,9 @@ class _TruthfulFull(GEEBackend):
     def _embed_with_chunked_plan(self, plan, labels):  # pragma: no cover - stub
         raise RuntimeError
 
-    def _patch_sums(self, S_flat, src, dst, delta_w, labels, n_classes):
-        pass  # pragma: no cover - stub
-
 
 class _LiesChunked(GEEBackend):
     capabilities = _caps(supports_chunked=True)
-
-
-class _HidesIncremental(GEEBackend):
-    capabilities = _caps(supports_incremental=False)
-
-    def _patch_sums(self, S_flat, src, dst, delta_w, labels, n_classes):
-        pass  # pragma: no cover - stub
 
 
 class _LiesLayout(GEEBackend):
@@ -483,11 +472,6 @@ def test_contract_detects_missing_chunked_kernel():
     findings = list(check_capability_contract({"liar": _LiesChunked}))
     messages = [f.message for f in findings]
     assert any("supports_chunked=True" in m for m in messages)
-
-
-def test_contract_detects_hidden_incremental_kernel():
-    findings = list(check_capability_contract({"hider": _HidesIncremental}))
-    assert any("supports_incremental=False" in f.message for f in findings)
 
 
 def test_contract_detects_layout_without_plan_kernel():

@@ -253,7 +253,7 @@ class TestAutoBackend:
 
     def test_capabilities(self):
         caps = backend_capabilities("auto")
-        assert caps.supports_chunked and caps.supports_incremental
+        assert caps.supports_chunked
         assert caps.supports_layout and caps.deterministic
 
     def test_embed_matches_reference_and_logs_choice(self, seeded):

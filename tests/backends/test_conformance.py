@@ -11,7 +11,8 @@ codecs may only differ in floating-point summation order.
 The matrix also enforces that declared :class:`BackendCapabilities` are
 honoured: unsupported construction kwargs raise at ``get_backend`` time,
 and backends without ``supports_chunked`` reject chunked inputs instead of
-silently materialising them.
+silently materialising them.  Every backend can refresh an
+``IncrementalEmbedding``, whose removals then subtract exact multiplicities.
 """
 
 from __future__ import annotations
@@ -214,95 +215,23 @@ def test_chunk_capable_backends_cover_the_engine():
     assert {"vectorized", "parallel"} <= capable
 
 
-def test_incremental_capable_backends_cover_the_engine():
-    # The dynamic-graph engine's contract: at least the vectorized, sparse
-    # and parallel strategies implement the O(Δ) patch kernel.
-    capable = {
-        n for n in list_backends() if backend_capabilities(n).supports_incremental
-    }
-    assert {"vectorized", "sparse", "parallel"} <= capable
-
-
-@pytest.mark.parametrize("backend_name", sorted(list_backends()))
-def test_incremental_capability_honoured(backend_name):
-    S = np.zeros(4 * K)
-    args = (np.array([0]), np.array([1]), np.array([2.0]),
-            np.array([0, 1, -1, 2]), K)
-    backend = get_backend(backend_name)
-    if backend_capabilities(backend_name).supports_incremental:
-        backend.patch_sums(S, *args)
-        assert S[0 * K + 1] == 2.0 and S[1 * K + 0] == 2.0
-    else:
-        with pytest.raises(ValueError, match="incremental"):
-            backend.patch_sums(S, *args)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize(
-    "backend_name",
-    sorted(n for n in list_backends() if backend_capabilities(n).supports_incremental),
-)
-def test_signed_patch_stream_matches_dense_sums(backend_name, seed):
-    """Batches of signed deltas (inserts, weight bumps, deletions, self
-    loops, unlabelled endpoints) compose to the dense per-class sums."""
-    rng = np.random.default_rng(seed)
-    n = 30
-    labels = rng.integers(-1, K, size=n).astype(np.int64)
-    backend = get_backend(backend_name)
-    S_flat = np.zeros(n * K)
-    expected = np.zeros((n, K))
-    for _ in range(12):
-        batch = int(rng.integers(1, 9))
-        src = rng.integers(0, n, size=batch).astype(np.int64)
-        dst = rng.integers(0, n, size=batch).astype(np.int64)
-        delta = rng.uniform(-1.5, 2.0, size=batch)
-        backend.patch_sums(S_flat, src, dst, delta, labels, K)
-        for u, v, w in zip(src, dst, delta):
-            if labels[v] >= 0:
-                expected[u, labels[v]] += w
-            if labels[u] >= 0:
-                expected[v, labels[u]] += w
-        np.testing.assert_allclose(S_flat.reshape(n, K), expected, atol=ATOL, rtol=0)
-
-
-@pytest.mark.parametrize(
-    "backend_name",
-    sorted(n for n in list_backends() if backend_capabilities(n).supports_incremental),
-)
-def test_empty_patch_is_a_no_op(backend_name):
-    S_flat = np.arange(4 * K, dtype=np.float64)
-    before = S_flat.copy()
-    get_backend(backend_name).patch_sums(
-        S_flat,
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0),
-        np.array([0, 1, -1, 2]),
-        K,
-    )
-    np.testing.assert_array_equal(S_flat, before)
-
-
 # --------------------------------------------------------------------------- #
 # Regression: duplicate-edge removal must not double-subtract
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "backend_name",
-    sorted(n for n in list_backends() if backend_capabilities(n).supports_incremental),
-)
+@pytest.mark.parametrize("backend_name", sorted(list_backends()))
 def test_multigraph_removal_subtracts_exact_multiplicity(backend_name):
     """Removing one instance of a duplicated edge must subtract one weight.
 
     A removal path keyed on (src, dst) pairs instead of edge *instances*
     would subtract every duplicate's contribution at once, silently
     corrupting the raw sums; the incremental embedding then diverges from a
-    fresh fit on the mutated multigraph.
+    fresh fit on the mutated multigraph.  The live state starts from the
+    backend's own embedding, so each backend is checked.
     """
-    from repro.graph.edgelist import EdgeList as EL
     from repro.stream import DynamicGraph, IncrementalEmbedding
 
     # (0, 1) three times with distinct weights, plus a duplicated self-loop.
-    edges = EL(
+    edges = EdgeList(
         src=np.array([0, 0, 0, 2, 2, 1, 3]),
         dst=np.array([1, 1, 1, 2, 2, 3, 0]),
         weights=np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
@@ -314,7 +243,8 @@ def test_multigraph_removal_subtracts_exact_multiplicity(backend_name):
     dyn.remove_edges([0, 2], [1, 2])  # one instance of each duplicated pair
     delta = dyn.commit()
     assert delta.removed_weights.tolist() == [1.0, 8.0]
-    inc.update()
+    report = inc.update()
+    assert report.incremental
 
     remaining = dyn.graph.edges
     assert remaining.n_edges == 5  # exactly one instance of each pair gone

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro import GraphEncoderEmbedding
-from repro.graph import EdgeList, planted_partition
+from repro.backends import list_backends
+from repro.graph import EdgeList, erdos_renyi, planted_partition
 from repro.labels import mask_labels
 
 ATOL = 1e-8
@@ -130,6 +131,46 @@ class TestPartialFit:
             y_all,
         )
         np.testing.assert_allclose(model.embedding_, full.embedding_, atol=ATOL)
+
+    @pytest.mark.parametrize("method", sorted(list_backends()))
+    def test_fit_array_kept_and_batches_update_one_array(self, planted_case, method):
+        """Streaming on from a fit through any backend copies the fit's
+        array once; later batches update one live array in place."""
+        edges, _, y = planted_case
+        parts = [
+            EdgeList(edges.src[ids], edges.dst[ids], None, edges.n_vertices)
+            for ids in np.array_split(np.arange(edges.n_edges), 3)
+        ]
+        model = GraphEncoderEmbedding(3, method=method).fit(parts[0], y)
+        fitted = model.embedding_
+        kept = fitted.copy()
+        model.partial_fit(parts[1])
+        live = model.embedding_
+        model.partial_fit(parts[2], labels=y)
+        assert model.embedding_ is live
+        assert np.array_equal(fitted, kept)
+        full = GraphEncoderEmbedding(method="vectorized").fit(edges, y)
+        np.testing.assert_allclose(live, full.embedding_, atol=ATOL)
+
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_one_edge_batch_allocates_less_than_one_embedding(self, with_labels):
+        """A streamed edge moves O(n) bytes at most, never an n×K array
+        (traced, not timed)."""
+        import tracemalloc
+
+        n, k = 20_000, 16
+        y = np.random.default_rng(3).integers(-1, k, size=n)
+        model = GraphEncoderEmbedding(k, method="vectorized")
+        model.fit(erdos_renyi(n, 60_000, seed=3), y)
+        one = EdgeList(np.array([1]), np.array([2]), None, n)
+        model.partial_fit(one)  # copies the fit's embedding once
+        tracemalloc.start()
+        try:
+            model.partial_fit(one, labels=y if with_labels else None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * 8
 
     def test_first_call_requires_labels_or_n_classes(self, planted_case):
         edges, _, _ = planted_case
@@ -281,7 +322,7 @@ class TestDegenerateInputs:
 
 
 class TestStreamingRemovals:
-    """partial_fit(remove=True) and update(MutationDelta)."""
+    """partial_fit(remove=True)."""
 
     def test_remove_inverts_ingestion(self, planted_case):
         edges, _, y = planted_case
@@ -309,45 +350,3 @@ class TestStreamingRemovals:
         model.partial_fit(e1, remove=True)
         alone = GraphEncoderEmbedding(2).partial_fit(e2, labels=y)
         np.testing.assert_allclose(model.embedding_, alone.embedding_, atol=ATOL)
-
-    def test_update_applies_mutation_delta(self, planted_case):
-        from repro.graph import Graph
-        from repro.stream import DynamicGraph
-
-        edges, _, y = planted_case
-        dyn = DynamicGraph(edges)
-        model = GraphEncoderEmbedding(3).fit(dyn.graph, y)
-        dyn.add_edges([0, 1, 2], [5, 6, 7])
-        dyn.remove_edges(edges.src[:2], edges.dst[:2])
-        delta = dyn.commit()
-        model.update(delta)
-        fresh = GraphEncoderEmbedding(3).fit(Graph(dyn.graph.edges.copy()), y)
-        np.testing.assert_allclose(model.embedding_, fresh.embedding_, atol=ATOL)
-
-    def test_update_with_vertex_growth_and_labels(self, planted_case):
-        from repro.graph import Graph
-        from repro.stream import DynamicGraph
-
-        edges, _, y = planted_case
-        dyn = DynamicGraph(edges)
-        model = GraphEncoderEmbedding(3).fit(dyn.graph, y)
-        dyn.add_vertices(2)
-        n = edges.n_vertices
-        dyn.add_edges([n, n + 1], [0, 1])
-        delta = dyn.commit()
-        y2 = np.concatenate([y, [0, 2]])
-        model.update(delta, labels=y2)
-        fresh = GraphEncoderEmbedding(3).fit(Graph(dyn.graph.edges.copy()), y2)
-        np.testing.assert_allclose(model.embedding_, fresh.embedding_, atol=ATOL)
-
-    def test_update_requires_delta_and_fitted_state(self, planted_case):
-        from repro.stream import DynamicGraph
-
-        edges, _, y = planted_case
-        with pytest.raises(TypeError, match="MutationDelta"):
-            GraphEncoderEmbedding(3).update(edges)
-        dyn = DynamicGraph(edges)
-        dyn.add_edges([0], [1])
-        delta = dyn.commit()
-        with pytest.raises(RuntimeError, match="fit"):
-            GraphEncoderEmbedding(3).update(delta)

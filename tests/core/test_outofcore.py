@@ -208,9 +208,24 @@ def test_budget_resolves_chunk_size_and_bounds_blocks():
     for src, dst, w in source.iter_chunks():
         assert src.size <= source.chunk_edges
         # The yielded triple itself stays well inside the budget.
-        assert src.nbytes + dst.nbytes + w.nbytes <= budget
+        assert src.nbytes + dst.nbytes + (0 if w is None else w.nbytes) <= budget
         total += src.size
     assert total == edges.n_edges
+
+
+@pytest.mark.parametrize("kind", ["memory", "file", "segments"])
+def test_unweighted_chunks_carry_no_weights(tmp_path, kind):
+    edges = erdos_renyi(40, 300, seed=4)
+    if kind == "memory":
+        source = ChunkedEdgeSource.from_edgelist(edges, chunk_edges=64)
+    elif kind == "file":
+        source = ChunkedEdgeSource.open(save_chunked(edges, tmp_path / "s"), chunk_edges=64)
+    else:
+        store = SegmentedEdgeStore.create(tmp_path / "seg", edges)
+        store.append(erdos_renyi(40, 20, seed=5))
+        source = store.source(chunk_edges=64)
+    chunks = list(source.iter_chunks())
+    assert len(chunks) > 1 and all(w is None for _, _, w in chunks)
 
 
 @pytest.mark.parametrize("backend_name", ["vectorized", "parallel"])

@@ -9,8 +9,8 @@ reproduce the serial sorted pass bit for bit — on the conformance edge
 cases (rows no incidence reaches, self loops, duplicate edges, more ranges
 than busy rows), with narrow and wide shared label segments.  A pooled
 workspace reused with other labels keeps no rows of the previous embed,
-segmented-store sources stream to the reference, and the backend's O(Δ)
-patch composes exactly.
+segmented-store sources stream to the reference, and an
+``IncrementalEmbedding`` patches the pooled embedding it adopts exactly.
 """
 
 import gc
@@ -271,58 +271,103 @@ class TestRowRanges:
             plan.fused_row_ranges(0)
 
 
-def _dense_patch(S, src, dst, delta, labels):
-    for u, v, w in zip(src, dst, delta):
+POOLED_WORKERS = [1] + [pytest.param(w, marks=fork_only) for w in (2, 7)]
+
+
+def _dense_sums(edges, labels, k):
+    """The raw per-class sums of an edge loop: ``S[u, y[v]] += w`` both ways."""
+    S = np.zeros((labels.shape[0], k))
+    for u, v, w in zip(edges.src, edges.dst, edges.effective_weights()):
         if labels[v] >= 0:
             S[u, labels[v]] += w
         if labels[u] >= 0:
             S[v, labels[u]] += w
+    return S
 
 
 class TestIncrementalPatches:
-    @pytest.mark.parametrize("n_workers", [1, 2, 7])
+    """An ``IncrementalEmbedding`` refreshed through ``parallel`` keeps the
+    embedding the pool wrote as its live ``Z`` (no copy) and patches it with
+    the one O(Δ) step; other embeds on the same pool leave it alone."""
+
+    @staticmethod
+    def _live(n_workers, n=26, k=4):
+        rng = np.random.default_rng(n_workers)
+        labels = rng.integers(-1, k, size=n).astype(np.int64)
+        dyn = DynamicGraph(erdos_renyi(n, 80, weighted=True, seed=n_workers))
+        inc = IncrementalEmbedding(
+            dyn,
+            labels,
+            n_classes=k,
+            backend=get_backend("parallel", n_workers=n_workers),
+            churn_threshold=1e9,
+        )
+        return rng, dyn, inc
+
+    @pytest.mark.parametrize("n_workers", POOLED_WORKERS)
     def test_patch_stream_matches_dense_reference(self, n_workers):
         """Signed inserts, weight bumps and deletions compose exactly,
-        small batches and large."""
-        rng = np.random.default_rng(n_workers)
-        n, k = 26, 4
-        labels = rng.integers(-1, k, size=n).astype(np.int64)
-        S_flat = np.zeros(n * k)
-        expected = np.zeros((n, k))
-        backend = get_backend("parallel", n_workers=n_workers)
+        small batches and large, while the pool embeds other labels."""
+        rng, dyn, inc = self._live(n_workers)
+        y, k = inc.labels, inc.n_classes
+        n = y.shape[0]
         for batch in (1, 5, 11, 5000, 3):
-            src = rng.integers(0, n, size=batch).astype(np.int64)
-            dst = rng.integers(0, n, size=batch).astype(np.int64)
-            delta = rng.uniform(-1.0, 1.5, size=batch)
-            backend.patch_sums(S_flat, src, dst, delta, labels, k)
-            _dense_patch(expected, src, dst, delta, labels)
+            current = dyn.graph.edges
+            pos = rng.choice(current.n_edges, size=min(batch, 20), replace=False)
+            dyn.remove_edges(current.src[pos], current.dst[pos])
+            upd = np.setdiff1d(np.arange(current.n_edges), pos)[: min(batch, 20)]
+            dyn.update_weights(
+                current.src[upd], current.dst[upd], rng.uniform(0.5, 2.0, upd.size)
+            )
+            dyn.add_edges(
+                rng.integers(0, n, size=batch),
+                rng.integers(0, n, size=batch),
+                rng.uniform(0.5, 1.5, size=batch),
+            )
+            dyn.commit()
+            inc.backend.embed_with_plan(dyn.graph.plan(k), rng.integers(0, k, size=n))
+            assert inc.update().incremental
+            edges = dyn.graph.edges
             np.testing.assert_allclose(
-                S_flat.reshape(n, k), expected, atol=ATOL, rtol=0
+                inc.raw_sums, _dense_sums(edges, y, k), atol=ATOL, rtol=0
+            )
+            np.testing.assert_allclose(
+                inc.embedding, gee_python(edges, y, k).embedding, atol=ATOL
             )
 
+    @fork_only
     def test_empty_delta_is_noop(self):
-        S = np.ones(12)
-        empty = np.empty(0, np.int64)
-        get_backend("parallel", n_workers=2).patch_sums(
-            S, empty, empty, np.empty(0), np.array([0, 1, 2]), 4
-        )
-        assert np.all(S == 1.0)
+        """A commit that only adds vertices patches nothing: the pooled
+        rows keep their values and the new rows are zero."""
+        _, dyn, inc = self._live(2)
+        before = inc.embedding.copy()
+        dyn.add_vertices(2)
+        dyn.commit()
+        report = inc.update()
+        assert report.incremental and report.patched_edges == 0
+        np.testing.assert_array_equal(inc.embedding[:26], before)
+        assert not inc.embedding[26:].any() and not inc.raw_sums[26:].any()
 
-    @pytest.mark.parametrize("n_workers", [1, 2, 7])
+    @pytest.mark.parametrize("n_workers", POOLED_WORKERS)
     def test_rows_past_the_graph_are_patched(self, n_workers):
-        """Sums sized for more rows than the graph (vertices added since):
-        every delta lands, through the backend's patch protocol."""
-        n_grown, k = 14, 3
-        y = np.random.default_rng(n_workers).integers(0, k, size=n_grown)
-        src = np.array([0, 10, 13, 4, 12])
-        dst = np.array([11, 12, 2, 13, 12])
-        delta = np.array([1.0, -0.5, 2.0, 0.25, 1.5])
-        S = np.zeros(n_grown * k)
-        backend = get_backend("parallel", n_workers=n_workers)
-        backend.patch_sums(S, src, dst, delta, y, k)
-        expected = np.zeros((n_grown, k))
-        _dense_patch(expected, src, dst, delta, y)
-        np.testing.assert_allclose(S.reshape(n_grown, k), expected, atol=ATOL, rtol=0)
+        """Vertices added since the pooled refresh: every delta lands, self
+        loops and edges between two new vertices included."""
+        rng, dyn, inc = self._live(n_workers)
+        k = inc.n_classes
+        dyn.add_vertices(4)
+        dyn.add_edges(
+            [0, 26, 29, 4, 28], [27, 28, 2, 29, 28], [1.0, 0.5, 2.0, 0.25, 1.5]
+        )
+        dyn.commit()
+        y = np.concatenate([inc.labels, rng.integers(0, k, size=4)])
+        assert inc.update(labels=y).incremental
+        edges = dyn.graph.edges
+        np.testing.assert_allclose(
+            inc.raw_sums, _dense_sums(edges, y, k), atol=ATOL, rtol=0
+        )
+        np.testing.assert_allclose(
+            inc.embedding, gee_python(edges, y, k).embedding, atol=ATOL
+        )
 
 
 @fork_only

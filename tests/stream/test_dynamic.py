@@ -1,4 +1,4 @@
-"""DynamicGraph: staging, commit semantics, instance matching, versioned snapshots, plan carry."""
+"""DynamicGraph: staging, commit semantics, instance matching, snapshots, per-version plans."""
 
 from __future__ import annotations
 
@@ -272,45 +272,21 @@ class TestSnapshotsAndLog:
 
 
 class TestPlanCarry:
-    def test_append_only_commit_extends_cached_plan(self):
-        dyn = DynamicGraph(erdos_renyi(30, 90, weighted=True, seed=4))
-        plan = dyn.graph.plan(3)
-        _ = plan.src_flat  # built on request only: no kernel reads it
-        dyn.add_edges([0, 1], [2, 3], [1.5, 2.5])
-        dyn.commit()
-        carried = dyn.graph.plan(3)
-        assert carried is not plan  # copy-on-write, never shared mutation
-        assert carried.n_edges == 92
-        # Seeded from the old plan's validated arrays — no revalidation: the
-        # arrays are already materialised without any property access.  The
-        # flat index is not carried; the property rebuilds it if asked.
-        assert carried._src is not None and carried._src.shape == (92,)
-        assert carried._src_flat is None
-        np.testing.assert_array_equal(carried.src_flat, carried.src * 3)
-        y = np.random.default_rng(1).integers(0, 3, size=30)
-        via_plan = GraphEncoderEmbedding(3).fit(dyn.graph, y).embedding_.copy()
-        fresh = GraphEncoderEmbedding(3).fit(Graph(dyn.graph.edges.copy()), y).embedding_
-        np.testing.assert_allclose(via_plan, fresh, atol=1e-12)
-
-    def test_unit_weight_plan_extends_without_ones(self):
-        """An append-only commit on a unit-weight graph carries the plan with
-        its weights still unbuilt, and the carried plan fits bitwise what a
-        fresh plan of the new version fits."""
-        dyn = DynamicGraph(erdos_renyi(30, 90, seed=4))
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_append_only_commit_plans_from_the_new_arrays(self, weighted):
+        """No plan is carried across a commit: the new version's default
+        plan reads the committed arrays themselves, and fits bitwise what a
+        fresh graph fits."""
+        dyn = DynamicGraph(erdos_renyi(30, 90, weighted=weighted, seed=4))
         y = np.random.default_rng(1).integers(0, 3, size=30)
         y[::4] = -1
         GraphEncoderEmbedding(3).fit(dyn.graph, y)
-        plan = dyn.graph.plan(3)
-        assert plan._src is not None and plan._weights is None
-        dyn.add_edges([0, 1], [2, 3])
+        dyn.add_edges([0, 1], [2, 3], [1.5, 2.5] if weighted else None)
         dyn.commit()
-        carried = dyn.graph.plan(3)
-        assert carried is not plan and carried._src.shape == (92,)
-        assert carried.unit_weights and carried._weights is None
+        assert dyn.graph.plan(3).src is dyn.graph.edges.src
         via_plan = GraphEncoderEmbedding(3).fit(dyn.graph, y).embedding_
         fresh = GraphEncoderEmbedding(3).fit(Graph(dyn.graph.edges.copy()), y).embedding_
         assert np.array_equal(via_plan, fresh)
-        np.testing.assert_array_equal(carried.weights, np.ones(92))
 
     def test_snapshot_readers_plan_is_not_mutated_by_commits(self):
         """Regression: a reader-held plan must keep its version's edge set."""
@@ -323,7 +299,7 @@ class TestPlanCarry:
         backend = get_backend("vectorized")
         before = backend.embed_with_plan(reader_plan, y).detached().embedding.copy()
         dyn.add_edges([0, 1, 2], [3, 4, 5])
-        dyn.commit()  # append-only: extends the plan for the new version
+        dyn.commit()  # append-only
         assert reader_plan.n_edges == 60
         after = backend.embed_with_plan(reader_plan, y).detached().embedding
         np.testing.assert_array_equal(before, after)

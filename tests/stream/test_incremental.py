@@ -5,9 +5,8 @@ sequence of committed mutations, the incrementally-maintained embedding
 equals a from-scratch ``fit`` on the mutated graph to 1e-10.  It is fuzzed
 over ~200 seeded mutation scripts — random mixes of additions, removals
 (exact-multiplicity on multigraphs), weight updates and labelled vertex
-arrivals — against every backend declaring ``supports_incremental``, so a
-new backend that claims the capability is automatically held to the same
-bar.
+arrivals — with full refreshes through every registered backend, so a new
+backend is automatically held to the same bar.
 """
 
 from __future__ import annotations
@@ -15,17 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import backend_capabilities, get_backend, list_backends
+from repro.backends import list_backends
 from repro.core.api import GraphEncoderEmbedding
 from repro.graph import Graph, erdos_renyi, temporal_drift
 from repro.stream import DynamicGraph, IncrementalEmbedding
 
 ATOL = 1e-10
 N_SCRIPTS = 200
-
-INCREMENTAL_BACKENDS = [
-    name for name in list_backends() if backend_capabilities(name).supports_incremental
-]
 
 
 def _fresh_fit(dyn: DynamicGraph, labels: np.ndarray, k: int) -> np.ndarray:
@@ -34,28 +29,9 @@ def _fresh_fit(dyn: DynamicGraph, labels: np.ndarray, k: int) -> np.ndarray:
     return model.fit(Graph(dyn.graph.edges.copy()), labels).embedding_
 
 
-def test_expected_incremental_backends():
-    assert set(INCREMENTAL_BACKENDS) == {
-        "auto", "vectorized", "sparse", "parallel",
-    }
-
-
-def test_non_incremental_backend_rejects_patch():
-    backend = get_backend("python")
-    with pytest.raises(ValueError, match="incremental"):
-        backend.patch_sums(
-            np.zeros(4), np.array([0]), np.array([1]), np.array([1.0]),
-            np.array([0, 1]), 2,
-        )
-    edges = erdos_renyi(10, 20, seed=0)
-    with pytest.raises(ValueError, match="incremental"):
-        IncrementalEmbedding(DynamicGraph(edges), np.zeros(10, dtype=np.int64),
-                             n_classes=2, backend="python")
-
-
 def test_chunked_refreshes_need_a_chunk_capable_backend():
-    """``sparse`` patches but has no chunked pass: asking it for chunked
-    refreshes raises and names the backend."""
+    """``sparse`` has no chunked pass: asking it for chunked refreshes
+    raises and names the backend."""
     edges = erdos_renyi(30, 80, seed=0)
     y = np.arange(30) % 3
     with pytest.raises(ValueError, match="'sparse' cannot run chunked refreshes"):
@@ -71,7 +47,7 @@ def test_requires_dynamic_graph():
 
 
 class TestBasicMaintenance:
-    @pytest.mark.parametrize("backend", INCREMENTAL_BACKENDS)
+    @pytest.mark.parametrize("backend", list_backends())
     def test_mixed_batch_matches_fresh_fit(self, backend):
         rng = np.random.default_rng(7)
         edges = erdos_renyi(50, 220, weighted=True, seed=7)
@@ -100,17 +76,45 @@ class TestBasicMaintenance:
         assert report.n_deltas == 3 and report.version_to == 3
         np.testing.assert_allclose(inc.embedding, _fresh_fit(dyn, y, 3), atol=ATOL)
 
-    def test_labelled_vertex_arrivals_rescale_their_class(self):
+    @pytest.mark.parametrize("labelled_later", [False, True])
+    def test_labelled_vertex_arrivals_rescale_their_class(self, labelled_later):
+        """New vertices rescale their class; one that no edge has reached
+        yet may still be labelled at a later update."""
         edges = erdos_renyi(30, 100, seed=5)
         y = np.random.default_rng(5).integers(0, 3, size=30)
         dyn = DynamicGraph(edges)
         inc = IncrementalEmbedding(dyn, y, n_classes=3)
         dyn.add_vertices(2)
+        if labelled_later:
+            dyn.commit()
+            inc.update()  # the new vertices arrive unlabelled, unread
         dyn.add_edges([30, 31], [0, 1])
         dyn.commit()
         y2 = np.concatenate([y, [0, 2]])
         inc.update(labels=y2)
         np.testing.assert_allclose(inc.embedding, _fresh_fit(dyn, y2, 3), atol=ATOL)
+
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_one_edge_update_allocates_less_than_one_embedding(self, with_labels):
+        """A one-edge batch moves O(n) bytes at most, never an n×K array
+        (traced, not timed), with or without the label vector."""
+        import tracemalloc
+
+        n, k = 20_000, 16
+        y = np.random.default_rng(3).integers(-1, k, size=n)
+        dyn = DynamicGraph(erdos_renyi(n, 60_000, seed=3))
+        inc = IncrementalEmbedding(dyn, y, n_classes=k)
+        dyn.add_edges([1], [2])
+        dyn.commit()
+        tracemalloc.start()
+        try:
+            report = inc.update(labels=y if with_labels else None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.incremental
+        assert peak < n * k * 8
+        np.testing.assert_allclose(inc.embedding, _fresh_fit(dyn, y, k), atol=ATOL)
 
     def test_label_rewrite_rejected(self):
         edges = erdos_renyi(20, 60, seed=6)
@@ -256,7 +260,7 @@ def _run_script(rng: np.random.Generator, backend: str) -> None:
     np.testing.assert_allclose(inc.embedding, fresh, atol=ATOL)
 
 
-@pytest.mark.parametrize("backend", INCREMENTAL_BACKENDS)
+@pytest.mark.parametrize("backend", list_backends())
 def test_fuzz_mutation_scripts_match_fresh_fit(backend):
     """~200 seeded random mutation scripts track a fresh fit to 1e-10."""
     rng = np.random.default_rng(20260729)
