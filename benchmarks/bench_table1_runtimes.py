@@ -5,7 +5,11 @@ parallel on six SNAP graphs (6.8M – 1.8B edges), K = 50, 10% random labels.
 Here each registered backend (``repro.backends``) runs on the scaled
 stand-ins through the shared ``Graph`` facade; pytest-benchmark groups the
 results per graph so the relative ordering (the actual claim of Table I)
-can be read off directly.
+can be read off directly.  Every ``embed`` runs the backend's plan kernel
+on the graph's cached default plan: the Numba-serial stand-in
+(``vectorized``) is the compile-free ``bincount`` pass.  The committed
+``BENCH_table1_smoke.json`` baseline predates that and timed the per-edge
+scatter.
 
 The pure-Python reference is benchmarked only on the two smaller graphs to
 keep the suite's runtime reasonable — its linear scaling is established by

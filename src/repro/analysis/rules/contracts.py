@@ -10,9 +10,6 @@ This project-scoped rule imports the live registry and cross-checks every
 registered backend class against what it actually implements:
 
 * ``supports_chunked``  ⇔ overrides ``_embed_with_chunked_plan``
-* ``supports_layout``  ⇒ overrides ``_embed_with_plan`` (a backend that
-  claims the locality-optimized kernels but falls back to the base
-  ``_embed`` path silently ignores the layout it advertised)
 * ``supports_n_workers`` is verified *behaviourally*: ``cls(n_workers=1)``
   must succeed exactly when the flag is set (the base constructor raises
   ``ValueError`` otherwise).
@@ -34,9 +31,6 @@ __all__ = ["CapabilityContractRule", "check_capability_contract"]
 #: capability flag -> method a truthful declaration must override.
 _IFF_OVERRIDES: Tuple[Tuple[str, str], ...] = (
     ("supports_chunked", "_embed_with_chunked_plan"),
-)
-_IMPLIES_OVERRIDES: Tuple[Tuple[str, str], ...] = (
-    ("supports_layout", "_embed_with_plan"),
 )
 
 
@@ -98,17 +92,6 @@ def check_capability_contract(
                     f"backend {name!r} overrides {method} but declares "
                     f"{flag}=False; the capability gate hides a working "
                     "kernel from dispatch",
-                    symbol=cls.__name__,
-                )
-
-        for flag, method in _IMPLIES_OVERRIDES:
-            if bool(getattr(caps, flag)) and not _overrides(cls, GEEBackend, method):
-                yield rule.finding(
-                    path,
-                    line,
-                    f"backend {name!r} declares {flag}=True but does not "
-                    f"override {method}; layout plans would silently run the "
-                    "classic arrival-order kernel",
                     symbol=cls.__name__,
                 )
 

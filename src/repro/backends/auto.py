@@ -26,7 +26,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..graph.facade import Graph
 from ..parallel.pool import effective_worker_count, fork_available
 from .registry import BackendCapabilities, GEEBackend, get_backend, register_backend
 
@@ -106,29 +105,6 @@ class AutoGEEBackend(GEEBackend):
             backend = get_backend(choice.backend, n_workers=choice.n_workers)
             self._delegates[key] = backend
         return backend
-
-    @staticmethod
-    def _resolve_k(labels: np.ndarray, n_classes: Optional[int]) -> int:
-        if n_classes is not None:
-            return int(n_classes)
-        from ..core.validation import infer_n_classes
-
-        k = infer_n_classes(labels)
-        if k <= 0:
-            raise ValueError(
-                "could not infer a positive number of classes; provide "
-                "n_classes or at least one labelled vertex"
-            )
-        return k
-
-    # ------------------------------------------------------------------ #
-    # Embedding protocol
-    # ------------------------------------------------------------------ #
-    def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):
-        # Always through the plans cached on the facade, so repeated auto
-        # embeds on one graph do not re-pay validation or compilation.
-        k = self._resolve_k(labels, n_classes)
-        return self._embed_with_plan(graph.plan(k), labels)
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
         choice = choose(plan, self.n_workers)

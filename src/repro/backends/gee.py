@@ -1,20 +1,26 @@
 """Registered GEE execution backends.
 
-Each class is a thin, capability-declaring wrapper over one of the
-functional implementations in :mod:`repro.core`; the Ligra-family backends
+Each class is a thin, capability-declaring wrapper over one plan kernel
+of :mod:`repro.core` (``_embed_with_plan``); the Ligra-family backends
 reuse the :mod:`repro.ligra.backends` execution classes underneath (through
-:func:`~repro.core.gee_ligra.gee_ligra` → ``LigraEngine`` →
+:func:`~repro.core.gee_ligra.gee_ligra_with_plan` → ``LigraEngine`` →
 ``make_backend``) rather than duplicating their scheduling logic.
 
-The canonical names, and the Table I columns they correspond to:
+``embed`` and ``embed_with_plan`` run the same kernel: ``embed`` on the
+graph's default plan ``graph.plan(K)`` (see :mod:`repro.core.plan`), so
+repeated embeds of one ``(graph, K)`` pair skip validation and index
+building.  The canonical names, the pass each runs on a default plan, and
+the Table I columns they correspond to:
 
 ================== ============================================= ===========
-name               implementation                                paper column
+name               pass on a default plan                        paper column
 ================== ============================================= ===========
 python             interpreted reference loop (Algorithm 1)      GEE-Python
-vectorized         NumPy scatter-add edge pass                   Numba serial
+vectorized         compile-free pass: one ``bincount`` of the    Numba serial
+                   known incidences (a sorted plan: block-local
+                   segment sums)
 sparse             ``(A + Aᵀ)·W`` via scipy.sparse CSR matmul    Numba serial
-                                                                 (C-speed ref)
+                   over the plan's cached adjacency              (C-speed ref)
 ligra-serial       engine, one edge list at a time               GEE-Ligra S
 ligra-vectorized   engine, flat NumPy slabs (alias: ``ligra``)   GEE-Ligra S
 ligra-threads      engine, degree-balanced threads + atomics     —
@@ -22,28 +28,17 @@ ligra-processes    engine, forked workers + reduction            GEE-Ligra P
                    (alias: ``ligra-parallel``)
 parallel           owner-computes rows over the sorted incidence GEE-Ligra P
 ================== ============================================= ===========
-
-Every backend also implements the compiled-plan path
-(``embed_with_plan``, see :mod:`repro.core.plan`): repeated embeds of one
-``(graph, K)`` pair skip validation and index building.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..core.gee_ligra import gee_ligra, gee_ligra_with_plan
-from ..core.gee_parallel import gee_parallel, gee_parallel_with_plan
-from ..core.gee_python import gee_python, gee_python_with_plan
-from ..core.gee_sparse import gee_sparse, gee_sparse_with_plan
-from ..core.gee_vectorized import (
-    gee_vectorized,
-    gee_vectorized_chunked,
-    gee_vectorized_with_plan,
-)
-from ..graph.facade import Graph
+from ..core.gee_ligra import gee_ligra_with_plan
+from ..core.gee_parallel import gee_parallel_with_plan
+from ..core.gee_python import gee_python
+from ..core.gee_sparse import gee_sparse_with_plan
+from ..core.gee_vectorized import gee_vectorized_chunked, gee_vectorized_with_plan
 from .registry import BackendCapabilities, GEEBackend, register_backend
 
 __all__ = [
@@ -65,13 +60,14 @@ __all__ = [
     ),
 )
 class PythonLoopBackend(GEEBackend):
-    """The paper's GEE-Python baseline: a pure-Python loop over edges."""
+    """The paper's GEE-Python baseline: a pure-Python loop over edges.
 
-    def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):
-        return gee_python(graph.edges, labels, n_classes)
+    Its plan kernel is the oracle :func:`~repro.core.gee_python.gee_python`
+    itself, on the plan's validated edges.
+    """
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
-        return gee_python_with_plan(plan, labels)
+        return gee_python(plan.graph.edges, labels, plan.n_classes)
 
 
 @register_backend(
@@ -84,9 +80,6 @@ class PythonLoopBackend(GEEBackend):
 )
 class VectorizedGEEBackend(GEEBackend):
     """Fully vectorised single-core edge pass (the Numba-serial stand-in)."""
-
-    def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):
-        return gee_vectorized(graph.edges, labels, n_classes)
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
         return gee_vectorized_with_plan(plan, labels)
@@ -109,9 +102,6 @@ class SparseMatmulGEEBackend(GEEBackend):
     paper's edge-pass formulation.
     """
 
-    def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):
-        return gee_sparse(graph, labels, n_classes)
-
     def _embed_with_plan(self, plan, labels: np.ndarray):
         return gee_sparse_with_plan(plan, labels)
 
@@ -127,16 +117,6 @@ class _LigraGEEBackend(GEEBackend):
 
     engine_backend = "serial"
     _OPTIONS = {"atomic": True}
-
-    def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):
-        return gee_ligra(
-            graph.csr,
-            labels,
-            n_classes,
-            backend=self.engine_backend,
-            n_workers=self.n_workers,
-            atomic=self.atomic,
-        )
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
         return gee_ligra_with_plan(
@@ -223,9 +203,6 @@ class ProcessParallelGEEBackend(GEEBackend):
     (:func:`~repro.core.gee_vectorized.gee_vectorized_chunked`) and
     reports ``n_workers == 1``.
     """
-
-    def _embed(self, graph: Graph, labels: np.ndarray, n_classes: Optional[int]):
-        return gee_parallel(graph, labels, n_classes, n_workers=self.n_workers)
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
         return gee_parallel_with_plan(plan, labels, n_workers=self.n_workers)

@@ -55,8 +55,6 @@ class BackendCapabilities:
 
     Attributes
     ----------
-    supports_weights:
-        Whether weighted edge lists are handled (all current backends do).
     supports_n_workers:
         Whether the backend accepts an explicit worker count.  Passing
         ``n_workers`` to a backend without this capability raises at
@@ -83,7 +81,6 @@ class BackendCapabilities:
         One-line human-readable summary shown by discovery helpers.
     """
 
-    supports_weights: bool = True
     supports_n_workers: bool = False
     parallel: bool = False
     deterministic: bool = True
@@ -95,9 +92,10 @@ class BackendCapabilities:
 class GEEBackend:
     """Base class for registered GEE execution backends.
 
-    Subclasses implement :meth:`_embed` on a coerced
-    :class:`~repro.graph.facade.Graph` and declare their construction
-    options in ``_OPTIONS`` (name → default).  The base constructor
+    Subclasses implement :meth:`_embed_with_plan`, the kernel on a compiled
+    :class:`~repro.core.plan.EmbedPlan` that both :meth:`embed` and
+    :meth:`embed_with_plan` run, and declare their construction options in
+    ``_OPTIONS`` (name → default).  The base constructor
     validates every keyword: unknown options and ``n_workers`` on a backend
     without the ``supports_n_workers`` capability are rejected immediately,
     so misconfiguration fails at construction instead of being silently
@@ -138,54 +136,38 @@ class GEEBackend:
     def embed(self, graph, labels: np.ndarray, n_classes: Optional[int] = None):
         """Run the GEE edge pass on a graph-like input.
 
-        Coerces ``graph`` through :meth:`Graph.coerce` (cached views are
-        reused when a :class:`Graph` is passed) and returns an
-        :class:`~repro.core.result.EmbeddingResult`.
+        Coerces ``graph`` through :meth:`Graph.coerce` (cached views and
+        plans are reused when a :class:`Graph` is passed), takes ``K`` from
+        ``n_classes`` or the labels, and runs the backend's plan kernel on
+        the default plan ``graph.plan(K)``: the same kernel, and bitwise
+        the same embedding, as :meth:`embed_with_plan` on that plan.
+        Returns an :class:`~repro.core.result.EmbeddingResult`.
 
         A :class:`~repro.graph.io.ChunkedEdgeSource` is accepted by
         backends declaring the ``supports_chunked`` capability and executes
         the bounded-memory chunked path (the source is never materialised);
         other backends reject it.
         """
-        from ..graph.facade import Graph
+        from ..core.plan import ChunkedPlan, _embed_on_default_plan
+        from ..core.validation import _resolve_n_classes
         from ..graph.io import ChunkedEdgeSource
 
         if isinstance(graph, ChunkedEdgeSource):
-            self._check_chunked_input(graph.is_weighted)
-            from ..core.plan import ChunkedPlan
-            from ..core.validation import infer_n_classes
-
-            # Only K is needed to compile the plan; the full O(n) label
-            # validation happens exactly once, inside the dispatched kernel
-            # (the same contract as embed_with_plan).
-            k = infer_n_classes(labels) if n_classes is None else int(n_classes)
-            if k <= 0:
-                raise ValueError(
-                    "could not infer a positive number of classes; provide "
-                    "n_classes or at least one labelled vertex"
-                )
-            chunked = ChunkedPlan(graph, k)
+            self._check_chunked_input()
+            chunked = ChunkedPlan(graph, _resolve_n_classes(labels, n_classes))
             return self._run_observed(
                 "embed",
                 lambda: self._embed_with_chunked_plan(chunked, labels),
-                n_edges=getattr(graph, "n_edges", None),
+                n_edges=chunked.n_edges,
             )
-        g = Graph.coerce(graph)
-        # Capability first: is_weighted can cost an O(s) scan on CSR-adopted
-        # graphs, and every current backend supports weights.
-        if not type(self).capabilities.supports_weights and g.is_weighted:
-            raise ValueError(
-                f"backend {type(self).name!r} does not support weighted graphs"
-            )
-        try:
-            return self._run_observed(
-                "embed", lambda: self._embed(g, labels, n_classes), n_edges=g.n_edges
-            )
-        finally:
-            if g is not graph:
-                # The facade is private to this call: release what the
-                # backend cached on it (a pooled plan's shared memory) now.
-                g.drop_plans()
+        return _embed_on_default_plan(
+            graph,
+            labels,
+            n_classes,
+            lambda plan, y: self._run_observed(
+                "embed", lambda: self._embed_with_plan(plan, y), n_edges=plan.n_edges
+            ),
+        )
 
     __call__ = embed
 
@@ -210,15 +192,11 @@ class GEEBackend:
         ``supports_chunked`` capability reject it.
         """
         if getattr(plan, "is_chunked", False):
-            self._check_chunked_input(plan.source.is_weighted)
+            self._check_chunked_input()
             return self._run_observed(
                 "embed_with_plan",
                 lambda: self._embed_with_chunked_plan(plan, labels),
                 n_edges=plan.n_edges,
-            )
-        if not type(self).capabilities.supports_weights and plan.graph.is_weighted:
-            raise ValueError(
-                f"backend {type(self).name!r} does not support weighted graphs"
             )
         return self._run_observed(
             "embed_with_plan",
@@ -227,23 +205,19 @@ class GEEBackend:
         )
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
-        # Fallback for backends without a dedicated plan kernel: the plan's
-        # graph still contributes its cached CSR views.
-        y = plan.validate_labels(labels)
-        return self._embed(plan.graph, y, plan.n_classes)
+        # The one method every backend implements.
+        raise NotImplementedError(
+            f"backend {type(self).name!r} ({type(self).__name__}) does not "
+            "implement _embed_with_plan"
+        )
 
-    def _check_chunked_input(self, is_weighted: bool) -> None:
-        """Gate a chunked input (source or plan) on the declared capabilities."""
-        caps = type(self).capabilities
-        if not caps.supports_chunked:
+    def _check_chunked_input(self) -> None:
+        """Gate a chunked input (source or plan) on the declared capability."""
+        if not type(self).capabilities.supports_chunked:
             raise ValueError(
                 f"backend {type(self).name!r} does not support chunked "
                 "(out-of-core) execution; chunk-capable backends: "
                 f"{[n for n in list_backends() if backend_capabilities(n).supports_chunked]}"
-            )
-        if not caps.supports_weights and is_weighted:
-            raise ValueError(
-                f"backend {type(self).name!r} does not support weighted graphs"
             )
 
     def _embed_with_chunked_plan(self, plan, labels: np.ndarray):
@@ -253,9 +227,6 @@ class GEEBackend:
             f"backend {type(self).name!r} declares supports_chunked but does "
             "not implement _embed_with_chunked_plan"
         )
-
-    def _embed(self, graph, labels: np.ndarray, n_classes: Optional[int]):
-        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     # Observability

@@ -3,7 +3,7 @@
 from .api import GraphEncoderEmbedding
 from .gee_ligra import UpdateEmbedding, gee_ligra, gee_ligra_with_plan
 from .gee_parallel import gee_parallel, gee_parallel_with_plan
-from .gee_python import gee_python, gee_python_with_plan
+from .gee_python import gee_python
 from .gee_sparse import gee_sparse, gee_sparse_with_plan
 from .gee_vectorized import (
     accumulate_edges_vectorized,
@@ -38,7 +38,6 @@ __all__ = [
     "ChunkedPlan",
     "edge_fingerprint",
     "gee_python",
-    "gee_python_with_plan",
     "gee_vectorized",
     "gee_vectorized_with_plan",
     "gee_vectorized_chunked",

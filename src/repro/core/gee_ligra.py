@@ -22,6 +22,7 @@ order; the equivalence tests assert this against the reference loop.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -33,9 +34,10 @@ from ..ligra.atomics import make_accumulator
 from ..ligra.backends.base import AccumulatingEdgeMapFunction
 from ..ligra.engine import LigraEngine
 from .gee_vectorized import accumulate_edges_vectorized
+from .plan import _embed_on_default_plan
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
-from .validation import UNKNOWN_LABEL, validate_edges, validate_labels
+from .validation import UNKNOWN_LABEL
 
 __all__ = ["UpdateEmbedding", "gee_ligra", "gee_ligra_with_plan"]
 
@@ -140,13 +142,15 @@ def gee_ligra(
 ) -> EmbeddingResult:
     """One-Hot Graph Encoder Embedding via the Ligra-like engine.
 
+    Runs :func:`gee_ligra_with_plan` on the input's default plan.
+
     Parameters
     ----------
     edges:
-        The graph as a :class:`~repro.graph.facade.Graph` (its cached CSR
-        view is reused), an :class:`EdgeList`, a prebuilt :class:`CSRGraph`,
-        or any other graph-like input (building CSR is graph loading, not
-        embedding, so it is excluded from the reported timings either way).
+        The graph as a :class:`~repro.graph.facade.Graph` (its cached plan,
+        CSR view and serial engines are reused), an :class:`EdgeList`, a
+        prebuilt :class:`CSRGraph` (adopted as the CSR view), or any other
+        graph-like input.
     labels, n_classes:
         As in :func:`repro.core.gee_python.gee_python`.
     backend:
@@ -159,42 +163,10 @@ def gee_ligra(
         unsafe adds (False, the paper's "atomics off" ablation).  Only
         affects backends that issue concurrent scalar/block updates.
     """
-    if isinstance(edges, Graph):
-        csr = edges.csr
-    elif isinstance(edges, CSRGraph):
-        csr = edges
-    else:
-        edges = validate_edges(edges)
-        csr = edges.to_csr()
-    n = csr.n_vertices
-    y, k = validate_labels(labels, n, n_classes)
-
-    engine = LigraEngine(csr, backend=backend, n_workers=n_workers)
-
-    t0 = time.perf_counter()
-    # Algorithm 2, lines 3-6: the projection initialisation.  The compact
-    # per-vertex scales are built first; the dense W follows with one
-    # vectorised scatter (the class-parallel loop of the paper is available
-    # as build_projection_parallel and benchmarked in the init ablation).
-    scales = projection_scales(y, k)
-    W = projection_from_scales(y, scales, k)
-    t1 = time.perf_counter()
-
-    Z = np.zeros((n, k), dtype=np.float64)
-    fn = UpdateEmbedding(Z, y, scales, k, atomic=atomic)
-    # Algorithm 2, line 7: EdgeMap over the full frontier.
-    engine.edge_map(engine.full_frontier(), fn)
-    t2 = time.perf_counter()
-    engine.close()
-
-    workers = getattr(engine.backend, "n_workers", 1)
-    return EmbeddingResult(
-        embedding=Z,
-        projection=W,
-        timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
-        method=f"gee-ligra[{engine.backend.name}]",
-        n_workers=int(workers),
+    kernel = partial(
+        gee_ligra_with_plan, backend=backend, n_workers=n_workers, atomic=atomic
     )
+    return _embed_on_default_plan(edges, labels, n_classes, kernel)
 
 
 def gee_ligra_with_plan(
@@ -227,11 +199,14 @@ def gee_ligra_with_plan(
             plan._ligra_engines[backend] = engine
 
     t0 = time.perf_counter()
+    # Algorithm 2, lines 3-6: the projection initialisation, as per-vertex
+    # scales (the dense W is built only when the result's projection is read).
     scales = projection_scales(y, k)
     t1 = time.perf_counter()
 
     Z = plan.zeroed_output().reshape(plan.n_vertices, k)
     fn = UpdateEmbedding(Z, y, scales, k, atomic=atomic)
+    # Algorithm 2, line 7: EdgeMap over the full frontier.
     engine.edge_map(engine.full_frontier(), fn)
     t2 = time.perf_counter()
 

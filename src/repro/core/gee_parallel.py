@@ -54,6 +54,7 @@ from __future__ import annotations
 import atexit
 import time
 import weakref
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -69,16 +70,10 @@ from ..parallel.pool import (
 )
 from ..obs import trace
 from ..parallel.shm import OutputRing, SharedArrayHandle, SharedArraySet
-from .plan import choose_label_dtype
+from .plan import _embed_on_default_plan, choose_label_dtype
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
-from .validation import (
-    UNKNOWN_LABEL,
-    class_counts,
-    inverse_class_counts,
-    validate_edges,
-    validate_labels,
-)
+from .validation import UNKNOWN_LABEL, class_counts, inverse_class_counts
 
 __all__ = [
     "gee_parallel",
@@ -447,15 +442,61 @@ def _requested_workers(n_workers: Optional[int]) -> int:
     return requested
 
 
-def _gee_parallel_sorted(
-    plan, labels: np.ndarray, n_workers: Optional[int]
+def gee_parallel(
+    edges: Union[EdgeList, CSRGraph, Graph],
+    labels: np.ndarray,
+    n_classes: Optional[int] = None,
+    *,
+    n_workers: Optional[int] = None,
 ) -> EmbeddingResult:
-    """``parallel`` on ``plan``: one degree-balanced owner range per worker.
+    """One-Hot Graph Encoder Embedding, process-parallel over shared memory.
 
-    Runs the sorted fused layout; a ``layout="none"`` plan uses its graph's
-    cached sorted plan.  One worker writes an output array of ``plan``;
-    several write a slot of the shared output ring.  Either way the result
-    owns its embedding.
+    Runs :func:`gee_parallel_with_plan` on the input's default plan.
+
+    Parameters
+    ----------
+    edges:
+        The graph as a :class:`~repro.graph.facade.Graph`, an
+        :class:`EdgeList`, a prebuilt :class:`CSRGraph`, or any other
+        graph-like input.  Compiling the sorted incidence (the equivalent
+        of Ligra loading its graph) is reported separately under the
+        ``"preprocess"`` timing and is not part of the embedding time;
+        passing a ``Graph`` reuses its cached sorted plan.  Any other input
+        gets a private facade, whose plans and shared memory go with the
+        call.
+    labels, n_classes:
+        As in :func:`repro.core.gee_python.gee_python`.
+    n_workers:
+        Number of forked workers; ``None`` uses every available CPU, ``1``
+        runs the kernel in-process (no fork) which is the serial anchor of
+        the strong-scaling curve.  An explicit request is *honoured exactly*
+        — it is never silently clamped or degraded; an impossible request
+        (absurd oversubscription, or >1 workers on a platform without
+        ``fork``) raises instead.
+
+    The result owns its embedding.
+    """
+    kernel = partial(gee_parallel_with_plan, n_workers=n_workers)
+    return _embed_on_default_plan(edges, labels, n_classes, kernel)
+
+
+def gee_parallel_with_plan(
+    plan,
+    labels: np.ndarray,
+    *,
+    n_workers: Optional[int] = None,
+) -> EmbeddingResult:
+    """Process-parallel GEE on a compiled :class:`~repro.core.plan.EmbedPlan`.
+
+    Runs the owner-range executor over the plan's sorted fused layout, one
+    degree-balanced owner range per worker; a ``layout="none"`` plan uses
+    its graph's cached sorted plan, and the result reports
+    ``layout == "sorted"`` either way.  The incidence arrays ship to the
+    pool once per plan and the degree-balanced row partition is cached on
+    the plan per worker count, so per call only the label vector and the
+    column scales travel.  One worker writes an output array of ``plan``;
+    several write a slot of the shared output ring, in place, and nothing
+    is copied out.  Either way the result owns its embedding.
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
@@ -495,70 +536,3 @@ def _gee_parallel_sorted(
         n_workers=workers,
         layout="sorted",
     )
-
-
-def gee_parallel(
-    edges: Union[EdgeList, CSRGraph, Graph],
-    labels: np.ndarray,
-    n_classes: Optional[int] = None,
-    *,
-    n_workers: Optional[int] = None,
-) -> EmbeddingResult:
-    """One-Hot Graph Encoder Embedding, process-parallel over shared memory.
-
-    Parameters
-    ----------
-    edges:
-        The graph as a :class:`~repro.graph.facade.Graph`, an
-        :class:`EdgeList`, a prebuilt :class:`CSRGraph`, or any other
-        graph-like input.  Compiling the sorted incidence (the equivalent
-        of Ligra loading its graph) is reported separately under the
-        ``"preprocess"`` timing and is not part of the embedding time;
-        passing a ``Graph`` reuses its cached sorted plan.
-    labels, n_classes:
-        As in :func:`repro.core.gee_python.gee_python`.
-    n_workers:
-        Number of forked workers; ``None`` uses every available CPU, ``1``
-        runs the kernel in-process (no fork) which is the serial anchor of
-        the strong-scaling curve.  An explicit request is *honoured exactly*
-        — it is never silently clamped or degraded; an impossible request
-        (absurd oversubscription, or >1 workers on a platform without
-        ``fork``) raises instead.
-
-    The result owns its embedding.
-    """
-    t_pre = time.perf_counter()
-    graph = edges if isinstance(edges, Graph) else Graph(validate_edges(edges))
-    try:
-        y, k = validate_labels(labels, graph.n_vertices, n_classes)
-        plan = graph.plan(k, layout="sorted")
-        plan.fused  # compile the sorted incidence inside "preprocess"
-        preprocess = time.perf_counter() - t_pre
-        result = _gee_parallel_sorted(plan, y, n_workers)
-    finally:
-        if graph is not edges:
-            # A private facade and its plans reference each other: drop
-            # them now, or the plan's shared-memory layout outlives the
-            # call until the cyclic GC runs.
-            graph.drop_plans()
-    result.timings["preprocess"] += preprocess
-    return result
-
-
-def gee_parallel_with_plan(
-    plan,
-    labels: np.ndarray,
-    *,
-    n_workers: Optional[int] = None,
-) -> EmbeddingResult:
-    """Process-parallel GEE on a compiled :class:`~repro.core.plan.EmbedPlan`.
-
-    Runs the owner-range executor over the plan's sorted fused layout; a
-    ``layout="none"`` plan uses its graph's cached sorted plan, and the
-    result reports ``layout == "sorted"`` either way.  The incidence
-    arrays ship to the pool once per plan and the degree-balanced row
-    partition is cached on the plan per worker count, so per call only the
-    label vector and the column scales travel.  The result owns its
-    embedding: the workers write it in place, and nothing is copied out.
-    """
-    return _gee_parallel_sorted(plan, labels, n_workers)

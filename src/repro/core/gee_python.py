@@ -15,11 +15,11 @@ from typing import Optional
 import numpy as np
 
 from ..graph.edgelist import EdgeList
-from .projection import build_projection, projection_from_scales, projection_scales
+from .projection import build_projection
 from .result import EmbeddingResult
 from .validation import UNKNOWN_LABEL, validate_edges, validate_labels
 
-__all__ = ["gee_python", "gee_python_with_plan"]
+__all__ = ["gee_python"]
 
 
 def gee_python(
@@ -75,44 +75,6 @@ def gee_python(
     return EmbeddingResult(
         embedding=Z,
         projection=W,
-        timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
-        method="gee-python",
-        n_workers=1,
-    )
-
-
-def gee_python_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
-    """Reference loop on a compiled :class:`~repro.core.plan.EmbedPlan`.
-
-    Skips edge validation and the output allocation (both done at plan
-    compilation) and reads the per-vertex scales instead of the dense ``W``
-    — the per-edge loop itself is unchanged, it *is* the baseline.  The
-    output comes from the plan's output ring; the result owns it.
-    """
-    y = plan.validate_labels(labels)
-    k = plan.n_classes
-
-    t0 = time.perf_counter()
-    scales = projection_scales(y, k)
-    t1 = time.perf_counter()
-
-    Z = plan.zeroed_output().reshape(plan.n_vertices, k)
-    src, dst, weights = plan.src, plan.dst, plan.weights
-    for i in range(plan.n_edges):
-        u = int(src[i])
-        v = int(dst[i])
-        w = float(weights[i])
-        yv = int(y[v])
-        yu = int(y[u])
-        if yv != UNKNOWN_LABEL:
-            Z[u, yv] += scales[v] * w
-        if yu != UNKNOWN_LABEL:
-            Z[v, yu] += scales[u] * w
-    t2 = time.perf_counter()
-
-    return EmbeddingResult(
-        embedding=Z,
-        projection_builder=lambda: projection_from_scales(y, scales, k),
         timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
         method="gee-python",
         n_workers=1,

@@ -26,22 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.facade import Graph
+from .plan import _embed_on_default_plan
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
-from .validation import validate_labels
 
 __all__ = [
     "gee_sparse",
     "gee_sparse_with_plan",
 ]
-
-
-def _product(A, A_T, W: np.ndarray) -> np.ndarray:
-    """``(A + Aᵀ)·W`` without materialising the summed matrix."""
-    Z = A.dot(W)
-    Z += A_T.dot(W)
-    return Z
 
 
 def gee_sparse(
@@ -53,32 +45,10 @@ def gee_sparse(
 
     Parameters are as in :func:`repro.core.gee_python.gee_python`; any
     graph-like input is accepted (a :class:`~repro.graph.facade.Graph`
-    reuses its cached CSR view to build the scipy adjacency).
+    reuses its cached plan and adjacency).  Runs
+    :func:`gee_sparse_with_plan` on the input's default plan.
     """
-    graph = Graph.coerce(edges)
-    n = graph.n_vertices
-    if n == 0:
-        raise ValueError("GEE requires at least one vertex")
-    y, k = validate_labels(labels, n, n_classes)
-
-    A = graph.csr.to_scipy()
-    A_T = A.T.tocsr()
-
-    t0 = time.perf_counter()
-    scales = projection_scales(y, k)
-    W = projection_from_scales(y, scales, k)
-    t1 = time.perf_counter()
-
-    Z = _product(A, A_T, W)
-    t2 = time.perf_counter()
-
-    return EmbeddingResult(
-        embedding=Z,
-        projection=W,
-        timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
-        method="gee-sparse",
-        n_workers=1,
-    )
+    return _embed_on_default_plan(edges, labels, n_classes, gee_sparse_with_plan)
 
 
 def gee_sparse_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
@@ -100,7 +70,9 @@ def gee_sparse_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
     W = projection_from_scales(y, scales, k)
     t1 = time.perf_counter()
 
-    Z = _product(A, A_T, W)
+    # (A + Aᵀ)·W without materialising the summed matrix.
+    Z = A.dot(W)
+    Z += A_T.dot(W)
     t2 = time.perf_counter()
 
     return EmbeddingResult(

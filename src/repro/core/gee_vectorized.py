@@ -11,7 +11,7 @@ The two updates per edge (Algorithm 1, lines 10–11)::
     Z[v, Y[u]] += W[u, Y[u]] * w      (for edges with Y[u] known)
 
 are scatter-adds into the flattened ``n×K`` embedding at flat indices
-``u*K + Y[v]`` and ``v*K + Y[u]``; :func:`gee_vectorized` runs them as
+``u*K + Y[v]`` and ``v*K + Y[u]``; the Ligra engine's batches run them as
 written (:func:`accumulate_edges_vectorized`).  ``W[v, Y[v]]`` depends
 only on the column the contribution lands in, so the plan kernels scatter
 *raw* weights and rescale each column by ``1/n_c`` once
@@ -39,11 +39,10 @@ import numpy as np
 
 from ..analysis.annotations import hot_path
 from ..graph.edgelist import EdgeList
-from .plan import choose_label_dtype
+from .plan import _embed_on_default_plan, choose_label_dtype
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
 from .validation import UNKNOWN_LABEL, class_counts, inverse_class_counts
-from .validation import validate_edges, validate_labels
 
 __all__ = [
     "gee_vectorized",
@@ -73,7 +72,7 @@ def scatter_add(out_flat: np.ndarray, flat_idx: np.ndarray, weights) -> None:
     np.add.at(out_flat, flat_idx, weights)
 
 
-@hot_path(reason="scaled per-edge pass: the unchunked vectorized embed and Ligra batches")
+@hot_path(reason="scaled per-edge pass: the Ligra engine's batches")
 def accumulate_edges_vectorized(
     Z_flat: np.ndarray,
     src: np.ndarray,
@@ -86,10 +85,9 @@ def accumulate_edges_vectorized(
     """Accumulate the GEE contribution of a batch of edges into ``Z_flat``.
 
     ``Z_flat`` is the flattened ``(n*K,)`` view of the embedding, and each
-    contribution is scaled by its partner's projection scale ``scales``.
-    It has two callers, which compute exactly the same per-edge
-    contributions: the unchunked :func:`gee_vectorized` (Table I's column
-    and the cold side of the plan-reuse gate) and the Ligra batch function.
+    contribution is scaled by its partner's projection scale ``scales``:
+    the paper's per-edge form, run by the Ligra batch function
+    (:meth:`~repro.core.gee_ligra.UpdateEmbedding.update_batch_into`).
     """
     y_dst = labels[dst]
     known = y_dst != UNKNOWN_LABEL
@@ -295,50 +293,14 @@ def gee_vectorized(
     edges: EdgeList,
     labels: np.ndarray,
     n_classes: Optional[int] = None,
-    *,
-    chunk_edges: Optional[int] = None,
 ) -> EmbeddingResult:
     """One-Hot Graph Encoder Embedding, vectorised single-core implementation.
 
-    Parameters
-    ----------
-    edges, labels, n_classes:
-        As in :func:`repro.core.gee_python.gee_python`.
-    chunk_edges:
-        Stream the edge list in chunks of this many edges through the
-        chunked pass (:func:`gee_vectorized_chunked`), which bounds the size
-        of the temporary arrays; ``None`` processes everything in one shot.
-        The two agree up to floating-point rounding.
+    Parameters are as in :func:`repro.core.gee_python.gee_python`; any
+    graph-like input is accepted.  Runs :func:`gee_vectorized_with_plan` on
+    the input's default plan, as ``get_backend("vectorized").embed`` does.
     """
-    edges = validate_edges(edges)
-    y, k = validate_labels(labels, edges.n_vertices, n_classes)
-    if chunk_edges is not None:
-        from ..graph.io import ChunkedEdgeSource
-        from .plan import ChunkedPlan
-
-        source = ChunkedEdgeSource.from_edgelist(edges, chunk_edges=chunk_edges)
-        return gee_vectorized_chunked(ChunkedPlan(source, k), y)
-    n = edges.n_vertices
-
-    t0 = time.perf_counter()
-    scales = projection_scales(y, k)
-    W = projection_from_scales(y, scales, k)
-    t1 = time.perf_counter()
-
-    Z_flat = np.zeros(n * k, dtype=np.float64)
-    accumulate_edges_vectorized(
-        Z_flat, edges.src, edges.dst, edges.effective_weights(), y, scales, k
-    )
-    Z = Z_flat.reshape(n, k)
-    t2 = time.perf_counter()
-
-    return EmbeddingResult(
-        embedding=Z,
-        projection=W,
-        timings={"projection": t1 - t0, "edge_pass": t2 - t1, "total": t2 - t0},
-        method="gee-vectorized",
-        n_workers=1,
-    )
+    return _embed_on_default_plan(edges, labels, n_classes, gee_vectorized_with_plan)
 
 
 def gee_vectorized_chunked(plan, labels: np.ndarray) -> EmbeddingResult:

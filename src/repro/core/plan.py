@@ -39,7 +39,7 @@ import numpy as np
 from ..analysis.annotations import hot_path
 from ..graph.csr import owner_sort
 from ..parallel.shm import OutputRing
-from .validation import validate_edges, validate_labels
+from .validation import _resolve_n_classes, validate_edges, validate_labels
 
 __all__ = [
     "EmbedPlan",
@@ -631,3 +631,24 @@ class ChunkedPlan(_PlanOutputs):
             f"ChunkedPlan(n={self.n_vertices}, s={self.n_edges}, "
             f"K={self.n_classes}, chunk_edges={self.chunk_edges})"
         )
+
+
+def _embed_on_default_plan(graph, labels: np.ndarray, n_classes: Optional[int], kernel):
+    """``kernel(plan, labels)`` on the default plan of a graph-like input.
+
+    The one route from a graph-like input to a plan kernel, taken by every
+    backend's ``embed`` and by the functional ``gee_*`` names: coerce the
+    input, take ``K`` from ``n_classes`` or the labels (which the kernel
+    validates) and run the kernel on ``graph.plan(K)``.  A private facade
+    (any input but a :class:`~repro.graph.facade.Graph`) drops its plans
+    afterwards, so their buffers and shared memory go with the call.
+    """
+    from ..graph.facade import Graph
+
+    g = Graph.coerce(graph)
+    k = _resolve_n_classes(labels, n_classes)
+    try:
+        return kernel(g.plan(k), labels)
+    finally:
+        if g is not graph:
+            g.drop_plans()

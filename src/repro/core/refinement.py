@@ -40,7 +40,7 @@ import numpy as np
 from ..graph.facade import Graph, GraphLike
 from ..labels.kmeans import kmeans
 from ..obs import trace
-from .gee_vectorized import gee_vectorized, scatter_add
+from .gee_vectorized import scatter_add
 from .result import EmbeddingResult
 from .validation import class_counts, inverse_class_counts
 
@@ -106,6 +106,7 @@ def _is_standard_kernel(fn) -> bool:
     from .gee_parallel import gee_parallel
     from .gee_python import gee_python
     from .gee_sparse import gee_sparse
+    from .gee_vectorized import gee_vectorized
 
     return fn in (gee_python, gee_vectorized, gee_sparse, gee_ligra, gee_parallel)
 
@@ -204,7 +205,7 @@ def gee_unsupervised(
     *,
     max_iterations: int = 20,
     convergence_fraction: float = 0.999,
-    implementation: Union[str, Callable[..., EmbeddingResult]] = gee_vectorized,
+    implementation: Union[str, Callable[..., EmbeddingResult]] = "vectorized",
     seed: SeedLike = 0,
     initial_labels: Optional[np.ndarray] = None,
     normalize: bool = True,
@@ -328,18 +329,10 @@ def gee_unsupervised(
     plan = graph.plan(k) if (delta or plan_pass is not None) else None
     if chunk_edges is not None:
         if plan_pass is None:
-            # The default implementation is the bare gee_vectorized callable
-            # (the historical contract); its registry backend runs the same
-            # kernel through the chunked plan, so map it rather than reject.
-            if implementation is gee_vectorized and not impl_kwargs:
-                full_pass, plan_pass, standard = _resolve_implementation(
-                    "vectorized", {}
-                )
-            else:
-                raise ValueError(
-                    "chunk_edges requires a registry-backend implementation "
-                    "(a name or GEEBackend instance), not a bare callable"
-                )
+            raise ValueError(
+                "chunk_edges requires a registry-backend implementation "
+                "(a name or GEEBackend instance), not a bare callable"
+            )
         # Full passes stream in bounded blocks; the delta path keeps the
         # regular plan (it walks the CSR/CSC views, not the edge stream).
         full_plan = graph.plan(k, chunk_edges=chunk_edges)

@@ -75,12 +75,7 @@ def validate_labels(
     y = y.astype(np.int64)
     if y.size and y.min() < UNKNOWN_LABEL:
         raise ValueError("labels must be >= -1 (-1 means unknown)")
-    k = infer_n_classes(y) if n_classes is None else int(n_classes)
-    if k <= 0:
-        raise ValueError(
-            "could not infer a positive number of classes; provide n_classes "
-            "or at least one labelled vertex"
-        )
+    k = _resolve_n_classes(y, n_classes)
     if y.size and y.max() >= k:
         raise ValueError(f"label {int(y.max())} out of range for K={k} classes")
     return y, k
@@ -93,6 +88,17 @@ def infer_n_classes(labels: np.ndarray) -> int:
     if known.size == 0:
         return 0
     return int(known.max()) + 1
+
+
+def _resolve_n_classes(labels: np.ndarray, n_classes: Optional[int]) -> int:
+    """``K``: ``n_classes`` if given, else :func:`infer_n_classes`; must be positive."""
+    k = infer_n_classes(labels) if n_classes is None else int(n_classes)
+    if k <= 0:
+        raise ValueError(
+            "could not infer a positive number of classes; provide n_classes "
+            "or at least one labelled vertex"
+        )
+    return k
 
 
 def class_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..backends import backend_capabilities, get_backend
+from ..core.projection import projection_from_scales, projection_scales
 from ..graph.datasets import DEFAULT_SCALE, generate_labels, load, paper_table1_datasets
 from ..graph.facade import Graph
 from ..graph.generators import erdos_renyi
@@ -59,7 +60,11 @@ __all__ = [
 #: Paper column name -> registered backend name (see repro.backends).  Every
 #: implementation consumes the shared Graph facade, whose CSR view is forced
 #: outside the timed region — Ligra's input is a loaded graph, and graph
-#: loading is not part of the paper's timed region.
+#: loading is not part of the paper's timed region.  Each column runs its
+#: backend's plan kernel on the graph's default plan (reused after the
+#: first call): "numba-serial" the compile-free ``bincount`` pass,
+#: "ligra-serial" the engine the plan caches, "ligra-parallel" the
+#: owner-range kernel over the sorted layout compiled once per graph.
 #:
 #: ``scipy-sparse`` is an extra (non-paper) Table I reference column: the
 #: whole edge pass as one ``(A + Aᵀ)·W`` CSR matmul through the ``sparse``
@@ -401,8 +406,15 @@ def ablation_projection_init(
         edges = erdos_renyi(n_vertices, n_vertices * degree, seed=seed)
         y = generate_labels(edges.n_vertices, n_classes, seed=seed)
         result = get_backend("vectorized").embed(edges, y, n_classes)
-        proj = result.timings["projection"]
         edge_pass = result.timings["edge_pass"]
+        # The plan kernel builds the dense W only when read, so the O(nK)
+        # initialisation is timed on its own.
+        proj = time_callable(
+            lambda: projection_from_scales(
+                y, projection_scales(y, n_classes), n_classes
+            ),
+            repeats=1,
+        ).best
         rows.append(
             {
                 "regime": label,

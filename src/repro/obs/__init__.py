@@ -3,9 +3,10 @@
 Quickstart::
 
     import repro.obs as obs
+    from repro import get_backend
 
     obs.start_trace("trace.json")     # or: REPRO_TRACE=trace.json python ...
-    result = graph.embed(labels, n_classes=50, backend="auto")
+    result = get_backend("auto").embed(graph, labels, 50)
     print(obs.format_summary())       # text table of spans by inclusive time
     obs.stop_trace()                  # writes Perfetto-compatible JSON
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import textwrap
 
+import numpy as np
 import pytest
 
 from repro.analysis import analyze_paths
@@ -415,7 +416,7 @@ def _caps(**kw):
 class _TruthfulPlain(GEEBackend):
     capabilities = _caps()
 
-    def _embed(self, graph, labels, n_classes):  # pragma: no cover - stub
+    def _embed_with_plan(self, plan, labels):  # pragma: no cover - stub
         raise RuntimeError
 
 
@@ -426,9 +427,6 @@ class _TruthfulFull(GEEBackend):
         supports_layout=True,
     )
 
-    def _embed(self, graph, labels, n_classes):  # pragma: no cover - stub
-        raise RuntimeError
-
     def _embed_with_plan(self, plan, labels):  # pragma: no cover - stub
         raise RuntimeError
 
@@ -438,10 +436,6 @@ class _TruthfulFull(GEEBackend):
 
 class _LiesChunked(GEEBackend):
     capabilities = _caps(supports_chunked=True)
-
-
-class _LiesLayout(GEEBackend):
-    capabilities = _caps(supports_layout=True)
 
 
 class _LiesWorkers(GEEBackend):
@@ -474,9 +468,26 @@ def test_contract_detects_missing_chunked_kernel():
     assert any("supports_chunked=True" in m for m in messages)
 
 
-def test_contract_detects_layout_without_plan_kernel():
-    findings = list(check_capability_contract({"liar": _LiesLayout}))
-    assert any("supports_layout=True" in f.message for f in findings)
+class _NoPlanKernel(GEEBackend):
+    name = "no-plan-kernel"
+    capabilities = _caps()
+
+
+@pytest.mark.parametrize("entry", ["embed", "embed_with_plan"])
+def test_backend_without_plan_kernel_raises_naming_itself(entry):
+    """``_embed_with_plan`` is the one kernel a backend implements: without
+    it both entry points raise, and no other kernel runs in its place."""
+    from repro.graph import Graph, erdos_renyi
+
+    graph = Graph.coerce(erdos_renyi(20, 60, seed=1))
+    labels = np.arange(20) % 2
+    backend = _NoPlanKernel()
+    calls = {
+        "embed": lambda: backend.embed(graph, labels, 2),
+        "embed_with_plan": lambda: backend.embed_with_plan(graph.plan(2), labels),
+    }
+    with pytest.raises(NotImplementedError, match="'no-plan-kernel'.*_embed_with_plan"):
+        calls[entry]()
 
 
 def test_contract_detects_n_workers_mismatch():

@@ -13,6 +13,11 @@ honoured: unsupported construction kwargs raise at ``get_backend`` time,
 and backends without ``supports_chunked`` reject chunked inputs instead of
 silently materialising them.  Every backend can refresh an
 ``IncrementalEmbedding``, whose removals then subtract exact multiplicities.
+
+Each backend gives one answer per input: ``embed`` runs the backend's plan
+kernel on the default plan, so it is bitwise ``embed_with_plan`` on
+``Graph.coerce(X).plan(K)``, and each functional ``gee_*`` name is bitwise
+its backend's ``embed``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from repro.backends import (
     get_backend,
     list_backends,
 )
+from repro.core import gee_ligra, gee_parallel, gee_sparse, gee_vectorized
+from repro.graph import Graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.io import ChunkedEdgeSource
@@ -172,6 +179,78 @@ def test_conformance_matrix(references, backend_name, input_kind, graph_kind):
         err_msg=f"{backend_name} on {input_kind}/{graph_kind} diverges from the "
         "python reference",
     )
+
+
+# --------------------------------------------------------------------------- #
+# One embed answer per backend
+# --------------------------------------------------------------------------- #
+#: Every backend but ``ligra-threads``, whose concurrent atomic adds sum in
+#: schedule order, is bitwise reproducible.
+BITWISE_BACKENDS = sorted(set(list_backends()) - {"ligra-threads"})
+IN_MEMORY_KINDS = [kind for kind in INPUT_KINDS if kind != "chunked"]
+
+
+def _labellings(n, k, seed):
+    """Full, partial and no labels over ``k`` classes."""
+    rng = np.random.default_rng(seed)
+    full = rng.integers(0, k, size=n)
+    partial = np.where(rng.random(n) < 0.5, -1, full)
+    return {"full": full, "partial": partial, "none": np.full(n, -1)}
+
+
+def _embed_cases():
+    """(graph kind, K, labelling, edges, labels) over the edge cases."""
+    for graph_kind, build in sorted(GRAPH_KINDS.items()):
+        edges, _ = build()
+        for k in (1, 3, 50, 130):
+            for labelling, y in _labellings(edges.n_vertices, k, seed=k).items():
+                yield graph_kind, k, labelling, edges, y
+
+
+@pytest.mark.parametrize("input_kind", IN_MEMORY_KINDS)
+@pytest.mark.parametrize("backend_name", BITWISE_BACKENDS)
+def test_embed_is_the_default_plan_kernel(backend_name, input_kind):
+    backend = get_backend(backend_name)
+    for graph_kind, k, labelling, edges, y in _embed_cases():
+        graph_input = _as_input(edges, input_kind)
+        embedded = backend.embed(graph_input, y, k).embedding
+        planned = backend.embed_with_plan(Graph.coerce(graph_input).plan(k), y)
+        assert np.array_equal(embedded, planned.embedding), (
+            f"{backend_name} on {input_kind}/{graph_kind}, K={k}, {labelling} "
+            "labels: embed differs from embed_with_plan on the default plan"
+        )
+
+
+#: Functional name -> the registered backend whose ``embed`` it equals.
+FUNCTIONAL_NAMES = {
+    "gee_vectorized": (gee_vectorized, {}, "vectorized"),
+    "gee_sparse": (gee_sparse, {}, "sparse"),
+    "gee_ligra[serial]": (gee_ligra, {"backend": "serial"}, "ligra-serial"),
+    "gee_ligra[vectorized]": (gee_ligra, {"backend": "vectorized"}, "ligra-vectorized"),
+    "gee_ligra[processes]": (gee_ligra, {"backend": "processes"}, "ligra-processes"),
+    "gee_parallel": (gee_parallel, {}, "parallel"),
+}
+
+
+@pytest.mark.parametrize("function_name", sorted(FUNCTIONAL_NAMES))
+def test_functional_names_are_their_backends_embed(function_name):
+    fn, kwargs, backend_name = FUNCTIONAL_NAMES[function_name]
+    backend = get_backend(backend_name)
+    for graph_kind, build in sorted(GRAPH_KINDS.items()):
+        edges, labels = build()
+        for input_kind in IN_MEMORY_KINDS:
+            graph_input = _as_input(edges, input_kind)
+            assert np.array_equal(
+                fn(graph_input, labels, K, **kwargs).embedding,
+                backend.embed(graph_input, labels, K).embedding,
+            ), f"{function_name} on {input_kind}/{graph_kind}"
+
+
+@pytest.mark.parametrize("backend_name", sorted(list_backends()))
+def test_empty_graph_is_rejected(backend_name):
+    empty = EdgeList(np.empty(0, np.int64), np.empty(0, np.int64), None, 0)
+    with pytest.raises(ValueError, match="at least one vertex"):
+        get_backend(backend_name).embed(empty, np.empty(0, np.int64), K)
 
 
 # --------------------------------------------------------------------------- #

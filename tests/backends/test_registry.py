@@ -58,8 +58,6 @@ class TestRegistryContents:
         assert backend_capabilities("parallel").deterministic
         assert not backend_capabilities("python").supports_n_workers
         assert not backend_capabilities("ligra-threads").deterministic
-        for name in list_backends():
-            assert backend_capabilities(name).supports_weights
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -183,10 +181,10 @@ class TestCustomBackend:
             capabilities=BackendCapabilities(description="test backend"),
         )
         class NegatingBackend(GEEBackend):
-            def _embed(self, graph, labels, n_classes):
-                from repro.core import gee_vectorized
+            def _embed_with_plan(self, plan, labels):
+                from repro.core import gee_vectorized_with_plan
 
-                result = gee_vectorized(graph.edges, labels, n_classes)
+                result = gee_vectorized_with_plan(plan, labels)
                 result.embedding = -result.embedding
                 return result
 
@@ -198,6 +196,9 @@ class TestCustomBackend:
             y = mask_labels(np.arange(50) % 2, 0.5, seed=3)
             model = GraphEncoderEmbedding(method="test-negating").fit(edges, y)
             assert np.all(model.embedding_ <= 0)
+            # ``embed`` runs the same kernel on the default plan.
+            embedded = get_backend("test-negating").embed(edges, y)
+            assert np.array_equal(embedded.embedding, model.embedding_)
         finally:
             # Keep the registry clean for other tests.
             from repro.backends import registry

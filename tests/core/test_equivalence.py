@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import get_backend
 from repro.core import gee_ligra, gee_parallel, gee_python, gee_vectorized
 from repro.graph import EdgeList, erdos_renyi, rmat, star_graph, symmetrize
+from repro.graph.io import ChunkedEdgeSource
 from repro.labels import random_partial_labels
 
 ATOL = 1e-9
@@ -21,7 +23,9 @@ ATOL = 1e-9
 def _implementations():
     return {
         "vectorized": lambda e, y, k: gee_vectorized(e, y, k),
-        "vectorized-chunked": lambda e, y, k: gee_vectorized(e, y, k, chunk_edges=97),
+        "vectorized-chunked": lambda e, y, k: get_backend("vectorized").embed(
+            ChunkedEdgeSource.from_edgelist(e, chunk_edges=97), y, k
+        ),
         "ligra-serial": lambda e, y, k: gee_ligra(e, y, k, backend="serial"),
         "ligra-vectorized": lambda e, y, k: gee_ligra(e, y, k, backend="vectorized"),
         "ligra-threads": lambda e, y, k: gee_ligra(e, y, k, backend="threads", n_workers=4),

@@ -361,8 +361,7 @@ def test_unsupervised_chunked_matches_full(case):
 
 
 def test_unsupervised_chunked_default_implementation_works(case):
-    # The default implementation (the bare gee_vectorized callable) maps to
-    # its registry backend rather than rejecting chunk_edges.
+    # The default implementation is the "vectorized" registry backend.
     edges, _, _, _ = case
     result = gee_unsupervised(edges, 3, max_iterations=3, seed=7, chunk_edges=700)
     assert result.embedding.shape == (edges.n_vertices, 3)
@@ -375,6 +374,18 @@ def test_unsupervised_chunked_requires_registry_backend(case):
     with pytest.raises(ValueError, match="registry"):
         gee_unsupervised(
             edges, 3, implementation=gee_laplacian, chunk_edges=100, max_iterations=2
+        )
+
+
+def test_unsupervised_chunked_rejects_the_bare_vectorized_callable(case):
+    # Only a registry backend streams a chunked plan; the bare function is
+    # not mapped to one.
+    edges, _, _, _ = case
+    from repro.core import gee_vectorized
+
+    with pytest.raises(ValueError, match="registry"):
+        gee_unsupervised(
+            edges, 3, implementation=gee_vectorized, chunk_edges=100, max_iterations=2
         )
 
 

@@ -16,7 +16,9 @@ segmented-store sources stream to the reference, and an
 import gc
 import importlib
 import multiprocessing
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +429,32 @@ def test_private_facades_release_their_layout(kind, entry):
     finally:
         gc.enable()
     assert csr.in_indptr is in_indptr
+
+
+def _shm_segments():
+    shm = Path("/dev/shm")
+    if not shm.is_dir():  # pragma: no cover - platforms without /dev/shm
+        return set()
+    return {name for name in os.listdir(shm) if name.startswith("psm_")}
+
+
+@fork_only
+@pytest.mark.parametrize("entry", ["gee_parallel", "backend"])
+def test_raw_input_embed_leaves_no_new_segment(entry):
+    """A raw input's sorted layout is shipped to shared memory for the call
+    and unlinked with its private facade; only the session workspace's
+    segments outlive the embed."""
+    edges = erdos_renyi(300, 3000, seed=6, weighted=True)
+    y = random_partial_labels(300, 4, 0.5, seed=6)
+    run = {
+        "gee_parallel": lambda: gee_parallel(edges, y, 4, n_workers=2),
+        "backend": lambda: get_backend("parallel", n_workers=2).embed(edges, y, 4),
+    }[entry]
+    assert run().n_workers == 2  # creates the workspace for this (n, K)
+    before = _shm_segments()
+    for _ in range(3):
+        assert run().n_workers == 2
+    assert _shm_segments() - before == set()
 
 
 class TestSegmentedStoreSources:
