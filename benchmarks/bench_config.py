@@ -52,16 +52,17 @@ def bench_scale() -> float:
 def load_bench_dataset(name: str):
     """Load a stand-in graph (as a view-cached Graph) plus paper-protocol labels.
 
-    The returned :class:`~repro.graph.facade.Graph` has its CSR out- and
-    in-adjacency views prebuilt, so graph loading stays out of every timed
-    region (the analogue of Ligra having loaded its graph before timing).
+    The returned :class:`~repro.graph.facade.Graph` has its CSR view (the
+    Ligra engines' input) prebuilt, so graph loading stays out of every
+    timed region (the analogue of Ligra having loaded its graph before
+    timing).
     """
     edges, spec = load(name, scale=bench_scale(), seed=0)
     labels = generate_labels(
         edges.n_vertices, N_CLASSES, labelled_fraction=LABELLED_FRACTION, seed=0
     )
     graph = Graph.coerce(edges)
-    graph.csr.in_indptr  # force out- and in-adjacency
+    graph.csr  # force the CSR view
     return graph, labels, spec
 
 

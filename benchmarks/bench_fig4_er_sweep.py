@@ -32,7 +32,7 @@ def _er_case(exponent: int):
         edges.n_vertices, N_CLASSES, labelled_fraction=LABELLED_FRACTION, seed=0
     )
     graph = Graph.coerce(edges)
-    graph.csr.in_indptr
+    graph.csr
     return graph, labels
 
 

@@ -2,8 +2,8 @@
 
 A compiled :class:`~repro.core.plan.EmbedPlan` (``graph.plan(K)``) holds the
 label-independent half of a GEE call: validated edge arrays, a sorted
-plan's symmetric CSR, CSR/CSC views and a reusable output buffer.  This
-benchmark measures, per backend, a *cold* call against a *warm* call
+plan's symmetric CSR and a reusable output buffer.  This benchmark
+measures, per backend, a *cold* call against a *warm* call
 (``backend.embed_with_plan`` on the cached plan) on the Friendster
 stand-in, and records both plus their ratio in ``BENCH_plan_reuse.json``.
 A cold call is ``backend.embed(graph.edges, ...)``: the raw edge list

@@ -34,7 +34,7 @@ from repro.labels import mask_labels
 
 def main() -> None:
     # 1. A 3-community planted-partition graph, wrapped in the Graph facade
-    #    so every backend below shares one cached CSR adjacency.
+    #    so every backend below shares its cached plans and views.
     edges, truth = planted_partition(1500, 3, 0.05, 0.005, seed=0)
     graph = Graph.coerce(edges)
     info = summarize(edges)
@@ -44,10 +44,11 @@ def main() -> None:
     labels = mask_labels(truth, observed_fraction=0.10, seed=0)
     print("labelled vertices:", int(np.sum(labels != -1)))
 
-    # 3. Compile the embed plan for K=3 once — validated edge arrays, flat
-    #    scatter indices, CSR/CSC views and a reusable output buffer — and
-    #    sweep every registered backend over it.  The plan is cached on the
-    #    Graph, so the whole sweep pays the label-independent work once.
+    # 3. Compile the embed plan for K=3 once — validated edge arrays, the
+    #    sorted layout's symmetric CSR (read by `sparse` and `parallel`), the
+    #    Ligra engines' CSR and a reusable output buffer — and sweep every
+    #    registered backend over it.  The plan is cached on the Graph, so
+    #    the whole sweep pays the label-independent work once.
     reference = get_backend("python").embed(graph, labels).embedding
     plan = graph.plan(3)
     print("\nregistered backends on one compiled plan (runtime and agreement):")

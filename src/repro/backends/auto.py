@@ -26,6 +26,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.plan import _plan_in_layout
 from ..parallel.pool import effective_worker_count, fork_available
 from .registry import BackendCapabilities, GEEBackend, get_backend, register_backend
 
@@ -108,10 +109,8 @@ class AutoGEEBackend(GEEBackend):
 
     def _embed_with_plan(self, plan, labels: np.ndarray):
         choice = choose(plan, self.n_workers)
-        if not plan.is_chunked and choice.layout != plan.layout:
-            # Plans are cached per layout on the graph facade, so switching
-            # compiles once, not per call.
-            plan = plan.graph.plan(plan.n_classes, layout=choice.layout)
+        if not plan.is_chunked:
+            plan = _plan_in_layout(plan, choice.layout)
         result = self._delegate(choice).embed_with_plan(plan, labels)
         result.execution_choice = choice
         return result

@@ -20,7 +20,7 @@ vectorized         compile-free pass: one ``bincount`` of the    Numba serial
                    known incidences (a sorted plan: block-local
                    segment sums)
 sparse             ``(A + Aᵀ)·W`` via scipy.sparse CSR matmul    Numba serial
-                   over the plan's cached adjacency              (C-speed ref)
+                   over the sorted plan's symmetric CSR          (C-speed ref)
 ligra-serial       engine, one edge list at a time               GEE-Ligra S
 ligra-vectorized   engine, flat NumPy slabs (alias: ``ligra``)   GEE-Ligra S
 ligra-threads      engine, degree-balanced threads + atomics     —

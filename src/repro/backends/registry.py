@@ -176,7 +176,7 @@ class GEEBackend:
 
         The plan (from :meth:`repro.graph.facade.Graph.plan`) already holds
         every label-independent artifact — validated edges, a sorted
-        plan's symmetric CSR, CSR/CSC views, output buffers — so repeated
+        plan's symmetric CSR, output buffers — so repeated
         calls on the same graph do no validation and no index rebuilding.
         The result owns its embedding: backends with a
         dedicated plan kernel write it in place into a buffer of the plan's

@@ -70,7 +70,7 @@ from ..parallel.pool import (
 )
 from ..obs import trace
 from ..parallel.shm import OutputRing, SharedArrayHandle, SharedArraySet
-from .plan import _embed_on_default_plan, choose_label_dtype
+from .plan import _embed_on_default_plan, _plan_in_layout, choose_label_dtype
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
 from .validation import UNKNOWN_LABEL, class_counts, inverse_class_counts
@@ -502,10 +502,7 @@ def gee_parallel_with_plan(
     k = plan.n_classes
     timings: Dict[str, float] = {}
     t_pre = time.perf_counter()
-    if plan.layout != "sorted":
-        plan_sorted = plan.graph.plan(k, layout="sorted")
-    else:
-        plan_sorted = plan
+    plan_sorted = _plan_in_layout(plan, "sorted")
     fused = plan_sorted.fused  # compiled once, cached on the plan
     timings["preprocess"] = time.perf_counter() - t_pre
     requested = _requested_workers(n_workers)

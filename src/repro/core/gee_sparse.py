@@ -9,7 +9,9 @@ Algorithm 1 performs ``Z[u, Y[v]] += W[v, Y[v]]·w`` and
 
 with ``A`` the (directed) adjacency matrix and ``W`` the scaled one-hot
 projection (rows of unlabelled vertices are all-zero, so they contribute
-nothing — the same convention every other implementation uses).
+nothing — the same convention every other implementation uses).  ``A + Aᵀ``
+is the symmetric CSR a sorted plan already holds
+(:class:`~repro.core.plan.FusedLayout`), so the product is one matmul.
 
 Computing that product with ``scipy.sparse`` CSR matmul gives a serial
 implementation whose inner loop is compiled C — a second "compiled serial"
@@ -26,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .plan import _embed_on_default_plan
+from .plan import _embed_on_default_plan, _plan_in_layout
 from .projection import projection_from_scales, projection_scales
 from .result import EmbeddingResult
 
@@ -45,7 +47,7 @@ def gee_sparse(
 
     Parameters are as in :func:`repro.core.gee_python.gee_python`; any
     graph-like input is accepted (a :class:`~repro.graph.facade.Graph`
-    reuses its cached plan and adjacency).  Runs
+    reuses its cached sorted plan and its matrix).  Runs
     :func:`gee_sparse_with_plan` on the input's default plan.
     """
     return _embed_on_default_plan(edges, labels, n_classes, gee_sparse_with_plan)
@@ -54,25 +56,23 @@ def gee_sparse(
 def gee_sparse_with_plan(plan, labels: np.ndarray) -> EmbeddingResult:
     """Sparse-matmul GEE on a compiled :class:`~repro.core.plan.EmbedPlan`.
 
-    The scipy CSR adjacency and its transpose are built once per plan and
-    cached; per call only the projection and the matmul run.  (The matmul
-    allocates its own output — scipy offers no ``out=`` — so this path
-    reuses the plan's adjacency caches but not its output buffer.)
+    The matmul reads ``A + Aᵀ`` as the scipy matrix over the symmetric CSR
+    of the graph's sorted plan (a default plan uses its graph's cached
+    sorted plan), built once per graph; per call only the projection and
+    the matmul run.  (The matmul allocates its own output — scipy offers no
+    ``out=`` — so this path does not reuse the plan's output buffer.)
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
 
-    A = plan.scipy_adjacency()
-    A_T = plan.scipy_adjacency_T()
+    A_sym = _plan_in_layout(plan, "sorted").scipy_adjacency()
 
     t0 = time.perf_counter()
     scales = projection_scales(y, k)
     W = projection_from_scales(y, scales, k)
     t1 = time.perf_counter()
 
-    # (A + Aᵀ)·W without materialising the summed matrix.
-    Z = A.dot(W)
-    Z += A_T.dot(W)
+    Z = A_sym.dot(W)
     t2 = time.perf_counter()
 
     return EmbeddingResult(

@@ -3,10 +3,10 @@
 Profiling repeated ``embed()`` calls on one graph (backend sweeps, worker
 sweeps, the unsupervised refinement loop) shows the timed region paying for
 work whose result never changes between calls: edge validation, the sorted
-layout's symmetric CSR, CSR/CSC adjacency views and the ``n×K`` output
-allocation are all functions of the graph and ``K`` alone — only the label
-vector varies.  The paper's own protocol never pays these costs (Ligra
-times an already-loaded graph), so neither should ours.
+layout's symmetric CSR and the ``n×K`` output allocation are all functions
+of the graph and ``K`` alone — only the label vector varies.  The paper's
+own protocol never pays these costs (Ligra times an already-loaded graph),
+so neither should ours.
 
 :class:`EmbedPlan` is the compiled artifact holding all of it.  Plans are
 cached on the :class:`~repro.graph.facade.Graph` facade via
@@ -353,9 +353,7 @@ class EmbedPlan(_PlanOutputs):
     Compilation is tiered so one-shot fits don't pay for views they never
     read.  Construction itself is O(1): only the dimensions and fingerprint
     are captured.  Every heavier artifact is built on first access and
-    cached for the plan's lifetime (each is read by only some consumers,
-    and the CSR/CSC caches live on the shared ``Graph``/``CSRGraph`` so
-    nothing is ever rebuilt):
+    cached for the plan's lifetime (each is read by only some consumers):
 
     * the validated edge arrays (``src``, ``dst``; ``weights`` builds a
       unit-weight graph's ones only when read) — the scatter kernels'
@@ -364,9 +362,12 @@ class EmbedPlan(_PlanOutputs):
       reads;
     * the symmetric-CSR :class:`FusedLayout` (``layout="sorted"`` plans)
       and the per-worker-count row partitions of the owner-range executor;
-    * the CSR out-adjacency and CSC (reverse) in-adjacency views;
-    * the output ring that hands each call an array it owns;
-    * the scipy adjacency pair.
+      ``sparse``'s scipy matrix and the unsupervised delta pass read it
+      too;
+    * the output ring that hands each call an array it owns.
+
+    The Ligra engines alone read the graph's CSR out-adjacency
+    (:attr:`csr`), which the shared ``Graph`` caches.
 
     Do not construct directly — use :meth:`repro.graph.facade.Graph.plan`,
     which caches one plan per ``K`` and handles invalidation.
@@ -420,7 +421,6 @@ class EmbedPlan(_PlanOutputs):
         self._fused_row_ranges: Dict[int, List[Tuple[int, int]]] = {}
         self._outputs: Optional[OutputRing] = None
         self._scipy_adj = None
-        self._scipy_adj_T = None
         #: Resource-free Ligra engines cached per engine-backend name (the
         #: serial/vectorized schedules only — thread/process engines hold
         #: worker pools and stay per-call).
@@ -535,10 +535,7 @@ class EmbedPlan(_PlanOutputs):
     def csr(self):
         """The CSR out-adjacency (the graph facade's cached view).
 
-        Accessing :attr:`~repro.graph.csr.CSRGraph.in_indptr` on it builds
-        the CSC (in-adjacency) triple, which the CSRGraph then caches — so
-        the Ligra/delta consumers pay that build at most once per graph,
-        and edge-array-only backends never pay it.
+        Only the Ligra engines read it, so no other backend builds it.
         """
         return self.graph.csr
 
@@ -551,16 +548,22 @@ class EmbedPlan(_PlanOutputs):
         return y
 
     def scipy_adjacency(self):
-        """The adjacency as ``scipy.sparse.csr_matrix``, cached."""
-        if self._scipy_adj is None:
-            self._scipy_adj = self.csr.to_scipy()
-        return self._scipy_adj
+        """The symmetric adjacency ``A + Aᵀ`` as a ``scipy.sparse.csr_matrix``.
 
-    def scipy_adjacency_T(self):
-        """The transposed adjacency as CSR (i.e. CSC of ``A``), cached."""
-        if self._scipy_adj_T is None:
-            self._scipy_adj_T = self.scipy_adjacency().T.tocsr()
-        return self._scipy_adj_T
+        It wraps :attr:`fused` — its ``weights`` (ones for a unit-weight
+        graph), ``partner`` and ``indptr`` — without copying ``partner``, so
+        it needs a sorted plan.  Cached for the plan's lifetime.
+        """
+        if self._scipy_adj is None:
+            import scipy.sparse as sp
+
+            fused = self.fused
+            data = np.ones(fused.n_incidences) if fused.weights is None else fused.weights
+            n = self.n_vertices
+            self._scipy_adj = sp.csr_matrix(
+                (data, fused.partner, fused.indptr), shape=(n, n)
+            )
+        return self._scipy_adj
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -631,6 +634,18 @@ class ChunkedPlan(_PlanOutputs):
             f"ChunkedPlan(n={self.n_vertices}, s={self.n_edges}, "
             f"K={self.n_classes}, chunk_edges={self.chunk_edges})"
         )
+
+
+def _plan_in_layout(plan: EmbedPlan, layout: str) -> EmbedPlan:
+    """The plan of ``plan``'s graph and ``K`` in ``layout``: ``plan`` if it has it.
+
+    The graph caches one plan per layout, so a kernel that reads another
+    layout's arrays (``sparse`` and ``parallel`` read the sorted plan's
+    symmetric CSR) compiles them once per graph, not per call.
+    """
+    if plan.layout == layout:
+        return plan
+    return plan.graph.plan(plan.n_classes, layout=layout)
 
 
 def _embed_on_default_plan(graph, labels: np.ndarray, n_classes: Optional[int], kernel):

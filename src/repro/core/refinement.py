@@ -22,12 +22,13 @@ sums::
 ``S`` depends on the labels only through class membership, so when a vertex
 ``v`` moves from class ``a`` to class ``b`` just the rows of ``v``'s
 neighbours change: ``S[nbr, a] -= w`` and ``S[nbr, b] += w`` for each
-incident edge.  One iteration therefore costs ``O(E_changed)`` scatter work
-plus the ``O(nK)`` rescale (already paid by k-means anyway) instead of
-``O(E)``.  To bound floating-point drift from repeated add/subtract, a full
-re-embed runs every ``full_refresh_every`` iterations (and on the first);
-the equivalence test asserts the delta path tracks a from-scratch embed to
-1e-10.
+incident edge.  The sorted plan's symmetric CSR lists every incident edge
+of ``v``, in either direction, in ``v``'s own row.  One iteration therefore
+costs ``O(E_changed)`` scatter work plus the ``O(nK)`` rescale (already
+paid by k-means anyway) instead of ``O(E)``.  To bound floating-point drift
+from repeated add/subtract, a full re-embed runs every
+``full_refresh_every`` iterations (and on the first); the equivalence test
+asserts the delta path tracks a from-scratch embed to 1e-10.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
+from ..graph.csr import _row_slots
 from ..graph.facade import Graph, GraphLike
 from ..labels.kmeans import kmeans
 from ..obs import trace
@@ -142,38 +144,18 @@ def _resolve_implementation(implementation, impl_kwargs: dict):
     )
 
 
-def _gather_incident(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
-                     vertices: np.ndarray):
-    """Neighbours and weights of every edge in the CSR slices of ``vertices``.
-
-    Returns ``(neighbors, w, owner_repeat)`` where ``owner_repeat[i]`` is
-    the position in ``vertices`` owning edge ``i`` — the standard ragged
-    gather (one ``arange`` + two ``repeat``s, no Python loop).
-    """
-    starts = indptr[vertices]
-    deg = indptr[vertices + 1] - starts
-    total = int(deg.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=np.float64), empty
-    cum = np.cumsum(deg)
-    offsets = np.repeat(starts - np.concatenate(([0], cum[:-1])), deg)
-    pos = np.arange(total, dtype=np.int64) + offsets
-    owner = np.repeat(np.arange(vertices.size, dtype=np.int64), deg)
-    return indices[pos], weights[pos], owner
-
-
 def _apply_label_delta(
-    S_flat: np.ndarray, plan, y_old: np.ndarray, y_new: np.ndarray
+    S_flat: np.ndarray, fused, y_old: np.ndarray, y_new: np.ndarray
 ) -> int:
     """Update raw class sums ``S`` for the vertices whose label changed.
 
-    For every changed vertex ``c`` and every incident edge ``(c, nbr)`` or
-    ``(nbr, c)`` with weight ``w``: ``S[nbr, y_old[c]] -= w`` and
-    ``S[nbr, y_new[c]] += w``.  Both edge directions are walked through the
-    plan's CSR (out-edges) and CSC (in-edges) views; the subtract and add
-    are fused into one scatter.  Returns the number of edge endpoints
-    touched (the ``O(E_changed)`` work actually done).
+    For every changed vertex ``c`` and every edge between ``c`` and a
+    neighbour ``nbr``, in either direction, with weight ``w``:
+    ``S[nbr, y_old[c]] -= w`` and ``S[nbr, y_new[c]] += w``.  Those edges are
+    the incidences of ``c``'s row in ``fused``, the graph's sorted layout
+    (:class:`~repro.core.plan.FusedLayout`, a symmetric CSR), so one ragged
+    gather over the changed rows finds them all.  Returns the number of
+    incidences touched (the ``O(E_changed)`` work actually done).
 
     Assumes fully-known labels (the refinement loop's invariant — k-means
     assigns every vertex a class).
@@ -181,22 +163,12 @@ def _apply_label_delta(
     changed = np.flatnonzero(y_new != y_old)
     if changed.size == 0:
         return 0
-    k = plan.n_classes
-    csr = plan.csr
-    touched = 0
-    for indptr, indices, weights in (
-        (csr.indptr, csr.indices, csr.weights),
-        (csr.in_indptr, csr.in_indices, csr.in_weights),
-    ):
-        nbr, w, owner = _gather_incident(indptr, indices, weights, changed)
-        if nbr.size == 0:
-            continue
-        touched += nbr.size
-        base = nbr * k
-        flat = np.concatenate((base + y_old[changed][owner], base + y_new[changed][owner]))
-        delta = np.concatenate((-w, w))
-        scatter_add(S_flat, flat, delta)
-    return touched
+    owners, slots = _row_slots(fused.indptr, changed)
+    base = fused.partner[slots].astype(np.int64) * fused.n_classes
+    w = 1.0 if fused.weights is None else fused.weights[slots]
+    scatter_add(S_flat, base + y_old[owners], -w)
+    scatter_add(S_flat, base + y_new[owners], w)
+    return int(slots.size)
 
 
 def gee_unsupervised(
@@ -276,9 +248,10 @@ def gee_unsupervised(
         plan with this block size, bounding their temporary working set;
         the delta passes already touch only the edges of changed vertices.
         Requires a registry-backend ``implementation`` whose capabilities
-        declare ``supports_chunked``.  Note the delta path still builds the
-        graph's in-memory CSR — combine ``chunk_edges`` with
-        ``delta=False`` when that view must not be materialised.
+        declare ``supports_chunked``.  Note the delta path still compiles
+        the graph's in-memory sorted layout (its symmetric CSR) — combine
+        ``chunk_edges`` with ``delta=False`` when that layout must not be
+        materialised.
     """
     from ..stream.dynamic import DynamicGraph
 
@@ -324,20 +297,20 @@ def gee_unsupervised(
     else:
         labels = rng.integers(0, k, size=n).astype(np.int64)
 
-    # The plan carries the CSR/CSC views the delta scatter walks, and lets
-    # registry backends run their zero-validation full passes.
-    plan = graph.plan(k) if (delta or plan_pass is not None) else None
+    # The delta scatter walks the sorted plan's symmetric CSR, and registry
+    # backends run their zero-validation full passes on a plan.
+    delta_plan = graph.plan(k, layout="sorted") if delta else None
+    full_plan = None
     if chunk_edges is not None:
         if plan_pass is None:
             raise ValueError(
                 "chunk_edges requires a registry-backend implementation "
                 "(a name or GEEBackend instance), not a bare callable"
             )
-        # Full passes stream in bounded blocks; the delta path keeps the
-        # regular plan (it walks the CSR/CSC views, not the edge stream).
+        # Full passes stream in bounded blocks.
         full_plan = graph.plan(k, chunk_edges=chunk_edges)
-    else:
-        full_plan = plan
+    elif plan_pass is not None:
+        full_plan = graph.plan(k)
 
     def run_full(y: np.ndarray) -> EmbeddingResult:
         if plan_pass is not None and full_plan is not None:
@@ -376,13 +349,13 @@ def gee_unsupervised(
                 labels_of_S = labels.copy()
             Z = result.embedding
         else:
-            assert labels_of_S is not None
+            assert labels_of_S is not None and delta_plan is not None
             with trace(
                 "refinement.delta_pass",
                 iteration=iteration,
                 changed=int(np.count_nonzero(labels != labels_of_S)),
             ):
-                _apply_label_delta(S_flat, plan, labels_of_S, labels)
+                _apply_label_delta(S_flat, delta_plan.fused, labels_of_S, labels)
             labels_of_S = labels.copy()
             n_delta += 1
             inv = inverse_class_counts(class_counts(labels, k))

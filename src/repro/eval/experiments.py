@@ -58,21 +58,24 @@ __all__ = [
 ]
 
 #: Paper column name -> registered backend name (see repro.backends).  Every
-#: implementation consumes the shared Graph facade, whose CSR view is forced
-#: outside the timed region — Ligra's input is a loaded graph, and graph
-#: loading is not part of the paper's timed region.  Each column runs its
-#: backend's plan kernel on the graph's default plan (reused after the
-#: first call): "numba-serial" the compile-free ``bincount`` pass,
-#: "ligra-serial" the engine the plan caches, "ligra-parallel" the
-#: owner-range kernel over the sorted layout compiled once per graph.
+#: implementation consumes the shared Graph facade, whose CSR view (the
+#: Ligra columns' input) is forced outside the timed region — Ligra's input
+#: is a loaded graph, and graph loading is not part of the paper's timed
+#: region.  Each column runs its backend's plan kernel on the graph's
+#: default plan (reused after the first call): "numba-serial" the
+#: compile-free ``bincount`` pass, "ligra-serial" the engine the plan
+#: caches, "ligra-parallel" the owner-range kernel over the sorted layout
+#: compiled once per graph.
 #:
 #: ``scipy-sparse`` is an extra (non-paper) Table I reference column: the
 #: whole edge pass as one ``(A + Aᵀ)·W`` CSR matmul through the ``sparse``
-#: backend — a C-speed serial point showing what a generic sparse-linear-
-#: algebra stack achieves without the paper's formulation.  It sits beside
-#: "numba-serial" conceptually but is not part of ``TABLE1_COLUMNS`` (the
-#: paper's own four columns, which the speedup ratios are defined over);
-#: pass ``extra_columns=("scipy-sparse",)`` to :func:`table1` to measure it.
+#: backend, over the symmetric CSR of the graph's sorted layout (compiled
+#: once per graph, like "ligra-parallel"'s) — a C-speed serial point
+#: showing what a generic sparse-linear-algebra stack achieves without the
+#: paper's formulation.  It sits beside "numba-serial" conceptually but is
+#: not part of ``TABLE1_COLUMNS`` (the paper's own four columns, which the
+#: speedup ratios are defined over); pass ``extra_columns=("scipy-sparse",)``
+#: to :func:`table1` to measure it.
 IMPLEMENTATIONS: Dict[str, str] = {
     "gee-python": "python",
     "numba-serial": "vectorized",
@@ -86,9 +89,9 @@ TABLE1_COLUMNS = ["gee-python", "numba-serial", "ligra-serial", "ligra-parallel"
 
 
 def _prepare_graph(edges) -> Graph:
-    """Coerce to a Graph and force the CSR views outside any timed region."""
+    """Coerce to a Graph and force its CSR view outside any timed region."""
     graph = Graph.coerce(edges)
-    graph.csr.in_indptr  # build out- and in-adjacency now
+    graph.csr  # the Ligra columns' input
     return graph
 
 
@@ -104,7 +107,7 @@ def run_implementation(
 ) -> float:
     """Best-of-``repeats`` runtime (seconds) of one implementation.
 
-    ``graph`` is any graph-like input; its CSR views are forced before
+    ``graph`` is any graph-like input; its CSR view is forced before
     timing starts.  The parallel implementation gets one untimed warm-up
     call by default so that forking the worker pool and copying the graph
     into shared memory (one-time costs, the analogue of Ligra starting its

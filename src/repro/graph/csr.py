@@ -3,8 +3,8 @@
 Ligra stores graphs as per-vertex adjacency arrays so that ``edgeMapDense``
 can hand each vertex's edge list to one worker (paper §III).  This module
 provides the equivalent structure: ``indptr`` / ``indices`` / ``weights``
-arrays in the usual CSR layout, with both out-adjacency and (optionally)
-in-adjacency views.
+arrays in the usual CSR layout (the out-adjacency), and the ragged row
+gather shared by its readers.
 """
 
 from __future__ import annotations
@@ -43,6 +43,23 @@ def owner_sort(owner: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return key, sorted_owner
 
 
+def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The entry slots of ``rows`` in a CSR with row pointer ``indptr``.
+
+    Returns ``(owners, slots)``, one item per slot: ``slots`` lists
+    ``indptr[r]:indptr[r+1]`` for every ``r`` in ``rows``, in order, and
+    ``owners`` the ``r`` that owns each slot.  The ragged gather is one
+    ``arange`` and two ``repeat``s, with no Python loop.
+    """
+    starts = indptr[rows]
+    degrees = indptr[rows + 1] - starts
+    owners = np.repeat(rows, degrees)
+    # A row's slots run on from its start, offset by where the row begins
+    # in the gather.
+    offsets = np.repeat(starts - (np.cumsum(degrees) - degrees), degrees)
+    return owners, np.arange(owners.size, dtype=np.int64) + offsets
+
+
 @dataclass
 class CSRGraph:
     """Directed graph in CSR form.
@@ -62,10 +79,6 @@ class CSRGraph:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    _in_indptr: Optional[np.ndarray] = None
-    _in_indices: Optional[np.ndarray] = None
-    _in_weights: Optional[np.ndarray] = None
-    _in_edge_pos: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(np.asarray(self.indptr, dtype=np.int64))
@@ -159,58 +172,19 @@ class CSRGraph:
         return np.repeat(np.arange(self.n_vertices, dtype=np.int64), self.out_degrees())
 
     # ------------------------------------------------------------------ #
-    # In-adjacency (transpose), built lazily
-    # ------------------------------------------------------------------ #
-    def _build_in_adjacency(self) -> None:
-        src = self.edge_sources()
-        dst = self.indices
-        order, _ = owner_sort(dst)
-        counts = np.bincount(dst, minlength=self.n_vertices)
-        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        self._in_indptr = indptr
-        self._in_indices = src[order]
-        self._in_weights = self.weights[order]
-        self._in_edge_pos = order.astype(np.int64)
-
-    @property
-    def in_indptr(self) -> np.ndarray:
-        """CSR indptr of the transposed (in-edge) adjacency."""
-        if self._in_indptr is None:
-            self._build_in_adjacency()
-        return self._in_indptr  # type: ignore[return-value]
-
-    @property
-    def in_indices(self) -> np.ndarray:
-        """CSR indices (edge sources) of the transposed adjacency."""
-        if self._in_indices is None:
-            self._build_in_adjacency()
-        return self._in_indices  # type: ignore[return-value]
-
-    @property
-    def in_weights(self) -> np.ndarray:
-        """Weights aligned with :attr:`in_indices`."""
-        if self._in_weights is None:
-            self._build_in_adjacency()
-        return self._in_weights  # type: ignore[return-value]
-
-    def in_degrees(self) -> np.ndarray:
-        """In-degrees of all vertices."""
-        return np.diff(self.in_indptr)
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """Sources of in-edges of ``v``."""
-        return self.in_indices[self.in_indptr[v] : self.in_indptr[v + 1]]
-
-    # ------------------------------------------------------------------ #
     # Conversions
     # ------------------------------------------------------------------ #
     def to_edgelist(self) -> EdgeList:
-        """Convert back to an :class:`EdgeList` (grouped by source vertex)."""
+        """Convert back to an :class:`EdgeList` (grouped by source vertex).
+
+        An all-unit weight column becomes no weight array, as in an
+        unweighted edge list, so plans compile the unit-weight layout.
+        """
+        unit = bool(np.all(self.weights == 1.0))
         return EdgeList(
             src=self.edge_sources(),
             dst=self.indices.copy(),
-            weights=self.weights.copy(),
+            weights=None if unit else self.weights.copy(),
             n_vertices=self.n_vertices,
         )
 
@@ -221,12 +195,4 @@ class CSRGraph:
         return sp.csr_matrix(
             (self.weights, self.indices, self.indptr),
             shape=(self.n_vertices, self.n_vertices),
-        )
-
-    def transpose(self) -> "CSRGraph":
-        """Return a new CSR graph with every edge reversed."""
-        return CSRGraph(
-            indptr=self.in_indptr.copy(),
-            indices=self.in_indices.copy(),
-            weights=self.in_weights.copy(),
         )

@@ -14,11 +14,11 @@ drivers) accepts a *graph-like* input and funnels it through
 * any ``scipy.sparse`` square adjacency matrix.
 
 The facade exists because the expensive derived structures — the CSR
-adjacency, its transpose, degree vectors, the Laplacian-reweighted edge
-list — used to be recomputed by every call that needed them.  ``Graph``
-builds each view lazily on first access and caches it for the object's
-lifetime, so an experiment that embeds the same graph with six backends
-pays for each view once.
+adjacency, degree vectors, the Laplacian-reweighted edge list, the compiled
+embed plans — used to be recomputed by every call that needed them.
+``Graph`` builds each view lazily on first access and caches it for the
+object's lifetime, so an experiment that embeds the same graph with six
+backends pays for each view once.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class Graph:
         #: Whether a caller-supplied CSR is the source of truth (the edge
         #: list view is then a derived snapshot).
         self._adopted_csr = csr is not None
-        self._reverse_csr: Optional[CSRGraph] = None
         self._laplacian: Optional["Graph"] = None
         self._out_degrees: Optional[np.ndarray] = None
         self._in_degrees: Optional[np.ndarray] = None
@@ -179,7 +178,6 @@ class Graph:
             name
             for name, slot in (
                 ("csr", self._csr),
-                ("reverse_csr", self._reverse_csr),
                 ("laplacian", self._laplacian),
                 ("degrees", self._out_degrees),
             )
@@ -200,18 +198,6 @@ class Graph:
             # so a later plan() can tell whether they were mutated since.
             self._view_fingerprint = self.edge_data_fingerprint()
         return self._csr
-
-    @property
-    def reverse_csr(self) -> CSRGraph:
-        """CSR over the reversed edges (shares the cached transpose arrays)."""
-        if self._reverse_csr is None:
-            csr = self.csr
-            self._reverse_csr = CSRGraph(
-                indptr=csr.in_indptr,
-                indices=csr.in_indices,
-                weights=csr.in_weights,
-            )
-        return self._reverse_csr
 
     @property
     def out_degrees(self) -> np.ndarray:
@@ -289,11 +275,10 @@ class Graph:
     ):
         """The compiled :class:`~repro.core.plan.EmbedPlan` for ``K`` classes.
 
-        The plan — validated edge arrays, a sorted plan's symmetric CSR,
-        CSR/CSC adjacency views and a reusable output buffer, each built on
-        first use — is cached, so repeated ``embed_with_plan`` calls
-        (backend sweeps, worker sweeps, the refinement loop) pay the
-        label-independent work exactly once.
+        The plan — validated edge arrays, a sorted plan's symmetric CSR and
+        a reusable output buffer, each built on first use — is cached, so
+        repeated ``embed_with_plan`` calls (backend sweeps, worker sweeps,
+        the refinement loop) pay the label-independent work exactly once.
 
         A different ``K`` compiles a separate plan.  If the underlying edge
         arrays changed since compilation (detected via a sampled
@@ -412,17 +397,10 @@ class Graph:
         if self._adopted_csr:
             # The adopted CSR is the source of truth: drop the derived
             # edge-list snapshot (it may predate a CSR mutation) and keep
-            # the CSR itself — but reset its internal in-adjacency cache,
-            # which a mutation also staled.
+            # the CSR itself.
             self._edges = None
-            assert self._csr is not None
-            self._csr._in_indptr = None
-            self._csr._in_indices = None
-            self._csr._in_weights = None
-            self._csr._in_edge_pos = None
         else:
             self._csr = None
-        self._reverse_csr = None
         self._laplacian = None
         self._out_degrees = None
         self._in_degrees = None
@@ -437,8 +415,7 @@ class Graph:
         They reference the graph back, so a graph about to be discarded
         frees their arrays and shared memory at once instead of at the next
         cyclic garbage collection.  Unlike :meth:`invalidate_cache` it keeps
-        every adjacency view, so an adopted ``CSRGraph`` keeps its cached
-        in-adjacency.
+        every derived view.
         """
         self._plans.clear()
 
@@ -454,8 +431,6 @@ class Graph:
         names = []
         if self._csr is not None:
             names.append("csr")
-        if self._reverse_csr is not None:
-            names.append("reverse_csr")
         if self._laplacian is not None:
             names.append("laplacian")
         if self._out_degrees is not None:
@@ -482,10 +457,12 @@ def _edgelist_from_scipy(matrix) -> EdgeList:
             f"adjacency matrix must be square, got shape {tuple(matrix.shape)}"
         )
     coo = matrix.tocoo()
+    weights = np.asarray(coo.data, dtype=np.float64)
     return EdgeList(
         src=np.asarray(coo.row, dtype=np.int64),
         dst=np.asarray(coo.col, dtype=np.int64),
-        weights=np.asarray(coo.data, dtype=np.float64),
+        # All-unit data attaches no weight array, like an unweighted EdgeList.
+        weights=weights if np.any(weights != 1.0) else None,
         n_vertices=int(matrix.shape[0]),
     )
 

@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ...graph.csr import CSRGraph
+from ...graph.csr import CSRGraph, _row_slots
 from ..edge_map import EdgeMapFunction
 from ..vertex_subset import VertexSubset
 
@@ -72,14 +72,7 @@ def frontier_edges(
     """Flat ``(srcs, dsts, weights)`` arrays of all out-edges of the frontier."""
     if len(frontier) == graph.n_vertices:
         return graph.edge_sources(), graph.indices, graph.weights
-    idx = frontier.indices()
-    degs = graph.indptr[idx + 1] - graph.indptr[idx]
-    srcs = np.repeat(idx, degs)
-    # Gather the edge slots of every frontier vertex.
-    slots = np.concatenate(
-        [np.arange(graph.indptr[u], graph.indptr[u + 1]) for u in idx.tolist()]
-    ) if idx.size else np.empty(0, dtype=np.int64)
-    slots = slots.astype(np.int64)
+    srcs, slots = _row_slots(graph.indptr, frontier.indices())
     return srcs, graph.indices[slots], graph.weights[slots]
 
 

@@ -334,3 +334,42 @@ def test_multigraph_removal_subtracts_exact_multiplicity(backend_name):
         atol=ATOL,
         err_msg=f"{backend_name} double-subtracted a duplicated edge",
     )
+
+
+# --------------------------------------------------------------------------- #
+# One compiled graph form outside the Ligra columns
+# --------------------------------------------------------------------------- #
+LIGRA_BACKENDS = {name for name in list_backends() if name.startswith("ligra-")}
+
+
+@pytest.mark.parametrize("backend_name", sorted(list_backends()))
+def test_only_the_ligra_backends_build_a_csr(backend_name):
+    """The Ligra engines walk the graph's CSR.  Every other backend reads
+    the edge arrays or the sorted plan's symmetric CSR, and builds none."""
+    assert len(LIGRA_BACKENDS) == 4
+    edges, labels = GRAPH_KINDS["weighted"]()
+    graph = Graph.coerce(edges)
+    get_backend(backend_name).embed(graph, labels, K)
+    assert ("csr" in graph.cached_views()) == (backend_name in LIGRA_BACKENDS)
+
+
+@pytest.mark.parametrize("graph_kind", ["unweighted", "weighted", "duplicate-edges"])
+def test_sparse_multiplies_by_the_sorted_plans_arrays(graph_kind):
+    """``sparse`` wraps the symmetric CSR that ``parallel`` reads: the graph
+    holds one sorted plan, scipy holds its ``partner`` without a copy, and
+    leaves it as it was."""
+    edges, labels = GRAPH_KINDS[graph_kind]()
+    graph = Graph.coerce(edges)
+    parallel = get_backend("parallel", n_workers=1)
+    before = parallel.embed(graph, labels, K).embedding.copy()
+    get_backend("sparse").embed(graph, labels, K)
+    sorted_plans = [
+        plan for plan in graph._plans.values() if getattr(plan, "layout", None) == "sorted"
+    ]
+    assert len(sorted_plans) == 1
+    fused = sorted_plans[0].fused
+    matrix = sorted_plans[0].scipy_adjacency()
+    assert np.shares_memory(matrix.indices, fused.partner)
+    if fused.weights is not None:
+        assert np.shares_memory(matrix.data, fused.weights)
+    assert np.array_equal(parallel.embed(graph, labels, K).embedding, before)

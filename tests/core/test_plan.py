@@ -334,7 +334,7 @@ class TestDeltaRefinement:
         edges, _ = seeded
         g = Graph.coerce(edges)
         k = 4
-        plan = g.plan(k)
+        fused = g.plan(k, layout="sorted").fused
         rng = np.random.default_rng(11)
         y_old = rng.integers(0, k, size=g.n_vertices)
         S_flat = (
@@ -347,7 +347,7 @@ class TestDeltaRefinement:
             y_new = y.copy()
             flip = rng.choice(g.n_vertices, size=12, replace=False)
             y_new[flip] = rng.integers(0, k, size=flip.size)
-            _apply_label_delta(S_flat, plan, y, y_new)
+            _apply_label_delta(S_flat, fused, y, y_new)
             y = y_new
         counts = class_counts(y, k).astype(np.float64)
         inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
@@ -355,25 +355,45 @@ class TestDeltaRefinement:
         Z_full = gee_vectorized(g.edges, y, k).embedding
         np.testing.assert_allclose(Z_delta, Z_full, atol=1e-10)
 
-    def test_delta_handles_weights_and_self_loops(self):
+    @pytest.mark.parametrize("case", ["self-loop", "duplicates", "unit-duplicates"])
+    def test_delta_handles_weights_and_self_loops(self, case):
         src = np.array([0, 1, 2, 3, 3, 4])
         dst = np.array([1, 2, 0, 3, 4, 0])  # includes self-loop (3, 3)
         w = np.array([1.5, 0.5, 2.0, 3.0, 1.0, 0.25])
-        g = Graph.coerce((src, dst, w))
+        if case != "self-loop":
+            # (0, 1) twice more, once reversed, and the self-loop again: a
+            # changed vertex's row lists every instance.
+            src = np.concatenate([src, [0, 1, 3]])
+            dst = np.concatenate([dst, [1, 0, 3]])
+            w = np.concatenate([w, [4.0, 0.125, 8.0]])
+        g = Graph.coerce((src, dst, None if case == "unit-duplicates" else w))
         k = 3
-        plan = g.plan(k)
+        fused = g.plan(k, layout="sorted").fused
         y0 = np.array([0, 1, 2, 0, 1])
         y1 = np.array([1, 1, 2, 2, 0])  # changes vertices 0, 3, 4
         S = (
             gee_vectorized(g.edges, y0, k).embedding * class_counts(y0, k)[None, :]
         ).ravel().copy()
-        _apply_label_delta(S, plan, y0, y1)
+        _apply_label_delta(S, fused, y0, y1)
         counts = class_counts(y1, k).astype(np.float64)
         inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
         Z_delta = S.reshape(5, k) * inv[None, :]
         np.testing.assert_allclose(
             Z_delta, gee_vectorized(g.edges, y1, k).embedding, atol=1e-12
         )
+
+    def test_delta_pass_reads_the_sorted_layout_not_the_csr(self):
+        """The delta pass walks the sorted plan's symmetric CSR; it builds
+        no CSR view of its own."""
+        edges, truth = planted_partition(240, 4, 0.1, 0.01, seed=7)
+        g = Graph.coerce(edges)
+        res = gee_unsupervised(
+            g, 4, seed=0, max_iterations=6, initial_labels=truth,
+            convergence_fraction=1.0, delta=True,
+        )
+        assert res.n_delta_passes > 0
+        assert "csr" not in g.cached_views()
+        assert g.plan(4, layout="sorted")._fused is not None
 
     def test_unsupervised_delta_matches_full_loop(self):
         # Warm-start near the planted truth so the per-iteration churn stays

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graph import CSRGraph, EdgeList, erdos_renyi
+from repro.graph import CSRGraph, EdgeList, Graph, erdos_renyi
+from repro.graph.csr import _row_slots
 
 
 class TestConstruction:
@@ -46,7 +47,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("kind", ["random", "duplicates", "empty"])
     def test_arrays_equal_stable_argsort_reference(self, kind):
-        """Out- and in-adjacency keep arrival order within each row."""
+        """The out-adjacency keeps arrival order within each row."""
         rng = np.random.default_rng(4)
         if kind == "random":
             src, dst, n = rng.integers(0, 300, 4000), rng.integers(0, 300, 4000), 310
@@ -60,13 +61,6 @@ class TestConstruction:
         np.testing.assert_array_equal(g.indptr, np.r_[0, np.cumsum(np.bincount(src, minlength=n))])
         np.testing.assert_array_equal(g.indices, dst[order])
         np.testing.assert_array_equal(g.weights, w[order])
-        in_order = np.argsort(g.indices, kind="stable")
-        np.testing.assert_array_equal(
-            g.in_indptr, np.r_[0, np.cumsum(np.bincount(dst, minlength=n))]
-        )
-        np.testing.assert_array_equal(g.in_indices, src[order][in_order])
-        np.testing.assert_array_equal(g.in_weights, w[order][in_order])
-        np.testing.assert_array_equal(g._in_edge_pos, in_order)
 
 
 class TestRoundTrip:
@@ -94,25 +88,36 @@ class TestRoundTrip:
             assert np.all(srcs[lo:hi] == u)
 
 
-class TestInAdjacency:
-    def test_in_degrees_match_edgelist(self, random_graph):
-        csr = random_graph.to_csr()
-        np.testing.assert_array_equal(csr.in_degrees(), random_graph.in_degrees())
+class TestRowSlots:
+    @pytest.mark.parametrize(
+        "rows",
+        [[3, 0, 7, 7, 2], [5], [], list(range(10))],
+        ids=["unsorted-repeats", "one", "none", "all"],
+    )
+    def test_matches_a_loop_over_rows(self, rows):
+        """One ragged gather equals the per-row ``arange`` it replaces,
+        including empty rows and rows listed twice."""
+        indptr = np.array([0, 2, 2, 5, 9, 9, 10, 10, 14, 15, 15], dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
+        owners, slots = _row_slots(indptr, rows)
+        expected = [
+            (r, i) for r in rows.tolist() for i in range(indptr[r], indptr[r + 1])
+        ]
+        assert owners.tolist() == [r for r, _ in expected]
+        assert slots.tolist() == [i for _, i in expected]
+        assert slots.dtype == np.int64
 
-    def test_in_neighbors_are_reverse_of_out(self, tiny_edges):
-        csr = tiny_edges.to_csr()
-        assert set(csr.in_neighbors(1).tolist()) == {0, 3}
-        assert csr.in_neighbors(0).size == 0
-
-    def test_transpose_swaps_degrees(self, random_graph):
-        csr = random_graph.to_csr()
-        t = csr.transpose()
-        np.testing.assert_array_equal(t.out_degrees(), csr.in_degrees())
-        np.testing.assert_array_equal(t.in_degrees(), csr.out_degrees())
-
-    def test_in_weights_sum_preserved(self, weighted_graph):
-        csr = weighted_graph.to_csr()
-        assert csr.in_weights.sum() == pytest.approx(csr.weights.sum())
+    def test_symmetric_rows_list_in_and_out_edges(self, tiny_edges):
+        """The sorted plan's symmetric CSR, which replaced the in-adjacency,
+        lists every edge at a vertex in its row, in either direction."""
+        fused = Graph.coerce(tiny_edges).plan(2, layout="sorted").fused
+        _, slots = _row_slots(fused.indptr, np.array([1]))
+        # Vertex 1 has in-edges from 0 and 3 and no out-edges.
+        assert fused.partner[slots].tolist() == [0, 3]
+        np.testing.assert_array_equal(
+            np.diff(fused.indptr), tiny_edges.out_degrees() + tiny_edges.in_degrees()
+        )
+        assert fused.weights.sum() == pytest.approx(2 * tiny_edges.total_weight())
 
 
 class TestLargeRandom:
@@ -120,4 +125,3 @@ class TestLargeRandom:
         edges = erdos_renyi(1000, 5000, seed=3)
         csr = edges.to_csr()
         assert csr.out_degrees().sum() == 5000
-        assert csr.in_degrees().sum() == 5000

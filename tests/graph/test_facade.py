@@ -45,6 +45,26 @@ class TestCoercion:
         g_arr = Graph.coerce(arr)
         np.testing.assert_array_equal(g_arr.edges.src, edges.src)
 
+    @pytest.mark.parametrize("kind", ["csr", "scipy"])
+    def test_unit_weight_inputs_compile_the_unit_weight_layout(self, kind):
+        """A CSR's or scipy matrix's all-ones weight column counts as no
+        weights, as an unweighted EdgeList does, so the sorted layout stores
+        no weight array and its embedding equals the EdgeList's bit for bit."""
+        edges = erdos_renyi(200, 1500, seed=22)
+        y = random_partial_labels(200, 4, 0.4, seed=22)
+        csr = edges.to_csr()
+        g = Graph.coerce(csr if kind == "csr" else csr.to_scipy())
+        plan = g.plan(4, layout="sorted")
+        assert plan.unit_weights
+        assert plan.fused.weights is None
+        assert not g.is_weighted
+        assert np.array_equal(
+            gee_vectorized(g, y, 4).embedding, gee_vectorized(edges, y, 4).embedding
+        )
+        weighted = erdos_renyi(200, 1500, seed=22, weighted=True).to_csr()
+        g = Graph.coerce(weighted if kind == "csr" else weighted.to_scipy())
+        assert g.plan(4, layout="sorted").fused.weights is not None
+
     def test_non_graph_input_rejected(self):
         with pytest.raises(TypeError, match="graph-like"):
             Graph.coerce("not a graph")
@@ -142,15 +162,6 @@ class TestCachedViews:
         assert g.in_degrees is g.in_degrees
         assert g.weighted_total_degrees is g.weighted_total_degrees
         np.testing.assert_array_equal(g.out_degrees, edges.out_degrees())
-
-    def test_reverse_csr_shares_transpose_arrays(self, base_case):
-        edges, _ = base_case
-        g = Graph.coerce(edges)
-        rev = g.reverse_csr
-        assert rev is g.reverse_csr
-        assert rev.indptr is g.csr.in_indptr  # no copy
-        # The transpose's destinations are the original sources.
-        np.testing.assert_array_equal(np.sort(rev.indices), np.sort(edges.src))
 
     def test_laplacian_fit_reuses_cached_view(self, base_case, monkeypatch):
         edges, y = base_case

@@ -405,11 +405,10 @@ def test_repeated_pooled_embeds_share_the_session_pool():
 @pytest.mark.parametrize("kind", ["edgelist", "csr", "array"])
 def test_private_facades_release_their_layout(kind, entry):
     """A non-``Graph`` input gets a private facade; what the embed cached
-    on it goes with the call, and the caller's CSR keeps its caches."""
+    on it goes with the call."""
     edges = erdos_renyi(300, 3000, seed=5, weighted=True)
     y = random_partial_labels(300, 4, 0.5, seed=5)
     csr = edges.to_csr()
-    in_indptr = csr.in_indptr  # the caller's cached in-adjacency
     inputs = {
         "edgelist": edges,
         "csr": csr,
@@ -428,7 +427,6 @@ def test_private_facades_release_their_layout(kind, entry):
         assert len(_FUSED_CACHE) == 0
     finally:
         gc.enable()
-    assert csr.in_indptr is in_indptr
 
 
 def _shm_segments():
