@@ -394,6 +394,12 @@ def ablation_atomics(
     }
 
 
+#: The projection ablation times each phase as the best of this many runs:
+#: one run of a sub-millisecond phase is at the mercy of one scheduling
+#: stall, which can flip which regime the projection dominates.
+ABLATION_INIT_REPEATS = 5
+
+
 def ablation_projection_init(
     *,
     n_classes: int = 50,
@@ -403,20 +409,26 @@ def ablation_projection_init(
     dense_degree: int = 32,
 ) -> List[Dict[str, object]]:
     """The §III observation: the O(nK) projection initialisation dominates
-    only when the graph has many vertices and a very low average degree."""
+    only when the graph has many vertices and a very low average degree.
+
+    Both phases are the best of :data:`ABLATION_INIT_REPEATS` runs.
+    """
     rows = []
+    backend = get_backend("vectorized")
     for label, degree in (("sparse", sparse_degree), ("dense", dense_degree)):
         edges = erdos_renyi(n_vertices, n_vertices * degree, seed=seed)
         y = generate_labels(edges.n_vertices, n_classes, seed=seed)
-        result = get_backend("vectorized").embed(edges, y, n_classes)
-        edge_pass = result.timings["edge_pass"]
+        edge_pass = min(
+            backend.embed(edges, y, n_classes).timings["edge_pass"]
+            for _ in range(ABLATION_INIT_REPEATS)
+        )
         # The plan kernel builds the dense W only when read, so the O(nK)
         # initialisation is timed on its own.
         proj = time_callable(
             lambda: projection_from_scales(
                 y, projection_scales(y, n_classes), n_classes
             ),
-            repeats=1,
+            repeats=ABLATION_INIT_REPEATS,
         ).best
         rows.append(
             {

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .edgelist import EdgeList
+from .edgelist import EdgeList, unit_weights_as_none
 
 __all__ = ["CSRGraph", "owner_sort"]
 
@@ -180,11 +180,11 @@ class CSRGraph:
         An all-unit weight column becomes no weight array, as in an
         unweighted edge list, so plans compile the unit-weight layout.
         """
-        unit = bool(np.all(self.weights == 1.0))
+        weights = unit_weights_as_none(self.weights)
         return EdgeList(
             src=self.edge_sources(),
             dst=self.indices.copy(),
-            weights=None if unit else self.weights.copy(),
+            weights=None if weights is None else weights.copy(),
             n_vertices=self.n_vertices,
         )
 

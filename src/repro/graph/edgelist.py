@@ -20,6 +20,18 @@ import numpy as np
 __all__ = ["EdgeList"]
 
 
+def unit_weights_as_none(weights: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """``None`` when every weight is 1.0 (or none are given), else ``weights``.
+
+    A graph-like input whose weight column is all ones then attaches no
+    weight array, as an unweighted edge list does, so its plans compile the
+    unit-weight layout.
+    """
+    if weights is None or np.all(weights == 1.0):
+        return None
+    return weights
+
+
 @dataclass
 class EdgeList:
     """A weighted, directed edge list over vertices ``0 .. n_vertices-1``.
@@ -145,7 +157,8 @@ class EdgeList:
     def from_array(cls, E: np.ndarray, n_vertices: Optional[int] = None) -> "EdgeList":
         """Build an edge list from an ``(s, 2)`` or ``(s, 3)`` array.
 
-        A two-column array is interpreted as an unweighted edge list.
+        A two-column array, or a third column of all ones, is interpreted
+        as an unweighted edge list.
         """
         E = np.asarray(E)
         if E.ndim != 2 or E.shape[1] not in (2, 3):
@@ -154,7 +167,7 @@ class EdgeList:
         return cls(
             src=E[:, 0].astype(np.int64),
             dst=E[:, 1].astype(np.int64),
-            weights=weights,
+            weights=unit_weights_as_none(weights),
             n_vertices=n_vertices,
         )
 

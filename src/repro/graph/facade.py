@@ -13,6 +13,10 @@ drivers) accepts a *graph-like* input and funnels it through
 * a ``(src, dst[, weights])`` tuple of arrays,
 * any ``scipy.sparse`` square adjacency matrix.
 
+An array's, tuple's, CSR's or matrix's weights that are all 1.0 attach no
+weight array, as an unweighted edge list does, so their plans compile the
+unit-weight layout.
+
 The facade exists because the expensive derived structures — the CSR
 adjacency, degree vectors, the Laplacian-reweighted edge list, the compiled
 embed plans — used to be recomputed by every call that needed them.
@@ -30,7 +34,7 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .csr import CSRGraph
-from .edgelist import EdgeList
+from .edgelist import EdgeList, unit_weights_as_none
 
 __all__ = ["Graph", "GraphLike", "as_graph", "as_edgelist"]
 
@@ -107,9 +111,9 @@ class Graph:
         if _is_scipy_sparse(obj):
             return cls(_edgelist_from_scipy(obj))
         if isinstance(obj, tuple) and len(obj) in (2, 3):
-            src, dst = obj[0], obj[1]
-            weights = obj[2] if len(obj) == 3 else None
-            return cls(EdgeList(src, dst, weights, n_vertices))
+            edges = EdgeList(obj[0], obj[1], obj[2] if len(obj) == 3 else None, n_vertices)
+            edges.weights = unit_weights_as_none(edges.weights)
+            return cls(edges)
         from .io import ChunkedEdgeSource
 
         if isinstance(obj, ChunkedEdgeSource):
@@ -457,12 +461,10 @@ def _edgelist_from_scipy(matrix) -> EdgeList:
             f"adjacency matrix must be square, got shape {tuple(matrix.shape)}"
         )
     coo = matrix.tocoo()
-    weights = np.asarray(coo.data, dtype=np.float64)
     return EdgeList(
         src=np.asarray(coo.row, dtype=np.int64),
         dst=np.asarray(coo.col, dtype=np.int64),
-        # All-unit data attaches no weight array, like an unweighted EdgeList.
-        weights=weights if np.any(weights != 1.0) else None,
+        weights=unit_weights_as_none(np.asarray(coo.data, dtype=np.float64)),
         n_vertices=int(matrix.shape[0]),
     )
 

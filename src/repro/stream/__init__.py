@@ -5,8 +5,11 @@ embedding *live* while the graph mutates underneath it:
 
 * :class:`DynamicGraph` — a versioned graph with staged mutation batches
   (``add_edges`` / ``remove_edges`` / ``update_weights`` / ``add_vertices``),
-  copy-on-write snapshots for readers and a bounded
-  :class:`~repro.stream.mutations.MutationLog`;
+  O(1) snapshots for readers and a bounded
+  :class:`~repro.stream.mutations.MutationLog`.  A commit copies no edge
+  array: the new version shares its parent's base edges and records the
+  removed positions and the added tail, and its graph is built on first
+  read;
 * :class:`IncrementalEmbedding` — maintains the GEE embedding under
   committed batches in O(Δ) by scatter-patching persisted raw per-class
   sums (:class:`~repro.core.raw_sums.RawSums`), with churn-triggered exact

@@ -8,18 +8,29 @@ three ideas:
   :meth:`update_weights` and :meth:`add_vertices` stage work; one
   :meth:`commit` applies the whole batch atomically and returns the
   normalised :class:`~repro.stream.mutations.MutationDelta`;
-* **copy-on-write versions** — every commit builds *new* edge arrays and a
-  *new* :class:`~repro.graph.facade.Graph` facade; the previous version's
-  arrays are never touched, so a :meth:`snapshot` taken by a reader stays a
-  consistent view no matter how many batches writers commit afterwards;
+* **versions that share their parent's arrays** — a version is a base
+  :class:`~repro.graph.edgelist.EdgeList` shared with its parent, the
+  sorted base positions removed since, and a tail of the edges added
+  since.  A commit matches the batch's removals over those parts (one O(E)
+  bitmap pass) and then does O(Δ + tail) bookkeeping; no edge array is
+  copied and no array of an earlier version is ever written, so a
+  :meth:`snapshot` taken by a reader stays a consistent view no matter how
+  many batches writers commit afterwards;
 * **a mutation log** — recent deltas are kept so an incremental consumer
   (:class:`~repro.stream.incremental.IncrementalEmbedding`) can catch up in
   O(Δ) from whatever version it last saw.
 
-Each version's :class:`~repro.graph.facade.Graph` starts with an empty plan
-cache.  Its default plan compiles nothing, and validating the committed
-:class:`~repro.graph.edgelist.EdgeList` is O(1), so a refresh right after a
-commit embeds straight from the new version's arrays.
+A version's :class:`~repro.graph.facade.Graph` is built on first read
+(:attr:`DynamicGraph.graph`, :attr:`Snapshot.graph` or ``.edges``,
+:meth:`~DynamicGraph.plan`, :meth:`~DynamicGraph.chunked_source`, a
+refresh, a store rewrite): one O(E) ``concat(base[~dead], tail)``, bitwise
+the arrays an eager rebuild would give, shared by the graph and every
+snapshot of that version, which then becomes the base of the next commit.
+A commit whose parent's dead positions plus tail reach
+:data:`COMPACT_FRACTION` of its base builds the parent's graph first
+(compaction), so the parts stay small.  Each version's graph starts with an
+empty plan cache; its default plan compiles nothing, and validating the
+built :class:`~repro.graph.edgelist.EdgeList` is one pass.
 
 Removal semantics on multigraphs are exact-multiplicity: requesting
 ``(u, v)`` once removes *one* instance even when the pair is duplicated
@@ -29,7 +40,7 @@ instances than exist raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -48,34 +59,148 @@ from .mutations import (
 
 __all__ = ["DynamicGraph", "Snapshot"]
 
+#: A commit first builds its parent's graph (compaction) once the parent's
+#: dead base positions plus its tail reach this fraction of its base.
+COMPACT_FRACTION = 1 / 8
 
-def _weights_at(edges: EdgeList, pos: np.ndarray) -> np.ndarray:
-    """Weights of the instances at ``pos``; unit weights on an unweighted graph."""
-    if edges.is_weighted:
-        return edges.weights[pos]
-    return np.ones(pos.size, dtype=np.float64)
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
+_NO_TAIL = (_NO_POSITIONS, _NO_POSITIONS, np.empty(0, dtype=np.float64))
+
+_Tail = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class _Version:
+    """One version's edge set: ``concat(base[~dead], tail)``, built on first read.
+
+    ``base`` is an :class:`~repro.graph.edgelist.EdgeList` shared with
+    earlier versions (an edge list, never a facade that may hold plans),
+    ``dead`` the sorted base positions removed since that base, and
+    ``tail`` the ``(src, dst, weights)`` of the live edges added since it
+    (weights always explicit: ones for unweighted additions).  ``weighted``
+    says whether the version carries a weight column.
+
+    The record's edge set never changes.  :attr:`graph` builds it once and
+    then drops the parts: the built edge list is the base that the next
+    commit shares, and the old base is freed once no other version holds
+    it.
+    """
+
+    __slots__ = ("n_vertices", "n_edges", "_graph", "_parts", "_fingerprint_mode")
+
+    def __init__(
+        self,
+        base: EdgeList,
+        dead: np.ndarray,
+        tail: _Tail,
+        n_vertices: int,
+        weighted: bool,
+        fingerprint_mode: str,
+    ) -> None:
+        self.n_vertices = int(n_vertices)
+        self.n_edges = base.n_edges - dead.size + tail[0].size
+        self._graph: Optional[Graph] = None
+        self._parts = (base, dead, tail, weighted)
+        self._fingerprint_mode = fingerprint_mode
+
+    @classmethod
+    def of(cls, graph: Graph) -> "_Version":
+        """A version whose graph is already built."""
+        version = cls.__new__(cls)
+        version.n_vertices = graph.n_vertices
+        version.n_edges = graph.n_edges
+        version._graph = graph
+        version._parts = None
+        version._fingerprint_mode = graph._fingerprint_mode
+        return version
+
+    @property
+    def graph(self) -> Graph:
+        """The version's :class:`~repro.graph.facade.Graph`, built on first read."""
+        graph = self._graph
+        if graph is None:
+            parts = self._parts
+            if parts is None:  # another reader built it meanwhile
+                return self._graph
+            base, dead, (tail_src, tail_dst, tail_w), weighted = parts
+            kept = slice(None)
+            if dead.size:
+                kept = np.ones(base.n_edges, dtype=bool)
+                kept[dead] = False
+            src = np.concatenate((base.src[kept], tail_src))
+            dst = np.concatenate((base.dst[kept], tail_dst))
+            weights = None
+            if weighted:
+                weights = np.concatenate((base.effective_weights()[kept], tail_w))
+            graph = Graph(EdgeList(src, dst, weights, self.n_vertices))
+            graph._fingerprint_mode = self._fingerprint_mode
+            self._graph = graph
+            self._parts = None
+        return graph
+
+    @property
+    def fingerprint_mode(self) -> str:
+        """The plan fingerprint mode the next version inherits."""
+        if self._graph is not None:
+            return self._graph._fingerprint_mode
+        return self._fingerprint_mode
+
+    def parts(self) -> Tuple[EdgeList, np.ndarray, _Tail, bool]:
+        """``(base, dead, tail, weighted)``; a built version is its own base.
+
+        Compacts first: when the dead positions plus the tail reach
+        :data:`COMPACT_FRACTION` of the base, the graph is built and its
+        edges become the base.
+        """
+        parts = self._parts
+        if parts is not None:
+            base, dead, tail, _ = parts
+            if dead.size + tail[0].size < COMPACT_FRACTION * base.n_edges:
+                return parts
+        edges = self.graph.edges
+        return edges, _NO_POSITIONS, _NO_TAIL, edges.is_weighted
+
+
+def _weights_at(base: EdgeList, tail_w: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Weights of the instances at ``pos`` (base positions, then the tail's).
+
+    Unit weights on an unweighted base.
+    """
+    out = np.ones(pos.size, dtype=np.float64)
+    n_base = base.n_edges
+    in_base = pos < n_base
+    if base.is_weighted:
+        out[in_base] = base.weights[pos[in_base]]
+    in_tail = ~in_base
+    out[in_tail] = tail_w[pos[in_tail] - n_base]
+    return out
 
 
 @dataclass(frozen=True)
 class Snapshot:
     """A versioned, immutable view of a :class:`DynamicGraph`.
 
-    Copy-on-write makes this O(1): the snapshot holds the version's
-    :class:`~repro.graph.facade.Graph` (whose arrays no later commit ever
-    mutates), so readers embed, plan and iterate against it while writers
-    keep committing batches.
+    O(1) to take: the snapshot holds the version's record, whose arrays no
+    later commit ever writes, so readers embed, plan and iterate against it
+    while writers keep committing batches.  :attr:`graph` (and
+    :attr:`edges`) build the version's graph on first read, the one
+    :class:`~repro.graph.facade.Graph` that the :class:`DynamicGraph` and
+    every snapshot of that version share.
     """
 
     version: int
-    graph: Graph
+    _state: _Version = field(repr=False)
+
+    @property
+    def graph(self) -> Graph:
+        return self._state.graph
 
     @property
     def n_vertices(self) -> int:
-        return self.graph.n_vertices
+        return self._state.n_vertices
 
     @property
     def n_edges(self) -> int:
-        return self.graph.n_edges
+        return self._state.n_edges
 
     @property
     def edges(self) -> EdgeList:
@@ -92,7 +217,7 @@ class DynamicGraph:
         adopted as version 0.  A :class:`~repro.graph.facade.Graph` is
         adopted directly, keeping its cached views and compiled plans.
         The underlying arrays are treated as immutable from this point on
-        (copy-on-write needs that; pass a copy if you intend to keep
+        (later versions share them; pass a copy if you intend to keep
         mutating them in place).
     max_log:
         Bound on retained :class:`~repro.stream.mutations.MutationDelta`
@@ -113,7 +238,8 @@ class DynamicGraph:
         max_log: Optional[int] = None,
         store=None,
     ) -> None:
-        self._graph = Graph.coerce(graph)
+        graph = Graph.coerce(graph)
+        self._current = _Version.of(graph)
         self.version = 0
         self.log = MutationLog(max_entries=max_log)
         #: Warm-start state carried across versions by ``gee_unsupervised``
@@ -127,11 +253,11 @@ class DynamicGraph:
             from .segments import SegmentedEdgeStore
 
             if not isinstance(store, SegmentedEdgeStore):
-                store = SegmentedEdgeStore.create(store, self._graph.edges)
-            elif store.n_edges != self._graph.n_edges:
+                store = SegmentedEdgeStore.create(store, graph.edges)
+            elif store.n_edges != graph.n_edges:
                 raise ValueError(
                     "attached store does not match the graph "
-                    f"({store.n_edges} stored edges vs {self._graph.n_edges})"
+                    f"({store.n_edges} stored edges vs {graph.n_edges})"
                 )
         self.store = store
 
@@ -140,24 +266,28 @@ class DynamicGraph:
     # ------------------------------------------------------------------ #
     @property
     def graph(self) -> Graph:
-        """The current version's :class:`~repro.graph.facade.Graph` facade."""
-        return self._graph
+        """The current version's :class:`~repro.graph.facade.Graph` facade.
+
+        Built on the first read of a version, in one O(E) pass; shared with
+        every :meth:`snapshot` of that version.
+        """
+        return self._current.graph
 
     @property
     def n_vertices(self) -> int:
-        return self._graph.n_vertices
+        return self._current.n_vertices
 
     @property
     def n_edges(self) -> int:
-        return self._graph.n_edges
+        return self._current.n_edges
 
     def snapshot(self) -> Snapshot:
         """A consistent, immutable view of the current version (O(1))."""
-        return Snapshot(version=self.version, graph=self._graph)
+        return Snapshot(self.version, self._current)
 
     def plan(self, n_classes: int, **kwargs):
         """The current version's compiled plan (see :meth:`Graph.plan`)."""
-        return self._graph.plan(n_classes, **kwargs)
+        return self.graph.plan(n_classes, **kwargs)
 
     def chunked_source(
         self,
@@ -176,7 +306,7 @@ class DynamicGraph:
                 chunk_edges=chunk_edges, memory_budget_bytes=memory_budget_bytes
             )
         return ChunkedEdgeSource.from_edgelist(
-            self._graph.edges,
+            self.graph.edges,
             chunk_edges=chunk_edges,
             memory_budget_bytes=memory_budget_bytes,
         )
@@ -261,8 +391,11 @@ class DynamicGraph:
 
         Returns the committed :class:`~repro.stream.mutations.MutationDelta`
         (also appended to :attr:`log`), or ``None`` when nothing was staged.
-        Readers holding earlier snapshots are unaffected: the new version is
-        built from new arrays (copy-on-write).
+        Readers holding earlier snapshots are unaffected: the new version
+        shares its parent's base and writes no array it shares.  The cost is
+        one O(E) bitmap match of the removals and updates plus O(Δ + tail)
+        bookkeeping; the new version's graph is built only when read.  A
+        commit that raises leaves the graph as it was.
         """
         if (
             not self._staged_add
@@ -279,38 +412,44 @@ class DynamicGraph:
             + len(self._staged_update)
             + (1 if self._staged_vertices else 0),
         )
-        old_graph = self._graph
-        edges = old_graph.edges
-        n_before = int(edges.n_vertices)
+        current = self._current
+        base, dead, (tail_src, tail_dst, tail_w), weighted = current.parts()
+        n_base = base.n_edges
+        n_before = current.n_vertices
         n_after = n_before + self._staged_vertices
 
-        # --- removals: match exact instances against the current edges --- #
+        # --- removals: match exact instances against the live edges ------ #
         if self._staged_remove:
             rem_src = np.concatenate([s for s, _ in self._staged_remove])
             rem_dst = np.concatenate([d for _, d in self._staged_remove])
             removed_pos = match_edge_instances(
-                edges.src, edges.dst, rem_src, rem_dst, n_before
+                [(base.src, base.dst, dead), (tail_src, tail_dst, None)],
+                rem_src,
+                rem_dst,
+                n_before,
             )
         else:
-            rem_src = rem_dst = removed_pos = np.empty(0, dtype=np.int64)
-        removed_w = _weights_at(edges, removed_pos)
-
-        keep = np.ones(edges.n_edges, dtype=bool)
-        keep[removed_pos] = False
+            rem_src = rem_dst = removed_pos = _NO_POSITIONS
+        removed_w = _weights_at(base, tail_w, removed_pos)
+        in_base = removed_pos < n_base
+        if np.any(in_base):
+            dead = np.sort(np.concatenate((dead, removed_pos[in_base])))
+        removed_tail = removed_pos[~in_base] - n_base
 
         # --- weight updates: matched against the surviving instances ----- #
         if self._staged_update:
             upd_src = np.concatenate([s for s, _, _ in self._staged_update])
             upd_dst = np.concatenate([d for _, d, _ in self._staged_update])
             upd_new_w = np.concatenate([w for _, _, w in self._staged_update])
-            survivors = np.flatnonzero(keep)
-            upd_local = match_edge_instances(
-                edges.src[survivors], edges.dst[survivors], upd_src, upd_dst, n_before
+            upd_pos = match_edge_instances(
+                [(base.src, base.dst, dead), (tail_src, tail_dst, removed_tail)],
+                upd_src,
+                upd_dst,
+                n_before,
             )
-            upd_pos = survivors[upd_local]
-            upd_old_w = _weights_at(edges, upd_pos)
+            upd_old_w = _weights_at(base, tail_w, upd_pos)
         else:
-            upd_src = upd_dst = upd_pos = np.empty(0, dtype=np.int64)
+            upd_src = upd_dst = upd_pos = _NO_POSITIONS
             upd_new_w = upd_old_w = np.empty(0, dtype=np.float64)
 
         # --- additions --------------------------------------------------- #
@@ -336,22 +475,30 @@ class DynamicGraph:
                     "first to grow the graph"
                 )
         else:
-            add_src = add_dst = np.empty(0, dtype=np.int64)
+            add_src = add_dst = _NO_POSITIONS
             add_w = np.empty(0, dtype=np.float64)
             add_weighted = False
 
-        # --- build the next version's arrays (copy-on-write) ------------- #
-        weighted = edges.is_weighted or add_weighted or upd_pos.size > 0
-        kept = keep if removed_pos.size else slice(None)
-        new_src = np.concatenate((edges.src[kept], add_src))
-        new_dst = np.concatenate((edges.dst[kept], add_dst))
-        new_w = None
-        if weighted:
-            old_w = edges.effective_weights()
-            if upd_pos.size:
-                old_w = old_w.copy()  # the old version keeps its weights
-                old_w[upd_pos] = upd_new_w
-            new_w = np.concatenate((old_w[kept], add_w))
+        # --- the next version: O(Δ + tail); shared arrays stay unwritten -- #
+        upd_in_base = upd_pos < n_base
+        if np.any(upd_in_base):
+            base_w = base.effective_weights().copy()  # earlier versions keep theirs
+            base_w[upd_pos[upd_in_base]] = upd_new_w[upd_in_base]
+            base = EdgeList(base.src, base.dst, base_w, base.n_vertices)
+        if not np.all(upd_in_base):
+            tail_w = tail_w.copy()
+            tail_w[upd_pos[~upd_in_base] - n_base] = upd_new_w[~upd_in_base]
+        kept = slice(None)
+        if removed_tail.size:
+            kept = np.ones(tail_src.size, dtype=bool)
+            kept[removed_tail] = False
+        tail = (
+            np.concatenate((tail_src[kept], add_src)),
+            np.concatenate((tail_dst[kept], add_dst)),
+            np.concatenate((tail_w[kept], add_w)),
+        )
+        weighted = weighted or add_weighted or upd_pos.size > 0
+        version = _Version(base, dead, tail, n_after, weighted, current.fingerprint_mode)
 
         delta = MutationDelta(
             version=self.version + 1,
@@ -369,16 +516,13 @@ class DynamicGraph:
             updated_new_weights=upd_new_w,
         )
 
-        new_graph = Graph(EdgeList(new_src, new_dst, new_w, n_after))
-        new_graph._fingerprint_mode = old_graph._fingerprint_mode
-
         if self.store is not None:
             if delta.append_only and self.store.weighted == weighted:
                 self.store.append(EdgeList(add_src, add_dst, add_w if weighted else None, n_after))
             else:
-                self.store.rewrite(new_graph.edges)
+                self.store.rewrite(version.graph.edges)
 
-        self._graph = new_graph
+        self._current = version
         self.version += 1
         self.log.append(delta)
         self.discard_staged()

@@ -200,7 +200,6 @@ class IncrementalEmbedding:
         self._refresh(self._sums.labels)
 
     def _refresh(self, y: np.ndarray) -> None:
-        graph = self._dynamic.graph
         k = self._sums.n_classes
         if self._chunk_edges is not None or self._memory_budget_bytes is not None:
             from ..core.plan import ChunkedPlan
@@ -211,7 +210,7 @@ class IncrementalEmbedding:
             )
             plan = ChunkedPlan(source, k)
         else:
-            plan = graph.plan(k)
+            plan = self._dynamic.plan(k)
         with trace(
             "incremental.refresh",
             version=self._dynamic.version,

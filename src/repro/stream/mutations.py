@@ -4,7 +4,8 @@ A :class:`~repro.stream.dynamic.DynamicGraph` turns every committed batch of
 staged operations into one immutable :class:`MutationDelta` — the normal
 form the rest of the subsystem consumes:
 
-* the *graph layer* applies it to produce the next copy-on-write version;
+* the *graph layer* applies it to produce the next version, which shares
+  its parent's edge arrays;
 * the *embedding layer* (:class:`~repro.stream.incremental.IncrementalEmbedding`)
   reads :meth:`MutationDelta.patch_edges`, a signed ``(src, dst, Δw)``
   triple whose scatter into the raw per-class sums is the whole O(Δ)
@@ -29,7 +30,7 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,30 +54,39 @@ def _as_vertex_array(values, name: str) -> np.ndarray:
 
 
 def match_edge_instances(
-    src: np.ndarray,
-    dst: np.ndarray,
+    parts: Sequence[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]],
     req_src: np.ndarray,
     req_dst: np.ndarray,
     n_vertices: int,
 ) -> np.ndarray:
     """Resolve requested ``(src, dst)`` occurrences to distinct edge positions.
 
-    Returns an array of edge positions, aligned with the request order: the
+    The edge list is given in ``parts``: ``(src, dst, dead)`` triples whose
+    live edges, part after part, are the edges in order.  ``dead`` holds the
+    part's positions that no longer carry an edge (``None`` for none); a
+    :class:`~repro.stream.dynamic.DynamicGraph` version passes its shared
+    base with the positions removed since, then its tail of later additions.
+    A position counts the parts' full lengths: position ``i`` of a part
+    after parts of total length ``L`` is ``L + i``, so dropping the dead
+    positions keeps the positions' order.
+
+    Returns an array of such positions, aligned with the request order: the
     ``i``-th requested occurrence maps to position ``out[i]``.  The ``r``-th
-    occurrence of a pair in the request matches the ``r``-th instance of that
-    pair in the edge arrays (instances ordered by edge position), so each
-    requested occurrence consumes exactly one distinct instance — a
-    multigraph with a duplicated edge loses one copy per request, never both.
+    occurrence of a pair in the request matches the ``r``-th live instance
+    of that pair (instances ordered by position), so each requested
+    occurrence consumes exactly one distinct instance — a multigraph with a
+    duplicated edge loses one copy per request, never both.
 
     Raises :class:`MissingEdgeError` when a requested pair does not exist or
-    its requested multiplicity exceeds the stored multiplicity, and
+    its requested multiplicity exceeds the live multiplicity, and
     :class:`ValueError` when a requested endpoint lies outside
     ``[0, n_vertices)`` (the stored edges must lie inside it too).
 
-    Cost: one streaming O(E) pass over the edges with O(1) work and 2 bytes
-    of scratch per edge, plus O(C log C + R log R) for the ``C`` candidate
-    edges that join a requested source to a requested destination and the
-    ``R`` requests.
+    Cost: one streaming O(E) pass over every part's edges, dead or not, with
+    O(1) work and 2 bytes of scratch per edge, plus O(D) for the ``D`` dead
+    positions and O(C log C + R log R) for the ``C`` candidate edges that
+    join a requested source to a requested destination and the ``R``
+    requests.
     """
     if req_src.shape != req_dst.shape:
         raise ValueError("request src and dst must have the same length")
@@ -101,11 +111,20 @@ def match_edge_instances(
     want_src[req_src] = True
     want_dst = np.zeros(n, dtype=bool)
     want_dst[req_dst] = True
-    hit = want_src[src]
-    hit &= want_dst[dst]
-    candidates = np.flatnonzero(hit)
-    del hit
-    ckey = src[candidates] * n + dst[candidates]
+    cand_pos, cand_key = [], []
+    offset = 0
+    for src, dst, dead in parts:
+        hit = want_src[src]
+        hit &= want_dst[dst]
+        if dead is not None:
+            hit[dead] = False
+        local = np.flatnonzero(hit)
+        del hit
+        cand_key.append(src[local] * n + dst[local])
+        cand_pos.append(local + offset)
+        offset += src.size
+    candidates = np.concatenate(cand_pos)
+    ckey = np.concatenate(cand_key)
     order = np.argsort(ckey, kind="stable")  # stable: instances stay position-ordered
     sorted_keys = ckey[order]
     rorder = np.argsort(rkey, kind="stable")

@@ -44,16 +44,28 @@ class TestCoercion:
         arr = edges.as_array()
         g_arr = Graph.coerce(arr)
         np.testing.assert_array_equal(g_arr.edges.src, edges.src)
+        with pytest.raises(ValueError, match="weights length"):
+            Graph.coerce((edges.src, edges.dst, np.ones(edges.n_edges - 1)))
 
-    @pytest.mark.parametrize("kind", ["csr", "scipy"])
+    @pytest.mark.parametrize("kind", ["csr", "scipy", "array", "tuple"])
     def test_unit_weight_inputs_compile_the_unit_weight_layout(self, kind):
-        """A CSR's or scipy matrix's all-ones weight column counts as no
-        weights, as an unweighted EdgeList does, so the sorted layout stores
-        no weight array and its embedding equals the EdgeList's bit for bit."""
+        """A CSR's, scipy matrix's, ``(s, 3)`` array's or ``(src, dst,
+        weights)`` tuple's all-ones weight column counts as no weights, as
+        an unweighted EdgeList does, so the sorted layout stores no weight
+        array and its embedding equals the EdgeList's bit for bit."""
+
+        def coerce(edges):
+            if kind == "csr":
+                return Graph.coerce(edges.to_csr())
+            if kind == "scipy":
+                return Graph.coerce(edges.to_csr().to_scipy())
+            if kind == "array":
+                return Graph.coerce(edges.as_array())
+            return Graph.coerce((edges.src, edges.dst, edges.effective_weights()))
+
         edges = erdos_renyi(200, 1500, seed=22)
         y = random_partial_labels(200, 4, 0.4, seed=22)
-        csr = edges.to_csr()
-        g = Graph.coerce(csr if kind == "csr" else csr.to_scipy())
+        g = coerce(edges)
         plan = g.plan(4, layout="sorted")
         assert plan.unit_weights
         assert plan.fused.weights is None
@@ -61,8 +73,7 @@ class TestCoercion:
         assert np.array_equal(
             gee_vectorized(g, y, 4).embedding, gee_vectorized(edges, y, 4).embedding
         )
-        weighted = erdos_renyi(200, 1500, seed=22, weighted=True).to_csr()
-        g = Graph.coerce(weighted if kind == "csr" else weighted.to_scipy())
+        g = coerce(erdos_renyi(200, 1500, seed=22, weighted=True))
         assert g.plan(4, layout="sorted").fused.weights is not None
 
     def test_non_graph_input_rejected(self):

@@ -1,8 +1,11 @@
-"""DynamicGraph: staging, commit semantics, instance matching, snapshots, per-version plans."""
+"""DynamicGraph: staging, commit semantics, instance matching, versions built on
+read, snapshots, per-version plans."""
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -164,6 +167,33 @@ def _oracle_match(src, dst, req_src, req_dst, n_vertices):
     return np.array(out, dtype=np.int64)
 
 
+def _as_parts(rng, src, dst):
+    """Split the live edges into a base and a tail, each with dead edges mixed in.
+
+    Dead edges copy live pairs, so a matcher that reads them finds extra
+    instances.  Returns the matcher's parts and the live position of every
+    part position (-1 for a dead one).
+    """
+    e = src.size
+    cut = int(rng.integers(0, e + 1))
+    parts, live_of = [], []
+    for lo, hi in ((0, cut), (cut, e)):
+        n_dead = int(rng.integers(0, 4)) if e else 0
+        copied = rng.integers(0, e, size=n_dead)
+        dead = np.sort(rng.choice(hi - lo + n_dead, size=n_dead, replace=False))
+        is_dead = np.zeros(hi - lo + n_dead, dtype=bool)
+        is_dead[dead] = True
+        part_src = np.empty(is_dead.size, dtype=np.int64)
+        part_dst = np.empty(is_dead.size, dtype=np.int64)
+        part_src[is_dead], part_dst[is_dead] = src[copied], dst[copied]
+        part_src[~is_dead], part_dst[~is_dead] = src[lo:hi], dst[lo:hi]
+        index = np.full(is_dead.size, -1)
+        index[~is_dead] = np.arange(lo, hi)
+        parts.append((part_src, part_dst, dead if n_dead or rng.random() < 0.5 else None))
+        live_of.append(index)
+    return parts, np.concatenate(live_of)
+
+
 class TestMatchEdgeInstances:
     def test_fuzz_matches_oracle(self):
         """Seeded fuzz of the matcher against :func:`_oracle_match`.
@@ -172,7 +202,9 @@ class TestMatchEdgeInstances:
         drawn from stored instances reach the stored multiplicity, and the
         cross product of their endpoints covers unrequested pairs (the
         bitmap prefilter's false positives).  Some cases then ask for one
-        instance too many, or name an out-of-range vertex.
+        instance too many, or name an out-of-range vertex.  The matcher sees
+        the edges as a base and a tail with dead copies of live pairs mixed
+        into both (:func:`_as_parts`), as a commit passes a version's parts.
         """
         seen = {"matched": 0, "false_positive": 0, "missing": 0, "out_of_range": 0}
         for seed in range(200):
@@ -195,20 +227,21 @@ class TestMatchEdgeInstances:
                 req_dst = np.append(req_dst, 0 if req_src[-1] == bad else bad)
             order = rng.permutation(req_src.size)
             req_src, req_dst = req_src[order], req_dst[order]
+            parts, live_of = _as_parts(rng, src, dst)
             try:
                 expected = _oracle_match(src, dst, req_src, req_dst, n)
             except MissingEdgeError:
                 with pytest.raises(MissingEdgeError, match="multiplicity"):
-                    match_edge_instances(src, dst, req_src, req_dst, n)
+                    match_edge_instances(parts, req_src, req_dst, n)
                 seen["missing"] += 1
                 continue
             except ValueError:
                 with pytest.raises(ValueError, match="must lie in") as err:
-                    match_edge_instances(src, dst, req_src, req_dst, n)
+                    match_edge_instances(parts, req_src, req_dst, n)
                 assert not isinstance(err.value, MissingEdgeError)
                 seen["out_of_range"] += 1
                 continue
-            got = match_edge_instances(src, dst, req_src, req_dst, n)
+            got = live_of[match_edge_instances(parts, req_src, req_dst, n)]
             np.testing.assert_array_equal(got, expected, err_msg=f"seed {seed}")
             seen["matched"] += 1
             requested = set(zip(req_src.tolist(), req_dst.tolist()))
@@ -228,13 +261,309 @@ class TestMatchEdgeInstances:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            positions = match_edge_instances(src, dst, req_src, req_dst, n)
+            positions = match_edge_instances([(src, dst, None)], req_src, req_dst, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert np.array_equal(src[positions], req_src)
         assert np.array_equal(dst[positions], req_dst)
         assert peak / e < 8.0, f"{peak / e:.1f} B/edge"
+
+
+class _EagerOracle:
+    """The eager commit: every batch rebuilds ``concat(kept, added)``.
+
+    Matches with :func:`_oracle_match` over the whole live edge list, and
+    weight updates over the batch's survivors, so it shares no code with
+    :meth:`DynamicGraph.commit`.
+    """
+
+    def __init__(self, edges):
+        self.src, self.dst = edges.src.copy(), edges.dst.copy()
+        self.weights = None if edges.weights is None else edges.weights.copy()
+        self.n_vertices = edges.n_vertices
+
+    def commit(self, batch):
+        """Apply ``batch`` (see :func:`_random_batch`); return the delta's weights."""
+        n_before = self.n_vertices
+        w = self.weights if self.weights is not None else np.ones(self.src.size)
+        removed = _oracle_match(self.src, self.dst, *batch["remove"], n_before)
+        keep = np.ones(self.src.size, dtype=bool)
+        keep[removed] = False
+        survivors = np.flatnonzero(keep)
+        upd_src, upd_dst, upd_w = batch["update"]
+        updated = survivors[
+            _oracle_match(self.src[survivors], self.dst[survivors], upd_src, upd_dst, n_before)
+        ]
+        groups = batch["add"]
+        add_src = np.concatenate([s for s, _, _ in groups] + [np.empty(0, np.int64)])
+        add_dst = np.concatenate([d for _, d, _ in groups] + [np.empty(0, np.int64)])
+        add_w = np.concatenate(
+            [np.ones(s.size) if g is None else g for s, _, g in groups] + [np.empty(0)]
+        )
+        n_after = n_before + batch["grow"]
+        if add_src.size and max(add_src.max(), add_dst.max()) >= n_after:
+            raise ValueError("outside the committed vertex set")
+        weighted = (
+            self.weights is not None
+            or any(g is not None for _, _, g in groups)
+            or updated.size > 0
+        )
+        out = {"removed": w[removed].copy(), "old": w[updated].copy(), "new": upd_w}
+        new_w = w.copy()
+        new_w[updated] = upd_w
+        self.src = np.concatenate((self.src[keep], add_src))
+        self.dst = np.concatenate((self.dst[keep], add_dst))
+        self.weights = np.concatenate((new_w[keep], add_w)) if weighted else None
+        self.n_vertices = n_after
+        return out
+
+    def frozen(self):
+        return EdgeList(self.src.copy(), self.dst.copy(),
+                        None if self.weights is None else self.weights.copy(),
+                        self.n_vertices)
+
+
+def _random_batch(rng, oracle, *, fail=None):
+    """A mixed batch drawn from the oracle's live edges.
+
+    Removals hit random live instances, half the time among the latest
+    (the tail of a pending version); updates hit other live instances;
+    additions repeat live pairs, add self-loops and, after ``add_vertices``,
+    reach new vertices, with and without weights.  ``fail`` (0, 1 or 2)
+    adds one removal or one update too many, or an edge past the vertex
+    set.
+    """
+    e, n = oracle.src.size, oracle.n_vertices
+    pool = np.arange(max(0, e - 12), e) if rng.random() < 0.5 else np.arange(e)
+    picked = rng.permutation(pool)[: int(rng.integers(0, min(6, pool.size) + 1))]
+    rest = np.setdiff1d(np.arange(e), picked)
+    updated = rng.permutation(rest)[: int(rng.integers(0, min(3, rest.size) + 1))]
+    grow = int(rng.integers(1, 4)) if rng.random() < 0.2 else 0
+    groups = []
+    for _ in range(int(rng.integers(0, 3))):
+        k = int(rng.integers(1, 6))
+        src = rng.integers(0, n + grow, size=k)
+        dst = np.where(rng.random(k) < 0.25, src, rng.integers(0, n + grow, size=k))
+        if e and rng.random() < 0.5:  # duplicates of live pairs
+            dup = rng.integers(0, e, size=k)
+            src, dst = oracle.src[dup].copy(), oracle.dst[dup].copy()
+        weights = rng.integers(1, 9, size=k).astype(float) / 2 if rng.random() < 0.5 else None
+        groups.append((src, dst, weights))
+    batch = {
+        "remove": (oracle.src[picked], oracle.dst[picked]),
+        "update": (oracle.src[updated], oracle.dst[updated],
+                   rng.integers(1, 9, size=updated.size).astype(float) / 4),
+        "add": groups,
+        "grow": grow,
+    }
+    if fail is not None:
+        u, v = (oracle.src[0], oracle.dst[0]) if e else (0, 0)
+        count = int(np.sum((oracle.src == u) & (oracle.dst == v))) + 1
+        if fail == 0:  # one removal beyond the live multiplicity
+            s, d = batch["remove"]
+            batch["remove"] = (np.append(s, [u] * count), np.append(d, [v] * count))
+        elif fail == 1:  # one update beyond the live multiplicity
+            s, d, w = batch["update"]
+            batch["update"] = (np.append(s, [u] * count), np.append(d, [v] * count),
+                               np.append(w, [1.0] * count))
+        else:  # an added edge past the vertex set
+            groups.append((np.array([n + grow]), np.array([0]), None))
+    return batch
+
+
+def _stage(dyn, batch):
+    if batch["grow"]:
+        dyn.add_vertices(batch["grow"])
+    dyn.remove_edges(*batch["remove"])
+    dyn.update_weights(*batch["update"])
+    for src, dst, weights in batch["add"]:
+        dyn.add_edges(src, dst, weights)
+
+
+def _assert_edges_equal(got, want, msg=""):
+    assert got.n_vertices == want.n_vertices, msg
+    assert np.array_equal(got.src, want.src), msg
+    assert np.array_equal(got.dst, want.dst), msg
+    assert (got.weights is None) == (want.weights is None), msg
+    if want.weights is not None:
+        assert np.array_equal(got.weights, want.weights), msg
+
+
+def _schedule(edges, n_batches, seed):
+    """``n_batches`` random batches and the oracle's edge list at every version."""
+    rng = np.random.default_rng(seed)
+    oracle = _EagerOracle(edges)
+    batches, versions = [], [oracle.frozen()]
+    for _ in range(n_batches):
+        batches.append(_random_batch(rng, oracle))
+        oracle.commit(batches[-1])
+        versions.append(oracle.frozen())
+    return batches, versions
+
+
+class TestVersionsShareTheirParents:
+    """A version is its parent's base, dead positions and tail, built when read."""
+
+    def test_fuzz_against_eager_oracle(self):
+        """Seeded mixed batches with random reads, checked against the eager rebuild.
+
+        Every version's snapshot is read, some at once and the rest at the
+        end, and must be bitwise the oracle's edge list at that version; so
+        must the delta's removed and updated weights, and ``n_edges``.
+        """
+        seen = {"pending": 0, "compacted": 0, "read": 0, "failed": 0}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 30))
+            edges = erdos_renyi(n, int(rng.integers(0, 120)), weighted=seed % 2 == 0, seed=seed)
+            oracle, dyn = _EagerOracle(edges), DynamicGraph(edges)
+            held = []
+            for _ in range(20):
+                fail = int(rng.integers(0, 3)) if rng.random() < 0.1 else None
+                batch = _random_batch(rng, oracle, fail=fail)
+                parent, version = dyn._current, dyn.version
+                pending = parent._parts is not None
+                _stage(dyn, batch)
+                try:
+                    want = oracle.commit(batch)
+                except (MissingEdgeError, ValueError) as err:
+                    with pytest.raises(type(err)):
+                        dyn.commit()
+                    assert dyn.version == version and dyn.n_edges == oracle.src.size
+                    dyn.discard_staged()
+                    seen["failed"] += 1
+                    continue
+                delta = dyn.commit()
+                if delta is None:  # an empty batch
+                    continue
+                seen["pending"] += pending
+                seen["compacted"] += pending and parent._parts is None
+                assert np.array_equal(delta.removed_weights, want["removed"])
+                assert np.array_equal(delta.updated_old_weights, want["old"])
+                assert np.array_equal(delta.updated_new_weights, want["new"])
+                assert dyn.n_edges == oracle.src.size
+                assert dyn.n_vertices == oracle.n_vertices
+                held.append((dyn.snapshot(), oracle.frozen()))
+                if rng.random() < 0.3:
+                    _assert_edges_equal(dyn.graph.edges, oracle.frozen(), f"seed {seed}")
+                    seen["read"] += 1
+            for i in rng.permutation(len(held)):
+                snap, want = held[i]
+                _assert_edges_equal(snap.edges, want, f"seed {seed} v{snap.version}")
+        assert all(count >= 20 for count in seen.values()), seen
+
+    def test_snapshots_stay_bitwise_stable(self):
+        """Snapshots of a pending and of a built version keep their edges
+        and their ``vectorized`` fit across later commits, rebases and
+        compactions, and both match the eager oracle."""
+        edges = erdos_renyi(60, 200, weighted=True, seed=11)
+        y = np.random.default_rng(11).integers(0, 3, size=60)
+        y[::5] = -1
+        batches, versions = _schedule(edges, 24, seed=12)
+        labels = lambda n: np.concatenate((y, np.full(n - y.size, -1)))  # noqa: E731
+
+        def fit(graph):
+            return GraphEncoderEmbedding(3).fit(graph, labels(graph.n_vertices)).embedding_
+
+        dyn = DynamicGraph(edges)
+        for batch in batches[:2]:
+            _stage(dyn, batch)
+            dyn.commit()
+        pending = dyn.snapshot()  # v2, built from v0's base, not read
+        _stage(dyn, batches[2])
+        dyn.commit()
+        built = dyn.snapshot()
+        built_edges, built_fit = built.edges.copy(), fit(built.graph).copy()
+        compactions = 0
+        for i, batch in enumerate(batches[3:], start=3):
+            parent = dyn._current
+            was_pending = parent._parts is not None
+            _stage(dyn, batch)
+            dyn.commit()
+            compacted = was_pending and parent._parts is None
+            compactions += compacted
+            if i == 5 or (compacted and compactions == 1):
+                dyn.graph  # a read: the next commit rebases on this version
+        assert compactions >= 2
+        _assert_edges_equal(pending.edges, versions[2])
+        assert np.array_equal(fit(pending.graph), fit(Graph(versions[2])))
+        _assert_edges_equal(built.edges, built_edges)
+        _assert_edges_equal(built.edges, versions[3])
+        assert np.array_equal(fit(built.graph), built_fit)
+        _assert_edges_equal(dyn.graph.edges, versions[-1])
+
+    @pytest.mark.parametrize("read_parent", [False, True], ids=["pending", "built"])
+    def test_failed_commit_changes_nothing(self, read_parent):
+        """A commit that raises, on a pending or a built version, leaves the
+        version and ``n_edges`` as they were, and later commits give what
+        they give on a graph that never saw it."""
+        edges = erdos_renyi(40, 300, weighted=True, seed=13)
+        good, versions = _schedule(edges, 6, seed=13)
+        dyn = DynamicGraph(edges)
+        _stage(dyn, good[0])
+        dyn.commit()
+        if read_parent:
+            dyn.graph
+        at_v1 = _EagerOracle(versions[1])
+        for kind in range(3):
+            failing = _random_batch(np.random.default_rng(kind), at_v1, fail=kind)
+            version, n_edges = dyn.version, dyn.n_edges
+            _stage(dyn, failing)
+            with pytest.raises(ValueError):
+                dyn.commit()
+            assert dyn.version == version and dyn.n_edges == n_edges
+            dyn.discard_staged()
+        for i, batch in enumerate(good[1:], start=2):
+            _stage(dyn, batch)
+            dyn.commit()
+            assert dyn.version == i
+            _assert_edges_equal(dyn.snapshot().edges, versions[i])
+
+    def test_commit_allocates_no_per_edge_arrays(self):
+        """A weighted commit of 1,000 additions and 1,000 removals at E = 1M
+        allocates under 8 bytes per edge (the eager rebuild took 33)."""
+        rng = np.random.default_rng(14)
+        n, e = 100_000, 1_000_000
+        edges = EdgeList(
+            rng.integers(0, n, size=e), rng.integers(0, n, size=e), rng.random(e), n
+        )
+        dyn = DynamicGraph(edges)
+        gone = rng.choice(e, size=1_000, replace=False)
+        dyn.remove_edges(edges.src[gone], edges.dst[gone])
+        dyn.add_edges(rng.integers(0, n, 1_000), rng.integers(0, n, 1_000), rng.random(1_000))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            delta = dyn.commit()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert delta.n_removed == delta.n_added == 1_000
+        assert dyn.n_edges == e
+        assert peak / e < 8.0, f"{peak / e:.2f} B/edge"
+
+    def test_superseded_base_is_freed_once_the_next_version_is_built(self):
+        """With ``gc`` off, the base of a pending version dies when that
+        version is read, once the last snapshot of the base's version goes;
+        a snapshot of the pending version itself does not hold it."""
+        gc.disable()
+        try:
+            dyn = DynamicGraph(erdos_renyi(50, 200, weighted=True, seed=15))
+            base_src = weakref.ref(dyn.graph.edges.src)
+            reader = dyn.snapshot()
+            dyn.remove_edges(reader.edges.src[:3], reader.edges.dst[:3])
+            dyn.add_edges([0, 1], [2, 3], [0.5, 0.25])
+            dyn.commit()
+            pending = dyn.snapshot()
+            assert base_src() is not None  # v1 is still v0's base plus parts
+            dyn.graph
+            assert base_src() is not None  # the v0 reader holds it
+            del reader
+            assert base_src() is None
+            assert pending.n_edges == 199 and pending.graph is dyn.graph
+        finally:
+            gc.enable()
 
 
 class TestSnapshotsAndLog:
