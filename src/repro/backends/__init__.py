@@ -30,7 +30,6 @@ from .registry import (
 from . import gee as _gee_backends  # noqa: F401  (import for side effects)
 from .auto import AutoGEEBackend
 from .gee import (
-    LigraProcessesGEEBackend,
     LigraSerialGEEBackend,
     LigraThreadsGEEBackend,
     LigraVectorizedGEEBackend,
@@ -55,6 +54,5 @@ __all__ = [
     "LigraSerialGEEBackend",
     "LigraVectorizedGEEBackend",
     "LigraThreadsGEEBackend",
-    "LigraProcessesGEEBackend",
     "ProcessParallelGEEBackend",
 ]

@@ -24,10 +24,13 @@ sparse             ``(A + Aᵀ)·W`` via scipy.sparse CSR matmul    Numba serial
 ligra-serial       engine, one edge list at a time               GEE-Ligra S
 ligra-vectorized   engine, flat NumPy slabs (alias: ``ligra``)   GEE-Ligra S
 ligra-threads      engine, degree-balanced threads + atomics     —
-ligra-processes    engine, forked workers + reduction            GEE-Ligra P
-                   (alias: ``ligra-parallel``)
 parallel           owner-computes rows over the sorted incidence GEE-Ligra P
+                   (alias: ``ligra-parallel``)
 ================== ============================================= ===========
+
+Each alias names the backend of the paper column it abbreviates.  The
+``auto`` backend (:mod:`repro.backends.auto`) picks ``vectorized`` or
+``parallel`` per call.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "LigraSerialGEEBackend",
     "LigraVectorizedGEEBackend",
     "LigraThreadsGEEBackend",
-    "LigraProcessesGEEBackend",
     "ProcessParallelGEEBackend",
 ]
 
@@ -163,21 +165,8 @@ class LigraThreadsGEEBackend(_LigraGEEBackend):
 
 
 @register_backend(
-    "ligra-processes",
-    aliases=("ligra-parallel",),
-    capabilities=BackendCapabilities(
-        supports_n_workers=True,
-        parallel=True,
-        deterministic=False,
-        description="Ligra engine, forked workers with private partials + reduction",
-    ),
-)
-class LigraProcessesGEEBackend(_LigraGEEBackend):
-    engine_backend = "processes"
-
-
-@register_backend(
     "parallel",
+    aliases=("ligra-parallel",),
     capabilities=BackendCapabilities(
         supports_n_workers=True,
         parallel=True,

@@ -1,8 +1,9 @@
 """The execution-backend registry.
 
 Every way of running the GEE edge pass (interpreted loop, vectorised NumPy,
-the Ligra engine's serial / vectorized / threads / processes schedules, the
-owner-computes process kernel) is wrapped in a :class:`GEEBackend` subclass
+a scipy.sparse matmul, the Ligra engine's serial / vectorized / threads
+schedules, the owner-computes process kernel, and ``auto``, which picks
+one per call) is wrapped in a :class:`GEEBackend` subclass
 and registered under a canonical name with declared
 :class:`BackendCapabilities`.  The registry is the single extension point
 for execution strategies:
@@ -17,8 +18,8 @@ for execution strategies:
 Example
 -------
 >>> from repro.backends import get_backend, list_backends
->>> sorted(list_backends())  # doctest: +ELLIPSIS
-['ligra-processes', 'ligra-serial', ...]
+>>> list_backends()  # doctest: +ELLIPSIS
+['auto', 'ligra-serial', 'ligra-threads', 'ligra-vectorized', 'parallel', ...]
 >>> backend = get_backend("parallel", n_workers=2)
 >>> result = backend.embed(graph, labels, n_classes)  # doctest: +SKIP
 """
@@ -64,7 +65,7 @@ class BackendCapabilities:
     deterministic:
         Whether repeated runs on identical inputs are bit-for-bit
         reproducible (concurrent accumulation reorders floating-point sums,
-        so the threads/processes schedules are not).
+        so the Ligra engine's threads schedule is not).
     supports_chunked:
         Whether the backend executes the out-of-core chunked path: a
         :class:`~repro.graph.io.ChunkedEdgeSource` input to :meth:`embed`,
@@ -72,11 +73,14 @@ class BackendCapabilities:
         :meth:`embed_with_plan`.  Backends without this capability reject
         both instead of silently materialising the edges.
     supports_layout:
-        Whether the backend executes the locality-optimized fused kernels
-        of plans compiled with ``graph.plan(K, layout="sorted")``
-        (see :class:`~repro.core.plan.FusedLayout`).  Backends without the
-        capability still accept layout plans but run their classic
-        arrival-order kernels over the plan's unpermuted edge arrays.
+        Whether a ``graph.plan(K, layout="sorted")`` plan selects the
+        backend's block-local segment-sum kernel over the plan's symmetric
+        CSR (:class:`~repro.core.plan.FusedLayout`): ``vectorized``,
+        ``parallel`` and ``auto``, the backends the layout sweeps
+        (``benchmarks/bench_plan_reuse.py``,
+        ``tests/core/test_layouts.py``) run.  Other backends accept a
+        sorted plan and run the kernel they run on any plan; ``sparse``
+        reads the sorted plan's CSR without the flag.
     description:
         One-line human-readable summary shown by discovery helpers.
     """
@@ -328,8 +332,8 @@ def register_backend(
     """Class decorator: install a :class:`GEEBackend` subclass in the registry.
 
     ``capabilities`` overrides the class attribute; ``aliases`` are
-    alternative names that resolve to the canonical one (used to keep the
-    historical ``"ligra"`` / ``"ligra-parallel"`` method strings working).
+    alternative names that resolve to the canonical one (the paper columns'
+    short names ``"ligra"`` and ``"ligra-parallel"``).
     Re-registering an existing name raises — shadowing a backend silently
     would make experiment results ambiguous.
     """

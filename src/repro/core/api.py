@@ -3,12 +3,13 @@
 The estimator is built on two subsystems introduced by the API redesign:
 
 * **the backend registry** (:mod:`repro.backends`) — every execution
-  strategy (``python``, ``vectorized``, ``ligra-serial``,
-  ``ligra-vectorized``, ``ligra-threads``, ``ligra-processes``,
-  ``parallel``) is a registered :class:`~repro.backends.GEEBackend` with
-  declared capabilities; ``method=`` accepts a canonical name, a legacy
-  alias (``"ligra"``, ``"ligra-parallel"``) or a constructed backend
-  instance, and unsupported options are rejected at construction;
+  strategy (``python``, ``vectorized``, ``sparse``, ``ligra-serial``,
+  ``ligra-vectorized``, ``ligra-threads``, ``parallel`` and ``auto``) is a
+  registered :class:`~repro.backends.GEEBackend` with declared
+  capabilities; ``method=`` accepts a canonical name, a paper-column
+  alias (``"ligra"`` for ``ligra-vectorized``, ``"ligra-parallel"`` for
+  ``parallel``) or a constructed backend instance, and unsupported
+  options are rejected at construction;
 * **the graph facade** (:class:`repro.graph.facade.Graph`) — ``fit`` and
   friends accept any graph-like input (``EdgeList``, ``CSRGraph``,
   ``(s, 2|3)`` arrays, ``scipy.sparse`` adjacencies) and reuse the facade's
@@ -69,9 +70,11 @@ class GraphEncoderEmbedding:
         Embedding dimensionality ``K``.  May be omitted for supervised fits
         (inferred from the labels) but is required for unsupervised fits.
     method:
-        A registered backend name (see
-        :func:`repro.backends.list_backends`), a legacy alias (``"ligra"``,
-        ``"ligra-parallel"``) or a constructed
+        A registered backend name (``python``, ``vectorized``, ``sparse``,
+        ``ligra-serial``, ``ligra-vectorized``, ``ligra-threads``,
+        ``parallel``, ``auto``; see :func:`repro.backends.list_backends`),
+        a paper-column alias (``"ligra"`` for ``ligra-vectorized``,
+        ``"ligra-parallel"`` for ``parallel``) or a constructed
         :class:`~repro.backends.GEEBackend` instance.
     laplacian:
         Use the normalised-Laplacian edge weights instead of raw adjacency

@@ -12,11 +12,11 @@ runs:
 * ``backend="threads"`` — degree-balanced vertex ranges on Python threads
   with lock-striped atomic adds (the literal writeAdd formulation; GIL-bound,
   kept for semantics and the atomics ablation).
-* ``backend="processes"`` — forked workers over shared memory, private
-  partials + reduction (the measured parallel configuration).
 
 All backends produce the same embedding up to floating-point summation
-order; the equivalence tests assert this against the reference loop.
+order; the equivalence tests assert this against the reference loop.  The
+parallel GEE that Table I's "ligra-parallel" column times is not an engine
+schedule: it is the owner-range kernel of :mod:`repro.core.gee_parallel`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ..graph.csr import CSRGraph
 from ..graph.edgelist import EdgeList
 from ..graph.facade import Graph
 from ..ligra.atomics import make_accumulator
-from ..ligra.backends.base import AccumulatingEdgeMapFunction
+from ..ligra.edge_map import EdgeMapFunction
 from ..ligra.engine import LigraEngine
 from .gee_vectorized import accumulate_edges_vectorized
 from .plan import _embed_on_default_plan
@@ -42,7 +42,7 @@ from .validation import UNKNOWN_LABEL
 __all__ = ["UpdateEmbedding", "gee_ligra", "gee_ligra_with_plan"]
 
 
-class UpdateEmbedding(AccumulatingEdgeMapFunction):
+class UpdateEmbedding(EdgeMapFunction):
     """The paper's ``updateEmb`` (Algorithm 2, lines 9–12).
 
     For an edge ``(u, v, w)``::
@@ -118,15 +118,11 @@ class UpdateEmbedding(AccumulatingEdgeMapFunction):
         return np.ones(dsts.size, dtype=bool)
 
     # ------------------------------------------------------------------ #
-    # Accumulating protocol (vectorized / processes backends)
+    # Batch path: a flat slab of edges (vectorized backend)
     # ------------------------------------------------------------------ #
-    def output_arrays(self):
-        return {"Z": self.Z}
-
-    def update_batch_into(self, outputs, srcs, dsts, weights):
-        Z = outputs["Z"]
+    def update_batch(self, srcs, dsts, weights):
         accumulate_edges_vectorized(
-            Z.reshape(-1), srcs, dsts, weights, self.labels, self.scales, self.n_classes
+            self.Z.reshape(-1), srcs, dsts, weights, self.labels, self.scales, self.n_classes
         )
         return None
 
@@ -147,17 +143,16 @@ def gee_ligra(
     Parameters
     ----------
     edges:
-        The graph as a :class:`~repro.graph.facade.Graph` (its cached plan,
-        CSR view and serial engines are reused), an :class:`EdgeList`, a
+        The graph as a :class:`~repro.graph.facade.Graph` (its cached plan
+        and CSR view are reused), an :class:`EdgeList`, a
         prebuilt :class:`CSRGraph` (adopted as the CSR view), or any other
         graph-like input.
     labels, n_classes:
         As in :func:`repro.core.gee_python.gee_python`.
     backend:
-        Engine backend name (``serial`` / ``vectorized`` / ``threads`` /
-        ``processes``).
+        Engine backend name (``serial`` / ``vectorized`` / ``threads``).
     n_workers:
-        Worker count for the parallel backends.
+        Worker count for the ``threads`` backend.
     atomic:
         Use lock-striped atomic adds (True, the paper's default) or plain
         unsafe adds (False, the paper's "atomics off" ablation).  Only
@@ -179,24 +174,15 @@ def gee_ligra_with_plan(
 ) -> EmbeddingResult:
     """GEE via the Ligra engine on a compiled :class:`~repro.core.plan.EmbedPlan`.
 
-    The plan's CSR view was forced at compilation, the output comes from
+    The graph's CSR view is built once and cached, the output comes from
     the plan's output ring and the dense ``W`` is built lazily — the
-    engine's dense traversal is the only O(s) work per call.  The result
-    owns its embedding.
+    engine's dense traversal is the only O(s) work per call.  The engine
+    holds no resource and is built per call.  The result owns its
+    embedding.
     """
     y = plan.validate_labels(labels)
     k = plan.n_classes
-
-    # Serial/vectorized engines take no worker count, so they are cached on
-    # the plan and reused across calls; the thread/process schedules start
-    # their workers on every call anyway and are built per call with the
-    # caller's worker count.
-    cacheable = backend in ("serial", "vectorized")
-    engine = plan._ligra_engines.get(backend) if cacheable else None
-    if engine is None:
-        engine = LigraEngine(plan.csr, backend=backend, n_workers=n_workers)
-        if cacheable:
-            plan._ligra_engines[backend] = engine
+    engine = LigraEngine(plan.csr, backend=backend, n_workers=n_workers)
 
     t0 = time.perf_counter()
     # Algorithm 2, lines 3-6: the projection initialisation, as per-vertex
@@ -209,9 +195,6 @@ def gee_ligra_with_plan(
     # Algorithm 2, line 7: EdgeMap over the full frontier.
     engine.edge_map(engine.full_frontier(), fn)
     t2 = time.perf_counter()
-
-    if not cacheable:
-        engine.close()
 
     workers = getattr(engine.backend, "n_workers", 1)
     return EmbeddingResult(

@@ -1,11 +1,13 @@
 """Edge-parallel GEE over forked workers and shared memory.
 
-This is the dedicated kernel behind the strong-scaling experiment
-(Figure 3): it exposes the worker count explicitly, reports a per-phase
-timing breakdown, and keeps the parallel machinery visible (row
-partitioning, shared-memory output) rather than hiding it inside the
-engine.  ``gee_ligra`` and this function compute the same embedding; this
-one exists so the scaling study can sweep workers cheaply.
+This is the one process executor of the package: the ``parallel`` backend
+(alias ``ligra-parallel``, Table I's "ligra-parallel" column), the pooled
+pick of ``auto`` and the strong-scaling experiment (Figure 3) all run it.
+It exposes the worker count explicitly, reports a per-phase timing
+breakdown, and keeps the parallel machinery visible (row partitioning,
+shared-memory output).  ``gee_ligra`` computes the same embedding up to
+floating-point summation order, on the Ligra engine's serial, vectorized
+or threads schedule.
 
 Parallelisation strategy
 ------------------------

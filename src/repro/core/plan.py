@@ -421,10 +421,6 @@ class EmbedPlan(_PlanOutputs):
         self._fused_row_ranges: Dict[int, List[Tuple[int, int]]] = {}
         self._outputs: Optional[OutputRing] = None
         self._scipy_adj = None
-        #: Resource-free Ligra engines cached per engine-backend name (the
-        #: serial/vectorized schedules only — thread/process engines hold
-        #: worker pools and stay per-call).
-        self._ligra_engines: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
     # Edge arrays and flat scatter-index components (vectorised kernels)

@@ -63,9 +63,10 @@ __all__ = [
 #: is a loaded graph, and graph loading is not part of the paper's timed
 #: region.  Each column runs its backend's plan kernel on the graph's
 #: default plan (reused after the first call): "numba-serial" the
-#: compile-free ``bincount`` pass, "ligra-serial" the engine the plan
-#: caches, "ligra-parallel" the owner-range kernel over the sorted layout
-#: compiled once per graph.
+#: compile-free ``bincount`` pass, "ligra-serial" the Ligra engine's
+#: vectorized schedule over the graph's cached CSR, "ligra-parallel" the
+#: owner-range kernel over the sorted layout compiled once per graph (the
+#: backend that the registry alias ``ligra-parallel`` names).
 #:
 #: ``scipy-sparse`` is an extra (non-paper) Table I reference column: the
 #: whole edge pass as one ``(A + Aᵀ)·W`` CSR matmul through the ``sparse``

@@ -2,14 +2,15 @@
 
 Implements the part of Shun & Blelloch's Ligra that the paper's GEE-Ligra
 (Algorithm 2) runs: ``vertexSubset`` frontiers and the dense ``edgeMap``,
-with four execution schedules and ``writeAdd`` atomics.
+with three execution schedules and ``writeAdd`` atomics.  The schedules
+are the paper baselines' (serial and vectorized for Table I's
+"ligra-serial" column, threads for the atomics ablation); Table I's
+"ligra-parallel" column runs the owner-range ``parallel`` backend.
 """
 
 from .atomics import AtomicArray, UnsafeArray, make_accumulator
 from .backends import (
-    AccumulatingEdgeMapFunction,
     DenseBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     VectorizedBackend,
@@ -24,7 +25,6 @@ __all__ = [
     "UnsafeArray",
     "make_accumulator",
     "EdgeMapFunction",
-    "AccumulatingEdgeMapFunction",
     "edge_map_dense_serial",
     "VertexSubset",
     "LigraEngine",
@@ -32,6 +32,5 @@ __all__ = [
     "SerialBackend",
     "VectorizedBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "make_backend",
 ]

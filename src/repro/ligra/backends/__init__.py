@@ -1,25 +1,22 @@
 """Execution backends for the dense edge map."""
 
-from .base import AccumulatingEdgeMapFunction, DenseBackend, frontier_edges
-from .processes import ProcessBackend
+from .base import DenseBackend, frontier_edges
 from .serial import SerialBackend
 from .threads import ThreadBackend
 from .vectorized import VectorizedBackend
 
 __all__ = [
     "DenseBackend",
-    "AccumulatingEdgeMapFunction",
     "frontier_edges",
     "SerialBackend",
     "VectorizedBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "make_backend",
 ]
 
 
 def make_backend(name: str, n_workers: int | None = None) -> DenseBackend:
-    """Create a backend by name: serial, vectorized, threads or processes."""
+    """Create a backend by name: serial, vectorized or threads."""
     name = name.lower()
     if name == "serial":
         return SerialBackend()
@@ -27,8 +24,4 @@ def make_backend(name: str, n_workers: int | None = None) -> DenseBackend:
         return VectorizedBackend()
     if name in ("threads", "thread"):
         return ThreadBackend(n_workers)
-    if name in ("processes", "process"):
-        return ProcessBackend(n_workers)
-    raise ValueError(
-        f"unknown backend {name!r}; expected serial, vectorized, threads or processes"
-    )
+    raise ValueError(f"unknown backend {name!r}; expected serial, vectorized or threads")

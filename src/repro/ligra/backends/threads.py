@@ -10,8 +10,11 @@ the paper's Figure 1.
 Because of CPython's GIL, threads only overlap where NumPy releases the GIL
 (large per-vertex blocks); for interpreter-bound scalar updates this backend
 demonstrates *correctness* of the concurrent formulation rather than
-speedup.  The measured-speedup path is the process backend; the roofline
-model in :mod:`repro.eval.machine_model` covers the hardware the paper used.
+speedup.  It runs the atomics ablation, which compares lock-striped and
+unsafe adds.  The measured-speedup path is the ``parallel`` backend's
+owner-range kernel on the session fork pool
+(:mod:`repro.core.gee_parallel`); the roofline model in
+:mod:`repro.eval.machine_model` covers the hardware the paper used.
 """
 
 from __future__ import annotations

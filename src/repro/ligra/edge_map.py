@@ -71,9 +71,9 @@ class EdgeMapFunction:
     ) -> Optional[np.ndarray]:
         """Process an arbitrary flat batch of edges at once.
 
-        Used by the vectorised backend and by parallel workers, which hand
-        each worker's edge range to this hook in one call.  Return a boolean
-        mask of destinations that fired or ``None`` to fall back.
+        Used by the vectorised backend, which hands the frontier's whole
+        edge set to this hook in one call.  Return a boolean mask of
+        destinations that fired, or ``None`` when every destination fired.
         """
         return None
 

@@ -7,7 +7,10 @@ paper builds on (§II) that GEE-Ligra (Algorithm 2) runs:
 * ``edge_map`` — apply a function over the out-edges of a frontier with
   Ligra's dense traversal (``edgeMapDense``),
 * a pluggable execution backend for that traversal (serial / vectorized /
-  threads / processes).
+  threads).
+
+An engine holds no resource.  Over a :class:`CSRGraph` it takes
+microseconds to build, so GEE-Ligra builds one per pass.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ class LigraEngine:
         construction.
     backend:
         Dense-traversal execution backend: a backend instance or one of the
-        names ``"serial"``, ``"vectorized"``, ``"threads"``, ``"processes"``.
+        names ``"serial"``, ``"vectorized"``, ``"threads"``.
     n_workers:
-        Worker count for the thread/process backends (ignored otherwise).
+        Worker count for the threads backend (ignored otherwise).
     """
 
     def __init__(
@@ -79,19 +82,6 @@ class LigraEngine:
         if frontier.n_vertices != self.n_vertices:
             raise ValueError("frontier does not match the engine's graph")
         return self.backend.dense_edge_map(self.graph, frontier, fn)
-
-    # ------------------------------------------------------------------ #
-    # Lifetime
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Release backend resources."""
-        self.backend.close()
-
-    def __enter__(self) -> "LigraEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -7,7 +7,7 @@ from .pool import (
     fork_available,
     resolve_worker_count,
 )
-from .shm import SharedArrayHandle, SharedArraySet, attach, attach_many
+from .shm import SharedArrayHandle, SharedArraySet, attach
 
 __all__ = [
     "block_ranges",
@@ -19,5 +19,4 @@ __all__ = [
     "SharedArrayHandle",
     "SharedArraySet",
     "attach",
-    "attach_many",
 ]

@@ -14,8 +14,8 @@ Typical usage::
         Z = shm.zeros("Z", (n, K), np.float64)   # allocated in shared memory
         ... spawn workers, pass shm.handles() ...
 
-Workers call :func:`attach` with the handle dictionary to get views of the
-same buffers.
+Workers call :func:`attach` on each handle to get a view of the same
+buffer.
 
 :class:`OutputRing` hands out output arrays that their callers own: a
 kernel writes the buffer in place, the caller keeps the array, and the
@@ -40,7 +40,6 @@ __all__ = [
     "SharedArrayHandle",
     "SharedArraySet",
     "attach",
-    "attach_many",
 ]
 
 
@@ -401,22 +400,3 @@ def attach(handle: SharedArrayHandle) -> Tuple[np.ndarray, shared_memory.SharedM
     view = np.ndarray(handle.shape, dtype=np.dtype(handle.dtype), buffer=seg.buf)
     return view, seg
 
-
-def attach_many(
-    handles: Dict[str, SharedArrayHandle],
-) -> Tuple[Dict[str, np.ndarray], list]:
-    """Attach to every handle in a dictionary; returns (views, segments)."""
-    views: Dict[str, np.ndarray] = {}
-    segments = []
-    try:
-        for name, handle in handles.items():
-            view, seg = attach(handle)
-            views[name] = view
-            segments.append(seg)
-    except BaseException:
-        # A failed attach mid-dictionary must not strand the mappings that
-        # already succeeded (close only: attachers never unlink).
-        for seg in segments:
-            seg.close()
-        raise
-    return views, segments

@@ -18,7 +18,7 @@ from repro.core.gee_vectorized import (
 from repro.eval.metrics import confusion_matrix
 from repro.graph.edgelist import EdgeList
 from repro.labels.propagation import propagate_labels
-from repro.parallel.shm import SharedArraySet, attach_many
+from repro.parallel.shm import SharedArraySet
 
 rng = np.random.default_rng(7)
 
@@ -138,25 +138,3 @@ def test_allocate_failure_does_not_leak_segment(monkeypatch):
         # The set is still usable afterwards.
         view = arrays.zeros("y", (3,))
         assert view.sum() == 0.0
-
-
-def test_attach_many_partial_failure_closes_earlier_segments():
-    import dataclasses
-
-    with SharedArraySet() as arrays:
-        arrays.share("a", np.arange(6, dtype=np.float64))
-        handles = arrays.handles()
-        bogus = dict(handles)
-        bogus["ghost"] = dataclasses.replace(
-            handles["a"], shm_name="repro-definitely-missing"
-        )
-        with pytest.raises(FileNotFoundError):
-            attach_many(bogus)
-        # "a" must still be attachable: the failed attach closed (not
-        # leaked, not unlinked) the segments it had already opened.
-        views, segments = attach_many(handles)
-        try:
-            np.testing.assert_array_equal(views["a"], np.arange(6.0))
-        finally:
-            for seg in segments:
-                seg.close()

@@ -28,6 +28,6 @@ def test_suppressions_are_bounded():
 
 def test_live_registry_passes_capability_contract():
     backends = list_backends()
-    assert len(backends) >= 9, backends
+    assert len(backends) >= 8, backends
     findings = list(check_capability_contract())
     assert findings == [], "\n".join(f.render() for f in findings)

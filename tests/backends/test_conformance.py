@@ -11,8 +11,10 @@ codecs may only differ in floating-point summation order.
 The matrix also enforces that declared :class:`BackendCapabilities` are
 honoured: unsupported construction kwargs raise at ``get_backend`` time,
 and backends without ``supports_chunked`` reject chunked inputs instead of
-silently materialising them.  Every backend can refresh an
-``IncrementalEmbedding``, whose removals then subtract exact multiplicities.
+silently materialising them.  The atomics ablation's serial reference
+(``ligra-serial`` with ``atomic=False``) runs the same grid.  Every backend
+can refresh an ``IncrementalEmbedding``, whose removals then subtract exact
+multiplicities.
 
 Each backend gives one answer per input: ``embed`` runs the backend's plan
 kernel on the default plan, so it is bitwise ``embed_with_plan`` on
@@ -181,6 +183,26 @@ def test_conformance_matrix(references, backend_name, input_kind, graph_kind):
     )
 
 
+@pytest.mark.parametrize("graph_kind", sorted(GRAPH_KINDS))
+@pytest.mark.parametrize("input_kind", INPUT_KINDS)
+def test_atomics_off_serial_matches_reference(references, input_kind, graph_kind):
+    """``ligra-serial`` with ``atomic=False``, the serial reference the
+    atomics ablation times (``benchmarks/bench_ablation_atomics.py``), adds
+    without locks.  One worker has nothing to race, so it embeds every
+    input bitwise like the locked default, and rejects chunked inputs."""
+    edges, labels, reference = references[graph_kind]
+    graph_input = _as_input(edges, input_kind)
+    unlocked = get_backend("ligra-serial", atomic=False)
+    if input_kind == "chunked":
+        with pytest.raises(ValueError, match="chunked"):
+            unlocked.embed(graph_input, labels, K)
+        return
+    embedding = unlocked.embed(graph_input, labels, K).embedding
+    locked = get_backend("ligra-serial").embed(graph_input, labels, K).embedding
+    assert np.array_equal(embedding, locked)
+    np.testing.assert_allclose(embedding, reference.embedding, atol=ATOL)
+
+
 # --------------------------------------------------------------------------- #
 # One embed answer per backend
 # --------------------------------------------------------------------------- #
@@ -227,7 +249,6 @@ FUNCTIONAL_NAMES = {
     "gee_sparse": (gee_sparse, {}, "sparse"),
     "gee_ligra[serial]": (gee_ligra, {"backend": "serial"}, "ligra-serial"),
     "gee_ligra[vectorized]": (gee_ligra, {"backend": "vectorized"}, "ligra-vectorized"),
-    "gee_ligra[processes]": (gee_ligra, {"backend": "processes"}, "ligra-processes"),
     "gee_parallel": (gee_parallel, {}, "parallel"),
 }
 
@@ -346,7 +367,7 @@ LIGRA_BACKENDS = {name for name in list_backends() if name.startswith("ligra-")}
 def test_only_the_ligra_backends_build_a_csr(backend_name):
     """The Ligra engines walk the graph's CSR.  Every other backend reads
     the edge arrays or the sorted plan's symmetric CSR, and builds none."""
-    assert len(LIGRA_BACKENDS) == 4
+    assert len(LIGRA_BACKENDS) == 3
     edges, labels = GRAPH_KINDS["weighted"]()
     graph = Graph.coerce(edges)
     get_backend(backend_name).embed(graph, labels, K)

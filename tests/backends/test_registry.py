@@ -13,11 +13,15 @@ from repro.backends import (
     GEEBackend,
     backend_aliases,
     backend_capabilities,
+    backend_class,
     get_backend,
     list_backends,
     register_backend,
+    resolve_backend_name,
 )
-from repro.core import gee_python
+from repro.core import gee_ligra, gee_python
+from repro.eval.experiments import IMPLEMENTATIONS
+from repro.ligra.backends import make_backend
 from repro.graph import Graph, planted_partition
 from repro.labels import mask_labels
 
@@ -34,23 +38,93 @@ class TestRegistryContents:
         assert len(list_backends()) >= 6
 
     def test_canonical_names_present(self):
-        expected = {
-            "python",
-            "vectorized",
+        assert list_backends() == [
+            "auto",
             "ligra-serial",
-            "ligra-vectorized",
             "ligra-threads",
-            "ligra-processes",
+            "ligra-vectorized",
             "parallel",
-        }
-        assert expected <= set(list_backends())
+            "python",
+            "sparse",
+            "vectorized",
+        ]
 
     def test_legacy_aliases_resolve(self):
+        # Each alias names the backend of the Table I column it abbreviates.
+        assert resolve_backend_name("ligra") == IMPLEMENTATIONS["ligra-serial"]
+        assert resolve_backend_name("ligra-parallel") == IMPLEMENTATIONS["ligra-parallel"]
         assert type(get_backend("ligra")).name == "ligra-vectorized"
-        assert type(get_backend("ligra-parallel")).name == "ligra-processes"
+        assert type(get_backend("ligra-parallel")).name == "parallel"
         aliases = backend_aliases()
         assert aliases["ligra"] == "ligra-vectorized"
-        assert aliases["ligra-parallel"] == "ligra-processes"
+        assert aliases["ligra-parallel"] == "parallel"
+
+    def test_ligra_parallel_is_the_parallel_backend(self, seeded_graph):
+        graph, y = seeded_graph
+        alias = get_backend("ligra-parallel", n_workers=2)
+        assert isinstance(alias, backend_class("parallel"))
+        assert np.array_equal(
+            alias.embed(graph, y, 4).embedding,
+            get_backend("parallel", n_workers=2).embed(graph, y, 4).embedding,
+        )
+        # ``parallel`` has no atomics to switch off.
+        with pytest.raises(TypeError, match="unsupported option"):
+            get_backend("ligra-parallel", atomic=False)
+
+    @pytest.mark.parametrize("entry", ["get_backend", "estimator", "incremental", "unsupervised"])
+    @pytest.mark.parametrize("alias", ["ligra", "ligra-parallel"])
+    def test_aliases_reach_their_backend_at_every_entry(self, seeded_graph, alias, entry):
+        """Every entry point that takes a backend name runs an alias's
+        canonical backend and embeds bitwise as that name does."""
+        from repro import GraphEncoderEmbedding
+        from repro.core import gee_unsupervised
+        from repro.stream import DynamicGraph, IncrementalEmbedding
+
+        graph, y = seeded_graph
+        canonical = backend_aliases()[alias]
+
+        def run(name):
+            if entry == "get_backend":
+                backend = get_backend(name)
+                return backend, backend.embed(graph, y, 4).embedding
+            if entry == "estimator":
+                model = GraphEncoderEmbedding(4, method=name).fit(graph, y)
+                assert model.method == canonical
+                return model.backend_, model.embedding_
+            if entry == "incremental":
+                inc = IncrementalEmbedding(DynamicGraph(graph.edges), y, 4, backend=name)
+                return inc.backend, inc.embedding
+            refined = gee_unsupervised(
+                graph, 4, implementation=name, max_iterations=2, delta=False
+            )
+            return refined.final.method, refined.embedding
+
+        via_alias, embedding = run(alias)
+        via_name, expected = run(canonical)
+        if entry == "unsupervised":
+            assert via_alias == via_name
+        else:
+            assert isinstance(via_alias, backend_class(canonical))
+        assert np.array_equal(embedding, expected)
+
+    def test_ligra_processes_is_gone(self, seeded_graph):
+        """``parallel`` is the one process executor: neither the registry
+        nor the Ligra engine has a processes schedule, and each entry point
+        names the choices that remain."""
+        graph, y = seeded_graph
+        assert "ligra-processes" not in list_backends()
+        with pytest.raises(
+            ValueError, match=r"unknown backend 'ligra-processes'; registered backends: \[.*'parallel'"
+        ):
+            get_backend("ligra-processes")
+        for call in (
+            lambda: make_backend("processes"),
+            lambda: gee_ligra(graph, y, 4, backend="processes"),
+        ):
+            with pytest.raises(
+                ValueError, match="unknown backend 'processes'; expected serial, vectorized or threads"
+            ):
+                call()
 
     def test_capabilities_declared(self):
         assert backend_capabilities("parallel").supports_n_workers

@@ -29,7 +29,6 @@ def _implementations():
         "ligra-serial": lambda e, y, k: gee_ligra(e, y, k, backend="serial"),
         "ligra-vectorized": lambda e, y, k: gee_ligra(e, y, k, backend="vectorized"),
         "ligra-threads": lambda e, y, k: gee_ligra(e, y, k, backend="threads", n_workers=4),
-        "ligra-processes": lambda e, y, k: gee_ligra(e, y, k, backend="processes", n_workers=2),
         "parallel-1": lambda e, y, k: gee_parallel(e, y, k, n_workers=1),
         "parallel-4": lambda e, y, k: gee_parallel(e, y, k, n_workers=4),
     }

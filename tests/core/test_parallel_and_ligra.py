@@ -106,8 +106,8 @@ class TestGeeParallelBehaviour:
         with pytest.raises(ValueError, match="negative"):
             gee_parallel(edges, y, 3, n_workers=-3)
 
-    def test_negative_worker_count_rejected_by_ligra_processes(self):
-        # The Ligra process backend resolves its worker count at embed time
+    def test_negative_worker_count_rejected_by_ligra_threads(self):
+        # The Ligra threads backend resolves its worker count at embed time
         # (the engine is built inside gee_ligra), so the regression check
         # must go through .embed, not just backend construction.
         from repro.backends import get_backend
@@ -115,7 +115,7 @@ class TestGeeParallelBehaviour:
 
         edges = erdos_renyi(30, 100, seed=2)
         y = random_partial_labels(30, 3, 0.5, seed=2)
-        backend = get_backend("ligra-processes", n_workers=-2)
+        backend = get_backend("ligra-threads", n_workers=-2)
         with pytest.raises(ValueError, match="negative"):
             backend.embed(Graph.coerce(edges), y, 3)
 

@@ -1,26 +1,31 @@
-"""Tests for the dense edge map and the engine across its four schedules."""
+"""Tests for the dense edge map and the engine across its three schedules."""
 
 import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.graph import EdgeList, erdos_renyi
+from repro.graph import EdgeList, Graph, erdos_renyi
 from repro.ligra import EdgeMapFunction, LigraEngine, VertexSubset, edge_map_dense_serial
-from repro.ligra.backends import AccumulatingEdgeMapFunction, make_backend
+from repro.ligra.backends import make_backend
 
 
-class DegreeCount(AccumulatingEdgeMapFunction):
+class DegreeCount(EdgeMapFunction):
     """Counts, per destination, the weighted in-degree — a pure accumulation."""
 
     def __init__(self, n):
         self.counts = np.zeros(n, dtype=np.float64)
+        self._lock = threading.Lock()
 
-    def output_arrays(self):
-        return {"counts": self.counts}
+    def update(self, u, v, w):
+        # The threads schedule calls this per edge from several threads.
+        with self._lock:
+            self.counts[v] += w
+        return True
 
-    def update_batch_into(self, outputs, srcs, dsts, weights):
-        np.add.at(outputs["counts"], dsts, weights)
+    def update_batch(self, srcs, dsts, weights):
+        np.add.at(self.counts, dsts, weights)
         return None
 
 
@@ -56,22 +61,15 @@ class TestSerialTraversals:
 
 
 class TestBackendsAgree:
-    @pytest.mark.parametrize("backend", ["serial", "vectorized", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "vectorized", "threads"])
     def test_degree_count_identical(self, graph, backend):
         reference = DegreeCount(graph.n_vertices)
         edge_map_dense_serial(graph, VertexSubset.full(graph.n_vertices), reference)
 
         fn = DegreeCount(graph.n_vertices)
-        with LigraEngine(graph, backend=backend, n_workers=4) as engine:
-            engine.edge_map(engine.full_frontier(), fn)
+        engine = LigraEngine(graph, backend=backend, n_workers=4)
+        engine.edge_map(engine.full_frontier(), fn)
         np.testing.assert_allclose(fn.counts, reference.counts)
-
-    def test_process_backend_falls_back_for_non_accumulating(self, graph):
-        fn = MarkLargeTargets(threshold=200)  # never fires
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            with LigraEngine(graph, backend="processes", n_workers=2) as engine:
-                out = engine.edge_map(engine.full_frontier(), fn)
-        assert len(out) == 0
 
 
 class TestEngine:
@@ -86,6 +84,28 @@ class TestEngine:
         assert engine.n_vertices == 30
         assert engine.n_edges == 90
 
+    @pytest.mark.parametrize("form", ["csr", "graph", "ndarray", "scipy-sparse"])
+    def test_engine_coerces_any_graph_like(self, form):
+        """A ``CSRGraph`` is walked as given, a ``Graph`` lends its cached
+        CSR view, and other graph-like inputs are coerced once; every form
+        walks the same weighted edges."""
+        edges = erdos_renyi(30, 90, seed=1, weighted=True)
+        graph = Graph.coerce(edges)
+        weights = edges.effective_weights()
+        inputs = {
+            "csr": graph.csr,
+            "graph": graph,
+            "ndarray": edges.as_array(),
+            "scipy-sparse": sp.coo_matrix((weights, (edges.src, edges.dst)), shape=(30, 30)),
+        }
+        engine = LigraEngine(inputs[form])
+        if form in ("csr", "graph"):
+            assert engine.graph is graph.csr
+        assert (engine.n_vertices, engine.n_edges) == (30, 90)
+        fn = DegreeCount(engine.n_vertices)
+        engine.edge_map(engine.full_frontier(), fn)
+        np.testing.assert_allclose(fn.counts, np.bincount(edges.dst, weights, minlength=30))
+
     def test_unknown_backend_name(self, graph):
         with pytest.raises(ValueError):
             make_backend("gpu")
@@ -94,7 +114,7 @@ class TestEngine:
 # --------------------------------------------------------------------------- #
 # Dense edge map: every schedule x frontier x function protocol
 # --------------------------------------------------------------------------- #
-class EdgeWeights(AccumulatingEdgeMapFunction):
+class EdgeWeights(EdgeMapFunction):
     """Pure accumulation: each edge adds its weight to its destination's
     in-weight and its source's out-weight; every destination fires."""
 
@@ -103,22 +123,22 @@ class EdgeWeights(AccumulatingEdgeMapFunction):
         self.out_weight = np.zeros(n)
         self._lock = threading.Lock()
 
-    def output_arrays(self):
-        return {"in": self.in_weight, "out": self.out_weight}
-
     def fires(self, srcs, dsts):
         return None
 
-    def update_batch_into(self, outputs, srcs, dsts, weights):
-        n = outputs["in"].size
-        outputs["in"] += np.bincount(dsts, weights, minlength=n)
-        outputs["out"] += np.bincount(srcs, weights, minlength=n)
+    def update_batch(self, srcs, dsts, weights):
+        n = self.in_weight.size
+        self.in_weight += np.bincount(dsts, weights, minlength=n)
+        self.out_weight += np.bincount(srcs, weights, minlength=n)
         return self.fires(srcs, dsts)
 
-    def update_atomic(self, u, v, w):
+    def update(self, u, v, w):
         # The threads schedule calls this per edge from several threads.
         with self._lock:
-            return self.update(u, v, w)
+            self.in_weight[v] += w
+            self.out_weight[u] += w
+        fired = self.fires(u, v)
+        return True if fired is None else bool(fired)
 
 
 class FiringEdgeWeights(EdgeWeights):
@@ -129,8 +149,8 @@ class FiringEdgeWeights(EdgeWeights):
 
 
 class ScalarEdgeWeights(EdgeMapFunction):
-    """The firing accumulation through ``update`` alone: no block, batch or
-    accumulate hook, so every schedule falls back to per-edge calls."""
+    """The firing accumulation through ``update`` alone: no block or batch
+    hook, so every schedule falls back to per-edge calls."""
 
     def __init__(self, n):
         self.in_weight = np.zeros(n)
@@ -160,17 +180,39 @@ def int_weighted_graph():
     return EdgeList(edges.src, edges.dst, weights, n_vertices=edges.n_vertices).to_csr()
 
 
+#: Each matrix frontier in both of a ``VertexSubset``'s forms.  The serial
+#: and threads schedules read the dense mask and the vectorized schedule the
+#: sorted ids, so each schedule meets a frontier it must convert; and a full
+#: frontier is recognised by its size, which each form counts its own way.
+FRONTIER_KINDS = {
+    "full": "mask",
+    "empty": "indices",
+    "one-vertex": "indices",
+    "every-other": "mask",
+    "full-as-indices": "indices",
+    "empty-as-mask": "mask",
+    "one-vertex-as-mask": "mask",
+    "every-other-as-indices": "indices",
+}
+
+
 def _frontier(graph, kind):
     """A matrix case's frontier and, independently of it, its member ids."""
     n = graph.n_vertices
-    if kind == "full":
-        return VertexSubset.full(n), range(n)
-    if kind == "empty":
-        return VertexSubset.empty(n), range(0)
-    if kind == "one-vertex":
-        hub = int(np.argmax(graph.out_degrees()))
-        return VertexSubset(n, indices=[hub]), [hub]
-    return VertexSubset(n, mask=np.arange(n) % 2 == 0), range(0, n, 2)
+    members = kind.split("-as-")[0]
+    if members == "full":
+        ids = np.arange(n)
+    elif members == "empty":
+        ids = np.arange(0)
+    elif members == "one-vertex":
+        ids = np.array([int(np.argmax(graph.out_degrees()))])
+    else:
+        ids = np.arange(0, n, 2)
+    if FRONTIER_KINDS[kind] == "indices":
+        return VertexSubset(n, indices=ids), ids.tolist()
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return VertexSubset(n, mask=mask), ids.tolist()
 
 
 def _oracle(graph, members, *, all_fire):
@@ -195,23 +237,34 @@ class TestDenseEdgeMapMatrix:
     set of destinations whose update fired."""
 
     @pytest.mark.parametrize("function", list(FUNCTIONS))
-    @pytest.mark.parametrize("frontier_kind", ["full", "empty", "one-vertex", "every-other"])
-    @pytest.mark.parametrize("schedule", ["serial", "vectorized", "threads", "processes"])
+    @pytest.mark.parametrize("frontier_kind", list(FRONTIER_KINDS))
+    @pytest.mark.parametrize("schedule", ["serial", "vectorized", "threads"])
     def test_sums_and_fired_frontier(self, int_weighted_graph, schedule, frontier_kind, function):
         graph = int_weighted_graph
         frontier, members = _frontier(graph, frontier_kind)
         fn = FUNCTIONS[function](graph.n_vertices)
-        with LigraEngine(graph, backend=schedule, n_workers=2) as engine:
-            if schedule == "processes" and function == "scalar":
-                # No accumulate hook: the processes schedule runs the serial
-                # traversal instead, and says so.
-                with pytest.warns(RuntimeWarning, match="falling back"):
-                    out = engine.edge_map(frontier, fn)
-            else:
-                out = engine.edge_map(frontier, fn)
+        out = LigraEngine(graph, backend=schedule, n_workers=2).edge_map(frontier, fn)
         in_weight, out_weight, fired = _oracle(
             graph, members, all_fire=function == "accumulate"
         )
         assert np.array_equal(fn.in_weight, in_weight)
         assert np.array_equal(fn.out_weight, out_weight)
         assert out == fired
+
+    @pytest.mark.parametrize("n_workers", [1, 3, 8])
+    def test_threads_ranges_cover_each_frontier_once(self, int_weighted_graph, n_workers):
+        """The threads schedule splits the vertices into degree-balanced
+        ranges, one thread each.  Whether one thread walks every range or
+        more threads than CPUs share them, and however few of the ranges
+        hold a frontier vertex, each frontier edge is applied once."""
+        graph = int_weighted_graph
+        engine = LigraEngine(graph, backend="threads", n_workers=n_workers)
+        assert engine.backend.n_workers == n_workers
+        for kind in FRONTIER_KINDS:
+            frontier, members = _frontier(graph, kind)
+            fn = FiringEdgeWeights(graph.n_vertices)
+            out = engine.edge_map(frontier, fn)
+            in_weight, out_weight, fired = _oracle(graph, members, all_fire=False)
+            assert np.array_equal(fn.in_weight, in_weight), kind
+            assert np.array_equal(fn.out_weight, out_weight), kind
+            assert out == fired, kind

@@ -10,7 +10,6 @@ from repro.parallel import (
     ForkWorkerPool,
     SharedArraySet,
     attach,
-    attach_many,
     effective_worker_count,
     fork_available,
     resolve_worker_count,
@@ -52,15 +51,6 @@ class TestSharedArraySet:
             owner_view[2] = 42.0
             assert view[2] == 42.0
             seg.close()
-
-    def test_attach_many(self):
-        with SharedArraySet() as shm:
-            shm.zeros("a", (2,))
-            shm.zeros("b", (3,))
-            views, segs = attach_many(shm.handles())
-            assert set(views) == {"a", "b"}
-            for s in segs:
-                s.close()
 
     def test_handle_nbytes(self):
         with SharedArraySet() as shm:
