@@ -11,8 +11,8 @@ dynamic-graph subsystem maintains the embedding in O(Δ):
 2. wrap the initial graph in a ``DynamicGraph`` and attach an
    ``IncrementalEmbedding``,
 3. per batch: stage the mutations, ``commit()`` (one atomic, versioned
-   delta), ``update()`` (scatter-patch of the raw per-class sums + touched
-   row renormalisation),
+   delta), ``update()`` (scatter-patch of the raw per-class sums, then a
+   rescale of the slots it wrote),
 4. verify against a cold re-fit — identical to 1e-10 at every version,
 5. take an O(1) ``snapshot()`` mid-stream and show it stays frozen while
    commits continue, and

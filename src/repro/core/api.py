@@ -341,9 +341,9 @@ class GraphEncoderEmbedding:
         ``Z[:, c] = S[:, c] / count_c`` after any number of batches equals a
         full-batch :meth:`fit` on the union of the batches (up to
         floating-point summation order).  A batch costs O(batch), plus O(n)
-        when ``labels`` are passed: it recomputes only the rows it touches,
-        and the dense projection ``W`` is built on first access of
-        :attr:`projection_`.
+        when ``labels`` are passed: it rescales only the slots of the
+        embedding its scatter wrote, and the dense projection ``W`` is
+        built on first access of :attr:`projection_`.
 
         :attr:`embedding_` is live: every batch updates it in place (copy
         it to keep a version), as

@@ -132,7 +132,7 @@ def add_known_incidences(
     n_classes: int,
     *,
     fully_labelled: bool = False,
-) -> None:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Add the raw sums of an edge batch's known incidences into ``out_flat``.
 
     The step every chunked plan runs chunk by chunk, and every O(Δ) patch
@@ -143,6 +143,10 @@ def add_known_incidences(
     (:func:`scatter_add`; ``weights=None`` adds a scalar ``1.0``).  It
     compiles nothing and allocates O(batch), never O(n·K).
 
+    Returns the flat slots it added to, one ``intp`` array per half
+    (source-owned first), repeats included: the only slots of
+    ``out_flat`` that changed.
+
     ``y_lab`` is any signed integer label table; the chunked pass casts it
     once to :func:`~repro.core.plan.choose_label_dtype` ``(K)``.  Set
     ``fully_labelled`` when no label is unknown, to skip the keep step.
@@ -151,6 +155,7 @@ def add_known_incidences(
     bit for bit.
     """
     k = int(n_classes)
+    slots = []
     for owner, partner in ((src, dst), (dst, src)):
         owner, labels, wts = _known_incidences(
             owner, partner, weights, y_lab, fully_labelled
@@ -158,6 +163,8 @@ def add_known_incidences(
         flat = np.multiply(owner, k, dtype=np.intp)
         flat += labels
         scatter_add(out_flat, flat, 1.0 if wts is None else wts)
+        slots.append(flat)
+    return slots[0], slots[1]
 
 
 @hot_path(reason="O(Δ) incremental patch kernel")
@@ -168,7 +175,7 @@ def patch_sums_vectorized(
     delta_w: np.ndarray,
     labels: np.ndarray,
     n_classes: int,
-) -> None:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Apply a signed edge delta to flat raw per-class sums, in place.
 
     The one O(Δ) patch step, run by
@@ -176,9 +183,10 @@ def patch_sums_vectorized(
     ``transform``: raw sums move by exactly ``S[u, Y[v]] += Δw``, which is
     :func:`add_known_incidences` on the signed delta.  It gathers
     ``labels`` as given, so nothing of size n is cast or allocated per
-    patch.
+    patch.  Returns the flat slots it wrote, one array per half (see
+    :func:`add_known_incidences`).
     """
-    add_known_incidences(S_flat, src, dst, delta_w, labels, n_classes)
+    return add_known_incidences(S_flat, src, dst, delta_w, labels, n_classes)
 
 
 # --------------------------------------------------------------------------- #

@@ -2,10 +2,11 @@
 
 The GEE edge pass is linear in the edges: ``Z = S·diag(1/n_c)``, where
 ``S[u, c] = Σ w`` runs over the incidences of ``u`` whose partner has
-label ``c``.  A signed edge batch therefore moves only the rows of ``S`` it
-touches.  :class:`RawSums` holds ``S``, the live ``Z``, the labels, their
-class counts and which vertices an applied edge has read, and moves all of
-them in O(Δ).  The estimator's
+label ``c``.  A signed edge batch therefore moves only the slots
+``S[u, Y[v]]`` and ``S[v, Y[u]]`` it scatters into, at most two per edge.
+:class:`RawSums` holds ``S``, the live ``Z``, the labels, their class
+counts and which vertices an applied edge has read, and moves all of them
+in O(Δ).  The estimator's
 :meth:`~repro.core.api.GraphEncoderEmbedding.partial_fit` and
 :class:`~repro.stream.IncrementalEmbedding` keep their state in one.
 """
@@ -49,9 +50,10 @@ class RawSums:
     def reset(self, labels: np.ndarray, Z: Optional[np.ndarray] = None) -> None:
         """Start over at validated ``labels``, from the exact ``Z`` or from zero.
 
-        ``Z`` (for exactly these labels) is adopted, not copied, and every
-        vertex counts as read, since the edges behind it are unknown.
-        Without ``Z`` the sums start at zero and no vertex is read.
+        ``Z`` (for exactly these labels) is adopted, not copied, unless it
+        is not C-contiguous (:meth:`apply` writes through its flat view).
+        Every vertex then counts as read, since the edges behind it are
+        unknown.  Without ``Z`` the sums start at zero and no vertex is read.
         """
         k = self.n_classes
         n = labels.shape[0]
@@ -65,8 +67,8 @@ class RawSums:
             # The old Z goes before the new S is allocated, so S can reuse
             # its memory.  Z·n_c inverts the kernel's 1/n_c scale up to one
             # rounding.
-            self.Z = Z
-            self.S = Z * self.counts
+            self.Z = np.ascontiguousarray(Z)
+            self.S = self.Z * self.counts
 
     def set_labels(self, labels: np.ndarray) -> None:
         """Replace the labels with validated ``labels``, which extend them.
@@ -107,23 +109,24 @@ class RawSums:
         self.S = np.concatenate((self.S, pad))
         self.Z = np.concatenate((self.Z, pad))
 
-    @hot_path(reason="the O(Δ) step of a live embedding: patch, then its touched rows")
+    @hot_path(reason="the O(Δ) step of a live embedding: patch, then rescale the slots it wrote")
     def apply(self, src: np.ndarray, dst: np.ndarray, dw: np.ndarray) -> None:
-        """Add the signed edge batch ``(src, dst, Δw)`` and refresh its rows.
+        """Add the signed edge batch ``(src, dst, Δw)`` and rescale what it wrote.
 
         Additions pass ``+w``, removals ``-w`` and weight updates
         ``new − old``; endpoints must lie in the state (:meth:`grow` first).
-        The touched rows come from an n-byte bitmap, which is cheaper than
-        sorting the 2Δ endpoints; they are marked read and only their rows
-        of ``Z`` are recomputed.
+        The patch returns the flat slots ``u·K + c`` it scattered into, and
+        only those slots of ``Z`` are rewritten, as ``S[s]·(1/n_c)``; every
+        other slot keeps its bits, in a touched row or not.  Both endpoints
+        of every edge are marked read.
         """
         if src.size == 0:
             return
         obs_metrics.count("edges_patched", int(src.size))
-        patch_sums_vectorized(self.S.reshape(-1), src, dst, dw, self.labels, self.n_classes)
-        touched = np.zeros(self.labels.shape[0], dtype=bool)
-        touched[src] = True
-        touched[dst] = True
-        rows = np.flatnonzero(touched)
-        self.read[rows] = True
-        self.Z[rows] = self.S[rows] * inverse_class_counts(self.counts)
+        k = self.n_classes
+        S, Z = self.S.reshape(-1), self.Z.reshape(-1)
+        inv = inverse_class_counts(self.counts)
+        for slots in patch_sums_vectorized(S, src, dst, dw, self.labels, k):
+            Z[slots] = S.take(slots) * inv.take(slots % k)
+        self.read[src] = True
+        self.read[dst] = True

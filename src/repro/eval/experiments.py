@@ -109,18 +109,23 @@ def run_implementation(
     """Best-of-``repeats`` runtime (seconds) of one implementation.
 
     ``graph`` is any graph-like input; its CSR view is forced before
-    timing starts.  The parallel implementation gets one untimed warm-up
-    call by default so that forking the worker pool and copying the graph
-    into shared memory (one-time costs, the analogue of Ligra starting its
-    thread pool and loading the graph) are excluded — the same treatment
-    every implementation gets for its own one-time costs.
+    timing starts.  Every column but "gee-python" gets one untimed warm-up
+    call by default, so no timed call pays a one-time cost: building the
+    graph's default plan; for "ligra-parallel" and "scipy-sparse" also
+    compiling the sorted layout (and scipy's matrix over it); for
+    "ligra-parallel" also forking the worker pool and copying the graph
+    into shared memory, the analogue of Ligra starting its thread pool and
+    loading the graph.  "gee-python" gets none: its only one-time cost is
+    the default plan, which compiles nothing, and its interpreted per-edge
+    loop is by far the slowest column, so a warm-up would double the
+    longest step of a Table I run without changing the reading.
     """
     backend_name = IMPLEMENTATIONS[name]
     workers = n_workers if backend_capabilities(backend_name).supports_n_workers else None
     backend = get_backend(backend_name, n_workers=workers)
     graph = _prepare_graph(graph)
     if warmup is None:
-        warmup = 1 if name == "ligra-parallel" else 0
+        warmup = 0 if name == "gee-python" else 1
     record = time_callable(
         lambda: backend.embed(graph, labels, n_classes),
         repeats=repeats,

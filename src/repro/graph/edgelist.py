@@ -12,7 +12,7 @@ Ligra-like engine, which walks per-vertex adjacency lists) is built from an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -64,7 +64,6 @@ class EdgeList:
     dst: np.ndarray
     weights: Optional[np.ndarray] = None
     n_vertices: Optional[int] = None
-    _validated: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.src = np.ascontiguousarray(np.asarray(self.src, dtype=np.int64).ravel())
@@ -99,7 +98,28 @@ class EdgeList:
                 )
         if negative:
             raise ValueError("vertex ids must be non-negative")
-        self._validated = True
+
+    @classmethod
+    def _of_valid_arrays(
+        cls,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weights: Optional[np.ndarray],
+        n_vertices: int,
+    ) -> "EdgeList":
+        """An edge list over arrays already in normal form, with no scan.
+
+        For arrays cut and joined from validated edge lists (a
+        :class:`~repro.stream.dynamic.DynamicGraph` version build): ``src``
+        and ``dst`` contiguous ``int64`` of one length with every id in
+        ``[0, n_vertices)``, ``weights`` contiguous ``float64`` of that
+        length or ``None``.  Nothing is checked; the public constructor
+        checks everything.
+        """
+        edges = cls.__new__(cls)
+        edges.src, edges.dst, edges.weights = src, dst, weights
+        edges.n_vertices = int(n_vertices)
+        return edges
 
     # ------------------------------------------------------------------ #
     # Basic protocol

@@ -25,7 +25,7 @@ Quick start::
     inc = IncrementalEmbedding(dyn, labels, n_classes=K)
     dyn.add_edges([0, 5], [7, 2]).remove_edges([3], [4])
     dyn.commit()
-    inc.update()            # O(Δ): patches only the touched rows
+    inc.update()            # O(Δ): rescales only the slots it patched
     Z = inc.embedding
 """
 

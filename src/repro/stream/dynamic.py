@@ -29,8 +29,9 @@ snapshot of that version, which then becomes the base of the next commit.
 A commit whose parent's dead positions plus tail reach
 :data:`COMPACT_FRACTION` of its base builds the parent's graph first
 (compaction), so the parts stay small.  Each version's graph starts with an
-empty plan cache; its default plan compiles nothing, and validating the
-built :class:`~repro.graph.edgelist.EdgeList` is one pass.
+empty plan cache; its default plan compiles nothing, and the built
+:class:`~repro.graph.edgelist.EdgeList` is not scanned again: its parts
+were validated when they were staged or built.
 
 Removal semantics on multigraphs are exact-multiplicity: requesting
 ``(u, v)`` once removes *one* instance even when the pair is duplicated
@@ -131,7 +132,8 @@ class _Version:
             weights = None
             if weighted:
                 weights = np.concatenate((base.effective_weights()[kept], tail_w))
-            graph = Graph(EdgeList(src, dst, weights, self.n_vertices))
+            # Cut and joined from validated parts: no endpoint scan.
+            graph = Graph(EdgeList._of_valid_arrays(src, dst, weights, self.n_vertices))
             graph._fingerprint_mode = self._fingerprint_mode
             self._graph = graph
             self._parts = None
@@ -484,7 +486,7 @@ class DynamicGraph:
         if np.any(upd_in_base):
             base_w = base.effective_weights().copy()  # earlier versions keep theirs
             base_w[upd_pos[upd_in_base]] = upd_new_w[upd_in_base]
-            base = EdgeList(base.src, base.dst, base_w, base.n_vertices)
+            base = EdgeList._of_valid_arrays(base.src, base.dst, base_w, base.n_vertices)
         if not np.all(upd_in_base):
             tail_w = tail_w.copy()
             tail_w[upd_pos[~upd_in_base] - n_base] = upd_new_w[~upd_in_base]

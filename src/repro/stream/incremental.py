@@ -10,8 +10,9 @@ removed instance ``-w`` (the weight it actually carried) and every weight
 update ``new − old``.  :class:`IncrementalEmbedding` keeps ``S`` across
 versions of a :class:`~repro.stream.dynamic.DynamicGraph` in one
 :class:`~repro.core.raw_sums.RawSums` and, per :meth:`update`, replays the
-mutation log through its one O(Δ) step, which recomputes only the rows the
-batch touched — O(Δ) work per batch against the O(E) of a re-fit.
+mutation log through its one O(Δ) step, which rescales only the slots of
+``Z`` the batch's scatter wrote — O(Δ) work per batch against the O(E) of a
+re-fit.
 
 Floating-point drift from long add/subtract chains is bounded by *exact
 full refreshes*: a refresh re-embeds the current version through the
@@ -236,11 +237,11 @@ class IncrementalEmbedding:
 
         Replays the mutation log from :attr:`version` to the tracked
         graph's current version: one O(Δ) step over the concatenated signed
-        deltas, which recomputes only the touched rows (plus any class
-        column whose member count changed).  Falls back to an exact full
-        refresh when the refresh schedule or the churn threshold says so,
-        when the log no longer covers the missed versions, or on
-        ``force_refresh=True``.
+        deltas, which rescales only the slots of ``Z`` its scatter wrote
+        (plus any class column whose member count changed).  Falls back to
+        an exact full refresh when the refresh schedule or the churn
+        threshold says so, when the log no longer covers the missed
+        versions, or on ``force_refresh=True``.
 
         Parameters
         ----------

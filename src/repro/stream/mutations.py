@@ -34,6 +34,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..graph.csr import owner_sort
+
 __all__ = [
     "MutationDelta",
     "MutationLog",
@@ -86,7 +88,11 @@ def match_edge_instances(
     O(1) work and 2 bytes of scratch per edge, plus O(D) for the ``D`` dead
     positions and O(C log C + R log R) for the ``C`` candidate edges that
     join a requested source to a requested destination and the ``R``
-    requests.
+    requests.  Both sorts are :func:`~repro.graph.csr.owner_sort`: a plain
+    sort of unique packed keys ``(u·n + v) << b | i``, which gives the
+    stable order several times faster than a stable argsort while
+    ``n²·C < 2⁶³`` (about n < 8M vertices at C = 68,000); wider keys take
+    the stable argsort.
     """
     if req_src.shape != req_dst.shape:
         raise ValueError("request src and dst must have the same length")
@@ -114,21 +120,23 @@ def match_edge_instances(
     cand_pos, cand_key = [], []
     offset = 0
     for src, dst, dead in parts:
-        hit = want_src[src]
-        hit &= want_dst[dst]
+        hit = want_src.take(src)
+        hit &= want_dst.take(dst)
         if dead is not None:
             hit[dead] = False
         local = np.flatnonzero(hit)
         del hit
-        cand_key.append(src[local] * n + dst[local])
+        key = src.take(local)
+        key *= n
+        key += dst.take(local)
+        cand_key.append(key)
         cand_pos.append(local + offset)
         offset += src.size
     candidates = np.concatenate(cand_pos)
-    ckey = np.concatenate(cand_key)
-    order = np.argsort(ckey, kind="stable")  # stable: instances stay position-ordered
-    sorted_keys = ckey[order]
-    rorder = np.argsort(rkey, kind="stable")
-    rsorted = rkey[rorder]
+    # Stable orders: equal keys keep position order, so the r-th requested
+    # occurrence of a pair takes its r-th live instance.
+    order, sorted_keys = owner_sort(np.concatenate(cand_key))
+    rorder, rsorted = owner_sort(rkey)
     # Occurrence rank of each request within its run of equal keys.
     run_start = np.searchsorted(rsorted, rsorted, side="left")
     occurrence = np.arange(rsorted.size, dtype=np.int64) - run_start
@@ -145,9 +153,8 @@ def match_edge_instances(
             f"{int(available[bad])} instance(s); removals/updates must not "
             "exceed the stored multiplicity"
         )
-    positions = candidates[order[lo + occurrence]]
     out = np.empty(rkey.size, dtype=np.int64)
-    out[rorder] = positions
+    out[rorder] = candidates.take(order.take(lo + occurrence))
     return out
 
 

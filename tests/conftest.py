@@ -22,6 +22,23 @@ from repro.graph import EdgeList, erdos_renyi, planted_partition, rmat, symmetri
 from repro.labels import mask_labels, random_partial_labels
 
 
+@pytest.fixture
+def argsort_kinds(monkeypatch):
+    """Spy on ``np.argsort`` for the test: the ``kind`` of every call, in order.
+
+    ``monkeypatch.undo()`` removes the spy.
+    """
+    calls = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def small_sbm():
     """A 3-block planted-partition graph with its ground-truth labels."""

@@ -96,3 +96,35 @@ def test_freeze_rule_guards_read_vertices_only():
     with pytest.raises(ValueError, match="must not change"):
         sums.set_labels(np.array([0, 1, 1, 2, -1, 1]))
 
+
+def test_patch_rewrites_only_the_slots_it_scattered_into():
+    """A patch moves ``Z`` only at the slots ``S[u, Y[v]]`` and ``S[v, Y[u]]``
+    it added to, each to ``S·(1/n_c)`` bit for bit; every other slot keeps
+    its bits, in the touched rows too.  Both endpoints of every edge are
+    marked read, a labelled partner or not."""
+    rng = np.random.default_rng(5)
+    n = 40
+    labels = rng.integers(-1, K, size=n).astype(np.int64)
+    src = rng.integers(0, n, size=25)
+    dst = rng.integers(0, n, size=25)
+    delta = rng.uniform(-1.0, 1.0, size=25)
+    written = np.zeros((n, K), dtype=bool)
+    for u, v in zip(src, dst):
+        if labels[v] >= 0:
+            written[u, labels[v]] = True
+        if labels[u] >= 0:
+            written[v, labels[u]] = True
+    inv = inverse_class_counts(class_counts(labels, K))
+
+    sums = RawSums(K)
+    sums.reset(labels, rng.random((n, K)))  # S = Z·n_c, so S·(1/n_c) != Z in places
+    before = sums.Z.copy()
+    touched = np.unique(np.concatenate((src, dst)))
+    assert np.any((sums.S * inv != before)[touched] & ~written[touched])  # the check can fail
+    sums.apply(src, dst, delta)
+    expected = np.where(written, sums.S * inv, before)
+    assert np.array_equal(sums.Z.view(np.uint64), expected.view(np.uint64))
+
+    sums.reset(labels)
+    sums.apply(src, dst, delta)
+    np.testing.assert_array_equal(sums.read, np.isin(np.arange(n), touched))

@@ -1,5 +1,7 @@
 """Tests for the machine model and (small-scale) experiment drivers."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,37 @@ class TestExperimentDriversSmall:
                 assert row[col] > 0
             assert row["speedup_vs_numba"] > 0
             assert row["paper_speedup_vs_numba"] > 0
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_every_compiled_column_is_warmed_alike(self, monkeypatch, repeats):
+        """Each column but "gee-python" runs one untimed ``embed`` before its
+        timed ones, so no column's reading includes its plan build."""
+        calls = Counter()
+        real = experiments.get_backend
+
+        def counting(name, **options):
+            backend = real(name, **options)
+            embed = backend.embed
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return embed(*args, **kwargs)
+
+            backend.embed = spy
+            return backend
+
+        monkeypatch.setattr(experiments, "get_backend", counting)
+        experiments.table1(
+            scale=self.SCALE,
+            repeats=repeats,
+            datasets=["twitch-sim"],
+            extra_columns=("scipy-sparse",),
+        )
+        columns = (*experiments.TABLE1_COLUMNS, "scipy-sparse")
+        assert calls == {
+            experiments.IMPLEMENTATIONS[name]: repeats + (name != "gee-python")
+            for name in columns
+        }
 
     def test_figure2_normalisation(self):
         rows = experiments.figure2(scale=self.SCALE, repeats=1, dataset="twitch-sim")

@@ -250,6 +250,26 @@ class TestMatchEdgeInstances:
                 seen["false_positive"] += 1
         assert all(count >= 20 for count in seen.values()), seen
 
+    def test_packed_keys_take_no_stable_argsort(self, argsort_kinds, monkeypatch):
+        """While ``n²·C`` packs into 63 bits, both rankings are
+        ``owner_sort``'s plain sort of unique keys: no stable argsort runs,
+        and duplicated pairs still resolve earliest instance first."""
+        rng = np.random.default_rng(21)
+        n, e = 200, 5_000
+        src = rng.integers(0, n, size=e)
+        dst = rng.integers(0, n, size=e)
+        src[-300:], dst[-300:] = src[:300], dst[:300]  # every pair here twice
+        # Distinct positions, among them the second copies of 50 pairs.
+        picked = np.concatenate(
+            (rng.choice(e - 50, size=400, replace=False), np.arange(e - 50, e))
+        )
+        req_src, req_dst = src[picked], dst[picked]
+        parts = [(src[:3_000], dst[:3_000], None), (src[3_000:], dst[3_000:], None)]
+        got = match_edge_instances(parts, req_src, req_dst, n)
+        monkeypatch.undo()
+        assert argsort_kinds == []
+        np.testing.assert_array_equal(got, _oracle_match(src, dst, req_src, req_dst, n))
+
     def test_peak_memory_has_no_per_edge_keys(self):
         """The matcher's scratch stays far below one int64 per edge."""
         rng = np.random.default_rng(0)
@@ -452,6 +472,38 @@ class TestVersionsShareTheirParents:
                 snap, want = held[i]
                 _assert_edges_equal(snap.edges, want, f"seed {seed} v{snap.version}")
         assert all(count >= 20 for count in seen.values()), seen
+
+    def test_builds_run_no_endpoint_scan(self, monkeypatch):
+        """A version build, and a commit that updates a base edge's weight,
+        wrap parts validated when they were staged or built: neither scans
+        the endpoints again, and the built edges are the eager rebuild's.
+        The public ``EdgeList`` constructor still scans."""
+        edges = erdos_renyi(50, 400, weighted=True, seed=16)
+        oracle, dyn = _EagerOracle(edges), DynamicGraph(edges)
+        batch = {
+            "remove": (edges.src[3:6], edges.dst[3:6]),
+            "update": (edges.src[:3], edges.dst[:3], np.array([5.0, 6.0, 7.0])),
+            "add": [(np.array([0, 50]), np.array([50, 1]), np.array([0.5, 0.25]))],
+            "grow": 1,
+        }
+        scans = []
+        post_init = EdgeList.__post_init__
+
+        def counting(self):
+            scans.append(self.src.size)
+            post_init(self)
+
+        monkeypatch.setattr(EdgeList, "__post_init__", counting)
+        _stage(dyn, batch)
+        dyn.commit()
+        built = dyn.graph.edges
+        assert scans == []
+        with pytest.raises(ValueError, match="non-negative"):
+            EdgeList(np.array([0, -1]), np.array([1, 2]))
+        assert scans == [2]
+        monkeypatch.undo()
+        oracle.commit(batch)
+        _assert_edges_equal(built, oracle.frozen())
 
     def test_snapshots_stay_bitwise_stable(self):
         """Snapshots of a pending and of a built version keep their edges
